@@ -28,6 +28,7 @@
 #include <cstdlib>
 #include <functional>
 #include <map>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -109,12 +110,10 @@ struct BenchContext
     ShardSpec shard;                ///< partition for CellMode::Run
     const Json *replayCells = nullptr;  ///< payload source for Replay
     /**
-     * Resume filter: global cell indices already covered by existing
-     * shard files (bh_bench --resume). Owned cells in this set are not
-     * re-run; the partial output holds only the previously missing
-     * cells, ready for bh_collect merge.
+     * Single-cell filter (one bh_farm lease): when set, only this global
+     * cell index runs, and the partial output holds just its payload.
      */
-    const std::set<std::uint64_t> *resumeCovered = nullptr;
+    std::optional<std::uint64_t> onlyCell;
 
     Json cells = Json::object();    ///< recorded payloads by global index
     std::uint64_t nextCell = 0;     ///< next unassigned global cell index
@@ -173,7 +172,7 @@ struct BenchContext
             return false;
         if (mode == CellMode::Replay)
             return true;
-        if (resumeCovered && nextCell > 0)
+        if (onlyCell && nextCell > 0)
             return false;   // partial by construction: merge to aggregate
         return shard.count == 1 || nextCell == 0;
     }
@@ -182,10 +181,9 @@ struct BenchContext
     bool
     executingAllCells() const
     {
-        // A resume filter means some cells are already on disk: warm-up
-        // over the full app set would simulate alone-runs the remaining
-        // cells never read (pathological for one-cell farm leases).
-        return mode == CellMode::Run && shard.count == 1 && !resumeCovered;
+        // A one-cell run warming up the full app set would simulate
+        // alone-runs its cell never reads.
+        return mode == CellMode::Run && shard.count == 1 && !onlyCell;
     }
 };
 

@@ -209,8 +209,8 @@ cmdStatus(const std::vector<std::string> &args)
     double stale_after = 3600.0;
 
     // Expand directory arguments into the BENCH_*.json files they hold.
-    // Quarantined files (*.corrupt, left by bh_bench --resume or bh_farm
-    // when a partial was torn/mangled) are counted, not loaded.
+    // Quarantined files (*.corrupt, left by bh_farm when a committed
+    // result was torn/mangled) are counted, not loaded.
     std::vector<std::string> files;
     std::uint64_t quarantined = 0;
     for (std::size_t ai = 0; ai < args.size(); ++ai) {
@@ -379,7 +379,7 @@ cmdStatus(const std::vector<std::string> &args)
             std::printf("  missing cells: %s%s\n", missing.c_str(),
                         truncated ? " ..." : "");
             // Completion estimate from the covered cells' rate: crude
-            // (cells vary in cost) but enough to size a resume run.
+            // (cells vary in cost) but enough to size a rerun.
             if (g.cellsCovered > 0 && elapsed_total > 0.0)
                 std::printf("  estimated remaining: ~%.1f s of shard work "
                             "(%llu cells at %.2f s/cell)\n",

@@ -50,14 +50,14 @@ BenchContext::runCells(const std::string &label, std::size_t n,
     } else {
         // Block-local indices of the cells this shard owns; cells keep
         // their block-local index in `fn`, so a sharded run executes
-        // exactly the same fn(i) calls an unsharded run would. A resume
-        // run additionally drops cells that already exist on disk.
+        // exactly the same fn(i) calls an unsharded run would. A
+        // one-cell run additionally drops every other cell.
         std::vector<std::size_t> owned;
         owned.reserve(n);
         for (std::size_t i = 0; i < n; ++i) {
             if (!shardOwns(shard, first + i))
                 continue;
-            if (resumeCovered && resumeCovered->count(first + i))
+            if (onlyCell && *onlyCell != first + i)
                 continue;
             owned.push_back(i);
         }

@@ -15,7 +15,7 @@
  * regression cell (see DESIGN.md "Security verification").
  *
  * Every chain is deterministic from a name-derived seed, and each cell
- * is one self-contained chain — so the grid shards, resumes, and
+ * is one self-contained chain — so the grid shards, farms, and
  * reproduces byte-identically at any --jobs / --channel-threads / skip
  * mode like every other experiment.
  */

@@ -20,7 +20,6 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <set>
 #include <sstream>
 
 #include <ctime>
@@ -69,11 +68,6 @@ usage(std::FILE *out)
         "                same filter). See --list for the catalog.\n"
         "  --shard I/N   run only the sweep cells shard I of N owns and\n"
         "                write partial reports for bh_collect merge\n"
-        "  --resume DIR  scan DIR for existing BENCH_*.json shards of\n"
-        "                the same grid and run only the cells they are\n"
-        "                missing, writing BENCH_<name>.resume<k>.json\n"
-        "                partials for bh_collect merge (default --out:\n"
-        "                DIR itself)\n"
         "  --out DIR     directory for the JSON outputs (default: .)\n"
         "  --trace FILE[:FILTER]\n"
         "                write a Chrome trace_event JSON timeline of the\n"
@@ -90,107 +84,6 @@ usage(std::FILE *out)
         "reports; see `bh_collect perfgate`.\n");
 }
 
-/**
- * Load every BENCH_*.json under `dir` that parses cleanly. Unreadable
- * or truncated files — exactly what a crashed shard run leaves behind —
- * are quarantined to `<file>.corrupt` so they stop shadowing the real
- * output name, and their cells count as missing and get re-run.
- * `bh_collect status` reports the quarantined files.
- */
-std::vector<bh::LoadedReport>
-loadResumeReports(const std::string &dir)
-{
-    namespace fs = std::filesystem;
-    std::vector<std::string> files;
-    std::error_code ec;
-    if (!fs::is_directory(dir, ec) || ec)
-        bh::fatal("--resume: %s is not a directory", dir.c_str());
-    auto it = fs::recursive_directory_iterator(dir, ec);
-    for (; !ec && it != fs::recursive_directory_iterator();
-         it.increment(ec)) {
-        std::error_code type_ec;
-        if (!it->is_regular_file(type_ec) || type_ec)
-            continue;
-        std::string name = it->path().filename().string();
-        // BENCH_perf.json is the self-profile sidecar, not a report.
-        if (name.rfind("BENCH_", 0) == 0 && name.size() > 5 &&
-            name.compare(name.size() - 5, 5, ".json") == 0 &&
-            name != "BENCH_perf.json")
-            files.push_back(it->path().string());
-    }
-    if (ec)
-        bh::fatal("--resume: error scanning %s: %s", dir.c_str(),
-                  ec.message().c_str());
-    std::sort(files.begin(), files.end());
-
-    std::vector<bh::LoadedReport> reports;
-    for (const std::string &file : files) {
-        bh::LoadedReport report;
-        std::string err;
-        if (!loadReportFile(file, report, err)) {
-            std::string moved = bh::quarantineCorrupt(file);
-            if (moved.empty())
-                bh::warn("--resume: skipping %s (%s); its cells count as "
-                         "missing", file.c_str(), err.c_str());
-            else
-                bh::warn("--resume: quarantined %s -> %s (%s); its cells "
-                         "count as missing", file.c_str(), moved.c_str(),
-                         err.c_str());
-            continue;
-        }
-        reports.push_back(std::move(report));
-    }
-    return reports;
-}
-
-/**
- * Global cell indices of `experiment` already covered by loaded shard
- * files whose grid fingerprint matches this binary's grid.
- */
-std::set<std::uint64_t>
-coveredCells(const std::vector<bh::LoadedReport> &reports,
-             const std::string &experiment, const std::string &fingerprint)
-{
-    std::set<std::uint64_t> covered;
-    for (const auto &report : reports) {
-        if (report.manifest.experiment != experiment ||
-            report.manifest.fingerprint != fingerprint)
-            continue;
-        const bh::Json *cells = report.doc.find("cells");
-        if (!cells || cells->type() != bh::Json::Type::Object)
-            continue;
-        for (const auto &kv : cells->objectItems())
-            covered.insert(std::strtoull(kv.first.c_str(), nullptr, 10));
-    }
-    return covered;
-}
-
-/** True when any scanned report is a complete run of this exact grid. */
-bool
-haveCompleteReport(const std::vector<bh::LoadedReport> &reports,
-                   const std::string &experiment,
-                   const std::string &fingerprint)
-{
-    for (const auto &report : reports)
-        if (report.manifest.experiment == experiment &&
-            report.manifest.fingerprint == fingerprint &&
-            !report.manifest.partial)
-            return true;
-    return false;
-}
-
-/** First resume output path that does not collide with an existing file. */
-std::string
-resumeOutputPath(const std::string &out_dir, const std::string &experiment)
-{
-    for (unsigned k = 1;; ++k) {
-        std::string path = out_dir + "/BENCH_" + experiment + ".resume" +
-            std::to_string(k) + ".json";
-        if (!std::filesystem::exists(path))
-            return path;
-    }
-}
-
 } // namespace
 
 int
@@ -201,8 +94,7 @@ main(int argc, char **argv)
     setVerbose(false);
     double scale = benchScale();
     unsigned jobs = 0;      // 0 = hardware concurrency
-    std::string out_dir;
-    std::string resume_dir;
+    std::string out_dir = ".";
     ShardSpec shard;
     SkipMode skip = SkipMode::kEventSkip;
     unsigned channels = 1;
@@ -259,8 +151,6 @@ main(int argc, char **argv)
             channel_threads = static_cast<unsigned>(n);
         } else if (!std::strcmp(arg, "--attack")) {
             attack_filter = value();
-        } else if (!std::strcmp(arg, "--resume")) {
-            resume_dir = value();
         } else if (!std::strcmp(arg, "--shard")) {
             const char *spec = value();
             unsigned idx = 0, count = 0;
@@ -291,12 +181,6 @@ main(int argc, char **argv)
             names.push_back(arg);
         }
     }
-
-    if (resume_dir.size() && shard.count > 1)
-        fatal("--resume and --shard are mutually exclusive: resume "
-              "derives its own cell subset from the missing set");
-    if (out_dir.empty())
-        out_dir = resume_dir.empty() ? "." : resume_dir;
 
     if (list) {
         // Enumerate the cell spaces without simulating anything, so the
@@ -361,10 +245,6 @@ main(int argc, char **argv)
     if (ec)
         fatal("cannot create output directory %s", out_dir.c_str());
 
-    std::vector<LoadedReport> resume_reports;
-    if (resume_dir.size())
-        resume_reports = loadResumeReports(resume_dir);
-
     if (trace_path.size()) {
         std::string err;
         if (!TraceSink::open(trace_path, trace_filter, err))
@@ -379,8 +259,6 @@ main(int argc, char **argv)
                     channel_threads);
     if (shard.count > 1)
         std::printf(", shard %u/%u", shard.index, shard.count);
-    if (resume_dir.size())
-        std::printf(", resuming from %s", resume_dir.c_str());
     if (trace_path.size())
         std::printf("tracing to %s%s%s\n", trace_path.c_str(),
                     trace_filter.empty() ? "" : ", categories: ",
@@ -400,39 +278,6 @@ main(int argc, char **argv)
         ctx.runner = &runner;
         ctx.shard = shard;
         ctx.skip = skip;
-
-        std::set<std::uint64_t> covered;
-        if (resume_dir.size()) {
-            // Which cells of this binary's grid do the scanned shard
-            // files already hold? Fingerprint-mismatched files (other
-            // scale/channels, older binary) are simply not coverage.
-            BenchContext probe;
-            probe.scale = scale;
-            probe.channels = channels;
-            probe.attackFilter = attack_filter;
-            probe.runner = &runner;
-            probe.mode = BenchContext::CellMode::Enumerate;
-            runBench(*info, probe);
-            std::string fp = benchGridFingerprint(*info, probe);
-            covered = coveredCells(resume_reports, info->name, fp);
-            if (probe.nextCell > 0 && covered.size() >= probe.nextCell) {
-                std::printf("[%s: all %llu cells already on disk, "
-                            "skipping]\n\n", info->name,
-                            static_cast<unsigned long long>(probe.nextCell));
-                continue;
-            }
-            // Analytic experiments (no cells) are complete when any
-            // matching full report exists.
-            if (probe.nextCell == 0 &&
-                haveCompleteReport(resume_reports, info->name, fp)) {
-                std::printf("[%s: analytic report already on disk, "
-                            "skipping]\n\n", info->name);
-                continue;
-            }
-            // No usable coverage: fall through to a plain full run.
-            if (!covered.empty())
-                ctx.resumeCovered = &covered;
-        }
 
         auto t0 = std::chrono::steady_clock::now();
         std::uint64_t sim0 = simCyclesTotal();
@@ -481,28 +326,10 @@ main(int argc, char **argv)
         pe["cells"] = std::move(pe_cells);
         perf_experiments[info->name] = std::move(pe);
 
-        std::string path = ctx.resumeCovered
-            ? resumeOutputPath(out_dir, info->name)
-            : out_dir + "/BENCH_" + std::string(info->name) + ".json";
-        // A resume run that found no usable coverage (the scanned files
-        // belong to another grid — different scale/channels or an older
-        // binary) falls back to a full run; refuse to silently clobber
-        // the mismatched file the user pointed us at.
-        if (resume_dir.size() && !ctx.resumeCovered &&
-            std::filesystem::exists(path)) {
-            fatal("--resume: %s exists but matches no cell of this grid "
-                  "(different --scale/--channels or binary version); "
-                  "move it aside or pass --out elsewhere", path.c_str());
-        }
+        std::string path =
+            out_dir + "/BENCH_" + std::string(info->name) + ".json";
         atomicWriteFileOrDie(path, ctx.result.dump(2) + "\n");
-        if (ctx.resumeCovered)
-            std::printf("[%s: resumed %llu missing of %llu cells, "
-                        "%.2f s -> %s; run bh_collect merge over %s]\n\n",
-                        info->name,
-                        static_cast<unsigned long long>(ctx.cellsRun),
-                        static_cast<unsigned long long>(ctx.nextCell),
-                        secs, path.c_str(), resume_dir.c_str());
-        else if (shard.count > 1)
+        if (shard.count > 1)
             std::printf("[%s: shard %u/%u ran %llu of %llu cells, "
                         "%.2f s -> %s]\n\n",
                         info->name, shard.index, shard.count,
@@ -515,7 +342,7 @@ main(int argc, char **argv)
     }
     // Write the BENCH_perf.json self-profile sidecar. Merge-on-write:
     // a later invocation into the same --out directory (e.g. running
-    // experiments one at a time, or a resume pass) updates its own
+    // experiments one at a time) updates its own
     // experiments' entries and keeps the rest.
     {
         std::string perf_path = out_dir + "/BENCH_perf.json";

@@ -46,7 +46,7 @@ void runBench(const BenchInfo &info, BenchContext &ctx);
 /**
  * Grid identity hash of an experiment at the context's scale/channels:
  * call after an Enumerate pass has filled ctx.phases/nextCell. Shards
- * (and resume runs) only combine when their fingerprints agree.
+ * (and farm cells) only combine when their fingerprints agree.
  */
 std::string benchGridFingerprint(const BenchInfo &info,
                                  const BenchContext &ctx);

@@ -23,7 +23,7 @@
  * best. Each search chain is self-contained ("island model"): the
  * bench-level fuzz experiment runs one chain per (mechanism, island)
  * sweep cell, which keeps cells independent and lets the fuzz grid
- * shard/--resume/--list like any other experiment.
+ * shard/farm/--list like any other experiment.
  */
 
 #ifndef BH_ANALYSIS_RED_TEAM_HH

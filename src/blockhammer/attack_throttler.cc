@@ -6,18 +6,27 @@
 namespace bh
 {
 
+int
+throttleQuota(double score, int base)
+{
+    if (score <= 0.0)
+        return -1;      // benign: unlimited
+    if (score >= 1.0)
+        return 0;       // certain attacker: block entirely
+    double q = static_cast<double>(base) * (1.0 - score);
+    return std::max(0, static_cast<int>(std::floor(q)));
+}
+
 AttackThrottler::AttackThrottler(const BlockHammerConfig &config)
     : cfg(config), denom(config.rhliDenominator()),
-      counterMax(config.throttlerCounterMax())
+      // In a protected system RHLI cannot exceed 1 (the zero quota stops
+      // the activations), so saturating counters suffice (Section
+      // 3.2.1). Observe-only mode interferes with nothing and counts
+      // exactly, so the measured RHLI can reach the paper's >>1 values.
+      counters(static_cast<std::size_t>(config.threads) * config.banks,
+               config.observeOnly ? 0xffffffffu
+                                  : config.throttlerCounterMax())
 {
-    // In a protected system RHLI cannot exceed 1 (the zero quota stops
-    // the activations), so saturating counters suffice (Section 3.2.1).
-    // Observe-only mode interferes with nothing and counts exactly, so
-    // the measured RHLI can reach the paper's >>1 values.
-    if (cfg.observeOnly)
-        counterMax = 0xffffffffu;
-    counters[0].assign(static_cast<std::size_t>(cfg.threads) * cfg.banks, 0);
-    counters[1].assign(static_cast<std::size_t>(cfg.threads) * cfg.banks, 0);
 }
 
 void
@@ -25,10 +34,7 @@ AttackThrottler::onBlacklistedActivate(ThreadId thread, unsigned bank)
 {
     if (thread < 0 || static_cast<unsigned>(thread) >= cfg.threads)
         return;
-    std::size_t i = index(thread, bank);
-    for (auto &side : counters)
-        if (side[i] < counterMax)
-            ++side[i];
+    counters.add(index(thread, bank));
 }
 
 double
@@ -38,7 +44,7 @@ AttackThrottler::rhli(ThreadId thread, unsigned bank) const
         return 0.0;
     if (denom <= 0.0)
         return 0.0;
-    return static_cast<double>(counters[active][index(thread, bank)]) / denom;
+    return static_cast<double>(counters.value(index(thread, bank))) / denom;
 }
 
 double
@@ -53,22 +59,13 @@ AttackThrottler::maxRhli(ThreadId thread) const
 int
 AttackThrottler::quota(ThreadId thread, unsigned bank) const
 {
-    double r = rhli(thread, bank);
-    if (r <= 0.0)
-        return -1;      // benign: unlimited
-    if (r >= 1.0)
-        return 0;       // certain attacker: block entirely
-    double q = static_cast<double>(cfg.baseQuota) * (1.0 - r);
-    return std::max(0, static_cast<int>(std::floor(q)));
+    return throttleQuota(rhli(thread, bank), cfg.baseQuota);
 }
 
 void
 AttackThrottler::onEpochBoundary()
 {
-    // Clear the active side and swap: the passive side (which kept
-    // accumulating) becomes authoritative, mirroring the D-CBF swap.
-    std::fill(counters[active].begin(), counters[active].end(), 0);
-    active = 1 - active;
+    counters.swap();
 }
 
 } // namespace bh

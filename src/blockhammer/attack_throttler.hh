@@ -8,12 +8,13 @@
  * blacklisted row can be activated under RowBlocker's protection. Two
  * saturating counters per pair are kept in the same time-interleaved
  * manner as the D-CBFs; the quota shrinks as RHLI grows and reaches zero
- * at RHLI >= 1.
+ * at RHLI >= 1. BreakHammer reuses the counter pair and the quota curve.
  */
 
 #ifndef BH_BLOCKHAMMER_ATTACK_THROTTLER_HH
 #define BH_BLOCKHAMMER_ATTACK_THROTTLER_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -21,6 +22,52 @@
 
 namespace bh
 {
+
+/**
+ * Per-slot pairs of saturating counters: both sides count every event,
+ * and each epoch boundary (timed by the caller) clears the active side
+ * and swaps, so the authoritative side covers one to two epochs.
+ */
+class ThrottleCounters
+{
+  public:
+    ThrottleCounters(std::size_t slots, std::uint32_t max)
+        : counterMax(max), sides{std::vector<std::uint32_t>(slots, 0),
+                                 std::vector<std::uint32_t>(slots, 0)}
+    {
+    }
+
+    /** Count `n` events of `slot` on both sides, saturating at max. */
+    void
+    add(std::size_t slot, std::uint64_t n = 1)
+    {
+        for (auto &side : sides)
+            side[slot] = static_cast<std::uint32_t>(
+                std::min<std::uint64_t>(side[slot] + n, counterMax));
+    }
+
+    /** Active-side count of `slot`. */
+    std::uint32_t value(std::size_t slot) const { return sides[active][slot]; }
+
+    /** Epoch boundary: clear the active side, then swap sides. */
+    void
+    swap()
+    {
+        std::fill(sides[active].begin(), sides[active].end(), 0);
+        active = 1 - active;
+    }
+
+  private:
+    std::uint32_t counterMax = 0;
+    unsigned active = 0;
+    std::vector<std::uint32_t> sides[2];
+};
+
+/**
+ * In-flight request quota for a throttling score: unlimited (-1) at
+ * score <= 0, zero at score >= 1, floor(base * (1 - score)) between.
+ */
+int throttleQuota(double score, int base);
 
 /** RHLI tracker + quota engine. */
 class AttackThrottler
@@ -57,9 +104,7 @@ class AttackThrottler
 
     BlockHammerConfig cfg;
     double denom = 1.0;
-    std::uint32_t counterMax = 0;
-    unsigned active = 0;
-    std::vector<std::uint32_t> counters[2];     ///< per <thread, bank>
+    ThrottleCounters counters;      ///< per <thread, bank>
 };
 
 } // namespace bh

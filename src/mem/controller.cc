@@ -71,20 +71,34 @@ MemController::enqueue(Request req)
 }
 
 void
-MemController::tick(Cycle now)
+MemController::advance(Cycle from, Cycle to, Cycle step)
 {
-    // Idle fast path: if the last executed tick did nothing, nothing has
-    // arrived since, and no timing/mitigation event matures before `now`,
-    // this tick is an exact repeat of the last one — replay its (purely
-    // internal) bookkeeping instead of re-walking the queues. Disabled in
-    // cycle-by-cycle reference mode.
-    if (fastIdleTicks && idleTickValid && now < idleUntil &&
-        idleSinceLastTick()) {
-        noteSkippedTicks(1);
-        return;
+    for (Cycle now = from; now < to;) {
+        // Idle fast path: if the last executed tick did nothing, nothing
+        // has arrived since, and no timing/mitigation event matures
+        // before `now`, every tick before idleUntil is an exact repeat of
+        // the last one — replay their (purely internal) bookkeeping
+        // instead of re-walking the queues. Disabled in cycle-by-cycle
+        // reference mode.
+        if (now < idleUntil && idleSinceLastTick()) {
+            Cycle span = std::min(idleUntil, to) - now;
+            // Division-free for tick(), the path of every controller
+            // cycle the driver steps one at a time.
+            auto n = static_cast<std::uint64_t>(
+                step == 1 ? span : (span + step - 1) / step);
+            noteSkippedTicks(n);
+            now += static_cast<Cycle>(n) * step;
+        } else {
+            execute(now);
+            now += step;
+        }
     }
-    idleTickValid = false;
+}
 
+void
+MemController::execute(Cycle now)
+{
+    idleUntil = 0;
     stampBeforeLastTick = numActions;
     lastTickAt = now;
     lastTickReachedDemand = false;
@@ -107,10 +121,8 @@ MemController::tick(Cycle now)
     lastTickBlockedEvals = numActBlocked - blocked_before;
     stampAfterLastTick = numActions;
 
-    if (fastIdleTicks && stampAfterLastTick == stampBeforeLastTick) {
+    if (fastIdleTicks && stampAfterLastTick == stampBeforeLastTick)
         idleUntil = nextEventAt(now);
-        idleTickValid = true;
-    }
 }
 
 bool
@@ -406,7 +418,7 @@ MemController::nextEventAt(Cycle now)
 {
     // While the idle analysis from the last executed tick still holds,
     // its bound is the answer (the skip driver asks every quiet cycle).
-    if (idleTickValid && now < idleUntil && idleSinceLastTick())
+    if (now < idleUntil && idleSinceLastTick())
         return idleUntil;
 
     // The mitigation's epoch/reset boundaries bound every skip so that at

@@ -10,9 +10,10 @@
  *
  * For event-skipping simulation the controller answers nextEventAt()
  * (earliest future cycle at which it could issue a command or change
- * externally visible state, given no new requests) and replays the
- * per-tick side effects of skipped idle ticks through noteSkippedTicks(),
- * so a skipping run is bit-compatible with a cycle-by-cycle run.
+ * externally visible state, given no new requests), and advance() alone
+ * decides between executing a tick and replaying the side effects of a
+ * run of provably idle ones, so a skipping run is bit-compatible with a
+ * cycle-by-cycle run.
  */
 
 #ifndef BH_MEM_CONTROLLER_HH
@@ -88,7 +89,15 @@ class MemController
     bool enqueue(Request req);
 
     /** Advance one cycle: refresh, victim refreshes, demand scheduling. */
-    void tick(Cycle now);
+    void tick(Cycle now) { advance(now, now + 1, 1); }
+
+    /**
+     * Run the controller ticks at `from`, `from + step`, ... below `to`,
+     * with no request arriving in between: each is executed, or replayed
+     * together with the rest of a provably idle run (noteSkippedTicks()).
+     * Every simulated controller tick passes through here.
+     */
+    void advance(Cycle from, Cycle to, Cycle step);
 
     /**
      * Schedule a victim-row refresh (reactive mitigations). The refresh is
@@ -166,14 +175,6 @@ class MemController
     Cycle nextEventAt(Cycle now);
 
     /**
-     * Replay the externally invisible side effects of `n` skipped idle
-     * ticks: blocked-activation counters (exactly `n` times the last idle
-     * tick's safety-query evaluations), the write-drain fairness toggle,
-     * and the mitigation's own per-tick accounting.
-     */
-    void noteSkippedTicks(std::uint64_t n);
-
-    /**
      * Enable/disable the internal idle-tick fast path (replaying a
      * provably identical idle tick instead of re-walking the queues).
      * On by default; the cycle-by-cycle reference mode turns it off so
@@ -225,6 +226,17 @@ class MemController
         bool activated = false;
     };
 
+    /** Execute one tick (the body advance() replays when idle). */
+    void execute(Cycle now);
+
+    /**
+     * Replay the externally invisible side effects of `n` skipped idle
+     * ticks: blocked-activation counters (exactly `n` times the last idle
+     * tick's safety-query evaluations), the write-drain fairness toggle,
+     * and the mitigation's own per-tick accounting.
+     */
+    void noteSkippedTicks(std::uint64_t n);
+
     bool tryRefresh(Cycle now);
     bool tryVictimRefresh(Cycle now);
     bool tryDemand(Cycle now);
@@ -274,8 +286,7 @@ class MemController
     bool lastTickReachedDemand = false;
     std::uint64_t lastTickBlockedEvals = 0;
     bool fastIdleTicks = true;
-    bool idleTickValid = false;     ///< idleUntil holds a live bound
-    Cycle idleUntil = 0;            ///< no controller event before this
+    Cycle idleUntil = 0;    ///< no controller event before this (0: none)
 
     std::uint64_t numReads = 0;
     std::uint64_t numWrites = 0;

@@ -206,13 +206,6 @@ MemSystem::nextEventAt(Cycle now)
 }
 
 void
-MemSystem::noteSkippedTicks(std::uint64_t n)
-{
-    for (auto &lane : lanes)
-        lane.ctrl->noteSkippedTicks(n);
-}
-
-void
 MemSystem::flushCompletions()
 {
     for (unsigned ch = 0; ch < lanes.size(); ++ch) {

@@ -145,9 +145,6 @@ class MemSystem
     /** Min over lanes of the controller's next-event bound. */
     Cycle nextEventAt(Cycle now);
 
-    /** Replay `n` skipped idle ticks on every lane. */
-    void noteSkippedTicks(std::uint64_t n);
-
     /**
      * Move the per-lane completion buffers into the delivery heap, in
      * channel order. Call after lane ticks (serial or at a chunk

@@ -8,27 +8,40 @@
 namespace bh
 {
 
+namespace
+{
+
+/**
+ * Score normalization: a tracker triggers at most once per T aggressor
+ * activations (T = half the effective budget, the ladder every tracker
+ * here derives), and one bank absorbs at most W = tREFW / tRC
+ * activations per window. A thread blamed for half a bank's worst-case
+ * trigger rate is certainly hammering; benign threads trigger
+ * preventive refreshes rarely if ever.
+ */
+double
+blameDenominator(const MitigationSettings &settings)
+{
+    auto w = static_cast<double>(
+        settings.timings.tREFW /
+        std::max<Cycle>(1, settings.timings.tRC));
+    double t = std::max<std::uint32_t>(1, settings.effectiveNRH() / 2);
+    return std::max(4.0, w / (2.0 * t));
+}
+
+} // namespace
+
 BreakHammer::BreakHammer(std::unique_ptr<Mitigation> base_mech,
                          const MitigationSettings &settings)
     : base(std::move(base_mech)), cfg(settings),
+      blameDenom(blameDenominator(settings)),
       epoch(std::max<Cycle>(1, settings.timings.tREFW / 2)),
-      nextEpochAt(std::max<Cycle>(1, settings.timings.tREFW / 2))
+      nextEpochAt(std::max<Cycle>(1, settings.timings.tREFW / 2)),
+      // Scores never need to exceed ~2 (quota is 0 from 1 up), so
+      // saturating counters suffice, mirroring AttackThrottler.
+      counters(settings.threads,
+               static_cast<std::uint32_t>(std::ceil(2.0 * blameDenom)))
 {
-    // Score normalization: a tracker triggers at most once per T
-    // aggressor activations (T = half the effective budget, the ladder
-    // every tracker here derives), and one bank absorbs at most
-    // W = tREFW / tRC activations per window. A thread blamed for half
-    // a bank's worst-case trigger rate is certainly hammering; benign
-    // threads trigger preventive refreshes rarely if ever.
-    auto w = static_cast<double>(
-        cfg.timings.tREFW / std::max<Cycle>(1, cfg.timings.tRC));
-    double t = std::max<std::uint32_t>(1, cfg.effectiveNRH() / 2);
-    blameDenom = std::max(4.0, w / (2.0 * t));
-    // Scores never need to exceed ~2 (quota is 0 from 1 up), so
-    // saturating counters suffice, mirroring AttackThrottler.
-    counterMax = static_cast<std::uint32_t>(std::ceil(2.0 * blameDenom));
-    counters[0].assign(cfg.threads, 0);
-    counters[1].assign(cfg.threads, 0);
 }
 
 void
@@ -44,12 +57,7 @@ BreakHammer::blame(ThreadId thread, std::uint64_t triggers)
     if (thread < 0 || static_cast<unsigned>(thread) >= cfg.threads)
         return;
     numBlamed += triggers;
-    auto i = static_cast<std::size_t>(thread);
-    for (auto &side : counters) {
-        std::uint64_t v = side[i] + triggers;
-        side[i] = static_cast<std::uint32_t>(
-            std::min<std::uint64_t>(v, counterMax));
-    }
+    counters.add(static_cast<std::size_t>(thread), triggers);
 }
 
 void
@@ -82,14 +90,10 @@ BreakHammer::tick(Cycle now)
 {
     base->tick(now);
     while (now >= nextEpochAt) {
-        for (std::size_t t = 0; t < counters[active].size(); ++t)
-            if (static_cast<double>(counters[active][t]) >= blameDenom)
+        for (unsigned t = 0; t < cfg.threads; ++t)
+            if (static_cast<double>(counters.value(t)) >= blameDenom)
                 ++numThrottledEpochs;
-        // Clear the active side and swap: the passive side, which kept
-        // accumulating, becomes authoritative (AttackThrottler's
-        // time-interleaved discipline).
-        std::fill(counters[active].begin(), counters[active].end(), 0);
-        active = 1 - active;
+        counters.swap();
         nextEpochAt += epoch;
     }
 }
@@ -106,7 +110,7 @@ BreakHammer::score(ThreadId thread) const
     if (thread < 0 || static_cast<unsigned>(thread) >= cfg.threads)
         return 0.0;
     return static_cast<double>(
-               counters[active][static_cast<std::size_t>(thread)]) /
+               counters.value(static_cast<std::size_t>(thread))) /
         blameDenom;
 }
 
@@ -115,19 +119,13 @@ BreakHammer::blamedTriggers(ThreadId thread) const
 {
     if (thread < 0 || static_cast<unsigned>(thread) >= cfg.threads)
         return 0;
-    return counters[active][static_cast<std::size_t>(thread)];
+    return counters.value(static_cast<std::size_t>(thread));
 }
 
 int
 BreakHammer::threadQuota(ThreadId thread) const
 {
-    double r = score(thread);
-    if (r <= 0.0)
-        return -1;      // benign: unlimited
-    if (r >= 1.0)
-        return 0;       // certain attacker: starve entirely
-    double q = static_cast<double>(baseQuota) * (1.0 - r);
-    return std::max(0, static_cast<int>(std::floor(q)));
+    return throttleQuota(score(thread), baseQuota);
 }
 
 void

@@ -33,8 +33,8 @@
 
 #include <cstdint>
 #include <memory>
-#include <vector>
 
+#include "blockhammer/attack_throttler.hh"
 #include "mem/mitigation.hh"
 #include "mitigations/settings.hh"
 
@@ -102,12 +102,10 @@ class BreakHammer : public Mitigation
     std::unique_ptr<Mitigation> base;
     MitigationSettings cfg;
     double blameDenom = 1.0;        ///< score-1 trigger count
-    std::uint32_t counterMax = 0;   ///< saturation (scores cap near 2)
     int baseQuota = 4;              ///< in-flight reads at score -> 0+
     Cycle epoch = 1;                ///< counter half-life (tREFW / 2)
     Cycle nextEpochAt = 0;
-    unsigned active = 0;
-    std::vector<std::uint32_t> counters[2];     ///< per thread
+    ThrottleCounters counters;      ///< per thread
     std::uint64_t numBlamed = 0;
     std::uint64_t numThrottledEpochs = 0;
 };

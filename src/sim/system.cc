@@ -49,6 +49,7 @@ System::System(const SystemConfig &config, const MitigationFactory &factory)
 {
     memSys = std::make_unique<MemSystem>(
         cfg.mem, buildPerChannel(cfg, factory));
+    mcDivider = std::max<Cycle>(1, cfg.mcClockDivider);
     // --skip off is the end-to-end reference: no fast paths anywhere.
     for (unsigned ch = 0; ch < memSys->channels(); ++ch)
         memSys->controller(ch).setFastIdleTicks(
@@ -116,42 +117,17 @@ System::progressStamp() const
 }
 
 Cycle
-System::nextEventAt(Cycle end)
+System::quietHorizon(Cycle end, bool lanes_idle)
 {
-    Cycle target = end;
-    for (const auto &core : cores) {
-        Cycle e = core->nextEventAt();
-        if (e != kNoEventCycle)
-            target = std::min(target, e);
-    }
-    // A pending completion delivery is an event: its callback mutates
-    // core/LLC state at exactly its due cycle (multi-channel only; the
-    // single-channel heap is always empty).
-    Cycle due = memSys->nextCompletionAt();
-    if (due != kNoEventCycle)
-        target = std::min(target, due);
-    // Controllers only act on their own clock: align their event up to
-    // the next controller tick. (Core events stay cycle-exact.)
-    Cycle divider = std::max<Cycle>(1, cfg.mcClockDivider);
-    Cycle mc = memSys->nextEventAt(currentCycle);
-    if (mc != kNoEventCycle) {
-        Cycle aligned = ((mc + divider - 1) / divider) * divider;
-        target = std::min(target, aligned);
-    }
-    return std::max(target, currentCycle);
-}
-
-Cycle
-System::chunkTargetAt(Cycle end) const
-{
-    // Every core and the LLC must be provably quiet: their ticks over the
-    // chunk are no-ops given no completion delivery, so only lanes run.
-    for (const auto &core : cores)
-        if (!core->quietTick())
+    // Lanes that still work may tick alone only while every core and the
+    // LLC is provably quiet: their ticks are no-ops until a delivery.
+    if (!lanes_idle) {
+        for (const auto &core : cores)
+            if (!core->quietTick())
+                return currentCycle;
+        if (llcPtr && !llcPtr->quiet())
             return currentCycle;
-    if (llcPtr && !llcPtr->quiet())
-        return currentCycle;
-
+    }
     Cycle target = end;
     // A core wakes on its own at its window head's known completion time.
     for (const auto &core : cores) {
@@ -159,75 +135,66 @@ System::chunkTargetAt(Cycle end) const
         if (e != kNoEventCycle)
             target = std::min(target, e);
     }
-    // Already-buffered completions must be delivered at their due cycle.
+    // A pending completion delivery mutates core/LLC state at exactly
+    // its due cycle (multi-channel only; the single-channel heap is
+    // always empty).
     Cycle due = memSys->nextCompletionAt();
     if (due != kNoEventCycle)
         target = std::min(target, due);
-    // Completions produced inside the chunk complete no earlier than
-    // first-lane-tick + minCompletionLatency; ending the chunk there
-    // guarantees no delivery ever lands mid-chunk.
-    Cycle divider = std::max<Cycle>(1, cfg.mcClockDivider);
-    Cycle first_mc = ((currentCycle + divider - 1) / divider) * divider;
-    target = std::min(target, first_mc + memSys->minCompletionLatency());
+    if (lanes_idle) {
+        // Idle controllers act next at their own event, on their clock.
+        Cycle mc = memSys->nextEventAt(currentCycle);
+        if (mc != kNoEventCycle)
+            target = std::min(target, mcEdge(mc));
+    } else {
+        // Completions produced by busy lanes complete no earlier than
+        // first-lane-tick + minCompletionLatency; ending the stretch
+        // there guarantees no delivery ever lands inside it.
+        target = std::min(target, mcEdge(currentCycle) +
+                                      memSys->minCompletionLatency());
+    }
     return std::max(target, currentCycle);
 }
 
 void
-System::runLaneChunk(Cycle target)
+System::advanceQuiet(Cycle target, bool lanes_idle)
 {
-    Cycle chunkStart = currentCycle;
-    Cycle divider = std::max<Cycle>(1, cfg.mcClockDivider);
-    Cycle first_mc = ((currentCycle + divider - 1) / divider) * divider;
+    Cycle start = currentCycle;
+    Cycle first_mc = mcEdge(start);
     unsigned channels = memSys->channels();
-    if (first_mc < target) {
-        std::uint64_t mc_ticks = static_cast<std::uint64_t>(
-            (target - first_mc + divider - 1) / divider);
-        auto tick_lane = [&](unsigned ch) {
-            MemController &ctrl = memSys->controller(ch);
-            Cycle c = first_mc;
-            while (c < target) {
-                ctrl.tick(c);
-                c += divider;
-                // A lane that just went idle replays the rest of its
-                // provably quiet ticks in one batched step — the same
-                // per-tick bookkeeping its internal fast path would do,
-                // so chunked and cycle-by-cycle stay bit-identical.
-                if (c >= target || !ctrl.idleSinceLastTick())
-                    continue;
-                Cycle bound = ctrl.nextEventAt(c - divider);
-                Cycle resume = ((bound + divider - 1) / divider) * divider;
-                Cycle stop = std::min(resume, target);
-                if (stop <= c)
-                    continue;
-                std::uint64_t k = static_cast<std::uint64_t>(
-                    (stop - c + divider - 1) / divider);
-                ctrl.noteSkippedTicks(k);
-                c += static_cast<Cycle>(k) * divider;
-            }
+    std::uint64_t mc_ticks = first_mc < target
+        ? static_cast<std::uint64_t>((mcEdge(target) - first_mc) / mcDivider)
+        : 0;
+    if (mc_ticks > 0) {
+        // Each controller executes or replays its own ticks, so the
+        // result is bit-identical to ticking every cycle.
+        auto advance_lane = [&](unsigned ch) {
+            memSys->controller(ch).advance(first_mc, target, mcDivider);
         };
         // The pool is a pure execution strategy: lane work is
         // data-independent, so inline and pooled rounds are identical.
-        // Tiny chunks skip the wake-up cost.
-        if (lanePool && mc_ticks * channels >= 32) {
-            lanePool->run(channels, tick_lane);
+        // Idle lanes only replay, and tiny chunks skip the wake-up cost.
+        if (lanePool && !lanes_idle && mc_ticks * channels >= 32) {
+            lanePool->run(channels, advance_lane);
         } else {
             for (unsigned ch = 0; ch < channels; ++ch)
-                tick_lane(ch);
+                advance_lane(ch);
         }
         memSys->flushCompletions();
     }
-    // Quiet cores skip their ticks; delivery-bound stalled cores would
-    // have re-attempted (and failed) the same issue every cycle — replay
-    // that stall accounting exactly as the full-idle skip does.
-    std::uint64_t k_cpu = static_cast<std::uint64_t>(target - currentCycle);
+    // Quiet cores skip their ticks; stalled cores would have re-attempted
+    // (and failed) the same issue every cycle — replay that accounting.
+    auto k_cpu = static_cast<std::uint64_t>(target - start);
     for (auto &core : cores)
         core->noteSkippedCycles(k_cpu);
-    numChunked += k_cpu;
+    (lanes_idle ? numSkipped : numChunked) += k_cpu;
     currentCycle = target;
     if (TraceSink::on()) {
         TraceSink::complete(
-            "lane", "chunk", driverMeta, chunkStart, target - chunkStart,
-            {{"channels", static_cast<std::int64_t>(channels)}});
+            lanes_idle ? "skip" : "lane", lanes_idle ? "jump" : "chunk",
+            driverMeta, start, target - start,
+            {{"mc_ticks", static_cast<std::int64_t>(mc_ticks)},
+             {"channels", static_cast<std::int64_t>(channels)}});
     }
 }
 
@@ -245,7 +212,6 @@ System::run(Cycle cycles)
                            std::memory_order_relaxed);
 
     Cycle end = currentCycle + cycles;
-    Cycle divider = std::max<Cycle>(1, cfg.mcClockDivider);
     unsigned n = static_cast<unsigned>(cores.size());
     bool track = cfg.skip != SkipMode::kCycleByCycle;
     bool multi = memSys->channels() > 1;
@@ -263,7 +229,7 @@ System::run(Cycle cycles)
             cores[(first + i) % n]->tick(currentCycle);
         if (llcPtr)
             llcPtr->tick(currentCycle);
-        if (currentCycle % divider == 0)
+        if (currentCycle % mcDivider == 0)
             memSys->tick(currentCycle);
         Cycle ticked = currentCycle;
         ++currentCycle;
@@ -283,49 +249,18 @@ System::run(Cycle cycles)
                       static_cast<long long>(verifiedQuietUntil));
             if (idle)
                 verifiedQuietUntil =
-                    std::max(verifiedQuietUntil, nextEventAt(end));
+                    std::max(verifiedQuietUntil, quietHorizon(end, true));
             continue;
         }
 
-        if (!idle) {
-            // Lanes busy, but cores/LLC quiet? Tick lanes alone over a
-            // barrier-synced chunk (bit-exact to cycle-by-cycle: see
-            // chunkTargetAt). Meaningless for one channel, where the
-            // whole cycle is the lane tick.
-            if (multi) {
-                Cycle target = chunkTargetAt(end);
-                if (target > currentCycle)
-                    runLaneChunk(target);
-            }
+        // Every lane idle: jump. Lanes busy but cores/LLC quiet: let the
+        // lanes tick alone. The latter is meaningless for one channel,
+        // where the whole cycle is the lane tick.
+        if (!idle && !multi)
             continue;
-        }
-        Cycle target = nextEventAt(end);
-        if (target <= currentCycle)
-            continue;
-
-        // Jump. Replay the per-tick counters the eliminated cycles would
-        // have produced: each skipped controller tick repeats the last
-        // executed (idle) tick's bookkeeping; stalled cores accrue their
-        // per-cycle stall accounting.
-        std::uint64_t k_cpu =
-            static_cast<std::uint64_t>(target - currentCycle);
-        auto mc_ticks_before = [&](Cycle c) {
-            return static_cast<std::uint64_t>((c + divider - 1) / divider);
-        };
-        std::uint64_t k_mc =
-            mc_ticks_before(target) - mc_ticks_before(currentCycle);
-        for (auto &core : cores)
-            core->noteSkippedCycles(k_cpu);
-        if (k_mc > 0)
-            memSys->noteSkippedTicks(k_mc);
-        numSkipped += k_cpu;
-        if (TraceSink::on()) {
-            TraceSink::complete(
-                "skip", "jump", driverMeta, currentCycle,
-                target - currentCycle,
-                {{"mc_ticks", static_cast<std::int64_t>(k_mc)}});
-        }
-        currentCycle = target;
+        Cycle target = quietHorizon(end, idle);
+        if (target > currentCycle)
+            advanceQuiet(target, idle);
     }
 }
 

@@ -6,21 +6,21 @@
  * single-channel special case).
  *
  * The driver loop supports event skipping: when a cycle passes with no
- * component making progress, the system queries every component for its
- * next possible event and jumps there in one step, replaying the (few,
- * externally invisible) per-tick counters of the eliminated cycles. A
- * skipping run is bit-compatible with a cycle-by-cycle run; SkipMode
- * kVerify executes cycle-by-cycle while asserting every skip claim.
+ * component making progress, the system finds the horizon up to which
+ * the cores and the LLC stay quiet and advances every channel lane
+ * there in one step (MemController::advance replays the idle ticks); the
+ * cores replay their per-cycle stall counters. A skipping run is
+ * bit-compatible with a cycle-by-cycle run; SkipMode kVerify executes
+ * cycle-by-cycle while asserting every skip claim.
  *
- * Multi-channel systems additionally exploit deterministic intra-cell
- * parallelism: while every core and the LLC are provably quiet, the
- * per-channel lanes tick independently over barrier-synced chunks —
- * optionally on a worker pool (SystemConfig::channelThreads) — with
- * completions delivered at their semantic completion cycle in
- * (cycle, channel, lane-order). Chunk boundaries are derived from
- * simulation state only, so output is byte-identical for any
- * channelThreads value, including 1, and for chunked vs cycle-by-cycle
- * execution (see DESIGN.md, "channel lanes").
+ * Multi-channel systems also take that step while lanes are busy but
+ * every core and the LLC is provably quiet: the per-channel lanes tick
+ * independently over barrier-synced chunks — optionally on a worker
+ * pool (SystemConfig::channelThreads) — with completions delivered at
+ * their semantic completion cycle in (cycle, channel, lane-order).
+ * Chunk boundaries are derived from simulation state only, so output is
+ * byte-identical for any channelThreads value, including 1, and for
+ * chunked vs cycle-by-cycle execution (see DESIGN.md, "channel lanes").
  */
 
 #ifndef BH_SIM_SYSTEM_HH
@@ -141,18 +141,27 @@ class System
     /** Combined progress stamp over every component (quiescence check). */
     std::uint64_t progressStamp() const;
 
-    /** Earliest cycle in (now, end] at which any component can act. */
-    Cycle nextEventAt(Cycle end);
+    /** `c` rounded up to the next controller clock edge. */
+    Cycle
+    mcEdge(Cycle c) const
+    {
+        return (c + mcDivider - 1) / mcDivider * mcDivider;
+    }
 
     /**
      * Latest cycle <= `end` up to which every core and the LLC provably
-     * stay no-ops while only channel lanes tick (currentCycle when no
-     * such chunk exists). Derived from simulation state only.
+     * stay no-ops while only the lanes advance (currentCycle if none).
+     * Idle lanes (`lanes_idle`) bound it by their next event; busy ones
+     * by the earliest completion they could produce. Derived from
+     * simulation state only.
      */
-    Cycle chunkTargetAt(Cycle end) const;
+    Cycle quietHorizon(Cycle end, bool lanes_idle);
 
-    /** Tick all lanes over [currentCycle, target) and jump there. */
-    void runLaneChunk(Cycle target);
+    /**
+     * Advance every lane to `target` while cores replay their quiet
+     * cycles: an event-skip jump (`lanes_idle`) or a lane chunk.
+     */
+    void advanceQuiet(Cycle target, bool lanes_idle);
 
     SystemConfig cfg;
     std::unique_ptr<MemSystem> memSys;
@@ -160,6 +169,7 @@ class System
     std::unique_ptr<ChannelPool> lanePool;  ///< channelThreads > 1 only
     std::vector<std::unique_ptr<TraceSource>> traces;
     std::vector<std::unique_ptr<Core>> cores;
+    Cycle mcDivider = 1;            ///< CPU cycles per controller tick
     Cycle currentCycle = 0;
     Cycle measureStart = 0;
     double energyAtMeasureStart = 0.0;

@@ -4,73 +4,20 @@
  * lanes, per-channel mitigation instantiation, and the determinism
  * contract of the chunked lane driver — byte-identical results for any
  * --channel-threads value and for chunked (kEventSkip) vs cycle-by-cycle
- * (kCycleByCycle) execution.
+ * (kCycleByCycle) execution. The per-mechanism skip-equivalence grid,
+ * two-channel runs included, lives in test_skip.cc.
  */
 
 #include <gtest/gtest.h>
 
 #include "blockhammer/blockhammer.hh"
 #include "common/rng.hh"
-#include "sim/experiment.hh"
+#include "experiment_helpers.hh"
 
 namespace bh
 {
 namespace
 {
-
-ExperimentConfig
-channelConfig(const std::string &mechanism, unsigned channels)
-{
-    ExperimentConfig cfg;
-    cfg.mechanism = mechanism;
-    cfg.threads = 4;
-    cfg.nRH = 512;
-    cfg.refwMs = 0.25;
-    cfg.warmupCycles = 60'000;
-    cfg.runCycles = 200'000;
-    cfg.attack.numBanks = 8;
-    cfg.channels = channels;
-    return cfg;
-}
-
-MixSpec
-attackMix()
-{
-    MixSpec mix;
-    mix.name = "attack";
-    mix.apps = {kAttackAppName, "429.mcf", "450.soplex", "462.libquantum"};
-    return mix;
-}
-
-MixSpec
-benignMix()
-{
-    MixSpec mix;
-    mix.name = "benign";
-    mix.apps = {"429.mcf", "462.libquantum", "444.namd", "473.astar"};
-    return mix;
-}
-
-void
-expectEqualResults(const RunResult &a, const RunResult &b)
-{
-    ASSERT_EQ(a.ipc.size(), b.ipc.size());
-    for (std::size_t i = 0; i < a.ipc.size(); ++i)
-        EXPECT_DOUBLE_EQ(a.ipc[i], b.ipc[i]) << "thread " << i;
-    EXPECT_DOUBLE_EQ(a.energyJ, b.energyJ);
-    EXPECT_EQ(a.bitFlips, b.bitFlips);
-    EXPECT_EQ(a.maxRowActs, b.maxRowActs);
-    EXPECT_EQ(a.demandActs, b.demandActs);
-    EXPECT_EQ(a.blockedActs, b.blockedActs);
-    EXPECT_EQ(a.victimRefreshes, b.victimRefreshes);
-    EXPECT_EQ(a.rowHits, b.rowHits);
-    EXPECT_EQ(a.rowMisses, b.rowMisses);
-    EXPECT_EQ(a.rowConflicts, b.rowConflicts);
-    EXPECT_DOUBLE_EQ(a.secMargin, b.secMargin);
-    EXPECT_EQ(a.secMaxWindowActs, b.secMaxWindowActs);
-    EXPECT_EQ(a.secFirstViolation, b.secFirstViolation);
-    EXPECT_EQ(a.secViolatingRows, b.secViolatingRows);
-}
 
 std::vector<std::unique_ptr<Mitigation>>
 nullMitigations(unsigned channels)
@@ -141,7 +88,7 @@ TEST(MultiChannel, QueueFullIsPerLane)
 
 TEST(MultiChannel, RequestsSpreadAcrossLanes)
 {
-    ExperimentConfig cfg = channelConfig("Baseline", 4);
+    ExperimentConfig cfg = shortConfig("Baseline", 4);
     auto system = buildSystem(cfg, benignMix());
     system->run(cfg.runCycles);
     MemSystem &mem = system->mem();
@@ -154,7 +101,7 @@ TEST(MultiChannel, RequestsSpreadAcrossLanes)
 
 TEST(MultiChannel, PerChannelMitigationInstances)
 {
-    ExperimentConfig cfg = channelConfig("BlockHammer", 2);
+    ExperimentConfig cfg = shortConfig("BlockHammer", 2);
     auto system = buildSystem(cfg, benignMix());
     MemSystem &mem = system->mem();
     ASSERT_EQ(mem.channels(), 2u);
@@ -167,22 +114,9 @@ TEST(MultiChannel, PerChannelMitigationInstances)
 
 TEST(MultiChannel, SingleChannelAccessorFailsLoudlyOnMultiChannel)
 {
-    ExperimentConfig cfg = channelConfig("Baseline", 2);
+    ExperimentConfig cfg = shortConfig("Baseline", 2);
     auto system = buildSystem(cfg, benignMix());
     EXPECT_DEATH((void)system->mem().controller(), "channel");
-}
-
-TEST(MultiChannel, ChunkedMatchesCycleByCycle)
-{
-    for (const char *mech : {"Baseline", "BlockHammer", "Graphene"}) {
-        ExperimentConfig ref = channelConfig(mech, 2);
-        ref.skip = SkipMode::kCycleByCycle;
-        ExperimentConfig fast = channelConfig(mech, 2);
-        fast.skip = SkipMode::kEventSkip;
-        RunResult a = runExperiment(ref, attackMix());
-        RunResult b = runExperiment(fast, attackMix());
-        expectEqualResults(a, b);
-    }
 }
 
 TEST(MultiChannel, ChunkedLaneDriverActuallyEngages)
@@ -190,30 +124,20 @@ TEST(MultiChannel, ChunkedLaneDriverActuallyEngages)
     // Guard against the chunk predicate silently never holding (which
     // would leave the equivalence tests vacuous): a memory-bound attack
     // mix must spend a visible share of its cycles in lane chunks.
-    ExperimentConfig cfg = channelConfig("BlockHammer", 2);
+    ExperimentConfig cfg = shortConfig("BlockHammer", 2);
     auto system = buildSystem(cfg, attackMix());
     system->run(cfg.warmupCycles + cfg.runCycles);
     EXPECT_GT(system->chunkedCycles(), 0u);
 }
 
-TEST(MultiChannel, VerifyModeAcceptsEverySkipClaim)
-{
-    ExperimentConfig cfg = channelConfig("BlockHammer", 2);
-    cfg.skip = SkipMode::kVerify;
-    RunResult verified = runExperiment(cfg, attackMix());
-    cfg.skip = SkipMode::kEventSkip;
-    RunResult skipping = runExperiment(cfg, attackMix());
-    expectEqualResults(verified, skipping);
-}
-
 TEST(MultiChannel, ThreadCountCannotChangeResults)
 {
     for (unsigned channels : {2u, 4u}) {
-        ExperimentConfig one = channelConfig("BlockHammer", channels);
+        ExperimentConfig one = shortConfig("BlockHammer", channels);
         one.channelThreads = 1;
         RunResult a = runExperiment(one, attackMix());
 
-        ExperimentConfig many = channelConfig("BlockHammer", channels);
+        ExperimentConfig many = shortConfig("BlockHammer", channels);
         many.channelThreads = channels;
         RunResult b = runExperiment(many, attackMix());
 
@@ -223,11 +147,11 @@ TEST(MultiChannel, ThreadCountCannotChangeResults)
 
 TEST(MultiChannel, ThreadCountCannotChangeBenignResults)
 {
-    ExperimentConfig one = channelConfig("PARA", 4);
+    ExperimentConfig one = shortConfig("PARA", 4);
     one.channelThreads = 1;
     RunResult a = runExperiment(one, benignMix());
 
-    ExperimentConfig many = channelConfig("PARA", 4);
+    ExperimentConfig many = shortConfig("PARA", 4);
     many.channelThreads = 4;
     RunResult b = runExperiment(many, benignMix());
 
@@ -238,7 +162,7 @@ TEST(MultiChannel, AttackOnOneChannelLeavesOthersUnthrottled)
 {
     // The attack trace hammers channel 0 only; BlockHammer's per-channel
     // state must blacklist there without blocking the other lane.
-    ExperimentConfig cfg = channelConfig("BlockHammer", 2);
+    ExperimentConfig cfg = shortConfig("BlockHammer", 2);
     RunResult res = runExperiment(cfg, attackMix());
     EXPECT_EQ(res.bitFlips, 0u);
 
@@ -273,20 +197,20 @@ TEST(MultiChannel, RandomAttackPatternGridDifferential)
         mix.apps = {attackPatternApp(spec.name), "429.mcf", "450.soplex",
                     "462.libquantum"};
 
-        ExperimentConfig ref = channelConfig(mech, channels);
+        ExperimentConfig ref = shortConfig(mech, channels);
         ref.securityOracle = true;
         ref.skip = SkipMode::kCycleByCycle;
         ref.channelThreads = 1;
         RunResult a = runExperiment(ref, mix);
 
-        ExperimentConfig fast = channelConfig(mech, channels);
+        ExperimentConfig fast = shortConfig(mech, channels);
         fast.securityOracle = true;
         fast.skip = SkipMode::kEventSkip;
         fast.channelThreads = channels;
         RunResult b = runExperiment(fast, mix);
         expectEqualResults(a, b);
 
-        ExperimentConfig verify = channelConfig(mech, channels);
+        ExperimentConfig verify = shortConfig(mech, channels);
         verify.securityOracle = true;
         verify.skip = SkipMode::kVerify;
         RunResult c = runExperiment(verify, mix);
@@ -299,7 +223,7 @@ TEST(MultiChannel, RandomAttackPatternGridDifferential)
 TEST(MultiChannel, DISABLED_TimeAdvanceBreakdown)
 {
     for (unsigned channels : {1u, 4u}) {
-        ExperimentConfig cfg = channelConfig("BlockHammer", channels);
+        ExperimentConfig cfg = shortConfig("BlockHammer", channels);
         cfg.channels = channels;
         cfg.threads = 8;
         MixSpec mix;

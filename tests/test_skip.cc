@@ -2,111 +2,80 @@
  * @file
  * Event-skipping equivalence and large-organization regression tests.
  *
- * Event skipping must be bit-compatible with cycle-by-cycle simulation:
- * every RunResult field of a skipping run equals the reference run, and
- * SkipMode::kVerify (cycle-by-cycle execution that asserts every skip
- * claim) must complete without tripping. The scheduler must also handle
- * organizations with more than 64 flat banks, which used to hit a
- * stack-array panic.
+ * Event skipping must be bit-compatible with cycle-by-cycle simulation
+ * for every registered mechanism: every RunResult field of a skipping
+ * run equals the reference run, and SkipMode::kVerify (cycle-by-cycle
+ * execution that asserts every skip claim) must complete without
+ * tripping. The scheduler must also handle organizations with more than
+ * 64 flat banks, which used to hit a stack-array panic.
  */
 
 #include <gtest/gtest.h>
 
-#include "sim/experiment.hh"
+#include <cctype>
+#include <string>
+#include <tuple>
+
+#include "experiment_helpers.hh"
 
 namespace bh
 {
 namespace
 {
 
-ExperimentConfig
-shortConfig(const std::string &mechanism)
+/**
+ * Skip equivalence for every registered mechanism, at one and two
+ * channels, with the security oracle on: event skipping (two lane
+ * threads at two channels) and kVerify must reproduce the
+ * cycle-by-cycle RunResult exactly. Epoch resets (ABACuS), deferred
+ * refresh FIFOs (DAPPER) and blame epochs (BreakHammer) all replay
+ * through the same idle-tick contract as the paper mechanisms; a newly
+ * registered mechanism joins this grid with no extra work.
+ */
+class SkipEquivalence
+    : public ::testing::TestWithParam<std::tuple<std::string, unsigned>>
 {
-    ExperimentConfig cfg;
-    cfg.mechanism = mechanism;
-    cfg.nRH = 512;
-    cfg.refwMs = 0.25;
-    cfg.warmupCycles = 60'000;
-    cfg.runCycles = 160'000;
-    cfg.threads = 4;
-    cfg.attack.numBanks = 8;
-    return cfg;
+};
+
+TEST_P(SkipEquivalence, EventSkipAndVerifyMatchCycleByCycle)
+{
+    const auto &[mechanism, channels] = GetParam();
+    ExperimentConfig cfg = shortConfig(mechanism, channels);
+    cfg.securityOracle = true;
+
+    cfg.skip = SkipMode::kCycleByCycle;
+    RunResult ref = runExperiment(cfg, attackMix());
+
+    cfg.skip = SkipMode::kEventSkip;
+    cfg.channelThreads = channels;
+    RunResult skipping = runExperiment(cfg, attackMix());
+    expectEqualResults(ref, skipping);
+
+    // kVerify panics (aborting the test) on any wrong skip claim.
+    cfg.skip = SkipMode::kVerify;
+    RunResult verified = runExperiment(cfg, attackMix());
+    expectEqualResults(ref, verified);
 }
 
-MixSpec
-attackMix()
-{
-    MixSpec mix;
-    mix.name = "attack";
-    mix.apps = {kAttackAppName, "429.mcf", "450.soplex", "462.libquantum"};
-    return mix;
-}
-
-MixSpec
-benignMix()
-{
-    MixSpec mix;
-    mix.name = "benign";
-    mix.apps = {"429.mcf", "462.libquantum", "444.namd", "473.astar"};
-    return mix;
-}
-
-void
-expectEqualResults(const RunResult &a, const RunResult &b)
-{
-    ASSERT_EQ(a.ipc.size(), b.ipc.size());
-    for (std::size_t i = 0; i < a.ipc.size(); ++i)
-        EXPECT_DOUBLE_EQ(a.ipc[i], b.ipc[i]) << "thread " << i;
-    EXPECT_DOUBLE_EQ(a.energyJ, b.energyJ);
-    EXPECT_EQ(a.bitFlips, b.bitFlips);
-    EXPECT_EQ(a.maxRowActs, b.maxRowActs);
-    EXPECT_EQ(a.demandActs, b.demandActs);
-    EXPECT_EQ(a.blockedActs, b.blockedActs);
-    EXPECT_EQ(a.victimRefreshes, b.victimRefreshes);
-    EXPECT_EQ(a.rowHits, b.rowHits);
-    EXPECT_EQ(a.rowMisses, b.rowMisses);
-    EXPECT_EQ(a.rowConflicts, b.rowConflicts);
-}
-
-void
-expectSkipEquivalence(const std::string &mechanism, const MixSpec &mix)
-{
-    ExperimentConfig ref = shortConfig(mechanism);
-    ref.skip = SkipMode::kCycleByCycle;
-    ExperimentConfig fast = shortConfig(mechanism);
-    fast.skip = SkipMode::kEventSkip;
-    RunResult a = runExperiment(ref, mix);
-    RunResult b = runExperiment(fast, mix);
-    expectEqualResults(a, b);
-}
-
-TEST(EventSkip, BitCompatibleOnAttackBlockHammer)
-{
-    expectSkipEquivalence("BlockHammer", attackMix());
-}
-
-TEST(EventSkip, BitCompatibleOnAttackBaseline)
-{
-    expectSkipEquivalence("Baseline", attackMix());
-}
+INSTANTIATE_TEST_SUITE_P(
+    AllMechanisms, SkipEquivalence,
+    ::testing::Combine(::testing::ValuesIn(mitigationNames()),
+                       ::testing::Values(1u, 2u)),
+    [](const ::testing::TestParamInfo<SkipEquivalence::ParamType> &info) {
+        std::string name = std::get<0>(info.param);
+        for (char &c : name)
+            if (!std::isalnum(static_cast<unsigned char>(c)))
+                c = '_';
+        return name + "_" + std::to_string(std::get<1>(info.param)) + "ch";
+    });
 
 TEST(EventSkip, BitCompatibleOnBenignGraphene)
 {
-    expectSkipEquivalence("Graphene", benignMix());
-}
-
-TEST(EventSkip, BitCompatibleOnAttackPara)
-{
-    expectSkipEquivalence("PARA", attackMix());
-}
-
-TEST(EventSkip, VerifyModeAssertsEveryClaim)
-{
-    // kVerify panics (aborting the test) on any wrong skip claim.
-    ExperimentConfig cfg = shortConfig("BlockHammer");
-    cfg.skip = SkipMode::kVerify;
-    RunResult res = runExperiment(cfg, attackMix());
-    EXPECT_GT(res.demandActs, 0u);
+    ExperimentConfig cfg = shortConfig("Graphene");
+    cfg.skip = SkipMode::kCycleByCycle;
+    RunResult ref = runExperiment(cfg, benignMix());
+    cfg.skip = SkipMode::kEventSkip;
+    expectEqualResults(ref, runExperiment(cfg, benignMix()));
 }
 
 TEST(EventSkip, ActuallySkipsOnThrottledAttack)

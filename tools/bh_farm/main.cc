@@ -26,7 +26,6 @@
 
 #include <csignal>
 #include <cstring>
-#include <set>
 #include <thread>
 
 #include <sys/types.h>
@@ -260,21 +259,17 @@ cmdWork(const std::string &dir, const std::vector<std::string> &args)
                   static_cast<unsigned long long>(spec.cellTotal));
     }
 
-    // One leased cell per execution: shard 0/1 with every *other* cell
-    // marked resume-covered runs exactly the target cell through the
-    // standard runCells path, so payload bytes match bh_bench exactly.
+    // One leased cell per execution: shard 0/1 restricted to the target
+    // cell runs it through the standard runCells path, so payload bytes
+    // match bh_bench exactly.
     auto runCell = [&](std::uint64_t cell) -> Json {
-        std::set<std::uint64_t> covered;
-        for (std::uint64_t c = 0; c < spec.cellTotal; ++c)
-            if (c != cell)
-                covered.insert(c);
         BenchContext ctx;
         ctx.scale = spec.scale;
         ctx.channels = spec.channels;
         ctx.channelThreads = spec.channelThreads;
         ctx.attackFilter = spec.attackFilter;
         ctx.runner = &runner;
-        ctx.resumeCovered = &covered;
+        ctx.onlyCell = cell;
         runBench(*info, ctx);
         const Json *cells = ctx.result.find("cells");
         const Json *payload =
