@@ -31,6 +31,7 @@ namespace bh
 class ThrottleCounters
 {
   public:
+    ThrottleCounters() = default;
     ThrottleCounters(std::size_t slots, std::uint32_t max)
         : counterMax(max), sides{std::vector<std::uint32_t>(slots, 0),
                                  std::vector<std::uint32_t>(slots, 0)}

@@ -89,8 +89,13 @@ BlockHammer::tick(Cycle now)
 }
 
 Cycle
-BlockHammer::nextHousekeepingAt(Cycle) const
+BlockHammer::nextHousekeepingAt(Cycle now) const
 {
+    // Observe-only refusals never reach the controller (every verdict it
+    // sees is safe), so it cannot end a replay of them at a verdict flip.
+    // While the last executed tick counted one, the flip is a boundary.
+    if (cfg.observeOnly && numUnsafe != unsafeAtTickStart)
+        return nextVerdictChangeAt(now);
     return blocker.nextBoundaryAt();
 }
 

@@ -104,6 +104,11 @@ MemController::execute(Cycle now)
     lastTickReachedDemand = false;
     std::uint64_t blocked_before = numActBlocked;
 
+    // A tick at a housekeeping boundary is never idle: an epoch swap can
+    // lift a throttler quota, and the cores, which ticked earlier in this
+    // cycle, retry against it only on their next tick.
+    if (now >= mitig.nextHousekeepingAt(now))
+        ++numActions;
     mitig.tick(now);
 
     if (!refreshPending && now >= nextRefreshAt)

@@ -147,7 +147,8 @@ class MemController
 
     /**
      * Monotonic count of externally visible controller activity: issued
-     * DRAM commands, completed victim-refresh ops, and accepted requests.
+     * DRAM commands, completed victim-refresh ops, accepted requests, and
+     * ticks at a mitigation housekeeping boundary.
      * The event-skipping driver compares stamps across a cycle to decide
      * whether the system is quiescent.
      */

@@ -8,40 +8,26 @@
 namespace bh
 {
 
-namespace
-{
-
-/**
- * Score normalization: a tracker triggers at most once per T aggressor
- * activations (T = half the effective budget, the ladder every tracker
- * here derives), and one bank absorbs at most W = tREFW / tRC
- * activations per window. A thread blamed for half a bank's worst-case
- * trigger rate is certainly hammering; benign threads trigger
- * preventive refreshes rarely if ever.
- */
-double
-blameDenominator(const MitigationSettings &settings)
-{
-    auto w = static_cast<double>(
-        settings.timings.tREFW /
-        std::max<Cycle>(1, settings.timings.tRC));
-    double t = std::max<std::uint32_t>(1, settings.effectiveNRH() / 2);
-    return std::max(4.0, w / (2.0 * t));
-}
-
-} // namespace
-
 BreakHammer::BreakHammer(std::unique_ptr<Mitigation> base_mech,
                          const MitigationSettings &settings)
     : base(std::move(base_mech)), cfg(settings),
-      blameDenom(blameDenominator(settings)),
       epoch(std::max<Cycle>(1, settings.timings.tREFW / 2)),
-      nextEpochAt(std::max<Cycle>(1, settings.timings.tREFW / 2)),
-      // Scores never need to exceed ~2 (quota is 0 from 1 up), so
-      // saturating counters suffice, mirroring AttackThrottler.
-      counters(settings.threads,
-               static_cast<std::uint32_t>(std::ceil(2.0 * blameDenom)))
+      nextEpochAt(std::max<Cycle>(1, settings.timings.tREFW / 2))
 {
+    // Score normalization: a tracker triggers at most once per T
+    // aggressor activations (T = half the effective budget, the ladder
+    // every tracker here derives), and one bank absorbs at most
+    // W = tREFW / tRC activations per window. A thread blamed for half
+    // a bank's worst-case trigger rate is certainly hammering; benign
+    // threads trigger preventive refreshes rarely if ever.
+    auto w = static_cast<double>(
+        cfg.timings.tREFW / std::max<Cycle>(1, cfg.timings.tRC));
+    double t = std::max<std::uint32_t>(1, cfg.effectiveNRH() / 2);
+    blameDenom = std::max(4.0, w / (2.0 * t));
+    // Scores never need to exceed ~2 (quota is 0 from 1 up), so
+    // saturating counters suffice, mirroring AttackThrottler.
+    counters = ThrottleCounters(
+        cfg.threads, static_cast<std::uint32_t>(std::ceil(2.0 * blameDenom)));
 }
 
 void

@@ -162,9 +162,8 @@ System::advanceQuiet(Cycle target, bool lanes_idle)
     Cycle start = currentCycle;
     Cycle first_mc = mcEdge(start);
     unsigned channels = memSys->channels();
-    std::uint64_t mc_ticks = first_mc < target
-        ? static_cast<std::uint64_t>((mcEdge(target) - first_mc) / mcDivider)
-        : 0;
+    auto mc_ticks =
+        static_cast<std::uint64_t>((mcEdge(target) - first_mc) / mcDivider);
     if (mc_ticks > 0) {
         // Each controller executes or replays its own ticks, so the
         // result is bit-identical to ticking every cycle.

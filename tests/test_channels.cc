@@ -19,6 +19,15 @@ namespace bh
 namespace
 {
 
+/** The shared short run, measured for 200k cycles instead of 160k. */
+ExperimentConfig
+channelConfig(const std::string &mechanism, unsigned channels)
+{
+    ExperimentConfig cfg = shortConfig(mechanism, channels);
+    cfg.runCycles = 200'000;
+    return cfg;
+}
+
 std::vector<std::unique_ptr<Mitigation>>
 nullMitigations(unsigned channels)
 {
@@ -88,7 +97,7 @@ TEST(MultiChannel, QueueFullIsPerLane)
 
 TEST(MultiChannel, RequestsSpreadAcrossLanes)
 {
-    ExperimentConfig cfg = shortConfig("Baseline", 4);
+    ExperimentConfig cfg = channelConfig("Baseline", 4);
     auto system = buildSystem(cfg, benignMix());
     system->run(cfg.runCycles);
     MemSystem &mem = system->mem();
@@ -101,7 +110,7 @@ TEST(MultiChannel, RequestsSpreadAcrossLanes)
 
 TEST(MultiChannel, PerChannelMitigationInstances)
 {
-    ExperimentConfig cfg = shortConfig("BlockHammer", 2);
+    ExperimentConfig cfg = channelConfig("BlockHammer", 2);
     auto system = buildSystem(cfg, benignMix());
     MemSystem &mem = system->mem();
     ASSERT_EQ(mem.channels(), 2u);
@@ -114,7 +123,7 @@ TEST(MultiChannel, PerChannelMitigationInstances)
 
 TEST(MultiChannel, SingleChannelAccessorFailsLoudlyOnMultiChannel)
 {
-    ExperimentConfig cfg = shortConfig("Baseline", 2);
+    ExperimentConfig cfg = channelConfig("Baseline", 2);
     auto system = buildSystem(cfg, benignMix());
     EXPECT_DEATH((void)system->mem().controller(), "channel");
 }
@@ -124,7 +133,7 @@ TEST(MultiChannel, ChunkedLaneDriverActuallyEngages)
     // Guard against the chunk predicate silently never holding (which
     // would leave the equivalence tests vacuous): a memory-bound attack
     // mix must spend a visible share of its cycles in lane chunks.
-    ExperimentConfig cfg = shortConfig("BlockHammer", 2);
+    ExperimentConfig cfg = channelConfig("BlockHammer", 2);
     auto system = buildSystem(cfg, attackMix());
     system->run(cfg.warmupCycles + cfg.runCycles);
     EXPECT_GT(system->chunkedCycles(), 0u);
@@ -133,11 +142,11 @@ TEST(MultiChannel, ChunkedLaneDriverActuallyEngages)
 TEST(MultiChannel, ThreadCountCannotChangeResults)
 {
     for (unsigned channels : {2u, 4u}) {
-        ExperimentConfig one = shortConfig("BlockHammer", channels);
+        ExperimentConfig one = channelConfig("BlockHammer", channels);
         one.channelThreads = 1;
         RunResult a = runExperiment(one, attackMix());
 
-        ExperimentConfig many = shortConfig("BlockHammer", channels);
+        ExperimentConfig many = channelConfig("BlockHammer", channels);
         many.channelThreads = channels;
         RunResult b = runExperiment(many, attackMix());
 
@@ -147,11 +156,11 @@ TEST(MultiChannel, ThreadCountCannotChangeResults)
 
 TEST(MultiChannel, ThreadCountCannotChangeBenignResults)
 {
-    ExperimentConfig one = shortConfig("PARA", 4);
+    ExperimentConfig one = channelConfig("PARA", 4);
     one.channelThreads = 1;
     RunResult a = runExperiment(one, benignMix());
 
-    ExperimentConfig many = shortConfig("PARA", 4);
+    ExperimentConfig many = channelConfig("PARA", 4);
     many.channelThreads = 4;
     RunResult b = runExperiment(many, benignMix());
 
@@ -162,7 +171,7 @@ TEST(MultiChannel, AttackOnOneChannelLeavesOthersUnthrottled)
 {
     // The attack trace hammers channel 0 only; BlockHammer's per-channel
     // state must blacklist there without blocking the other lane.
-    ExperimentConfig cfg = shortConfig("BlockHammer", 2);
+    ExperimentConfig cfg = channelConfig("BlockHammer", 2);
     RunResult res = runExperiment(cfg, attackMix());
     EXPECT_EQ(res.bitFlips, 0u);
 
@@ -197,20 +206,20 @@ TEST(MultiChannel, RandomAttackPatternGridDifferential)
         mix.apps = {attackPatternApp(spec.name), "429.mcf", "450.soplex",
                     "462.libquantum"};
 
-        ExperimentConfig ref = shortConfig(mech, channels);
+        ExperimentConfig ref = channelConfig(mech, channels);
         ref.securityOracle = true;
         ref.skip = SkipMode::kCycleByCycle;
         ref.channelThreads = 1;
         RunResult a = runExperiment(ref, mix);
 
-        ExperimentConfig fast = shortConfig(mech, channels);
+        ExperimentConfig fast = channelConfig(mech, channels);
         fast.securityOracle = true;
         fast.skip = SkipMode::kEventSkip;
         fast.channelThreads = channels;
         RunResult b = runExperiment(fast, mix);
         expectEqualResults(a, b);
 
-        ExperimentConfig verify = shortConfig(mech, channels);
+        ExperimentConfig verify = channelConfig(mech, channels);
         verify.securityOracle = true;
         verify.skip = SkipMode::kVerify;
         RunResult c = runExperiment(verify, mix);
@@ -223,7 +232,7 @@ TEST(MultiChannel, RandomAttackPatternGridDifferential)
 TEST(MultiChannel, DISABLED_TimeAdvanceBreakdown)
 {
     for (unsigned channels : {1u, 4u}) {
-        ExperimentConfig cfg = shortConfig("BlockHammer", channels);
+        ExperimentConfig cfg = channelConfig("BlockHammer", channels);
         cfg.channels = channels;
         cfg.threads = 8;
         MixSpec mix;

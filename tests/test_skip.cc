@@ -27,10 +27,11 @@ namespace
  * Skip equivalence for every registered mechanism, at one and two
  * channels, with the security oracle on: event skipping (two lane
  * threads at two channels) and kVerify must reproduce the
- * cycle-by-cycle RunResult exactly. Epoch resets (ABACuS), deferred
- * refresh FIFOs (DAPPER) and blame epochs (BreakHammer) all replay
- * through the same idle-tick contract as the paper mechanisms; a newly
- * registered mechanism joins this grid with no extra work.
+ * cycle-by-cycle RunResult exactly. A short window makes every run cross
+ * the mechanisms' time-driven boundaries: tREFW table resets (ABACuS,
+ * CBT, DAPPER, Graphene), tREFW/2 throttler epochs (BlockHammer,
+ * BreakHammer) and tREFI drains (DAPPER). A newly registered mechanism
+ * joins this grid with no extra work.
  */
 class SkipEquivalence
     : public ::testing::TestWithParam<std::tuple<std::string, unsigned>>
@@ -42,6 +43,13 @@ TEST_P(SkipEquivalence, EventSkipAndVerifyMatchCycleByCycle)
     const auto &[mechanism, channels] = GetParam();
     ExperimentConfig cfg = shortConfig(mechanism, channels);
     cfg.securityOracle = true;
+    // tREFW = 128k cycles: one reset and three epoch swaps per run. With
+    // N_RH = 256 both throttlers change a quota at some swap while the
+    // system is otherwise idle.
+    cfg.nRH = 256;
+    cfg.refwMs = 0.04;
+    Cycle half_window = cfg.timings().tREFW / 2;
+    ASSERT_GE(cfg.warmupCycles + cfg.runCycles, 3 * half_window);
 
     cfg.skip = SkipMode::kCycleByCycle;
     RunResult ref = runExperiment(cfg, attackMix());
