@@ -168,15 +168,17 @@ benchMicro(BenchContext &ctx)
             }));
     }
 
-    // Per-ACT bookkeeping cost of each mitigation mechanism. Mechanisms
-    // that schedule victim refreshes need a controller; use a throwaway
-    // device + controller.
+    // Per-ACT bookkeeping cost of every registered mechanism (Baseline
+    // has none). Mechanisms that schedule victim refreshes need a
+    // controller; use a throwaway device + controller.
     DramTimings timings = DramTimings::ddr4();
     DramDevice dev(DramOrg::paperConfig(), timings);
     NullMitigation null_mitig;
     MemController ctrl(dev, ControllerConfig{}, null_mitig, nullptr,
                        nullptr);
-    for (const auto &mech_name : paperMechanisms()) {
+    for (const auto &mech_name : mitigationNames()) {
+        if (mech_name == "Baseline")
+            continue;
         MitigationSettings settings;
         settings.seed = 11;
         auto mech = makeMitigation(mech_name, settings);

@@ -1,5 +1,7 @@
 #include "analysis/security_oracle.hh"
 
+#include <algorithm>
+
 #include "common/log.hh"
 
 namespace bh
@@ -65,9 +67,16 @@ SecurityOracle::onRowRefresh(unsigned bank, RowId row)
 void
 SecurityOracle::onAutoRefresh(RowId first_row, unsigned num_rows)
 {
-    for (unsigned b = 0; b < banks; ++b)
-        for (unsigned r = 0; r < num_rows; ++r)
-            onRowRefresh(b, static_cast<RowId>((first_row + r) % rows));
+    // Rows first..first+num_rows-1 modulo the bank: at most two
+    // contiguous ranges per bank (the wrap splits one).
+    std::size_t first = first_row % rows;
+    std::size_t n = std::min<std::size_t>(num_rows, rows);
+    std::size_t head = std::min(n, rows - first);
+    for (unsigned b = 0; b < banks; ++b) {
+        auto bank = sinceRefresh.begin() + index(b, 0);
+        std::fill_n(bank + first, head, 0u);
+        std::fill_n(bank, n - head, 0u);
+    }
 }
 
 std::uint32_t

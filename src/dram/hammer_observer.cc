@@ -60,11 +60,19 @@ HammerObserver::onRowRefresh(unsigned bank, RowId row)
 void
 HammerObserver::onAutoRefresh(RowId first_row, unsigned num_rows)
 {
+    // The sweep covers rows first..first+num_rows-1 modulo the bank, so
+    // at most two contiguous ranges (the wrap splits one).
+    std::size_t first = first_row % rows;
+    std::size_t n = std::min<std::size_t>(num_rows, rows);
+    std::size_t head = std::min(n, rows - first);
+    auto clear = [this](std::size_t i, std::size_t len) {
+        std::fill_n(disturbance.begin() + i, len, 0.0);
+        std::fill_n(actCount.begin() + i, len, 0u);
+        std::fill_n(flipped.begin() + i, len, false);
+    };
     for (unsigned b = 0; b < banks; ++b) {
-        for (unsigned r = 0; r < num_rows; ++r) {
-            RowId row = static_cast<RowId>((first_row + r) % rows);
-            onRowRefresh(b, row);
-        }
+        clear(index(b, 0) + first, head);
+        clear(index(b, 0), n - head);
     }
 }
 

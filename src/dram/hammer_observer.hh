@@ -78,6 +78,13 @@ class HammerObserver
         return actCount[index(bank, row)];
     }
 
+    /** Disturbance a row has accumulated since its last refresh. */
+    double
+    rowDisturbance(unsigned bank, RowId row) const
+    {
+        return disturbance[index(bank, row)];
+    }
+
     const HammerConfig &config() const { return cfg; }
 
   private:

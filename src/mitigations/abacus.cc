@@ -4,14 +4,13 @@
 
 #include "common/bitutils.hh"
 #include "common/log.hh"
-#include "common/ordered.hh"
 #include "mem/controller.hh"
 
 namespace bh
 {
 
 Abacus::Abacus(const MitigationSettings &settings)
-    : cfg(settings), nextReset(settings.timings.tREFW)
+    : cfg(settings), table(0), nextReset(settings.timings.tREFW)
 {
     if (cfg.banks > 64)
         fatal("ABACuS SAV models at most 64 banks (%u configured)",
@@ -27,20 +26,21 @@ Abacus::Abacus(const MitigationSettings &settings)
         cfg.timings.tREFW / std::max<Cycle>(1, cfg.timings.tRC));
     numEntries = static_cast<unsigned>(ceilDiv(
         static_cast<std::int64_t>(w), static_cast<std::int64_t>(thT))) + 1;
+    table = MisraGriesTable(numEntries);
 }
 
 std::uint32_t
 Abacus::rac(RowId row) const
 {
-    auto it = table.find(row);
-    return it == table.end() ? 0 : it->second.rac;
+    const auto *e = table.find(row);
+    return e ? e->count : 0;
 }
 
 std::uint64_t
 Abacus::sav(RowId row) const
 {
-    auto it = table.find(row);
-    return it == table.end() ? 0 : it->second.sav;
+    const auto *e = table.find(row);
+    return e ? e->word : 0;
 }
 
 void
@@ -74,51 +74,22 @@ void
 Abacus::onActivate(unsigned bank, RowId row, ThreadId, Cycle now)
 {
     std::uint64_t bit = 1ull << bank;
-    auto it = table.find(row);
-    if (it != table.end()) {
-        Entry &e = it->second;
-        if (e.sav & bit) {
+    if (auto *e = table.find(row)) {
+        if (e->word & bit) {
             // The sibling already activated since the last RAC bump:
             // a new per-bank activation round starts at this address.
-            ++e.rac;
-            e.sav = bit;
-            if (e.rac % thT == 0)
+            e->word = bit;
+            if (++e->count % thT == 0)
                 refreshNeighborsAllBanks(row, now);
         } else {
-            e.sav |= bit;
+            e->word |= bit;
         }
-        return;
-    }
-    if (table.size() < numEntries) {
-        Entry e;
-        e.sav = bit;
-        table.emplace(row, e);
-        return;
-    }
-    // Table full: Misra-Gries spillover over the RACs. The minimum scan
-    // walks in sorted-key order (rule R2) so the tie-break is
-    // deterministic across stdlibs: among equal-RAC entries the lowest
-    // row address is displaced.
-    ++spillover;
-    RowId minRow = 0;
-    std::uint32_t minRac = 0;
-    bool haveMin = false;
-    for (RowId r : sortedMapKeys(table)) {
-        std::uint32_t c = table.find(r)->second.rac;
-        if (!haveMin || c < minRac) {
-            minRow = r;
-            minRac = c;
-            haveMin = true;
-        }
-    }
-    if (haveMin && spillover >= minRac) {
-        table.erase(minRow);
-        Entry e;
-        e.rac = spillover + 1;
-        e.sav = bit;
-        spillover = minRac;
-        table.emplace(row, e);
-        if (e.rac >= thT && e.rac % thT == 0)
+    } else if (table.hasRoom()) {
+        table.insert(row, 0, bit);
+    } else if (auto *e = table.spill(row, bit)) {
+        // Spillover over the RACs: the new address took over the
+        // coldest entry (lowest RAC, then lowest row address).
+        if (e->count >= thT && e->count % thT == 0)
             refreshNeighborsAllBanks(row, now);
     }
 }
@@ -128,7 +99,6 @@ Abacus::tick(Cycle now)
 {
     if (now >= nextReset) {
         table.clear();
-        spillover = 0;
         nextReset += cfg.timings.tREFW;
     }
 }

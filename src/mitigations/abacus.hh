@@ -22,9 +22,9 @@
 #define BH_MITIGATIONS_ABACUS_HH
 
 #include <cstdint>
-#include <unordered_map>
 
 #include "mem/mitigation.hh"
+#include "mitigations/misra_gries.hh"
 #include "mitigations/settings.hh"
 
 namespace bh
@@ -56,19 +56,13 @@ class Abacus : public Mitigation
     std::uint64_t sav(RowId row) const;
 
   private:
-    struct Entry
-    {
-        std::uint32_t rac = 0;      ///< shared activation counter
-        std::uint64_t sav = 0;      ///< sibling activation bits, one/bank
-    };
-
     void refreshNeighborsAllBanks(RowId row, Cycle now);
 
     MitigationSettings cfg;
     std::uint32_t thT = 0;          ///< RAC trigger threshold
     unsigned numEntries = 0;        ///< shared-table entries (whole rank)
-    std::unordered_map<RowId, Entry> table;
-    std::uint32_t spillover = 0;    ///< Misra-Gries spillover counter
+    /** Entry count = RAC, entry word = SAV (one bit per bank). */
+    MisraGriesTable table;
     Cycle nextReset = 0;
     std::uint64_t numTriggers = 0;
     std::uint64_t numRefreshes = 0;

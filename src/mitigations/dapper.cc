@@ -3,15 +3,13 @@
 #include <algorithm>
 
 #include "common/bitutils.hh"
-#include "common/ordered.hh"
 #include "mem/controller.hh"
 
 namespace bh
 {
 
 Dapper::Dapper(const MitigationSettings &settings)
-    : cfg(settings), tables(settings.banks),
-      nextReset(settings.timings.tREFW)
+    : cfg(settings), nextReset(settings.timings.tREFW)
 {
     // Lowered trigger threshold (a quarter of the effective budget,
     // half of Graphene's T): triggers fire earlier to absorb the
@@ -21,6 +19,7 @@ Dapper::Dapper(const MitigationSettings &settings)
         cfg.timings.tREFW / std::max<Cycle>(1, cfg.timings.tRC));
     numEntries = static_cast<unsigned>(ceilDiv(
         static_cast<std::int64_t>(w), static_cast<std::int64_t>(thT))) + 1;
+    tables.assign(cfg.banks, MisraGriesTable(numEntries));
     // Preventive-refresh budget: one small batch per tREFI, the cadence
     // the controller already reserves for refresh work. This caps the
     // mitigation bandwidth any access pattern can force.
@@ -68,36 +67,13 @@ void
 Dapper::onActivate(unsigned bank, RowId row, ThreadId, Cycle now)
 {
     auto &table = tables[bank];
-    auto it = table.counts.find(row);
-    if (it != table.counts.end()) {
-        ++it->second;
-        if (it->second % thT == 0)
+    if (auto *e = table.find(row)) {
+        if (++e->count % thT == 0)
             noteTrigger(bank, row, now);
-        return;
-    }
-    if (table.counts.size() < numEntries) {
-        table.counts.emplace(row, 1);
-        return;
-    }
-    // Misra-Gries spillover, same sorted-key min scan as Graphene
-    // (rule R2: deterministic tie-break across stdlibs).
-    ++table.spillover;
-    RowId minRow = 0;
-    std::uint32_t minCount = 0;
-    bool haveMin = false;
-    for (const auto &item : sortedItems(table.counts)) {
-        if (!haveMin || item.second < minCount) {
-            minRow = item.first;
-            minCount = item.second;
-            haveMin = true;
-        }
-    }
-    if (haveMin && table.spillover >= minCount) {
-        table.counts.erase(minRow);
-        table.counts.emplace(row, table.spillover + 1);
-        table.spillover = minCount;
-        auto &cnt = table.counts[row];
-        if (cnt >= thT && cnt % thT == 0)
+    } else if (table.hasRoom()) {
+        table.insert(row, 1);
+    } else if (auto *e = table.spill(row)) {
+        if (e->count >= thT && e->count % thT == 0)
             noteTrigger(bank, row, now);
     }
 }
@@ -106,10 +82,8 @@ void
 Dapper::tick(Cycle now)
 {
     if (now >= nextReset) {
-        for (auto &table : tables) {
-            table.counts.clear();
-            table.spillover = 0;
-        }
+        for (auto &table : tables)
+            table.clear();
         nextReset += cfg.timings.tREFW;
         // Owed refreshes survive the window reset: the budget defers,
         // it never forgets.

@@ -23,10 +23,10 @@
 
 #include <cstdint>
 #include <deque>
-#include <unordered_map>
 #include <vector>
 
 #include "mem/mitigation.hh"
+#include "mitigations/misra_gries.hh"
 #include "mitigations/settings.hh"
 
 namespace bh
@@ -56,12 +56,6 @@ class Dapper : public Mitigation
     unsigned drainBatch() const { return batch; }
 
   private:
-    struct BankTable
-    {
-        std::unordered_map<RowId, std::uint32_t> counts;
-        std::uint32_t spillover = 0;
-    };
-
     /** One owed preventive refresh batch (a trigger event). */
     struct Trigger
     {
@@ -75,7 +69,7 @@ class Dapper : public Mitigation
     MitigationSettings cfg;
     std::uint32_t thT = 0;          ///< Misra-Gries trigger threshold
     unsigned numEntries = 0;        ///< table entries per bank
-    std::vector<BankTable> tables;
+    std::vector<MisraGriesTable> tables;
     std::deque<Trigger> pending;    ///< owed refreshes, FIFO
     Cycle drainEvery = 1;           ///< budget interval (from tREFI)
     unsigned batch = 1;             ///< triggers served per interval

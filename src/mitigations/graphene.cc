@@ -3,15 +3,13 @@
 #include <algorithm>
 
 #include "common/bitutils.hh"
-#include "common/ordered.hh"
 #include "mem/controller.hh"
 
 namespace bh
 {
 
 Graphene::Graphene(const MitigationSettings &settings)
-    : cfg(settings), tables(settings.banks),
-      nextReset(settings.timings.tREFW)
+    : cfg(settings), nextReset(settings.timings.tREFW)
 {
     // T: refresh the neighbors every T activations of a tracked row; half
     // the effective budget keeps double-sided disturbance below N_RH.
@@ -21,6 +19,7 @@ Graphene::Graphene(const MitigationSettings &settings)
         cfg.timings.tREFW / std::max<Cycle>(1, cfg.timings.tRC));
     numEntries = static_cast<unsigned>(ceilDiv(
         static_cast<std::int64_t>(w), static_cast<std::int64_t>(thT))) + 1;
+    tables.assign(cfg.banks, MisraGriesTable(numEntries));
 }
 
 void
@@ -49,39 +48,14 @@ void
 Graphene::onActivate(unsigned bank, RowId row, ThreadId, Cycle now)
 {
     auto &table = tables[bank];
-    auto it = table.counts.find(row);
-    if (it != table.counts.end()) {
-        ++it->second;
-        if (it->second % thT == 0)
+    if (auto *e = table.find(row)) {
+        if (++e->count % thT == 0)
             refreshNeighbors(bank, row, now);
-        return;
-    }
-    if (table.counts.size() < numEntries) {
-        table.counts.emplace(row, 1);
-        return;
-    }
-    // Table full: Misra-Gries spillover. The minimum scan walks in
-    // sorted-key order (rule R2), making the tie-break deterministic
-    // across stdlibs: among equal-count entries the lowest row wins.
-    ++table.spillover;
-    RowId minRow = 0;
-    std::uint32_t minCount = 0;
-    bool haveMin = false;
-    for (const auto &item : sortedItems(table.counts)) {
-        if (!haveMin || item.second < minCount) {
-            minRow = item.first;
-            minCount = item.second;
-            haveMin = true;
-        }
-    }
-    if (haveMin && table.spillover >= minCount) {
-        // The new row takes over the minimum entry with count
-        // spillover + 1; the displaced count becomes the new spillover.
-        table.counts.erase(minRow);
-        table.counts.emplace(row, table.spillover + 1);
-        table.spillover = minCount;
-        auto &cnt = table.counts[row];
-        if (cnt >= thT && cnt % thT == 0)
+    } else if (table.hasRoom()) {
+        table.insert(row, 1);
+    } else if (auto *e = table.spill(row)) {
+        // The new row took over the minimum entry at spillover + 1.
+        if (e->count >= thT && e->count % thT == 0)
             refreshNeighbors(bank, row, now);
     }
 }
@@ -90,10 +64,8 @@ void
 Graphene::tick(Cycle now)
 {
     if (now >= nextReset) {
-        for (auto &table : tables) {
-            table.counts.clear();
-            table.spillover = 0;
-        }
+        for (auto &table : tables)
+            table.clear();
         nextReset += cfg.timings.tREFW;
     }
 }

@@ -16,10 +16,10 @@
 #ifndef BH_MITIGATIONS_GRAPHENE_HH
 #define BH_MITIGATIONS_GRAPHENE_HH
 
-#include <unordered_map>
 #include <vector>
 
 #include "mem/mitigation.hh"
+#include "mitigations/misra_gries.hh"
 #include "mitigations/settings.hh"
 
 namespace bh
@@ -43,18 +43,12 @@ class Graphene : public Mitigation
     unsigned tableSize() const { return numEntries; }
 
   private:
-    struct BankTable
-    {
-        std::unordered_map<RowId, std::uint32_t> counts;
-        std::uint32_t spillover = 0;
-    };
-
     void refreshNeighbors(unsigned bank, RowId row, Cycle now);
 
     MitigationSettings cfg;
     std::uint32_t thT = 0;      ///< Misra-Gries threshold T
     unsigned numEntries = 0;    ///< table entries per bank
-    std::vector<BankTable> tables;
+    std::vector<MisraGriesTable> tables;
     Cycle nextReset = 0;
     std::uint64_t numRefreshes = 0;
 };

@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <utility>
+
+#include "common/rng.hh"
 #include "dram/energy.hh"
 #include "dram/hammer_observer.hh"
 
@@ -100,6 +104,89 @@ TEST(HammerObserver, AutoRefreshSweepResetsRange)
     for (int i = 0; i < 90; ++i)
         obs.onActivate(0, 10, 200 + i);
     EXPECT_TRUE(obs.bitFlips().empty());
+}
+
+/** Hammer a seeded stream of random (bank, row) activations. */
+void
+hammerSeeded(HammerObserver &obs, const DramOrg &org, std::uint64_t seed,
+             Cycle start)
+{
+    Rng rng(seed);
+    for (Cycle t = start; t < start + 6000; ++t) {
+        auto bank = static_cast<unsigned>(rng.below(org.banksPerChannel()));
+        auto row = static_cast<RowId>(rng.below(org.rowsPerBank));
+        obs.onActivate(bank, row, t);
+    }
+}
+
+/**
+ * Sweep one observer with onAutoRefresh and its twin with the per-row
+ * onRowRefresh loop the sweep replaced; every row's state and every
+ * later flip (re-armed or not) must agree.
+ */
+void
+expectSweepMatchesRowByRow(RowId first, unsigned num_rows)
+{
+    DramOrg org = DramOrg::tinyConfig();
+    HammerObserver sweep(org, smallConfig(16, 2));
+    HammerObserver byRow(org, smallConfig(16, 2));
+    hammerSeeded(sweep, org, 5, 0);
+    hammerSeeded(byRow, org, 5, 0);
+    std::set<std::pair<unsigned, RowId>> flippedBefore;
+    for (const auto &f : sweep.bitFlips())
+        flippedBefore.insert({f.bank, f.victimRow});
+    ASSERT_FALSE(flippedBefore.empty());
+
+    sweep.onAutoRefresh(first, num_rows);
+    std::set<RowId> swept;
+    for (unsigned r = 0; r < num_rows; ++r)
+        swept.insert(static_cast<RowId>((first + r) % org.rowsPerBank));
+    for (unsigned b = 0; b < org.banksPerChannel(); ++b)
+        for (RowId row : swept)
+            byRow.onRowRefresh(b, row);
+
+    for (unsigned b = 0; b < org.banksPerChannel(); ++b) {
+        for (RowId r = 0; r < org.rowsPerBank; ++r) {
+            ASSERT_EQ(sweep.rowActivations(b, r), byRow.rowActivations(b, r))
+                << "bank " << b << " row " << r;
+            ASSERT_EQ(sweep.rowDisturbance(b, r), byRow.rowDisturbance(b, r))
+                << "bank " << b << " row " << r;
+            if (swept.count(r)) {
+                EXPECT_EQ(sweep.rowActivations(b, r), 0u);
+                EXPECT_EQ(sweep.rowDisturbance(b, r), 0.0);
+            }
+        }
+    }
+
+    // Swept rows that had flipped are re-armed: the same later stream
+    // flips them again, at the same cycles in both observers.
+    hammerSeeded(sweep, org, 6, 10000);
+    hammerSeeded(byRow, org, 6, 10000);
+    ASSERT_EQ(sweep.bitFlips().size(), byRow.bitFlips().size());
+    unsigned rearmed = 0;
+    for (std::size_t i = 0; i < sweep.bitFlips().size(); ++i) {
+        const auto &a = sweep.bitFlips()[i];
+        const auto &b = byRow.bitFlips()[i];
+        EXPECT_EQ(a.bank, b.bank);
+        EXPECT_EQ(a.victimRow, b.victimRow);
+        EXPECT_EQ(a.cycle, b.cycle);
+        if (a.cycle >= 10000 && swept.count(a.victimRow) &&
+            flippedBefore.count({a.bank, a.victimRow}))
+            ++rearmed;
+    }
+    EXPECT_GT(rearmed, 0u);
+}
+
+TEST(HammerObserver, AutoRefreshSweepWrapsToRowZero)
+{
+    // tinyConfig has 256 rows per bank: rows 250..255, then 0..3.
+    expectSweepMatchesRowByRow(250, 10);
+}
+
+TEST(HammerObserver, AutoRefreshSweepCoveringTheBankClearsEveryRow)
+{
+    expectSweepMatchesRowByRow(100, 256);
+    expectSweepMatchesRowByRow(100, 300);
 }
 
 TEST(HammerObserver, MaxRowActivationsTracksPeak)

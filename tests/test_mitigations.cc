@@ -1,18 +1,26 @@
 /**
  * @file
  * Unit tests for the six baseline mitigation mechanisms, driven through a
- * recording stub controller.
+ * recording stub controller, and for the Misra-Gries table Graphene,
+ * DAPPER and ABACuS share.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <map>
+#include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "common/log.hh"
+#include "common/ordered.hh"
+#include "common/rng.hh"
 #include "mem/controller.hh"
 #include "mitigations/cbt.hh"
 #include "mitigations/graphene.hh"
+#include "mitigations/misra_gries.hh"
 #include "mitigations/mrloc.hh"
 #include "mitigations/para.hh"
 #include "mitigations/prohit.hh"
@@ -316,6 +324,133 @@ TEST(Graphene, WindowResetClearsCounts)
         g.onActivate(0, 500, 0, i);
     // 200 + 200 < 2T after reset: no new trigger from stale counts.
     EXPECT_EQ(g.refreshesIssued(), before);
+}
+
+// ---- the shared Misra-Gries table against the code it replaced -------
+
+/**
+ * The spillover code Graphene, DAPPER and ABACuS each carried before
+ * they shared MisraGriesTable: an unordered_map and a minimum walk over
+ * its key-sorted copy (first strictly smaller count wins, so ties go to
+ * the lowest row).
+ */
+struct ReferenceMisraGries
+{
+    std::unordered_map<RowId, std::uint32_t> counts;
+    std::uint32_t spillover = 0;
+
+    /** A miss on a full table; true when `row` was installed. */
+    bool
+    spill(RowId row, RowId &displaced, std::uint32_t &installed)
+    {
+        ++spillover;
+        RowId minRow = 0;
+        std::uint32_t minCount = 0;
+        bool haveMin = false;
+        for (const auto &item : sortedItems(counts)) {
+            if (!haveMin || item.second < minCount) {
+                minRow = item.first;
+                minCount = item.second;
+                haveMin = true;
+            }
+        }
+        if (!haveMin || spillover < minCount)
+            return false;
+        counts.erase(minRow);
+        counts.emplace(row, spillover + 1);
+        spillover = minCount;
+        displaced = minRow;
+        installed = counts[row];
+        return true;
+    }
+
+    void
+    clear()
+    {
+        counts.clear();
+        spillover = 0;
+    }
+};
+
+std::vector<std::pair<RowId, std::uint32_t>>
+sortedEntries(const MisraGriesTable &table)
+{
+    std::vector<std::pair<RowId, std::uint32_t>> out;
+    for (const auto &e : table.items())
+        out.emplace_back(e.row, e.count);
+    std::sort(out.begin(), out.end());
+    return out;
+}
+
+TEST(MisraGriesTable, MatchesSortedWalkReference)
+{
+    // Phases alternate between a hot set the table can hold and a range
+    // three times its size. Hits bump the count only half the time
+    // (ABACuS's SAV path) and inserts start at 0 or 1 (ABACuS's RAC vs
+    // Graphene's count), so counts tie constantly and spills exercise
+    // the tie-break; the spillover both does and does not catch up.
+    for (unsigned capacity : {1u, 2u, 7u, 170u}) {
+        for (std::uint64_t seed : {3ull, 29ull}) {
+            SCOPED_TRACE(testing::Message()
+                         << "capacity " << capacity << " seed " << seed);
+            Rng rng(seed * 1000 + capacity);
+            MisraGriesTable table(capacity);
+            ReferenceMisraGries ref;
+            unsigned spills = 0;
+            unsigned installs = 0;
+            // Each hot phase opens with a window reset (clear()), so the
+            // hot set refills the table and climbs clear of the
+            // spillover before the cold phase spills into it.
+            const int phase = 20 * static_cast<int>(capacity) + 500;
+            for (int step = 0; step < 20000; ++step) {
+                bool hotPhase = (step / phase) % 2 == 0;
+                if (hotPhase && step % phase == 0) {
+                    table.clear();
+                    ref.clear();
+                }
+                auto row = static_cast<RowId>(
+                    rng.below(hotPhase ? capacity : 3 * capacity + 3));
+                auto *hit = table.find(row);
+                auto refHit = ref.counts.find(row);
+                ASSERT_EQ(hit != nullptr, refHit != ref.counts.end());
+                if (hit) {
+                    std::uint32_t bump = rng.below(2) ? 1 : 0;
+                    hit->count += bump;
+                    refHit->second += bump;
+                } else if (table.hasRoom()) {
+                    ASSERT_LT(ref.counts.size(), capacity);
+                    auto initial = static_cast<std::uint32_t>(rng.below(2));
+                    table.insert(row, initial, row);
+                    ref.counts.emplace(row, initial);
+                } else {
+                    ASSERT_EQ(ref.counts.size(), capacity);
+                    ++spills;
+                    auto before = sortedEntries(table);
+                    RowId refDisplaced = 0;
+                    std::uint32_t refInstalled = 0;
+                    bool refIn = ref.spill(row, refDisplaced, refInstalled);
+                    auto *e = table.spill(row, ~std::uint64_t{0});
+                    ASSERT_EQ(e != nullptr, refIn);
+                    if (e) {
+                        ++installs;
+                        EXPECT_EQ(e->row, row);
+                        EXPECT_EQ(e->count, refInstalled);
+                        EXPECT_EQ(e->word, ~std::uint64_t{0});
+                        RowId displaced = 0;
+                        for (const auto &[r, c] : before)
+                            if (!table.find(r))
+                                displaced = r;
+                        EXPECT_EQ(displaced, refDisplaced);
+                    }
+                }
+                ASSERT_EQ(table.spillover(), ref.spillover);
+                ASSERT_EQ(sortedEntries(table), sortedItems(ref.counts));
+            }
+            // The stream must exercise both spill outcomes.
+            EXPECT_GT(installs, 0u);
+            EXPECT_GT(spills, installs);
+        }
+    }
 }
 
 /**

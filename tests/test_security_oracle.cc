@@ -103,6 +103,24 @@ TEST(SecurityOracle, AutoRefreshWrapsAroundTheRowIndexSpace)
     EXPECT_EQ(o.currentWindowActs(3, 250, 20), 1u);
 }
 
+TEST(SecurityOracle, AutoRefreshCoveringTheBankClearsEveryRow)
+{
+    // A sweep of at least rowsPerBank rows resets every row of every
+    // bank, whatever its start, exactly as a row-by-row loop would.
+    for (unsigned num_rows : {256u, 300u}) {
+        SecurityOracle o = makeOracle(100, 1000);
+        for (unsigned b = 0; b < 4; ++b)
+            for (RowId r : {0u, 99u, 100u, 255u})
+                o.onActivate(b, r, 10);
+        o.onAutoRefresh(100, num_rows);
+        for (unsigned b = 0; b < 4; ++b)
+            for (RowId r = 0; r < 256; ++r)
+                ASSERT_EQ(o.actsSinceRefresh(b, r), 0u)
+                    << "bank " << b << " row " << r;
+        EXPECT_EQ(o.currentWindowActs(2, 99, 20), 1u);
+    }
+}
+
 TEST(SecurityOracle, ViolatingRowsAreCountedDistinctly)
 {
     SecurityOracle o = makeOracle(10, 1000);
