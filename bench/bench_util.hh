@@ -13,11 +13,11 @@
  *
  * Sweep cells go through BenchContext::runCells, which assigns every
  * cell a global index in the experiment's deterministic cell space.
- * That one entry point supports distribution: `bh_bench --shard i/n`
- * runs only the cells a shard owns (writing a partial report of raw
- * cell payloads), `bh_collect merge` replays an experiment's
- * aggregation over payloads collected from N shards, and `--list`
- * enumerates the cell space without simulating anything.
+ * That one entry point supports distribution: `bh_bench --cell N` (and
+ * every bh_farm lease) runs one cell and writes a partial report of its
+ * raw payload, `bh_farm merge` replays an experiment's aggregation over
+ * the collected payloads, and `--list` enumerates the cell space
+ * without simulating anything.
  */
 
 #ifndef BH_BENCH_BENCH_UTIL_HH
@@ -53,27 +53,13 @@ benchScale()
     return v >= 0.1 ? v : 1.0;
 }
 
-/** Deterministic 1-of-n partition of the global cell index space. */
-struct ShardSpec
-{
-    unsigned index = 0;
-    unsigned count = 1;
-};
-
-/** True when shard `spec` owns global cell `cell` (round-robin). */
-inline bool
-shardOwns(const ShardSpec &spec, std::uint64_t cell)
-{
-    return cell % spec.count == spec.index;
-}
-
 /**
  * Execution context handed to every registered experiment. Experiments
  * parallelize their independent sweep cells through `runner` and must
  * produce results that do not depend on the worker count (collect by
  * cell index, seed by cell index — see Runner's determinism contract).
  *
- * Experiment contract for sharding (see runCells): declare every sweep
+ * Experiment contract for partial runs (see runCells): declare every sweep
  * cell through runCells — cell payloads must be deterministic JSON
  * (wall-clock readings go to stdout only) and carry everything the
  * aggregation step reads — then gate all aggregation (ASCII tables and
@@ -85,9 +71,9 @@ struct BenchContext
     /** How runCells treats the declared cells. */
     enum class CellMode
     {
-        Run,        ///< execute the cells this shard owns
+        Run,        ///< execute the cells (all, or just onlyCell)
         Enumerate,  ///< count cells only, execute nothing (--list)
-        Replay      ///< take payloads from `replayCells` (bh_collect)
+        Replay      ///< take payloads from `replayCells` (bh_farm merge)
     };
 
     double scale = 1.0;         ///< fidelity multiplier (cycles, mix counts)
@@ -100,18 +86,18 @@ struct BenchContext
      * Attack-pattern filter (bh_bench --attack NAME): experiments that
      * sweep the attack catalog (secsweep) keep only patterns whose name
      * contains this substring. Part of the grid identity: the manifest
-     * records it and the fingerprint folds it in, so differently
-     * filtered runs can never merge.
+     * records it and the fingerprint folds it in, so a farm never mixes
+     * differently filtered cells.
      */
     std::string attackFilter;
     Json result = Json::object();   ///< machine-readable experiment output
 
     CellMode mode = CellMode::Run;
-    ShardSpec shard;                ///< partition for CellMode::Run
     const Json *replayCells = nullptr;  ///< payload source for Replay
     /**
-     * Single-cell filter (one bh_farm lease): when set, only this global
-     * cell index runs, and the partial output holds just its payload.
+     * Single-cell filter (bh_bench --cell N, one bh_farm lease): when
+     * set, only this global cell index runs, and the partial output
+     * holds just its payload.
      */
     std::optional<std::uint64_t> onlyCell;
 
@@ -152,29 +138,26 @@ struct BenchContext
     /**
      * Run one block of `n` sweep cells through the pool and return their
      * payloads indexed 0..n-1 (block-local). The block claims global
-     * cell indices [nextCell, nextCell + n). Unowned cells (sharded
-     * runs) and unexecuted cells (Enumerate) come back as JSON null;
-     * Replay returns every payload from the merged shard files without
-     * simulating. Payloads must be non-null deterministic JSON.
+     * cell indices [nextCell, nextCell + n). Cells other than onlyCell
+     * and unexecuted cells (Enumerate) come back as JSON null; Replay
+     * returns every payload from `replayCells` without simulating.
+     * Payloads must be non-null deterministic JSON.
      */
     std::vector<Json> runCells(const std::string &label, std::size_t n,
                                const std::function<Json(std::size_t)> &fn);
 
     /**
-     * False when aggregation must be skipped: this is a sharded partial
-     * run of a cell experiment (payloads for other shards are missing)
-     * or a cell enumeration. Experiments return immediately when false.
+     * False when aggregation must be skipped: this is a one-cell partial
+     * run of a cell experiment (the other payloads are missing) or a
+     * cell enumeration. Experiments return immediately when false.
+     * Analytic experiments (no cells) aggregate even under onlyCell.
      */
     bool
     aggregate() const
     {
         if (mode == CellMode::Enumerate)
             return false;
-        if (mode == CellMode::Replay)
-            return true;
-        if (onlyCell && nextCell > 0)
-            return false;   // partial by construction: merge to aggregate
-        return shard.count == 1 || nextCell == 0;
+        return mode == CellMode::Replay || !onlyCell || nextCell == 0;
     }
 
     /** True when this run executes the full cell grid itself. */
@@ -183,7 +166,7 @@ struct BenchContext
     {
         // A one-cell run warming up the full app set would simulate
         // alone-runs its cell never reads.
-        return mode == CellMode::Run && shard.count == 1 && !onlyCell;
+        return mode == CellMode::Run && !onlyCell;
     }
 };
 
@@ -267,8 +250,8 @@ securityConfig(const BenchContext &ctx, const std::string &mechanism,
  * figure order, then the factory's zoo additions. Derived from the
  * factory (never enumerated by hand) so a newly registered mechanism
  * cannot be silently skipped by a sweep; the zoo appends *after* the
- * frozen paper set so pre-zoo cell indices — and the CI shard numbers
- * that name them — stay stable.
+ * frozen paper set so pre-zoo cell indices — and the CI `--cell`
+ * numbers that name them — stay stable.
  */
 inline const std::vector<std::string> &
 comparisonMechanisms()
@@ -373,9 +356,9 @@ mean(const std::vector<double> &v)
  * Pre-compute the alone-run IPC of every benign app in `mixes` through
  * the pool, so later parallel cells hit the aloneIpc memo table instead
  * of redundantly simulating the same alone runs. Skipped unless this
- * run executes the full grid: sharded runs only need the apps of their
- * owned cells (filled on demand through the memo), and Enumerate/Replay
- * never simulate.
+ * run executes the full grid: a one-cell run only needs the apps of its
+ * cell (filled on demand through the memo), and Enumerate/Replay never
+ * simulate.
  */
 inline void
 warmAloneIpc(const BenchContext &ctx, const ExperimentConfig &cfg,

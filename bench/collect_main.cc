@@ -1,33 +1,24 @@
 /**
  * @file
- * bh_collect: the result-aggregation CLI for sharded bh_bench runs.
+ * bh_collect: post-run tools over BENCH_*.json reports.
  *
- *   bh_collect merge [-o FILE] SHARD.json...   recombine shard outputs
- *   bh_collect diff  [tolerances] A.json B.json  structural golden diff
- *
- * `merge` validates every input's run manifest (grid fingerprint, shard
- * ownership, per-cell digests), checks that overlapping cells are
- * byte-identical across shards/machines, and — once the cell grid is
- * fully covered — replays the experiment's aggregation over the merged
- * payloads through the bench registry. The reconstructed report is
- * byte-identical to what an unsharded `bh_bench` run writes.
+ *   bh_collect diff     [tolerances] A.json B.json  structural golden diff
+ *   bh_collect perfgate GOLDEN.json BENCH_perf.json wall-clock band gate
+ *   bh_collect pareto   BENCH_*.json...             mechanism Pareto join
  *
  * `diff` compares two reports structurally with per-field numeric
- * tolerance; CI uses it to gate merged outputs against checked-in
- * golden JSON.
+ * tolerance; CI uses it to gate outputs against checked-in golden JSON.
+ * None of the commands simulates or needs the experiment registry.
  */
 
-#include <algorithm>
-#include <cstring>
-#include <filesystem>
-#include <fstream>
-#include <sstream>
-
-#include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <map>
+#include <string>
+#include <vector>
 
-#include "bench/registry.hh"
 #include "common/fsio.hh"
+#include "common/table.hh"
 #include "report/perf.hh"
 #include "report/report.hh"
 
@@ -38,18 +29,9 @@ void
 usage(std::FILE *out)
 {
     std::fprintf(out,
-        "usage: bh_collect merge [options] BENCH_*.json...\n"
-        "       bh_collect diff [options] A.json B.json\n"
-        "       bh_collect status [options] PATH...\n"
+        "usage: bh_collect diff [options] A.json B.json\n"
         "       bh_collect perfgate [options] GOLDEN.json BENCH_perf.json\n"
         "       bh_collect pareto [options] BENCH_*.json...\n"
-        "\n"
-        "merge: validate and combine N sharded bh_bench outputs of one\n"
-        "experiment into a report byte-identical to an unsharded run.\n"
-        "Overlapping cells must match byte-for-byte; edited cells fail\n"
-        "their manifest digest; missing cells abort the merge.\n"
-        "\n"
-        "  -o, --out FILE   output path (default: BENCH_<experiment>.json)\n"
         "\n"
         "diff: structural comparison with numeric tolerance; exits 0 when\n"
         "the documents agree, 1 when they differ, 2 on usage/IO errors.\n"
@@ -58,17 +40,6 @@ usage(std::FILE *out)
         "  --rel-tol X      relative tolerance for numeric fields\n"
         "  --ignore PATH    skip a dotted subtree (repeatable), e.g.\n"
         "                   --ignore manifest.cell_digests\n"
-        "\n"
-        "status: scan files and directory trees for BENCH_*.json shard\n"
-        "outputs and report, per experiment grid, which shards exist and\n"
-        "which sweep cells are still missing — with per-shard elapsed\n"
-        "time (from sibling BENCH_perf.json self-profiles) and an\n"
-        "estimate of the remaining shard work. Exits 0 when every grid\n"
-        "is fully covered, 1 when cells are missing, 2 on IO errors.\n"
-        "\n"
-        "  --stale-after SECS   flag shards of incomplete grids whose\n"
-        "                       file has not changed for SECS seconds\n"
-        "                       (default 3600; 0 disables)\n"
         "\n"
         "perfgate: gate a BENCH_perf.json self-profile against a golden\n"
         "of reference simulation rates (cycles/second). Exits 0 when\n"
@@ -87,318 +58,24 @@ usage(std::FILE *out)
         "  -o, --out FILE   output path (default: BENCH_pareto.json)\n");
 }
 
-int
-cmdMerge(const std::vector<std::string> &args)
+/**
+ * Read and parse one JSON input. On failure prints the diagnostic and
+ * returns false; every command then exits 2.
+ */
+bool
+loadJson(const std::string &path, bh::Json &doc)
 {
-    using namespace bh;
-
-    std::string out_path;
-    std::vector<std::string> files;
-    for (std::size_t i = 0; i < args.size(); ++i) {
-        const std::string &arg = args[i];
-        if (arg == "-o" || arg == "--out") {
-            if (++i >= args.size()) {
-                std::fprintf(stderr, "bh_collect: %s needs a value\n",
-                             arg.c_str());
-                return 2;
-            }
-            out_path = args[i];
-        } else if (!arg.empty() && arg[0] == '-') {
-            std::fprintf(stderr, "bh_collect merge: unknown option %s\n",
-                         arg.c_str());
-            return 2;
-        } else {
-            files.push_back(arg);
-        }
+    std::string text, err;
+    if (!bh::readFile(path, text, err)) {
+        std::fprintf(stderr, "bh_collect: cannot open %s\n", path.c_str());
+        return false;
     }
-    if (files.empty()) {
-        std::fprintf(stderr, "bh_collect merge: no input files\n");
-        return 2;
+    if (!bh::Json::parse(text, doc, &err)) {
+        std::fprintf(stderr, "bh_collect: %s: JSON parse error: %s\n",
+                     path.c_str(), err.c_str());
+        return false;
     }
-
-    std::vector<LoadedReport> inputs;
-    std::string err;
-    for (const std::string &file : files) {
-        LoadedReport report;
-        if (!loadReportFile(file, report, err)) {
-            std::fprintf(stderr, "bh_collect: %s\n", err.c_str());
-            return 2;
-        }
-        inputs.push_back(std::move(report));
-    }
-
-    MergeResult merge;
-    if (!mergeReports(inputs, merge, err)) {
-        std::fprintf(stderr, "bh_collect: merge failed: %s\n", err.c_str());
-        return 1;
-    }
-
-    Json final_doc;
-    if (merge.needsReplay) {
-        const BenchInfo *info = findBench(merge.manifest.experiment);
-        if (!info) {
-            std::fprintf(stderr,
-                         "bh_collect: unknown experiment '%s' (shards from "
-                         "a newer binary?)\n",
-                         merge.manifest.experiment.c_str());
-            return 1;
-        }
-        // No cell simulates during a replay, so a single-worker pool
-        // suffices for both passes below.
-        Runner runner(1);
-
-        // Enumerate this binary's cell grid first: if it diverged from
-        // the grid that produced the shards, fail with the fingerprint
-        // diagnostic instead of dying mid-replay on a missing cell.
-        {
-            BenchContext probe;
-            probe.scale = merge.manifest.scale;
-            probe.channels = merge.manifest.channels;
-            probe.attackFilter = merge.manifest.attackFilter;
-            probe.runner = &runner;
-            probe.mode = BenchContext::CellMode::Enumerate;
-            runBench(*info, probe);
-            const Json *fp = probe.result["manifest"].find("fingerprint");
-            if (!fp || fp->asString() != merge.manifest.fingerprint) {
-                std::fprintf(stderr,
-                             "bh_collect: this binary's grid fingerprint %s "
-                             "does not match the shards' %s — its cell grid "
-                             "diverged from the one that produced the "
-                             "shards\n",
-                             fp ? fp->asString().c_str() : "(none)",
-                             merge.manifest.fingerprint.c_str());
-                return 1;
-            }
-        }
-
-        // Replay the experiment's aggregation over the merged payloads.
-        BenchContext ctx;
-        ctx.scale = merge.manifest.scale;
-        ctx.channels = merge.manifest.channels;
-        ctx.attackFilter = merge.manifest.attackFilter;
-        ctx.runner = &runner;
-        ctx.mode = BenchContext::CellMode::Replay;
-        ctx.replayCells = &merge.cells;
-        runBench(*info, ctx);
-        final_doc = std::move(ctx.result);
-    } else {
-        final_doc = std::move(merge.merged);
-    }
-
-    if (out_path.empty())
-        out_path = "BENCH_" + merge.manifest.experiment + ".json";
-    std::string write_err;
-    if (!atomicWriteFile(out_path, final_doc.dump(2) + "\n", write_err)) {
-        std::fprintf(stderr, "bh_collect: %s\n", write_err.c_str());
-        return 2;
-    }
-    std::printf("bh_collect: merged %zu input(s), %llu cell(s) -> %s%s\n",
-                inputs.size(),
-                static_cast<unsigned long long>(merge.manifest.cellTotal),
-                out_path.c_str(),
-                merge.needsReplay ? " (aggregation replayed)" : "");
-    return 0;
-}
-
-int
-cmdStatus(const std::vector<std::string> &args)
-{
-    using namespace bh;
-    namespace fs = std::filesystem;
-
-    double stale_after = 3600.0;
-
-    // Expand directory arguments into the BENCH_*.json files they hold.
-    // Quarantined files (*.corrupt, left by bh_farm when a committed
-    // result was torn/mangled) are counted, not loaded.
-    std::vector<std::string> files;
-    std::uint64_t quarantined = 0;
-    for (std::size_t ai = 0; ai < args.size(); ++ai) {
-        const std::string &arg = args[ai];
-        if (arg == "--stale-after") {
-            if (++ai >= args.size()) {
-                std::fprintf(stderr,
-                             "bh_collect: --stale-after needs a value\n");
-                return 2;
-            }
-            stale_after = std::atof(args[ai].c_str());
-            continue;
-        }
-        if (!arg.empty() && arg[0] == '-') {
-            std::fprintf(stderr, "bh_collect status: unknown option %s\n",
-                         arg.c_str());
-            return 2;
-        }
-        std::error_code ec;
-        if (fs::is_directory(arg, ec)) {
-            // Non-throwing iteration: an unreadable subtree is an IO
-            // error (exit 2), never a crash or a silently shorter scan —
-            // under-reporting is the one failure a coverage tool must
-            // not have.
-            auto it = fs::recursive_directory_iterator(arg, ec);
-            for (; !ec && it != fs::recursive_directory_iterator();
-                 it.increment(ec)) {
-                std::error_code type_ec;
-                if (!it->is_regular_file(type_ec) || type_ec)
-                    continue;
-                std::string name = it->path().filename().string();
-                if (name.rfind("BENCH_", 0) != 0)
-                    continue;
-                if (name.find(".corrupt") != std::string::npos) {
-                    ++quarantined;
-                    continue;
-                }
-                // BENCH_perf.json self-profiles are not shard reports;
-                // they are read separately for per-shard elapsed time.
-                if (name.size() > 5 &&
-                    name.compare(name.size() - 5, 5, ".json") == 0 &&
-                    name != "BENCH_perf.json")
-                    files.push_back(it->path().string());
-            }
-            if (ec) {
-                std::fprintf(stderr,
-                             "bh_collect status: error scanning %s: %s\n",
-                             arg.c_str(), ec.message().c_str());
-                return 2;
-            }
-        } else {
-            files.push_back(arg);
-        }
-    }
-    if (files.empty()) {
-        std::fprintf(stderr,
-                     "bh_collect status: no BENCH_*.json inputs found\n");
-        return 2;
-    }
-    std::sort(files.begin(), files.end());
-
-    // A corrupt shard file must not hide the status of the healthy ones:
-    // count and report it (its cells show up as missing) instead of
-    // aborting the whole scan the way merge rightly does.
-    std::vector<LoadedReport> inputs;
-    std::uint64_t corrupt = 0;
-    std::string err;
-    for (const std::string &file : files) {
-        LoadedReport report;
-        if (!loadReportFile(file, report, err)) {
-            std::fprintf(stderr,
-                         "bh_collect: corrupt input skipped: %s\n",
-                         err.c_str());
-            ++corrupt;
-            continue;
-        }
-        inputs.push_back(std::move(report));
-    }
-    if (inputs.empty()) {
-        std::fprintf(stderr,
-                     "bh_collect status: no loadable BENCH_*.json inputs\n");
-        return 2;
-    }
-
-    // Per-shard elapsed time comes from the BENCH_perf.json self-profile
-    // bh_bench writes next to its reports; parse each directory's at
-    // most once.
-    std::map<std::string, Json> perf_by_dir;
-    auto shardElapsed = [&](const std::string &report_path,
-                            const std::string &experiment) -> double {
-        std::string dir = fs::path(report_path).parent_path().string();
-        auto it = perf_by_dir.find(dir);
-        if (it == perf_by_dir.end()) {
-            Json doc;
-            std::ifstream f(dir.empty() ? "BENCH_perf.json"
-                                        : dir + "/BENCH_perf.json",
-                            std::ios::binary);
-            if (f) {
-                std::ostringstream text;
-                text << f.rdbuf();
-                Json::parse(text.str(), doc);
-            }
-            it = perf_by_dir.emplace(dir, std::move(doc)).first;
-        }
-        const Json *exps = it->second.find("experiments");
-        const Json *e = exps ? exps->find(experiment) : nullptr;
-        const Json *wall = e ? e->find("wall_s") : nullptr;
-        return wall ? wall->asDouble() : -1.0;
-    };
-
-    std::map<std::string, const LoadedReport *> by_path;
-    for (const LoadedReport &report : inputs)
-        by_path[report.path] = &report;
-
-    bool all_complete = true;
-    std::printf("%-14s %8s %10s %12s  %s\n", "experiment", "scale",
-                "shards", "cells", "status");
-    for (const GridStatus &g : gridStatus(inputs)) {
-        std::string shard_list;
-        for (const std::string &s : g.shards)
-            shard_list += (shard_list.empty() ? "" : ",") + s;
-        std::printf("%-14s %8s %10s %6llu/%-5llu  %s\n",
-                    g.experiment.c_str(),
-                    Json::formatDouble(g.scale).c_str(),
-                    shard_list.c_str(),
-                    static_cast<unsigned long long>(g.cellsCovered),
-                    static_cast<unsigned long long>(g.cellTotal),
-                    g.complete() ? "complete" : "INCOMPLETE");
-
-        // Per-shard detail: elapsed simulation time and, for incomplete
-        // grids, how long the shard file has sat unchanged (a crashed or
-        // wedged shard run never finishes its file).
-        double elapsed_total = 0.0;
-        for (const std::string &path : g.paths) {
-            const LoadedReport *report = by_path[path];
-            double elapsed = shardElapsed(path, g.experiment);
-            if (elapsed > 0.0)
-                elapsed_total += elapsed;
-            std::string stale;
-            if (!g.complete() && stale_after > 0.0) {
-                std::error_code ec;
-                auto mtime = fs::last_write_time(path, ec);
-                if (!ec) {
-                    double age = std::chrono::duration<double>(
-                        decltype(mtime)::clock::now() - mtime).count();
-                    if (age > stale_after)
-                        stale = strfmt("  STALE (unchanged %.0f s)", age);
-                }
-            }
-            std::printf("  shard %u/%-4u %-40s elapsed %s%s\n",
-                        report ? report->manifest.shardIndex : 0,
-                        report ? report->manifest.shardCount : 0,
-                        path.c_str(),
-                        elapsed >= 0.0 ? strfmt("%.2f s", elapsed).c_str()
-                                       : "n/a",
-                        stale.c_str());
-        }
-        if (!g.complete()) {
-            all_complete = false;
-            std::string missing;
-            for (std::uint64_t c : g.missingCells)
-                missing += (missing.empty() ? "" : " ") + std::to_string(c);
-            bool truncated = g.missingCells.size() ==
-                GridStatus::kMaxListedMissing &&
-                g.cellsCovered + g.missingCells.size() < g.cellTotal;
-            std::printf("  missing cells: %s%s\n", missing.c_str(),
-                        truncated ? " ..." : "");
-            // Completion estimate from the covered cells' rate: crude
-            // (cells vary in cost) but enough to size a rerun.
-            if (g.cellsCovered > 0 && elapsed_total > 0.0)
-                std::printf("  estimated remaining: ~%.1f s of shard work "
-                            "(%llu cells at %.2f s/cell)\n",
-                            elapsed_total *
-                                static_cast<double>(g.cellTotal -
-                                                    g.cellsCovered) /
-                                static_cast<double>(g.cellsCovered),
-                            static_cast<unsigned long long>(
-                                g.cellTotal - g.cellsCovered),
-                            elapsed_total /
-                                static_cast<double>(g.cellsCovered));
-        }
-    }
-    if (corrupt > 0 || quarantined > 0)
-        std::printf("corrupt inputs: %llu skipped this scan, %llu "
-                    "quarantined earlier (*.corrupt)\n",
-                    static_cast<unsigned long long>(corrupt),
-                    static_cast<unsigned long long>(quarantined));
-    return all_complete ? 0 : 1;
+    return true;
 }
 
 int
@@ -432,22 +109,9 @@ cmdPerfGate(const std::vector<std::string> &args)
     }
 
     Json docs[2];
-    for (int i = 0; i < 2; ++i) {
-        std::ifstream f(files[i], std::ios::binary);
-        if (!f) {
-            std::fprintf(stderr, "bh_collect: cannot open %s\n",
-                         files[i].c_str());
+    for (int i = 0; i < 2; ++i)
+        if (!loadJson(files[i], docs[i]))
             return 2;
-        }
-        std::ostringstream text;
-        text << f.rdbuf();
-        std::string err;
-        if (!Json::parse(text.str(), docs[i], &err)) {
-            std::fprintf(stderr, "bh_collect: %s: JSON parse error: %s\n",
-                         files[i].c_str(), err.c_str());
-            return 2;
-        }
-    }
 
     PerfGateResult gate = perfGate(docs[0], docs[1], min_ratio);
     for (const std::string &line : gate.lines)
@@ -496,21 +160,9 @@ cmdPareto(const std::vector<std::string> &args)
     std::map<std::string, Json> docs;
     std::map<std::string, std::string> paths;
     for (const std::string &file : files) {
-        std::ifstream f(file, std::ios::binary);
-        if (!f) {
-            std::fprintf(stderr, "bh_collect: cannot open %s\n",
-                         file.c_str());
-            return 2;
-        }
-        std::ostringstream text;
-        text << f.rdbuf();
         Json doc;
-        std::string err;
-        if (!Json::parse(text.str(), doc, &err)) {
-            std::fprintf(stderr, "bh_collect: %s: JSON parse error: %s\n",
-                         file.c_str(), err.c_str());
+        if (!loadJson(file, doc))
             return 2;
-        }
         const Json *manifest = doc.find("manifest");
         const Json *exp = manifest ? manifest->find("experiment") : nullptr;
         if (!exp) {
@@ -658,8 +310,9 @@ cmdPareto(const std::vector<std::string> &args)
         row["on_front"] = p.onFront;
         if (p.onFront)
             front.push(p.mech);
+        double norm_ws = p.slowdown != 0.0 ? 1.0 / p.slowdown : 0.0;
         t.addRow({p.mech,
-                  TextTable::num(ratio(1.0, p.slowdown), 3),
+                  TextTable::num(norm_ws, 3),
                   p.hasArea ? TextTable::num(p.area, 3) : "x",
                   TextTable::num(p.margin, 3) +
                       (p.margin >= 1.0 ? "!" : ""),
@@ -724,22 +377,9 @@ cmdDiff(const std::vector<std::string> &args)
     }
 
     Json docs[2];
-    for (int i = 0; i < 2; ++i) {
-        std::ifstream f(files[i], std::ios::binary);
-        if (!f) {
-            std::fprintf(stderr, "bh_collect: cannot open %s\n",
-                         files[i].c_str());
+    for (int i = 0; i < 2; ++i)
+        if (!loadJson(files[i], docs[i]))
             return 2;
-        }
-        std::ostringstream text;
-        text << f.rdbuf();
-        std::string err;
-        if (!Json::parse(text.str(), docs[i], &err)) {
-            std::fprintf(stderr, "bh_collect: %s: JSON parse error: %s\n",
-                         files[i].c_str(), err.c_str());
-            return 2;
-        }
-    }
 
     std::vector<std::string> diffs = structuralDiff(docs[0], docs[1], opts);
     for (const std::string &line : diffs)
@@ -768,12 +408,8 @@ main(int argc, char **argv)
         usage(stdout);
         return 0;
     }
-    if (cmd == "merge")
-        return cmdMerge(args);
     if (cmd == "diff")
         return cmdDiff(args);
-    if (cmd == "status")
-        return cmdStatus(args);
     if (cmd == "perfgate")
         return cmdPerfGate(args);
     if (cmd == "pareto")

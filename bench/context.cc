@@ -1,8 +1,8 @@
 /**
  * @file
  * BenchContext::runCells — the one entry point every experiment's sweep
- * cells go through, and the seam where sharding, cell enumeration, and
- * bh_collect replay plug into the bench layer.
+ * cells go through, and the seam where one-cell runs, cell enumeration,
+ * and bh_farm replay plug into the bench layer.
  */
 
 #include <chrono>
@@ -42,25 +42,20 @@ BenchContext::runCells(const std::string &label, std::size_t n,
                 replayCells->find(std::to_string(first + i));
             if (!payload || payload->isNull())
                 fatal("replay: cell %llu (phase \"%s\") missing from "
-                      "merged shards",
+                      "the collected cells",
                       static_cast<unsigned long long>(first + i),
                       label.c_str());
             out[i] = *payload;
         }
     } else {
-        // Block-local indices of the cells this shard owns; cells keep
-        // their block-local index in `fn`, so a sharded run executes
-        // exactly the same fn(i) calls an unsharded run would. A
-        // one-cell run additionally drops every other cell.
+        // Block-local indices of the cells to execute; cells keep their
+        // block-local index in `fn`, so a one-cell run executes exactly
+        // the fn(i) call a full run would for that cell.
         std::vector<std::size_t> owned;
         owned.reserve(n);
-        for (std::size_t i = 0; i < n; ++i) {
-            if (!shardOwns(shard, first + i))
-                continue;
-            if (onlyCell && *onlyCell != first + i)
-                continue;
-            owned.push_back(i);
-        }
+        for (std::size_t i = 0; i < n; ++i)
+            if (!onlyCell || *onlyCell == first + i)
+                owned.push_back(i);
         if (!runner)
             panic("runCells: no runner configured");
         runner->forEach(owned.size(), [&](std::size_t k) {
@@ -88,11 +83,11 @@ BenchContext::runCells(const std::string &label, std::size_t n,
     }
 
     // Record the produced payloads by global index (ascending: `out` is
-    // walked in order, so shard files and replayed reports serialize
-    // their cells identically).
+    // walked in order, so partial and replayed reports serialize their
+    // cells identically).
     for (std::size_t i = 0; i < n; ++i) {
         if (out[i].isNull())
-            continue;       // unowned cell of a sharded run
+            continue;    // skipped by a one-cell run
         cells[std::to_string(first + i)] = out[i];
         ++cellsRun;
     }

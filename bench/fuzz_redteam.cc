@@ -15,9 +15,9 @@
  * regression cell (see DESIGN.md "Security verification").
  *
  * Every chain is deterministic from a name-derived seed, and each cell
- * is one self-contained chain — so the grid shards, farms, and
- * reproduces byte-identically at any --jobs / --channel-threads / skip
- * mode like every other experiment.
+ * is one self-contained chain — so the grid farms, runs cell by cell,
+ * and reproduces byte-identically at any --jobs / --channel-threads /
+ * skip mode like every other experiment.
  */
 
 #include <map>
@@ -65,7 +65,7 @@ benchFuzz(BenchContext &ctx)
 
     // One runCells phase per mechanism, one cell per island: cells are
     // whole search chains, so the manifest names exactly what each
-    // shard computes.
+    // cell computes.
     std::map<std::string, std::vector<Json>> cells_by_mech;
     for (const auto &mech : mechs) {
         cells_by_mech[mech] = ctx.runCells(
@@ -77,8 +77,8 @@ benchFuzz(BenchContext &ctx)
                 rc.population = population;
                 rc.generations = generations;
                 rc.survivors = 2;
-                // Name-derived chain seed: stable across shardings and
-                // binary versions, decorrelated between islands.
+                // Name-derived chain seed: stable across one-cell runs
+                // and binary versions, decorrelated between islands.
                 rc.seed = fnv1a64(strfmt("fuzz:%s:island%zu",
                                          mech.c_str(), island));
                 RedTeamResult r = redTeamSearch(rc);

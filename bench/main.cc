@@ -8,12 +8,11 @@
  * Determinism: for fixed --scale, the JSON output is byte-identical at
  * any --jobs value (micro's wall-clock timings go to stdout only).
  *
- * Distribution: --shard i/n runs only the sweep cells shard i owns and
- * writes partial reports (manifest + raw cell payloads); `bh_collect
- * merge` recombines n shards into a report byte-identical to an
- * unsharded run. Every output carries a run manifest with a grid
- * fingerprint and per-cell digests, so merges of mismatched or edited
- * shards fail loudly.
+ * Distribution: --cell N runs one sweep cell and writes a partial
+ * report (manifest + its raw payload); bh_farm spreads a whole grid
+ * over worker processes and merges it into a report byte-identical to
+ * a plain run. Every output carries a run manifest with a grid
+ * fingerprint and per-cell digests.
  */
 
 #include <chrono>
@@ -64,10 +63,10 @@ usage(std::FILE *out)
         "                byte-identical for any value\n"
         "  --attack NAME restrict attack-catalog experiments (secsweep)\n"
         "                to patterns whose name contains NAME; part of\n"
-        "                the grid identity (shards merge only with the\n"
-        "                same filter). See --list for the catalog.\n"
-        "  --shard I/N   run only the sweep cells shard I of N owns and\n"
-        "                write partial reports for bh_collect merge\n"
+        "                the grid identity (a farm merges only cells of\n"
+        "                the same filter). See --list for the catalog.\n"
+        "  --cell N      run only global sweep cell N (see --list for the\n"
+        "                counts) and write a partial report of its payload\n"
         "  --out DIR     directory for the JSON outputs (default: .)\n"
         "  --trace FILE[:FILTER]\n"
         "                write a Chrome trace_event JSON timeline of the\n"
@@ -95,7 +94,7 @@ main(int argc, char **argv)
     double scale = benchScale();
     unsigned jobs = 0;      // 0 = hardware concurrency
     std::string out_dir = ".";
-    ShardSpec shard;
+    std::optional<std::uint64_t> only_cell;
     SkipMode skip = SkipMode::kEventSkip;
     unsigned channels = 1;
     unsigned channel_threads = 1;
@@ -151,15 +150,8 @@ main(int argc, char **argv)
             channel_threads = static_cast<unsigned>(n);
         } else if (!std::strcmp(arg, "--attack")) {
             attack_filter = value();
-        } else if (!std::strcmp(arg, "--shard")) {
-            const char *spec = value();
-            unsigned idx = 0, count = 0;
-            if (std::sscanf(spec, "%u/%u", &idx, &count) != 2 ||
-                count < 1 || count > 4096 || idx >= count)
-                fatal("--shard wants I/N with 0 <= I < N <= 4096, got '%s'",
-                      spec);
-            shard.index = idx;
-            shard.count = count;
+        } else if (!std::strcmp(arg, "--cell")) {
+            only_cell = parseCellIndex(value());
         } else if (!std::strcmp(arg, "--out")) {
             out_dir = value();
         } else if (!std::strcmp(arg, "--trace")) {
@@ -184,7 +176,7 @@ main(int argc, char **argv)
 
     if (list) {
         // Enumerate the cell spaces without simulating anything, so the
-        // counts guide the choice of N for --shard I/N.
+        // counts guide the choice of N for --cell N.
         Runner runner(1);
         std::printf("%-14s %8s  %s\n", "experiment", "cells", "title");
         for (const auto &info : benchRegistry()) {
@@ -212,7 +204,7 @@ main(int argc, char **argv)
             }
         }
         std::printf("\ncell counts are per experiment at scale %.2g; "
-                    "0 = analytic (runs whole in every shard)\n", scale);
+                    "0 = analytic (runs whole, even under --cell)\n", scale);
         std::printf("\nattack-pattern catalog (secsweep; filter with "
                     "--attack NAME):\n");
         for (const auto &spec : attackPatternCatalog())
@@ -257,8 +249,9 @@ main(int argc, char **argv)
     if (channels > 1)
         std::printf(", %u channels (%u lane thread(s))", channels,
                     channel_threads);
-    if (shard.count > 1)
-        std::printf(", shard %u/%u", shard.index, shard.count);
+    if (only_cell)
+        std::printf(", cell %llu only",
+                    static_cast<unsigned long long>(*only_cell));
     if (trace_path.size())
         std::printf("tracing to %s%s%s\n", trace_path.c_str(),
                     trace_filter.empty() ? "" : ", categories: ",
@@ -276,7 +269,7 @@ main(int argc, char **argv)
         ctx.channelThreads = channel_threads;
         ctx.attackFilter = attack_filter;
         ctx.runner = &runner;
-        ctx.shard = shard;
+        ctx.onlyCell = only_cell;
         ctx.skip = skip;
 
         auto t0 = std::chrono::steady_clock::now();
@@ -329,10 +322,9 @@ main(int argc, char **argv)
         std::string path =
             out_dir + "/BENCH_" + std::string(info->name) + ".json";
         atomicWriteFileOrDie(path, ctx.result.dump(2) + "\n");
-        if (shard.count > 1)
-            std::printf("[%s: shard %u/%u ran %llu of %llu cells, "
-                        "%.2f s -> %s]\n\n",
-                        info->name, shard.index, shard.count,
+        if (only_cell)
+            std::printf("[%s: ran %llu of %llu cells, %.2f s -> %s]\n\n",
+                        info->name,
                         static_cast<unsigned long long>(ctx.cellsRun),
                         static_cast<unsigned long long>(ctx.nextCell),
                         secs, path.c_str());
@@ -370,7 +362,6 @@ main(int argc, char **argv)
         perf["jobs"] = static_cast<std::int64_t>(runner.jobs());
         perf["channels"] = static_cast<std::int64_t>(channels);
         perf["channel_threads"] = static_cast<std::int64_t>(channel_threads);
-        perf["shard"] = strfmt("%u/%u", shard.index, shard.count);
         perf["started_unix"] = started_unix;
         perf["finished_unix"] =
             static_cast<std::int64_t>(std::time(nullptr));

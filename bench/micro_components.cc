@@ -85,10 +85,10 @@ timeLoop(const std::string &name, std::uint64_t iters, const Op &op)
 void
 benchMicro(BenchContext &ctx)
 {
-    // Self-timed, no simulation cells: every shard (and a bh_collect
+    // Self-timed, no simulation cells: every run (a --cell run, a
     // replay) re-times the loops; only the deterministic iteration
-    // counts and checksums reach the JSON, so outputs still merge
-    // byte-identically.
+    // counts and checksums reach the JSON, so outputs stay
+    // byte-identical.
     if (!ctx.aggregate())
         return;
     const std::uint64_t iters =

@@ -1,5 +1,7 @@
 #include "bench/registry.hh"
 
+#include <cctype>
+
 #include "bench/experiments.hh"
 #include "report/report.hh"
 
@@ -76,13 +78,26 @@ findBench(const std::string &name)
     return nullptr;
 }
 
+std::uint64_t
+parseCellIndex(const char *text)
+{
+    char *end = nullptr;
+    std::uint64_t cell = std::strtoull(text, &end, 10);
+    if (!std::isdigit(static_cast<unsigned char>(text[0])) || *end != '\0')
+        fatal("--cell wants a global cell index (see bh_bench --list), "
+              "got '%s'",
+              text);
+    return cell;
+}
+
 /**
- * Grid identity hash: two runs can only be merged when they agree on
+ * Grid identity hash: a farm only combines cells whose runs agree on
  * the experiment, scale, channel count, cell space, and per-cell
  * seeding scheme. The cellSeed probe folds the seeding algorithm itself
  * into the hash, so a change to the seed mixing can never silently
- * merge with old shards. Single-channel grids hash exactly as before
- * this field existed, so pre-existing shard files stay mergeable.
+ * mix with cells of an older binary. Single-channel grids hash exactly
+ * as before this field existed, so checked-in goldens keep their
+ * fingerprints.
  */
 std::string
 benchGridFingerprint(const BenchInfo &info, const BenchContext &ctx)
@@ -93,8 +108,7 @@ benchGridFingerprint(const BenchInfo &info, const BenchContext &ctx)
     if (ctx.channels != 1)
         h = fnv1a64(strfmt("channels-%u", ctx.channels), h);
     // An --attack filter reshapes the cell grid; like channels, the
-    // default (no filter) hashes exactly as before the field existed so
-    // pre-existing shard files stay mergeable.
+    // default (no filter) hashes exactly as before the field existed.
     if (!ctx.attackFilter.empty())
         h = fnv1a64("attack-" + ctx.attackFilter, h);
     h = fnv1a64(std::to_string(ctx.nextCell), h);
@@ -122,13 +136,20 @@ runBench(const BenchInfo &info, BenchContext &ctx)
     ctx.phases.clear();
 
     info.fn(ctx);
+    if (ctx.onlyCell && ctx.nextCell > 0 && *ctx.onlyCell >= ctx.nextCell)
+        fatal("%s: cell %llu is outside the %llu-cell grid (see bh_bench "
+              "--list)",
+              info.name, static_cast<unsigned long long>(*ctx.onlyCell),
+              static_cast<unsigned long long>(ctx.nextCell));
 
     Json manifest = Json::object();
     manifest["format_version"] = kBenchFormatVersion;
     manifest["experiment"] = info.name;
     manifest["scale"] = ctx.scale;
-    manifest["shard_index"] = ctx.shard.index;
-    manifest["shard_count"] = ctx.shard.count;
+    // Always shard 0 of 1: manifest format version 1 has these two
+    // fields, and every checked-in golden carries them.
+    manifest["shard_index"] = 0;
+    manifest["shard_count"] = 1;
     // Self-description only when non-default, keeping single-channel
     // reports byte-identical to older binaries (the fingerprint already
     // separates the grids).

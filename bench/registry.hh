@@ -10,6 +10,7 @@
 #ifndef BH_BENCH_REGISTRY_HH
 #define BH_BENCH_REGISTRY_HH
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -36,17 +37,21 @@ const BenchInfo *findBench(const std::string &name);
 /**
  * Run one experiment: prints its header (except in Enumerate mode),
  * executes it, and stamps the result JSON with the experiment name,
- * scale, a run manifest (shard spec, cell counts, grid fingerprint,
- * per-cell digests), and the recorded cell payloads. The caller
- * provides the context (scale, runner, cell mode/shard) and owns the
- * filled result; bh_collect merges sharded results back together.
+ * scale, a run manifest (cell counts, grid fingerprint, per-cell
+ * digests), and the recorded cell payloads. The caller provides the
+ * context (scale, runner, cell mode, onlyCell) and owns the filled
+ * result; bh_farm merge replays one-cell results back together.
+ * fatal()s when ctx.onlyCell lies outside an experiment's cell grid.
  */
 void runBench(const BenchInfo &info, BenchContext &ctx);
 
+/** Parse a `--cell N` value (a decimal cell index); fatal() otherwise. */
+std::uint64_t parseCellIndex(const char *text);
+
 /**
  * Grid identity hash of an experiment at the context's scale/channels:
- * call after an Enumerate pass has filled ctx.phases/nextCell. Shards
- * (and farm cells) only combine when their fingerprints agree.
+ * call after an Enumerate pass has filled ctx.phases/nextCell. Farm
+ * cells only combine when their fingerprints agree.
  */
 std::string benchGridFingerprint(const BenchInfo &info,
                                  const BenchContext &ctx);

@@ -65,7 +65,7 @@ measure(BenchContext &ctx, const std::string &label,
     RhliStats out;
     for (const Json &c : cells) {
         if (c.isNull())
-            continue;   // unowned cell of a sharded partial run
+            continue;    // cell skipped by a one-cell partial run
         if (const Json *attack = c.find("attack"))
             for (std::size_t i = 0; i < attack->size(); ++i)
                 out.attack.push_back(attack->at(i).asDouble());

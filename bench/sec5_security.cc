@@ -52,7 +52,7 @@ void
 benchSec5(BenchContext &ctx)
 {
     // The empirical adversary runs are this experiment's only simulation
-    // cells; declare them first so sharded runs can stop right after.
+    // cells; declare them first so one-cell runs can stop right after.
     // Compressed windows keep the empirical run fast; ratios match the
     // paper configuration exactly. Independent cells, one per threshold.
     const std::vector<std::uint32_t> emp_nrh = {4096u, 2048u, 1024u};

@@ -14,7 +14,7 @@ namespace bh
 void
 benchTable1(BenchContext &ctx)
 {
-    // Analytic: no simulation cells, runs whole in every shard.
+    // Analytic: no simulation cells, runs whole even under --cell.
     if (!ctx.aggregate())
         return;
     auto timings = DramTimings::ddr4();

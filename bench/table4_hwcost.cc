@@ -65,7 +65,7 @@ printForThreshold(const HwCostModel &model, std::uint32_t n_rh)
 void
 benchTable4(BenchContext &ctx)
 {
-    // Analytic: no simulation cells, runs whole in every shard.
+    // Analytic: no simulation cells, runs whole even under --cell.
     if (!ctx.aggregate())
         return;
     // The whole-CPU area percentage merges the per-channel instances:

@@ -13,7 +13,7 @@ namespace bh
 void
 benchTable7(BenchContext &ctx)
 {
-    // Analytic: no simulation cells, runs whole in every shard.
+    // Analytic: no simulation cells, runs whole even under --cell.
     if (!ctx.aggregate())
         return;
     Json rows = Json::object();

@@ -1,7 +1,5 @@
 #include "analysis/security_oracle.hh"
 
-#include <algorithm>
-
 #include "common/log.hh"
 
 namespace bh
@@ -9,13 +7,12 @@ namespace bh
 
 SecurityOracle::SecurityOracle(const DramOrg &org,
                                const SecurityOracleConfig &config)
-    : cfg(config), rows(org.rowsPerBank), banks(org.banksPerChannel())
+    : cfg(config), rows(org.rowsPerBank)
 {
     if (cfg.windowCycles <= 0)
         fatal("SecurityOracle: windowCycles must be positive");
     if (cfg.nRH == 0)
         fatal("SecurityOracle: nRH must be positive");
-    sinceRefresh.assign(static_cast<std::size_t>(banks) * rows, 0);
 }
 
 void
@@ -32,13 +29,7 @@ void
 SecurityOracle::onActivate(unsigned bank, RowId row, Cycle now)
 {
     ++acts;
-    std::size_t i = index(bank, row);
-
-    auto &since = sinceRefresh[i];
-    ++since;
-    maxSinceRefresh = std::max<std::uint64_t>(maxSinceRefresh, since);
-
-    RowState &state = touched[i];
+    RowState &state = touched[index(bank, row)];
     state.window.push_back(now);
     prune(state, now);
     auto count = static_cast<std::uint64_t>(state.window.size());
@@ -51,31 +42,6 @@ SecurityOracle::onActivate(unsigned bank, RowId row, Cycle now)
             state.violated = true;
             ++numViolatingRows;
         }
-    }
-}
-
-void
-SecurityOracle::onRowRefresh(unsigned bank, RowId row)
-{
-    // Refreshing a row restores its victims' charge but does not erase
-    // the activations it already issued: the sliding window is left
-    // intact (straddle attacks must remain visible); only the
-    // refresh-aligned counter resets.
-    sinceRefresh[index(bank, row)] = 0;
-}
-
-void
-SecurityOracle::onAutoRefresh(RowId first_row, unsigned num_rows)
-{
-    // Rows first..first+num_rows-1 modulo the bank: at most two
-    // contiguous ranges per bank (the wrap splits one).
-    std::size_t first = first_row % rows;
-    std::size_t n = std::min<std::size_t>(num_rows, rows);
-    std::size_t head = std::min(n, rows - first);
-    for (unsigned b = 0; b < banks; ++b) {
-        auto bank = sinceRefresh.begin() + index(b, 0);
-        std::fill_n(bank + first, head, 0u);
-        std::fill_n(bank, n - head, 0u);
     }
 }
 

@@ -11,9 +11,10 @@
  * hammers N_RH/2 times just before a row's refresh and N_RH/2 just
  * after shows only N_RH/2 per refresh interval, yet a victim whose own
  * refresh sits half a window out of phase absorbs the full N_RH of
- * disturbance. A row's own refresh therefore does NOT reset its sliding
- * count (the straddle case); it only resets the secondary
- * between-own-refresh counter the oracle also tracks for comparison.
+ * disturbance. The oracle therefore observes activations only: no
+ * refresh can reset a sliding count (the straddle case), by
+ * construction. The refresh-aligned count lives in HammerObserver
+ * (RunResult::maxRowActs).
  *
  * The verdict of a run is its *disturbance margin*: the maximum sliding
  * window count any row ever reached, divided by N_RH. margin < 1 means
@@ -31,7 +32,6 @@
 #include <cstdint>
 #include <deque>
 #include <unordered_map>
-#include <vector>
 
 #include "common/types.hh"
 #include "dram/org.hh"
@@ -64,12 +64,6 @@ class SecurityOracle
     /** Record a demand activation of (bank, row) at `now`. */
     void onActivate(unsigned bank, RowId row, Cycle now);
 
-    /** Record a refresh of one row (resets the between-refresh count). */
-    void onRowRefresh(unsigned bank, RowId row);
-
-    /** Record an auto-refresh sweep of a row range in every bank. */
-    void onAutoRefresh(RowId first_row, unsigned num_rows);
-
     /** Max sliding-window count any row ever reached. */
     std::uint64_t maxWindowActs() const { return peakState.acts; }
 
@@ -90,23 +84,12 @@ class SecurityOracle
     /** Distinct rows whose window count ever reached N_RH. */
     std::uint64_t violatingRows() const { return numViolatingRows; }
 
-    /** Max activations any row received between its own refreshes (the
-     *  weaker, refresh-aligned counter; see file comment). */
-    std::uint64_t maxActsBetweenRefreshes() const { return maxSinceRefresh; }
-
     /** Total activations observed. */
     std::uint64_t activationCount() const { return acts; }
 
     /** Current window count of one row at `now` (test introspection;
      *  prunes expired activations as a side effect). */
     std::uint32_t currentWindowActs(unsigned bank, RowId row, Cycle now);
-
-    /** Activations of one row since its own last refresh. */
-    std::uint32_t
-    actsSinceRefresh(unsigned bank, RowId row) const
-    {
-        return sinceRefresh[index(bank, row)];
-    }
 
     const SecurityOracleConfig &config() const { return cfg; }
 
@@ -128,15 +111,11 @@ class SecurityOracle
 
     SecurityOracleConfig cfg;
     unsigned rows = 0;
-    unsigned banks = 0;
     /** Sparse per-row sliding windows, keyed by flat (bank, row). */
     std::unordered_map<std::size_t, RowState> touched;
-    /** Dense between-own-refresh counters (reset on refresh). */
-    std::vector<std::uint32_t> sinceRefresh;
     OraclePeak peakState;
     Cycle firstViolation = kNoEventCycle;
     std::uint64_t numViolatingRows = 0;
-    std::uint64_t maxSinceRefresh = 0;
     std::uint64_t acts = 0;
 };
 

@@ -6,8 +6,9 @@
  * atomicWriteFile() provides it via the classic temp + fsync + rename
  * protocol — after a crash at any instruction, the destination path
  * either holds its previous content or the complete new content, never
- * a prefix. bh_bench report emission, bh_collect merge output, and the
- * bh_farm lease/state machinery all write through these helpers.
+ * a prefix. bh_bench report emission, bh_collect and bh_farm merge
+ * output, and the bh_farm lease/state machinery all write through these
+ * helpers.
  */
 
 #ifndef BH_COMMON_FSIO_HH

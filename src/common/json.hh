@@ -2,7 +2,7 @@
  * @file
  * Minimal JSON value with deterministic serialization and a parser that
  * round-trips it, used for the machine-readable BENCH_*.json experiment
- * outputs and the bh_collect aggregation subsystem.
+ * outputs, the bh_farm commit records, and the bh_collect tools.
  *
  * Object keys keep insertion order and doubles print as the shortest
  * round-trip decimal, so two runs that compute identical values serialize

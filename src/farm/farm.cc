@@ -907,6 +907,25 @@ Farm::status(const std::string &worker)
 bool
 Farm::collectCells(Json &cells, std::string &err)
 {
+    // Revalidate the commit digests before the status scan below, which
+    // would quarantine a mismatching record and re-open its cell: an
+    // edit after commit fails the collect naming the file instead.
+    cells = Json::object();
+    for (std::uint64_t cell = 0; cell < spec_.cellTotal; ++cell) {
+        Json rec;
+        if (!loadJsonFile(paths_.doneFile(cell), rec))
+            continue;    // not committed: the status check reports it
+        const Json *payload = rec.find("payload");
+        std::string digest = strField(rec, "digest");
+        if (!payload || digest.empty() ||
+            cellDigest(*payload) != digest) {
+            err = paths_.doneFile(cell) + ": payload does not match the "
+                  "digest recorded at commit";
+            return false;
+        }
+        cells[std::to_string(cell)] = *payload;
+    }
+
     FarmStatus st = status("collect");
     if (!st.complete) {
         std::string poisoned;
@@ -920,23 +939,10 @@ Farm::collectCells(Json &cells, std::string &err)
             err += "; poisoned: " + poisoned;
         return false;
     }
-
-    cells = Json::object();
-    for (std::uint64_t cell = 0; cell < spec_.cellTotal; ++cell) {
-        Json rec;
-        if (!loadJsonFile(paths_.doneFile(cell), rec)) {
-            err = paths_.doneFile(cell) + ": vanished during collect";
-            return false;
-        }
-        const Json *payload = rec.find("payload");
-        std::string digest = strField(rec, "digest");
-        if (!payload || digest.empty() ||
-            cellDigest(*payload) != digest) {
-            err = paths_.doneFile(cell) + ": digest mismatch during "
-                  "collect";
-            return false;
-        }
-        cells[std::to_string(cell)] = *payload;
+    if (cells.size() != spec_.cellTotal) {
+        err = "farm changed during collect (a worker is still "
+              "committing); collect again";
+        return false;
     }
     return true;
 }

@@ -3,8 +3,8 @@
  * bh_farm: a filesystem-based, fault-tolerant work-stealing coordinator
  * for bh_bench sweep grids.
  *
- * A farm directory owns one experiment grid (identified by the same
- * grid fingerprint the shard/merge layer uses). Worker processes lease
+ * A farm directory owns one experiment grid (identified by the grid
+ * fingerprint every BENCH_*.json manifest carries). Worker processes lease
  * cells through atomically-claimed lease files, run them, and commit
  * results with crash-safe writes; dead or hung workers are detected by
  * heartbeat timestamps and per-cell wall-clock budgets, their leases
@@ -16,9 +16,10 @@
  *
  * Layering: this library is simulation-free — it schedules opaque cell
  * indices and stores opaque JSON payloads. The bh_farm CLI plugs in the
- * bench registry as the cell runner and reuses report-layer merging, so
- * the merged output is byte-identical to an unsharded bh_bench run no
- * matter how many crashes, retries, or duplicate executions occurred.
+ * bench registry as the cell runner and replays the experiment's
+ * aggregation over the collected payloads, so the merged output is
+ * byte-identical to a plain bh_bench run no matter how many crashes,
+ * retries, or duplicate executions occurred.
  *
  * Disk layout of a farm directory:
  *
@@ -242,7 +243,8 @@ class Farm
      * Collect every committed payload into an object keyed by cell
      * index ("0".."N-1", ascending). Fails (with a diagnostic) unless
      * the farm is complete. The digests recorded at commit time are
-     * revalidated against the payload bytes.
+     * revalidated against the payload bytes first, so a record edited
+     * after commit fails the collect naming its file.
      */
     bool collectCells(Json &cells, std::string &err);
 

@@ -3,7 +3,7 @@
  * bh_lint: the repo's in-tree static analyzer.
  *
  * Every correctness claim this repo makes — byte-identical BENCH_*.json
- * for any --jobs/--shard/--channel-threads/--skip combination,
+ * for any --jobs/--cell/--channel-threads/--skip combination,
  * observation-only TraceSink and SecurityOracle hooks — is enforced
  * dynamically by differential tests that re-run the simulator. bh_lint
  * enforces the *source patterns* behind those claims statically, so a

@@ -167,8 +167,6 @@ MemController::tryRefresh(Cycle now)
         energy->onCommand(DramCommand::kRef, now);
     if (hammer)
         hammer->onAutoRefresh(range.firstRow, range.numRows);
-    if (secOracle)
-        secOracle->onAutoRefresh(range.firstRow, range.numRows);
     mitig.onAutoRefresh(range.firstRow, range.numRows, now);
     nextRefreshAt += dram.timings().tREFI;
     refreshPending = false;
@@ -215,8 +213,6 @@ MemController::tryVictimRefresh(Cycle now)
                     // model; see DESIGN.md "refresh-induced disturbance".
                     hammer->onRowRefresh(fb, op.row);
                 }
-                if (secOracle)
-                    secOracle->onRowRefresh(fb, op.row);
                 op.activated = true;
                 return true;
             }

@@ -2,10 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
-#include <map>
-#include <set>
-#include <sstream>
 
 #include "common/log.hh"
 
@@ -41,394 +37,6 @@ std::string
 hex64(std::uint64_t value)
 {
     return strfmt("%016llx", static_cast<unsigned long long>(value));
-}
-
-std::string
-RunManifest::phaseOf(std::uint64_t cell) const
-{
-    for (const Phase &p : phases)
-        if (cell >= p.firstCell && cell < p.firstCell + p.count)
-            return p.label;
-    return "?";
-}
-
-namespace
-{
-
-/** Fetch a required member of `obj` with the given type predicate. */
-const Json *
-member(const Json &obj, const char *key, Json::Type type, std::string &err)
-{
-    const Json *j = obj.find(key);
-    if (!j) {
-        err = strfmt("manifest is missing '%s'", key);
-        return nullptr;
-    }
-    bool numeric_ok = type == Json::Type::Int &&
-        j->type() == Json::Type::Double;
-    if (j->type() != type && !numeric_ok) {
-        err = strfmt("manifest member '%s' has the wrong type", key);
-        return nullptr;
-    }
-    return j;
-}
-
-} // namespace
-
-bool
-parseManifest(const Json &doc, RunManifest &out, std::string &err)
-{
-    const Json *m = doc.find("manifest");
-    if (!m || m->type() != Json::Type::Object) {
-        err = "document has no run manifest (not written by bh_bench?)";
-        return false;
-    }
-
-    const Json *v;
-    if (!(v = member(*m, "format_version", Json::Type::Int, err)))
-        return false;
-    out.formatVersion = static_cast<int>(v->asInt());
-    if (out.formatVersion != kBenchFormatVersion) {
-        err = strfmt("unsupported manifest format version %d (expected %d)",
-                     out.formatVersion, kBenchFormatVersion);
-        return false;
-    }
-    if (!(v = member(*m, "experiment", Json::Type::String, err)))
-        return false;
-    out.experiment = v->asString();
-    if (!(v = m->find("scale")) ||
-        (v->type() != Json::Type::Double && v->type() != Json::Type::Int)) {
-        err = "manifest member 'scale' missing or non-numeric";
-        return false;
-    }
-    out.scale = v->asDouble();
-    out.channels = 1;
-    if ((v = m->find("channels"))) {
-        if (v->type() != Json::Type::Int || v->asInt() < 1) {
-            err = "manifest member 'channels' is not a positive integer";
-            return false;
-        }
-        out.channels = static_cast<unsigned>(v->asInt());
-    }
-    out.attackFilter.clear();
-    if ((v = m->find("attack_filter"))) {
-        if (v->type() != Json::Type::String) {
-            err = "manifest member 'attack_filter' is not a string";
-            return false;
-        }
-        out.attackFilter = v->asString();
-    }
-    if (!(v = member(*m, "shard_index", Json::Type::Int, err)))
-        return false;
-    out.shardIndex = static_cast<unsigned>(v->asInt());
-    if (!(v = member(*m, "shard_count", Json::Type::Int, err)))
-        return false;
-    out.shardCount = static_cast<unsigned>(v->asInt());
-    if (out.shardCount < 1 || out.shardIndex >= out.shardCount) {
-        err = strfmt("invalid shard spec %u/%u", out.shardIndex,
-                     out.shardCount);
-        return false;
-    }
-    if (!(v = member(*m, "partial", Json::Type::Bool, err)))
-        return false;
-    out.partial = v->asBool();
-    if (!(v = member(*m, "cell_total", Json::Type::Int, err)))
-        return false;
-    out.cellTotal = static_cast<std::uint64_t>(v->asInt());
-    if (!(v = member(*m, "cells_run", Json::Type::Int, err)))
-        return false;
-    out.cellsRun = static_cast<std::uint64_t>(v->asInt());
-    if (!(v = member(*m, "fingerprint", Json::Type::String, err)))
-        return false;
-    out.fingerprint = v->asString();
-
-    out.phases.clear();
-    if (!(v = member(*m, "phases", Json::Type::Array, err)))
-        return false;
-    for (std::size_t i = 0; i < v->size(); ++i) {
-        const Json &p = v->at(i);
-        const Json *label = p.find("label");
-        const Json *first = p.find("first_cell");
-        const Json *count = p.find("count");
-        if (!label || label->type() != Json::Type::String ||
-            !first || first->type() != Json::Type::Int ||
-            !count || count->type() != Json::Type::Int) {
-            err = strfmt("manifest phase %zu is malformed", i);
-            return false;
-        }
-        out.phases.push_back(
-            {label->asString(), static_cast<std::uint64_t>(first->asInt()),
-             static_cast<std::uint64_t>(count->asInt())});
-    }
-    return true;
-}
-
-bool
-loadReportText(const std::string &text, const std::string &label,
-               LoadedReport &out, std::string &err)
-{
-    out.path = label;
-    std::string parse_err;
-    if (!Json::parse(text, out.doc, &parse_err)) {
-        err = strfmt("%s: JSON parse error: %s", label.c_str(),
-                     parse_err.c_str());
-        return false;
-    }
-    std::string manifest_err;
-    if (!parseManifest(out.doc, out.manifest, manifest_err)) {
-        err = strfmt("%s: %s", label.c_str(), manifest_err.c_str());
-        return false;
-    }
-    return true;
-}
-
-bool
-loadReportFile(const std::string &path, LoadedReport &out, std::string &err)
-{
-    std::ifstream f(path, std::ios::binary);
-    if (!f) {
-        err = strfmt("cannot open %s", path.c_str());
-        return false;
-    }
-    std::ostringstream text;
-    text << f.rdbuf();
-    return loadReportText(text.str(), path, out, err);
-}
-
-namespace
-{
-
-/** Cells object of a report (empty object when absent). */
-const Json &
-cellsOf(const Json &doc)
-{
-    static const Json empty = Json::object();
-    const Json *cells = doc.find("cells");
-    return cells && cells->type() == Json::Type::Object ? *cells : empty;
-}
-
-/** Parse a cells-object key ("17") into a global cell index. */
-bool
-cellKey(const std::string &key, std::uint64_t &out)
-{
-    if (key.empty() ||
-        key.find_first_not_of("0123456789") != std::string::npos)
-        return false;
-    out = std::strtoull(key.c_str(), nullptr, 10);
-    return true;
-}
-
-/**
- * Validate one input's cells against its own manifest: shard ownership,
- * recorded count, and the per-cell digests that make any post-run edit
- * of a payload fail loudly.
- */
-bool
-validateCells(const LoadedReport &in, std::string &err)
-{
-    const RunManifest &m = in.manifest;
-    const Json &cells = cellsOf(in.doc);
-    const Json *manifest = in.doc.find("manifest");
-    const Json *digests = manifest ? manifest->find("cell_digests") : nullptr;
-    if (!digests || digests->type() != Json::Type::Object) {
-        err = strfmt("%s: manifest has no cell_digests", in.path.c_str());
-        return false;
-    }
-
-    if (cells.size() != m.cellsRun) {
-        err = strfmt("%s: manifest says %llu cells run but %zu recorded",
-                     in.path.c_str(),
-                     static_cast<unsigned long long>(m.cellsRun),
-                     cells.size());
-        return false;
-    }
-    if (digests->size() != cells.size()) {
-        err = strfmt("%s: %zu cell digests for %zu cells", in.path.c_str(),
-                     digests->size(), cells.size());
-        return false;
-    }
-
-    for (const auto &kv : cells.objectItems()) {
-        std::uint64_t g;
-        if (!cellKey(kv.first, g) || g >= m.cellTotal) {
-            err = strfmt("%s: invalid cell key '%s'", in.path.c_str(),
-                         kv.first.c_str());
-            return false;
-        }
-        if (g % m.shardCount != m.shardIndex) {
-            err = strfmt("%s: cell %llu (phase \"%s\") is not owned by "
-                         "shard %u/%u",
-                         in.path.c_str(), static_cast<unsigned long long>(g),
-                         m.phaseOf(g).c_str(), m.shardIndex, m.shardCount);
-            return false;
-        }
-        const Json *want = digests->find(kv.first);
-        if (!want) {
-            err = strfmt("%s: cell %llu has no digest", in.path.c_str(),
-                         static_cast<unsigned long long>(g));
-            return false;
-        }
-        std::string got = cellDigest(kv.second);
-        if (want->asString() != got) {
-            err = strfmt("%s: conflict: cell %llu (phase \"%s\") does not "
-                         "match its manifest digest (%s recorded, payload "
-                         "hashes to %s) — corrupted or hand-edited shard",
-                         in.path.c_str(), static_cast<unsigned long long>(g),
-                         m.phaseOf(g).c_str(), want->asString().c_str(),
-                         got.c_str());
-            return false;
-        }
-    }
-    return true;
-}
-
-} // namespace
-
-void
-normalizeToUnsharded(Json &doc)
-{
-    Json &manifest = doc["manifest"];
-    manifest["shard_index"] = 0;
-    manifest["shard_count"] = 1;
-}
-
-bool
-mergeReports(const std::vector<LoadedReport> &inputs, MergeResult &out,
-             std::string &err)
-{
-    if (inputs.empty()) {
-        err = "no input reports to merge";
-        return false;
-    }
-
-    const RunManifest &ref = inputs.front().manifest;
-    bool any_partial = false;
-    for (const LoadedReport &in : inputs) {
-        const RunManifest &m = in.manifest;
-        if (m.experiment != ref.experiment) {
-            err = strfmt("%s: experiment '%s' does not match '%s' (%s)",
-                         in.path.c_str(), m.experiment.c_str(),
-                         ref.experiment.c_str(),
-                         inputs.front().path.c_str());
-            return false;
-        }
-        if (m.scale != ref.scale) {
-            err = strfmt("%s: scale %s does not match %s", in.path.c_str(),
-                         Json::formatDouble(m.scale).c_str(),
-                         Json::formatDouble(ref.scale).c_str());
-            return false;
-        }
-        if (m.fingerprint != ref.fingerprint) {
-            err = strfmt("%s: grid fingerprint %s does not match %s — "
-                         "shards were produced by different configurations "
-                         "or binary versions",
-                         in.path.c_str(), m.fingerprint.c_str(),
-                         ref.fingerprint.c_str());
-            return false;
-        }
-        if (m.cellTotal != ref.cellTotal) {
-            err = strfmt("%s: cell total %llu does not match %llu",
-                         in.path.c_str(),
-                         static_cast<unsigned long long>(m.cellTotal),
-                         static_cast<unsigned long long>(ref.cellTotal));
-            return false;
-        }
-        if (!validateCells(in, err))
-            return false;
-        any_partial = any_partial || m.partial;
-    }
-
-    // Union the cells by global index; overlapping cells (the same cell
-    // run on several machines) must agree byte for byte.
-    struct Owned
-    {
-        const Json *payload;
-        const LoadedReport *source;
-        std::string dump;
-    };
-    std::map<std::uint64_t, Owned> merged;
-    for (const LoadedReport &in : inputs) {
-        for (const auto &kv : cellsOf(in.doc).objectItems()) {
-            std::uint64_t g = 0;
-            cellKey(kv.first, g);
-            std::string dump = kv.second.dump();
-            auto it = merged.find(g);
-            if (it == merged.end()) {
-                merged.emplace(g, Owned{&kv.second, &in, std::move(dump)});
-            } else if (it->second.dump != dump) {
-                err = strfmt("conflict: cell %llu (phase \"%s\") differs "
-                             "between %s and %s — runs are not "
-                             "deterministic across these shards",
-                             static_cast<unsigned long long>(g),
-                             ref.phaseOf(g).c_str(),
-                             it->second.source->path.c_str(),
-                             in.path.c_str());
-                return false;
-            }
-        }
-    }
-
-    // Coverage: every cell of the grid must be present somewhere.
-    std::vector<std::uint64_t> missing;
-    for (std::uint64_t g = 0; g < ref.cellTotal; ++g)
-        if (!merged.count(g)) {
-            missing.push_back(g);
-            if (missing.size() > 8)
-                break;
-        }
-    if (!missing.empty()) {
-        std::string list;
-        for (std::size_t i = 0; i < missing.size() && i < 8; ++i)
-            list += strfmt("%s%llu", i ? ", " : "",
-                           static_cast<unsigned long long>(missing[i]));
-        if (missing.size() > 8)
-            list += ", ...";
-        err = strfmt("incomplete merge: %llu of %llu cells covered; "
-                     "missing cell(s) %s — run the absent shard(s) first",
-                     static_cast<unsigned long long>(merged.size()),
-                     static_cast<unsigned long long>(ref.cellTotal),
-                     list.c_str());
-        return false;
-    }
-
-    out.manifest = ref;
-    out.manifest.shardIndex = 0;
-    out.manifest.shardCount = 1;
-    out.manifest.partial = false;
-    out.manifest.cellsRun = ref.cellTotal;
-
-    if (!any_partial) {
-        // Every input is a complete report (cell-free experiments run
-        // whole in every shard; or re-runs of a full grid). They must be
-        // identical once the shard spec is normalized away — the
-        // cross-machine determinism check for aggregate content.
-        Json first = inputs.front().doc;
-        normalizeToUnsharded(first);
-        std::string first_dump = first.dump();
-        for (std::size_t i = 1; i < inputs.size(); ++i) {
-            Json other = inputs[i].doc;
-            normalizeToUnsharded(other);
-            if (other.dump() != first_dump) {
-                err = strfmt("conflict: complete reports %s and %s differ "
-                             "outside their shard spec — runs are not "
-                             "deterministic across these machines",
-                             inputs.front().path.c_str(),
-                             inputs[i].path.c_str());
-                return false;
-            }
-        }
-        out.needsReplay = false;
-        out.merged = std::move(first);
-        out.cells = Json::object();
-        return true;
-    }
-
-    out.needsReplay = true;
-    out.merged = Json();
-    out.cells = Json::object();
-    for (const auto &kv : merged)
-        out.cells[std::to_string(kv.first)] = *kv.second.payload;
-    return true;
 }
 
 namespace
@@ -608,54 +216,6 @@ structuralDiff(const Json &a, const Json &b, const DiffOptions &opts)
     DiffWalker walker{opts, {}, false};
     walker.compare(a, b, "");
     return walker.out;
-}
-
-std::vector<GridStatus>
-gridStatus(const std::vector<LoadedReport> &inputs)
-{
-    // Group by grid identity; the fingerprint already folds in the
-    // experiment, scale, and cell space, but keeping the readable keys
-    // makes mismatched-binary shards show up as two distinct grids.
-    using Key = std::pair<std::string, std::string>;   // experiment, fp
-    std::map<Key, std::vector<const LoadedReport *>> groups;
-    for (const LoadedReport &in : inputs)
-        groups[{in.manifest.experiment, in.manifest.fingerprint}]
-            .push_back(&in);
-
-    std::vector<GridStatus> out;
-    for (const auto &kv : groups) {
-        GridStatus g;
-        g.experiment = kv.first.first;
-        g.fingerprint = kv.first.second;
-        std::set<std::string> shard_specs;
-        std::set<std::uint64_t> covered;
-        for (const LoadedReport *in : kv.second) {
-            const RunManifest &m = in->manifest;
-            g.scale = m.scale;
-            g.cellTotal = std::max(g.cellTotal, m.cellTotal);
-            g.paths.push_back(in->path);
-            shard_specs.insert(strfmt("%u/%u", m.shardIndex, m.shardCount));
-            const Json *cells = in->doc.find("cells");
-            if (cells && cells->type() == Json::Type::Object) {
-                for (const auto &cell : cells->objectItems()) {
-                    std::uint64_t idx =
-                        std::strtoull(cell.first.c_str(), nullptr, 10);
-                    covered.insert(idx);
-                }
-            }
-        }
-        g.shards.assign(shard_specs.begin(), shard_specs.end());
-        g.cellsCovered = covered.size();
-        for (std::uint64_t c = 0; c < g.cellTotal; ++c) {
-            if (covered.count(c))
-                continue;
-            if (g.missingCells.size() >= GridStatus::kMaxListedMissing)
-                break;
-            g.missingCells.push_back(c);
-        }
-        out.push_back(std::move(g));
-    }
-    return out;
 }
 
 } // namespace bh

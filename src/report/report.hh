@@ -1,24 +1,19 @@
 /**
  * @file
- * Result-aggregation subsystem for sharded bh_bench runs.
+ * Report primitives shared by bh_bench, bh_farm and bh_collect.
  *
- * Every BENCH_*.json carries a run manifest (experiment, scale, shard
- * spec, cell counts, a grid fingerprint, and a digest per recorded sweep
- * cell). This module loads such reports, validates their manifests,
- * merges the per-cell payloads of N shards by global cell index with
- * cross-shard conflict detection — overlapping cells must be
- * byte-identical, edited cells fail their digest — and provides the
- * structural diff (with per-field numeric tolerance) used for golden-file
- * CI gating via the bh_collect CLI.
- *
- * The library is simulation-free: reconstructing a full report from
- * merged cells (replay) needs the experiment registry and lives in
- * bh_collect; everything here operates on JSON documents alone.
+ * Every BENCH_*.json carries a run manifest (experiment, scale, cell
+ * counts, a grid fingerprint, and a digest per recorded sweep cell).
+ * This module provides the hash behind the fingerprint and the cell
+ * digests, and the structural diff (with per-field numeric tolerance)
+ * used for golden-file CI gating via the bh_collect CLI. It is
+ * simulation-free: everything here operates on JSON documents alone.
  */
 
 #ifndef BH_REPORT_REPORT_HH
 #define BH_REPORT_REPORT_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -28,7 +23,7 @@
 namespace bh
 {
 
-/** Version stamped into (and required of) every run manifest. */
+/** Version stamped into every run manifest and perf sidecar. */
 constexpr int kBenchFormatVersion = 1;
 
 /** FNV-1a 64-bit hash, the digest/fingerprint primitive. */
@@ -46,132 +41,6 @@ std::string hex64(std::uint64_t value);
  * goldens predating the `stats` export) digest identically.
  */
 std::string cellDigest(const Json &payload);
-
-/** Parsed run manifest of one BENCH_*.json. */
-struct RunManifest
-{
-    int formatVersion = kBenchFormatVersion;
-    std::string experiment;
-    double scale = 1.0;
-    /**
-     * DRAM channels per simulated system. Optional in the document
-     * (omitted, meaning 1, by single-channel runs — which therefore stay
-     * byte-identical to reports from older binaries); the grid
-     * fingerprint separates differently-channeled grids regardless.
-     */
-    unsigned channels = 1;
-    /**
-     * Attack-pattern filter of the run (bh_bench --attack). Optional in
-     * the document like `channels`: absent means unfiltered, and the
-     * fingerprint separates differently filtered grids regardless.
-     */
-    std::string attackFilter;
-    unsigned shardIndex = 0;
-    unsigned shardCount = 1;
-    bool partial = false;           ///< cells only, aggregation skipped
-    std::uint64_t cellTotal = 0;    ///< grid size of the full experiment
-    std::uint64_t cellsRun = 0;     ///< cells recorded in this file
-    std::string fingerprint;        ///< grid identity hash (hex)
-
-    struct Phase
-    {
-        std::string label;
-        std::uint64_t firstCell = 0;
-        std::uint64_t count = 0;
-    };
-    std::vector<Phase> phases;
-
-    /** Phase label owning a global cell index ("?" when out of range). */
-    std::string phaseOf(std::uint64_t cell) const;
-};
-
-/** One loaded BENCH_*.json: raw document plus its parsed manifest. */
-struct LoadedReport
-{
-    std::string path;   ///< diagnostics label (file path or test name)
-    Json doc;
-    RunManifest manifest;
-};
-
-/** Extract and validate the manifest of a parsed report document. */
-bool parseManifest(const Json &doc, RunManifest &out, std::string &err);
-
-/** Parse report text (label names it in errors) and its manifest. */
-bool loadReportText(const std::string &text, const std::string &label,
-                    LoadedReport &out, std::string &err);
-
-/** Read, parse, and manifest-validate one report file. */
-bool loadReportFile(const std::string &path, LoadedReport &out,
-                    std::string &err);
-
-/** Outcome of merging N shard reports of one experiment. */
-struct MergeResult
-{
-    /**
-     * True when the inputs are partial shard outputs: `cells` holds the
-     * complete merged cell payloads and the caller must replay the
-     * experiment's aggregation over them (bh_collect does this through
-     * the bench registry). False when every input is a complete report:
-     * `merged` is ready to write as-is.
-     */
-    bool needsReplay = false;
-    Json merged;            ///< complete normalized report (!needsReplay)
-    Json cells;             ///< merged cells, keys ascending (needsReplay)
-    RunManifest manifest;   ///< validated common manifest of the inputs
-};
-
-/**
- * Validate and merge shard reports:
- *  - manifests must agree on format version, experiment, scale, grid
- *    fingerprint, and cell total;
- *  - each input's cells must be owned by its shard spec and match their
- *    manifest digests (an edited cell fails loudly, naming the cell);
- *  - cells present in several inputs must be byte-identical
- *    (cross-machine determinism check);
- *  - the union must cover every cell of the grid.
- *
- * Returns false with a diagnostic in `err` on any violation.
- */
-bool mergeReports(const std::vector<LoadedReport> &inputs, MergeResult &out,
-                  std::string &err);
-
-/**
- * Rewrite a complete report's manifest shard spec to the canonical
- * unsharded form (shard 0/1), making complete shard outputs of cell-free
- * experiments byte-comparable to an unsharded run.
- */
-void normalizeToUnsharded(Json &doc);
-
-/**
- * Coverage summary of one experiment grid across a set of shard reports
- * (the `bh_collect status` view): which shards exist, which global cells
- * are covered, and which are still missing.
- */
-struct GridStatus
-{
-    std::string experiment;
-    double scale = 1.0;
-    std::string fingerprint;
-    std::uint64_t cellTotal = 0;
-    std::uint64_t cellsCovered = 0;
-    /** Shard specs seen, as "I/N" strings (sorted, deduplicated). */
-    std::vector<std::string> shards;
-    /** Input files contributing to this grid. */
-    std::vector<std::string> paths;
-    /** Missing global cell indices (capped at kMaxListedMissing). */
-    std::vector<std::uint64_t> missingCells;
-    static constexpr std::size_t kMaxListedMissing = 16;
-
-    bool complete() const { return cellsCovered == cellTotal; }
-};
-
-/**
- * Group loaded reports by (experiment, scale, fingerprint) and compute
- * each grid's shard/cell coverage. Reports of different grids coexist;
- * results are sorted by experiment name then fingerprint. Analytic
- * experiments (cellTotal 0) are complete by definition.
- */
-std::vector<GridStatus> gridStatus(const std::vector<LoadedReport> &inputs);
 
 /** Options for the structural diff. */
 struct DiffOptions

@@ -66,8 +66,8 @@ class Runner
      *
      * The bench layer folds this function into every run manifest's
      * grid fingerprint (see runBench), so changing the mix makes
-     * bh_collect refuse to merge shards produced by older binaries
-     * instead of silently combining differently-seeded cells.
+     * bh_farm refuse to work on or merge a farm initialized by an older
+     * binary instead of silently combining differently-seeded cells.
      */
     static std::uint64_t cellSeed(std::uint64_t base, std::uint64_t cell);
 

@@ -19,7 +19,7 @@
  * parameter vector and the AttackEnv it is resolved against — unlike
  * the seeded catalog families it draws no RNG at compile time, so the
  * serialized form (seed + parameter vector) replays bit-exactly on any
- * machine, in any shard, at any thread count.
+ * machine, in any one-cell run or farm worker, at any thread count.
  */
 
 #ifndef BH_WORKLOADS_FUZZ_PATTERNS_HH

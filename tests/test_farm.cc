@@ -14,7 +14,8 @@
  *    the per-cell wall-clock watchdog, planned double execution
  *    (digest agreement), and coordinator-restart resume — with the
  *    collected cell payloads identical to an undisturbed run in every
- *    scenario.
+ *    scenario; a result edited after commit fails the collect naming
+ *    its file.
  */
 
 #include <gtest/gtest.h>
@@ -345,6 +346,29 @@ TEST(Farm, SingleWorkerHappyPath)
     }
     EXPECT_EQ(claims, kGridCells);
     EXPECT_EQ(dones, kGridCells);
+}
+
+TEST(Farm, DoneRecordEditedAfterCommitFailsCollectNamingTheFile)
+{
+    std::string dir = scratchDir("edited");
+    FakeFarmClock clock;
+    std::string err;
+    ASSERT_TRUE(Farm::init(dir, testSpec(), clock, err)) << err;
+    Farm farm;
+    ASSERT_TRUE(Farm::open(dir, clock, farm, err)) << err;
+    driveToCompletion(farm, clock, "w0", FaultPlan(), goodRunner());
+
+    // Hand-edit cell 2's payload after commit, leaving its digest as is.
+    const std::string done = FarmPaths(dir).doneFile(2);
+    Json rec;
+    ASSERT_TRUE(Json::parse(readAll(done), rec));
+    rec["payload"]["value"] = 99;
+    ASSERT_TRUE(atomicWriteFile(done, rec.dump(2) + "\n", err)) << err;
+
+    Json cells;
+    EXPECT_FALSE(farm.collectCells(cells, err));
+    EXPECT_NE(err.find(done), std::string::npos) << err;
+    EXPECT_NE(err.find("digest"), std::string::npos) << err;
 }
 
 TEST(Farm, TwoWorkersSplitTheGridWithoutOverlap)

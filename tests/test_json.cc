@@ -1,9 +1,10 @@
 /**
  * @file
  * Tests for the JSON parser: everything Json::dump() can emit must
- * round-trip — parse(dump(x)) == x structurally and, crucially for the
- * sharded-merge subsystem, dump(parse(dump(x))) == dump(x) byte for
- * byte (including bit-exact doubles). Plus malformed-input rejection.
+ * round-trip — parse(dump(x)) == x structurally and, crucially for
+ * bh_farm's commit-and-replay path, dump(parse(dump(x))) == dump(x)
+ * byte for byte (including bit-exact doubles). Plus malformed-input
+ * rejection.
  */
 
 #include <cmath>

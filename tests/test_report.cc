@@ -1,24 +1,25 @@
 /**
  * @file
- * Tests for the sharded-run aggregation subsystem:
+ * Tests for run reports and one-cell runs:
  *
- *  - shard partition: every global cell index is owned by exactly one
- *    shard for any shard count;
- *  - run manifests round-trip through serialization and validate;
- *  - merging k shards of a cell experiment and replaying its
- *    aggregation reproduces the unsharded report byte for byte;
- *  - a corrupted (hand-edited) cell fails the merge with a conflict
- *    naming the cell, as do overlapping cells that disagree, missing
- *    shards, and mismatched grids;
- *  - complete (cell-free) shard outputs pass through with a
- *    determinism cross-check;
+ *  - the written run manifest carries the constant shard fields, the
+ *    phases, the grid fingerprint and per-cell digests; a `--cell` run
+ *    marks itself partial and records just its cell;
+ *  - running each cell of an experiment alone and replaying its
+ *    aggregation over the collected payloads reproduces the full
+ *    report byte for byte (the bh_farm merge contract);
+ *  - `--cell` fails loudly on a non-numeric value or a cell outside
+ *    the grid, and analytic experiments run whole under it;
  *  - the structural diff honors absolute/relative tolerance and
  *    ignored subtrees.
  */
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "bench/registry.hh"
+#include "common/fsio.hh"
 #include "report/report.hh"
 #include "sim/runner.hh"
 
@@ -27,22 +28,11 @@ namespace bh
 namespace
 {
 
-TEST(Shard, EveryCellOwnedExactlyOnce)
-{
-    for (unsigned count : {1u, 2u, 3u, 7u, 16u}) {
-        for (std::uint64_t cell = 0; cell < 200; ++cell) {
-            unsigned owners = 0;
-            for (unsigned i = 0; i < count; ++i)
-                owners += shardOwns(ShardSpec{i, count}, cell);
-            EXPECT_EQ(owners, 1u) << "cell " << cell << " of " << count;
-        }
-    }
-}
-
-/** Run one experiment in the given mode/shard, stdout suppressed. */
+/** Run one experiment in the given mode, stdout suppressed. */
 Json
 runMode(const char *name, double scale, BenchContext::CellMode mode,
-        ShardSpec shard = {}, const Json *replay = nullptr)
+        std::optional<std::uint64_t> only_cell = std::nullopt,
+        const Json *replay = nullptr)
 {
     const BenchInfo *info = findBench(name);
     EXPECT_NE(info, nullptr) << name;
@@ -51,7 +41,7 @@ runMode(const char *name, double scale, BenchContext::CellMode mode,
     ctx.scale = scale;
     ctx.runner = &pool;
     ctx.mode = mode;
-    ctx.shard = shard;
+    ctx.onlyCell = only_cell;
     ctx.replayCells = replay;
     testing::internal::CaptureStdout();
     runBench(*info, ctx);
@@ -59,35 +49,64 @@ runMode(const char *name, double scale, BenchContext::CellMode mode,
     return ctx.result;
 }
 
-/** Serialize a result and load it back as a report (exercise parsing). */
-LoadedReport
-asReport(const Json &doc, const std::string &label)
+/** Write a report the way bh_bench does and read its manifest back. */
+Json
+writtenManifest(const Json &doc, const std::string &tag)
 {
-    LoadedReport report;
-    std::string err;
-    EXPECT_TRUE(loadReportText(doc.dump(2) + "\n", label, report, err))
-        << err;
-    return report;
+    std::string path = testing::TempDir() + "bh_report_" + tag + ".json";
+    atomicWriteFileOrDie(path, doc.dump(2) + "\n");
+    std::string text, err;
+    EXPECT_TRUE(readFile(path, text, err)) << err;
+    Json parsed;
+    EXPECT_TRUE(Json::parse(text, parsed, &err)) << err;
+    const Json *manifest = parsed.find("manifest");
+    EXPECT_NE(manifest, nullptr);
+    return manifest ? *manifest : Json();
 }
 
 TEST(Manifest, StampedAndRoundTrips)
 {
     Json doc = runMode("sec321", 0.1, BenchContext::CellMode::Run);
-    LoadedReport report = asReport(doc, "unsharded");
-    const RunManifest &m = report.manifest;
-    EXPECT_EQ(m.experiment, "sec321");
-    EXPECT_EQ(m.scale, 0.1);
-    EXPECT_EQ(m.shardIndex, 0u);
-    EXPECT_EQ(m.shardCount, 1u);
-    EXPECT_FALSE(m.partial);
-    EXPECT_EQ(m.cellTotal, 2u);     // 1 mix x {observe, full} at 0.1x
-    EXPECT_EQ(m.cellsRun, 2u);
-    EXPECT_EQ(m.phases.size(), 2u);
-    EXPECT_EQ(m.phases[0].label, "observe");
-    EXPECT_EQ(m.phases[1].label, "full");
-    EXPECT_EQ(m.phaseOf(0), "observe");
-    EXPECT_EQ(m.phaseOf(1), "full");
-    EXPECT_EQ(m.fingerprint.size(), 16u);
+    Json m = writtenManifest(doc, "full");
+    EXPECT_EQ(m["format_version"].asInt(), kBenchFormatVersion);
+    EXPECT_EQ(m["experiment"].asString(), "sec321");
+    EXPECT_EQ(m["scale"].asDouble(), 0.1);
+    EXPECT_EQ(m["shard_index"].asInt(), 0);
+    EXPECT_EQ(m["shard_count"].asInt(), 1);
+    EXPECT_FALSE(m["partial"].asBool());
+    // 1 mix x {observe, full} at 0.1x.
+    EXPECT_EQ(m["cell_total"].asInt(), 2);
+    EXPECT_EQ(m["cells_run"].asInt(), 2);
+    const Json &phases = m["phases"];
+    ASSERT_EQ(phases.size(), 2u);
+    EXPECT_EQ(phases.at(0).find("label")->asString(), "observe");
+    EXPECT_EQ(phases.at(0).find("first_cell")->asInt(), 0);
+    EXPECT_EQ(phases.at(0).find("count")->asInt(), 1);
+    EXPECT_EQ(phases.at(1).find("label")->asString(), "full");
+    EXPECT_EQ(phases.at(1).find("first_cell")->asInt(), 1);
+    EXPECT_EQ(phases.at(1).find("count")->asInt(), 1);
+    const std::string fingerprint = m["fingerprint"].asString();
+    EXPECT_EQ(fingerprint.size(), 16u);
+    const Json &digests = m["cell_digests"];
+    ASSERT_EQ(digests.size(), 2u);
+    for (const char *cell : {"0", "1"})
+        EXPECT_EQ(digests.find(cell)->asString(),
+                  cellDigest(*doc["cells"].find(cell)));
+
+    // A --cell run is partial, records only its own cell, and keeps the
+    // grid's identity.
+    Json one = runMode("sec321", 0.1, BenchContext::CellMode::Run, 1);
+    Json p = writtenManifest(one, "cell1");
+    EXPECT_EQ(p["shard_index"].asInt(), 0);
+    EXPECT_EQ(p["shard_count"].asInt(), 1);
+    EXPECT_TRUE(p["partial"].asBool());
+    EXPECT_EQ(p["cell_total"].asInt(), 2);
+    EXPECT_EQ(p["cells_run"].asInt(), 1);
+    EXPECT_EQ(p["fingerprint"].asString(), fingerprint);
+    EXPECT_EQ(p["phases"].dump(), phases.dump());
+    ASSERT_EQ(p["cell_digests"].size(), 1u);
+    EXPECT_EQ(p["cell_digests"].find("1")->asString(),
+              digests.find("1")->asString());
 }
 
 TEST(Manifest, EnumerateCountsWithoutSimulating)
@@ -108,209 +127,64 @@ TEST(Manifest, EnumerateCountsWithoutSimulating)
     EXPECT_EQ(ctx.phases.size(), 2u);
 }
 
-TEST(Merge, ThreeShardsReplayByteIdenticalToUnsharded)
+TEST(Cell, EachCellRunAloneReplaysByteIdenticalToTheFullRun)
 {
     const double scale = 0.1;
-    Json unsharded = runMode("sec321", scale, BenchContext::CellMode::Run);
+    // A partial output holds no aggregate fields: just the header, the
+    // manifest and its one cell.
+    const std::vector<std::string> partial_keys = {
+        "experiment", "reproduces", "scale", "manifest", "cells"};
+    for (const char *name : {"sec321", "sec84"}) {
+        Json full = runMode(name, scale, BenchContext::CellMode::Run);
+        const std::int64_t total =
+            full["manifest"].find("cell_total")->asInt();
+        ASSERT_GT(total, 0) << name;
 
-    std::vector<LoadedReport> shards;
-    for (unsigned i = 0; i < 3; ++i) {
-        Json doc = runMode("sec321", scale, BenchContext::CellMode::Run,
-                           ShardSpec{i, 3});
-        const Json *partial = doc.find("manifest")->find("partial");
-        ASSERT_NE(partial, nullptr);
-        EXPECT_TRUE(partial->asBool());
-        // Sharded partial outputs must not contain aggregate fields.
-        EXPECT_EQ(doc.find("observe_only"), nullptr);
-        shards.push_back(asReport(doc, "shard" + std::to_string(i)));
-    }
-
-    MergeResult merge;
-    std::string err;
-    ASSERT_TRUE(mergeReports(shards, merge, err)) << err;
-    ASSERT_TRUE(merge.needsReplay);
-
-    Json replayed = runMode("sec321", scale, BenchContext::CellMode::Replay,
-                            ShardSpec{}, &merge.cells);
-    EXPECT_EQ(replayed.dump(2), unsharded.dump(2));
-}
-
-TEST(Merge, DuplicateShardsAreDeduplicatedDeterministically)
-{
-    const double scale = 0.1;
-    // The same shard run "on two machines" plus the rest of the grid.
-    std::vector<LoadedReport> shards;
-    for (unsigned i : {0u, 0u, 1u, 2u}) {
-        Json doc = runMode("sec321", scale, BenchContext::CellMode::Run,
-                           ShardSpec{i, 3});
-        shards.push_back(asReport(doc, "dup" + std::to_string(i)));
-    }
-    MergeResult merge;
-    std::string err;
-    EXPECT_TRUE(mergeReports(shards, merge, err)) << err;
-}
-
-TEST(Merge, CorruptedCellFailsNamingTheCell)
-{
-    const double scale = 0.1;
-    std::vector<LoadedReport> shards;
-    for (unsigned i = 0; i < 3; ++i) {
-        Json doc = runMode("sec321", scale, BenchContext::CellMode::Run,
-                           ShardSpec{i, 3});
-        if (i == 1) {
-            // Hand-edit the payload of cell 1 (owned by shard 1) without
-            // touching its digest.
-            doc["cells"]["1"]["attack"] = Json::array().push(99.0);
+        Json collected = Json::object();
+        for (std::int64_t c = 0; c < total; ++c) {
+            Json doc = runMode(name, scale, BenchContext::CellMode::Run,
+                               static_cast<std::uint64_t>(c));
+            EXPECT_TRUE(doc["manifest"].find("partial")->asBool())
+                << name << " cell " << c;
+            std::vector<std::string> keys;
+            for (const auto &kv : doc.objectItems())
+                keys.push_back(kv.first);
+            EXPECT_EQ(keys, partial_keys) << name << " cell " << c;
+            const Json &cells = doc["cells"];
+            ASSERT_EQ(cells.size(), 1u) << name << " cell " << c;
+            const std::string key = std::to_string(c);
+            ASSERT_NE(cells.find(key), nullptr) << name << " cell " << c;
+            collected[key] = *cells.find(key);
         }
-        shards.push_back(asReport(doc, "shard" + std::to_string(i)));
+
+        Json replayed = runMode(name, scale, BenchContext::CellMode::Replay,
+                                std::nullopt, &collected);
+        EXPECT_EQ(replayed.dump(2), full.dump(2)) << name;
     }
-    MergeResult merge;
-    std::string err;
-    EXPECT_FALSE(mergeReports(shards, merge, err));
-    EXPECT_NE(err.find("cell 1"), std::string::npos) << err;
-    EXPECT_NE(err.find("shard1"), std::string::npos) << err;
 }
 
-TEST(Merge, OverlappingCellsMustBeByteIdentical)
+TEST(Cell, AnalyticExperimentsRunWholeUnderCell)
 {
-    const double scale = 0.1;
-    Json a = runMode("sec321", scale, BenchContext::CellMode::Run,
-                     ShardSpec{1, 3});
-    Json b = runMode("sec321", scale, BenchContext::CellMode::Run,
-                     ShardSpec{1, 3});
-    // Simulate cross-machine nondeterminism: edit the overlapping cell
-    // AND fix its digest so only the overlap comparison can catch it.
-    b["cells"]["1"]["attack"] = Json::array().push(99.0);
-    b["manifest"]["cell_digests"]["1"] =
-        hex64(fnv1a64(b["cells"]["1"].dump()));
-
-    Json rest0 = runMode("sec321", scale, BenchContext::CellMode::Run,
-                         ShardSpec{0, 3});
-    Json rest2 = runMode("sec321", scale, BenchContext::CellMode::Run,
-                         ShardSpec{2, 3});
-    std::vector<LoadedReport> shards;
-    shards.push_back(asReport(a, "machineA"));
-    shards.push_back(asReport(b, "machineB"));
-    shards.push_back(asReport(rest0, "shard0"));
-    shards.push_back(asReport(rest2, "shard2"));
-    MergeResult merge;
-    std::string err;
-    EXPECT_FALSE(mergeReports(shards, merge, err));
-    EXPECT_NE(err.find("cell 1"), std::string::npos) << err;
-    EXPECT_NE(err.find("machineA"), std::string::npos) << err;
-    EXPECT_NE(err.find("machineB"), std::string::npos) << err;
+    Json full = runMode("table1", 1.0, BenchContext::CellMode::Run);
+    Json one = runMode("table1", 1.0, BenchContext::CellMode::Run, 5);
+    EXPECT_FALSE(one["manifest"].find("partial")->asBool());
+    EXPECT_EQ(one.dump(2), full.dump(2));
 }
 
-TEST(Merge, MissingShardFailsWithCoverageError)
+TEST(CellDeathTest, CellOutsideTheGridFailsNamingTheGridSize)
 {
-    Json doc = runMode("sec321", 0.1, BenchContext::CellMode::Run,
-                       ShardSpec{0, 3});
-    std::vector<LoadedReport> shards{asReport(doc, "shard0")};
-    MergeResult merge;
-    std::string err;
-    EXPECT_FALSE(mergeReports(shards, merge, err));
-    EXPECT_NE(err.find("missing"), std::string::npos) << err;
+    EXPECT_EXIT(runMode("sec321", 0.1, BenchContext::CellMode::Run, 2),
+                testing::ExitedWithCode(1),
+                "sec321: cell 2 is outside the 2-cell grid");
 }
 
-TEST(Merge, MismatchedGridsRefuseToMerge)
+TEST(CellDeathTest, NonNumericCellIsAParseError)
 {
-    Json a = runMode("sec321", 0.1, BenchContext::CellMode::Run,
-                     ShardSpec{0, 2});
-    Json b = runMode("sec321", 0.1, BenchContext::CellMode::Run,
-                     ShardSpec{1, 2});
-    b["manifest"]["fingerprint"] = "0000000000000000";
-    std::vector<LoadedReport> shards{asReport(a, "a"), asReport(b, "b")};
-    MergeResult merge;
-    std::string err;
-    EXPECT_FALSE(mergeReports(shards, merge, err));
-    EXPECT_NE(err.find("fingerprint"), std::string::npos) << err;
-}
-
-TEST(Merge, CompleteCellFreeShardsPassThrough)
-{
-    // table1 is analytic: every shard computes the complete report, and
-    // the merge is a determinism cross-check plus normalization.
-    Json unsharded = runMode("table1", 1.0, BenchContext::CellMode::Run);
-    Json s0 = runMode("table1", 1.0, BenchContext::CellMode::Run,
-                      ShardSpec{0, 2});
-    Json s1 = runMode("table1", 1.0, BenchContext::CellMode::Run,
-                      ShardSpec{1, 2});
-    EXPECT_FALSE(s0.find("manifest")->find("partial")->asBool());
-
-    std::vector<LoadedReport> shards{asReport(s0, "s0"), asReport(s1, "s1")};
-    MergeResult merge;
-    std::string err;
-    ASSERT_TRUE(mergeReports(shards, merge, err)) << err;
-    EXPECT_FALSE(merge.needsReplay);
-    EXPECT_EQ(merge.merged.dump(2), unsharded.dump(2));
-
-    // A diverging complete report is a determinism failure.
-    Json tampered = s1;
-    tampered["params"]["N_RH"] = 12345;
-    std::vector<LoadedReport> bad{asReport(s0, "s0"),
-                                  asReport(tampered, "s1-tampered")};
-    EXPECT_FALSE(mergeReports(bad, merge, err));
-    EXPECT_NE(err.find("deterministic"), std::string::npos) << err;
-}
-
-TEST(Status, ReportsShardCoverageAndMissingCells)
-{
-    const double scale = 0.1;
-    // Two of three shards present: coverage must be partial with the
-    // unowned shard's cells listed as missing.
-    std::vector<LoadedReport> inputs;
-    for (unsigned i : {0u, 2u}) {
-        Json doc = runMode("sec321", scale, BenchContext::CellMode::Run,
-                           ShardSpec{i, 3});
-        LoadedReport report;
-        std::string err;
-        ASSERT_TRUE(loadReportText(doc.dump(2), strfmt("shard%u", i),
-                                   report, err)) << err;
-        inputs.push_back(std::move(report));
-    }
-
-    auto grids = gridStatus(inputs);
-    ASSERT_EQ(grids.size(), 1u);
-    const GridStatus &g = grids[0];
-    EXPECT_EQ(g.experiment, "sec321");
-    EXPECT_FALSE(g.complete());
-    ASSERT_EQ(g.shards.size(), 2u);
-    EXPECT_EQ(g.shards[0], "0/3");
-    EXPECT_EQ(g.shards[1], "2/3");
-    EXPECT_EQ(g.cellTotal, 2u);     // sec321 at 0.1x has 2 cells
-    EXPECT_EQ(g.cellsCovered, 1u);  // shard 1 of 3 owns cell 1
-    ASSERT_EQ(g.missingCells.size(), 1u);
-    EXPECT_EQ(g.missingCells[0], 1u);
-
-    // Adding the missing shard completes the grid.
-    Json doc = runMode("sec321", scale, BenchContext::CellMode::Run,
-                       ShardSpec{1, 3});
-    LoadedReport report;
-    std::string err;
-    ASSERT_TRUE(loadReportText(doc.dump(2), "shard1", report, err)) << err;
-    inputs.push_back(std::move(report));
-    grids = gridStatus(inputs);
-    ASSERT_EQ(grids.size(), 1u);
-    EXPECT_TRUE(grids[0].complete());
-    EXPECT_EQ(grids[0].shards.size(), 3u);
-}
-
-TEST(Status, SeparatesDifferentGrids)
-{
-    // The same experiment at two scales forms two distinct grids.
-    std::vector<LoadedReport> inputs;
-    for (double scale : {0.1, 0.2}) {
-        Json doc = runMode("sec321", scale, BenchContext::CellMode::Run);
-        LoadedReport report;
-        std::string err;
-        ASSERT_TRUE(loadReportText(doc.dump(2), "full", report, err)) << err;
-        inputs.push_back(std::move(report));
-    }
-    auto grids = gridStatus(inputs);
-    ASSERT_EQ(grids.size(), 2u);
-    EXPECT_TRUE(grids[0].complete());
-    EXPECT_TRUE(grids[1].complete());
-    EXPECT_NE(grids[0].fingerprint, grids[1].fingerprint);
+    EXPECT_EQ(parseCellIndex("0"), 0u);
+    EXPECT_EQ(parseCellIndex("183"), 183u);
+    for (const char *bad : {"", "x", "12x", "-1", "+3", " 4", "0/2"})
+        EXPECT_EXIT(parseCellIndex(bad), testing::ExitedWithCode(1),
+                    "--cell wants a global cell index");
 }
 
 TEST(Diff, NumericToleranceAndIgnores)

@@ -5,19 +5,20 @@
  *  - The hard invariant of the tracing subsystem: every registered
  *    experiment produces byte-identical JSON with tracing off, on, and
  *    filtered, at any --jobs/--channel-threads/--skip combination
- *    (sharded down so the whole registry stays fast).
+ *    (one-cell runs over every 7th cell keep the whole registry fast).
  *  - The emitted trace is valid Chrome trace_event JSON: it parses via
  *    src/common/json as an array of objects carrying ph/pid/tid/ts,
  *    with only known phase letters and categories.
  *  - Category filtering drops events without touching results.
  *  - Stats snapshots ride inside cell payloads but are excluded from
- *    manifest cell digests (old goldens and stats-free shards keep
+ *    manifest cell digests (old goldens and stats-free payloads keep
  *    validating), and the structural diff's "*" ignore wildcard skips
  *    them by path.
  */
 
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <set>
 #include <sstream>
 
@@ -40,8 +41,7 @@ struct RunOpts
     unsigned channels = 1;
     unsigned channelThreads = 1;
     SkipMode skip = SkipMode::kEventSkip;
-    unsigned shardIndex = 0;
-    unsigned shardCount = 1;
+    std::optional<std::uint64_t> onlyCell;
     std::string tracePath;      ///< empty = tracing off
     std::string traceFilter;
 };
@@ -64,8 +64,7 @@ runTraced(const char *name, const RunOpts &opts)
     ctx.channels = opts.channels;
     ctx.channelThreads = opts.channelThreads;
     ctx.skip = opts.skip;
-    ctx.shard.index = opts.shardIndex;
-    ctx.shard.count = opts.shardCount;
+    ctx.onlyCell = opts.onlyCell;
     testing::internal::CaptureStdout();
     runBench(*info, ctx);
     testing::internal::GetCapturedStdout();
@@ -93,29 +92,53 @@ parseFile(const std::string &path)
     return doc;
 }
 
+/** Global cell count of an experiment at scale 0.1, one channel. */
+std::uint64_t
+cellCount(const BenchInfo &info)
+{
+    Runner pool(1);
+    BenchContext ctx;
+    ctx.scale = 0.1;
+    ctx.runner = &pool;
+    ctx.mode = BenchContext::CellMode::Enumerate;
+    runBench(info, ctx);
+    return ctx.nextCell;
+}
+
 /**
  * The tentpole invariant over the whole registry: tracing (unfiltered
- * and filtered) never changes a single output byte. Sharded to a slice
- * of each experiment's cell grid so the full registry stays fast;
- * analytic experiments run whole in every shard and are covered too.
+ * and filtered) never changes a single output byte. Every 7th cell of
+ * each experiment's grid (0, 7, 14, ...) runs alone so the full
+ * registry stays fast; analytic experiments run whole and are covered
+ * too.
  */
 TEST(TraceDifferential, AllExperimentsByteIdenticalWithTracingOnOffFiltered)
 {
     for (const auto &info : benchRegistry()) {
-        RunOpts off;
-        off.shardIndex = 0;
-        off.shardCount = 7;
-        RunOpts on = off;
-        on.tracePath = tracePath("all");
-        RunOpts filtered = off;
-        filtered.tracePath = tracePath("all");
-        filtered.traceFilter = "mitig,skip";
+        std::vector<std::optional<std::uint64_t>> picks;
+        const std::uint64_t total = cellCount(info);
+        if (total == 0)
+            picks.push_back(std::nullopt);
+        for (std::uint64_t cell = 0; cell < total; cell += 7)
+            picks.push_back(cell);
 
-        std::string base = runTraced(info.name, off).dump(2);
-        EXPECT_EQ(base, runTraced(info.name, on).dump(2))
-            << info.name << ": tracing on changed the output";
-        EXPECT_EQ(base, runTraced(info.name, filtered).dump(2))
-            << info.name << ": filtered tracing changed the output";
+        for (const auto &pick : picks) {
+            RunOpts off;
+            off.onlyCell = pick;
+            RunOpts on = off;
+            on.tracePath = tracePath("all");
+            RunOpts filtered = off;
+            filtered.tracePath = tracePath("all");
+            filtered.traceFilter = "mitig,skip";
+
+            const std::string what = std::string(info.name) +
+                (pick ? " cell " + std::to_string(*pick) : "");
+            std::string base = runTraced(info.name, off).dump(2);
+            EXPECT_EQ(base, runTraced(info.name, on).dump(2))
+                << what << ": tracing on changed the output";
+            EXPECT_EQ(base, runTraced(info.name, filtered).dump(2))
+                << what << ": filtered tracing changed the output";
+        }
     }
     std::remove(tracePath("all").c_str());
 }
@@ -123,14 +146,13 @@ TEST(TraceDifferential, AllExperimentsByteIdenticalWithTracingOnOffFiltered)
 /**
  * Tracing composed with every execution-shape knob: worker count,
  * channel count, lane threads, and skip mode must all agree with the
- * serial untraced reference byte-for-byte.
+ * serial untraced reference byte-for-byte. The whole 2-channel fig4
+ * grid runs, so the jobs4 variant executes cells concurrently.
  */
 TEST(TraceDifferential, TracingIsInvariantAcrossJobsThreadsAndSkip)
 {
     RunOpts ref;
     ref.channels = 2;
-    ref.shardIndex = 0;
-    ref.shardCount = 8;
     std::string base = runTraced("fig4", ref).dump(2);
 
     struct Variant
@@ -162,41 +184,42 @@ TEST(TraceFormat, EmittedTraceParsesAsChromeTraceEvents)
     std::string path = tracePath("format");
     RunOpts opts;
     opts.channels = 2;      // driver lane spans only exist multi-channel
-    opts.shardIndex = 0;
-    opts.shardCount = 12;
     opts.tracePath = path;
-    runTraced("fig4", opts);
-
-    Json doc = parseFile(path);
-    ASSERT_EQ(doc.type(), Json::Type::Array);
-    ASSERT_GT(doc.size(), 1u);     // metadata + real events
 
     const std::set<std::string> known_ph = {"M", "i", "X", "C"};
     const std::set<std::string> known_cat = {"mem", "queue", "mitig",
                                              "lane", "skip"};
     std::set<std::string> seen_cat;
-    for (std::size_t i = 0; i < doc.size(); ++i) {
-        const Json &e = doc.at(i);
-        ASSERT_EQ(e.type(), Json::Type::Object) << "event " << i;
-        const Json *ph = e.find("ph");
-        ASSERT_NE(ph, nullptr) << "event " << i;
-        EXPECT_TRUE(known_ph.count(ph->asString()))
-            << "event " << i << ": ph " << ph->asString();
-        ASSERT_NE(e.find("pid"), nullptr) << "event " << i;
-        ASSERT_NE(e.find("tid"), nullptr) << "event " << i;
-        if (ph->asString() == "M")
-            continue;   // process_name metadata row
-        ASSERT_NE(e.find("ts"), nullptr) << "event " << i;
-        EXPECT_GE(e.find("ts")->asInt(), 0) << "event " << i;
-        if (ph->asString() == "X") {
-            ASSERT_NE(e.find("dur"), nullptr) << "event " << i;
-            EXPECT_GE(e.find("dur")->asInt(), 0) << "event " << i;
+    for (std::uint64_t cell : {0u, 12u, 24u}) {
+        opts.onlyCell = cell;
+        runTraced("fig4", opts);
+        Json doc = parseFile(path);
+        ASSERT_EQ(doc.type(), Json::Type::Array) << "cell " << cell;
+        // Metadata rows plus real events.
+        ASSERT_GT(doc.size(), 1u) << "cell " << cell;
+        for (std::size_t i = 0; i < doc.size(); ++i) {
+            const Json &e = doc.at(i);
+            ASSERT_EQ(e.type(), Json::Type::Object) << "event " << i;
+            const Json *ph = e.find("ph");
+            ASSERT_NE(ph, nullptr) << "event " << i;
+            EXPECT_TRUE(known_ph.count(ph->asString()))
+                << "event " << i << ": ph " << ph->asString();
+            ASSERT_NE(e.find("pid"), nullptr) << "event " << i;
+            ASSERT_NE(e.find("tid"), nullptr) << "event " << i;
+            if (ph->asString() == "M")
+                continue;    // process_name metadata row
+            ASSERT_NE(e.find("ts"), nullptr) << "event " << i;
+            EXPECT_GE(e.find("ts")->asInt(), 0) << "event " << i;
+            if (ph->asString() == "X") {
+                ASSERT_NE(e.find("dur"), nullptr) << "event " << i;
+                EXPECT_GE(e.find("dur")->asInt(), 0) << "event " << i;
+            }
+            const Json *cat = e.find("cat");
+            ASSERT_NE(cat, nullptr) << "event " << i;
+            EXPECT_TRUE(known_cat.count(cat->asString()))
+                << "event " << i << ": cat " << cat->asString();
+            seen_cat.insert(cat->asString());
         }
-        const Json *cat = e.find("cat");
-        ASSERT_NE(cat, nullptr) << "event " << i;
-        EXPECT_TRUE(known_cat.count(cat->asString()))
-            << "event " << i << ": cat " << cat->asString();
-        seen_cat.insert(cat->asString());
     }
     // A fig4 slice must at least produce DRAM commands, queue-depth
     // counters, and driver lane spans.
@@ -210,21 +233,22 @@ TEST(TraceFormat, CategoryFilterDropsOtherCategories)
 {
     std::string path = tracePath("filter");
     RunOpts opts;
-    opts.shardIndex = 0;
-    opts.shardCount = 12;
     opts.tracePath = path;
     opts.traceFilter = "mem";
-    runTraced("fig4", opts);
 
-    Json doc = parseFile(path);
-    ASSERT_EQ(doc.type(), Json::Type::Array);
     bool saw_mem = false;
-    for (std::size_t i = 0; i < doc.size(); ++i) {
-        const Json *cat = doc.at(i).find("cat");
-        if (!cat)
-            continue;   // metadata
-        EXPECT_EQ(cat->asString(), "mem") << "event " << i;
-        saw_mem = true;
+    for (std::uint64_t cell : {0u, 12u, 24u}) {
+        opts.onlyCell = cell;
+        runTraced("fig4", opts);
+        Json doc = parseFile(path);
+        ASSERT_EQ(doc.type(), Json::Type::Array) << "cell " << cell;
+        for (std::size_t i = 0; i < doc.size(); ++i) {
+            const Json *cat = doc.at(i).find("cat");
+            if (!cat)
+                continue;    // metadata
+            EXPECT_EQ(cat->asString(), "mem") << "event " << i;
+            saw_mem = true;
+        }
     }
     EXPECT_TRUE(saw_mem);
     std::remove(path.c_str());
@@ -233,7 +257,7 @@ TEST(TraceFormat, CategoryFilterDropsOtherCategories)
 /**
  * Cell payloads carry a "stats" snapshot, but manifest digests must
  * exclude it: a payload with stats and the same payload stripped of
- * them digest identically (old goldens and stats-free shard files from
+ * them digest identically (old goldens and stats-free payloads from
  * earlier binaries keep validating).
  */
 TEST(StatsExport, CellDigestExcludesStatsKey)
@@ -264,8 +288,7 @@ TEST(StatsExport, CellPayloadsCarryPerLaneStatSnapshots)
 {
     RunOpts opts;
     opts.channels = 2;
-    opts.shardIndex = 0;
-    opts.shardCount = 24;   // one cell is enough
+    opts.onlyCell = 0;    // one cell is enough
     Json result = runTraced("fig4", opts);
     const Json *cells = result.find("cells");
     ASSERT_NE(cells, nullptr);

@@ -8,16 +8,16 @@
  *   bh_farm status DIR
  *   bh_farm merge DIR [-o FILE]
  *
- * `init` stamps DIR with the experiment's grid (same fingerprint the
- * shard/merge layer uses) and the retry/lease policy. `work` is one
+ * `init` stamps DIR with the experiment's grid (the fingerprint every
+ * BENCH_*.json manifest carries) and the retry/lease policy. `work` is one
  * worker process: it leases cells, runs them through the bench
  * registry, and commits results until the grid completes. `run` is the
  * convenience coordinator: it forks N `work` processes against DIR,
  * respawns ones that die (SIGKILL included), and reports. `merge`
  * collects the committed payloads and replays the experiment's
- * aggregation — the output is byte-identical to an unsharded
- * `bh_bench` run no matter how many crashes, retries, or duplicate
- * executions the farm absorbed.
+ * aggregation — the output is byte-identical to a plain `bh_bench`
+ * run no matter how many crashes, retries, or duplicate executions the
+ * farm absorbed.
  *
  * Fault injection: --faults (or the BH_FARM_FAULTS environment
  * variable) arms a deterministic FaultPlan — see src/farm/fault.hh for
@@ -36,7 +36,6 @@
 #include "common/fsio.hh"
 #include "farm/farm.hh"
 #include "farm/journal.hh"
-#include "report/report.hh"
 
 namespace
 {
@@ -259,9 +258,9 @@ cmdWork(const std::string &dir, const std::vector<std::string> &args)
                   static_cast<unsigned long long>(spec.cellTotal));
     }
 
-    // One leased cell per execution: shard 0/1 restricted to the target
-    // cell runs it through the standard runCells path, so payload bytes
-    // match bh_bench exactly.
+    // One leased cell per execution: a one-cell run (bh_bench --cell)
+    // goes through the standard runCells path, so payload bytes match
+    // bh_bench exactly.
     auto runCell = [&](std::uint64_t cell) -> Json {
         BenchContext ctx;
         ctx.scale = spec.scale;
@@ -541,36 +540,16 @@ cmdMerge(const std::string &dir, const std::vector<std::string> &args)
               "binary diverged from the one that ran init", fp.c_str(),
               spec.fingerprint.c_str());
 
-    // Wrap the collected payloads as a synthetic single partial report
-    // (an unsharded partial covering every cell) and push it through the
-    // exact validate-merge-replay path bh_collect uses: manifest digest
-    // checks, coverage check, then aggregation replay. Byte-identical to
-    // an unsharded bh_bench run by the same contract shard merges have.
-    Json synthetic = std::move(probe.result);
-    Json &manifest = synthetic["manifest"];
-    manifest["partial"] = true;
-    manifest["cells_run"] = spec.cellTotal;
-    Json digests = Json::object();
-    for (const auto &kv : cells.objectItems())
-        digests[kv.first] = cellDigest(kv.second);
-    manifest["cell_digests"] = std::move(digests);
-    synthetic["cells"] = std::move(cells);
-
-    std::vector<LoadedReport> inputs(1);
-    if (!loadReportText(synthetic.dump(), dir + " (collected cells)",
-                        inputs[0], err))
-        fatal("bh_farm merge: %s", err.c_str());
-    MergeResult merge;
-    if (!mergeReports(inputs, merge, err))
-        fatal("bh_farm merge: %s", err.c_str());
-
+    // collectCells checked coverage and every payload against its commit
+    // digest; replaying the experiment's aggregation over those payloads
+    // is byte-identical to a plain bh_bench run.
     BenchContext ctx;
     ctx.scale = spec.scale;
     ctx.channels = spec.channels;
     ctx.attackFilter = spec.attackFilter;
     ctx.runner = &runner;
     ctx.mode = BenchContext::CellMode::Replay;
-    ctx.replayCells = &merge.cells;
+    ctx.replayCells = &cells;
     runBench(*info, ctx);
 
     if (out_path.empty())
