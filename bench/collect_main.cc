@@ -36,8 +36,8 @@ usage(std::FILE *out)
         "diff: structural comparison with numeric tolerance; exits 0 when\n"
         "the documents agree, 1 when they differ, 2 on usage/IO errors.\n"
         "\n"
-        "  --abs-tol X      absolute tolerance for numeric fields\n"
-        "  --rel-tol X      relative tolerance for numeric fields\n"
+        "  --abs-tol X      absolute tolerance for numeric fields (X >= 0)\n"
+        "  --rel-tol X      relative tolerance for numeric fields (X >= 0)\n"
         "  --ignore PATH    skip a dotted subtree (repeatable), e.g.\n"
         "                   --ignore manifest.cell_digests\n"
         "\n"
@@ -47,7 +47,7 @@ usage(std::FILE *out)
         "perf regression, 2 on usage/IO errors.\n"
         "\n"
         "  --min-ratio R        override every entry's min_ratio: fail\n"
-        "                       below R x the golden rate\n"
+        "                       below R x the golden rate (R > 0)\n"
         "\n"
         "pareto: join one BENCH_fig5.json, BENCH_table4.json, and\n"
         "BENCH_secsweep.json (any order; identified by their manifests)\n"
@@ -93,7 +93,7 @@ cmdPerfGate(const std::vector<std::string> &args)
                              "bh_collect: --min-ratio needs a value\n");
                 return 2;
             }
-            min_ratio = std::atof(args[i].c_str());
+            min_ratio = parseFlagNumber(arg, args[i], false);
         } else if (!arg.empty() && arg[0] == '-') {
             std::fprintf(stderr, "bh_collect perfgate: unknown option %s\n",
                          arg.c_str());
@@ -358,9 +358,9 @@ cmdDiff(const std::vector<std::string> &args)
             return args[i].c_str();
         };
         if (arg == "--abs-tol") {
-            opts.absTol = std::atof(value());
+            opts.absTol = parseFlagNumber(arg, value(), true);
         } else if (arg == "--rel-tol") {
-            opts.relTol = std::atof(value());
+            opts.relTol = parseFlagNumber(arg, value(), true);
         } else if (arg == "--ignore") {
             opts.ignorePaths.push_back(value());
         } else if (!arg.empty() && arg[0] == '-') {

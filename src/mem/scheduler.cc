@@ -17,7 +17,7 @@ SchedQueue::push(Request &&req)
     Handle h;
     if (freeHead != kNone) {
         h = freeHead;
-        freeHead = nodes[h].next;
+        freeHead = nodes[h].bankNext;
         nodes[h].req = std::move(req);
     } else {
         h = static_cast<Handle>(nodes.size());
@@ -31,16 +31,6 @@ SchedQueue::push(Request &&req)
         panic("SchedQueue: bank %u out of range (%zu banks)", n.bank,
               banks.size());
 
-    // Global age list append.
-    n.prev = tail;
-    n.next = kNone;
-    if (tail != kNone)
-        nodes[tail].next = h;
-    else
-        head = h;
-    tail = h;
-
-    // Per-bank list append.
     BankState &b = banks[n.bank];
     n.bankPrev = b.tail;
     n.bankNext = kNone;
@@ -49,10 +39,9 @@ SchedQueue::push(Request &&req)
     else
         b.head = h;
     b.tail = h;
-    if (b.count++ == 0) {
-        b.activePos = static_cast<std::uint32_t>(active.size());
+    // A newly active bank's head is the youngest request: append.
+    if (b.count++ == 0)
         active.push_back(n.bank);
-    }
     ++b.version;
     ++count;
     return h;
@@ -62,18 +51,8 @@ Request
 SchedQueue::take(Handle h)
 {
     Node &n = nodes[h];
-    // Global list unlink.
-    if (n.prev != kNone)
-        nodes[n.prev].next = n.next;
-    else
-        head = n.next;
-    if (n.next != kNone)
-        nodes[n.next].prev = n.prev;
-    else
-        tail = n.prev;
-
-    // Per-bank list unlink.
     BankState &b = banks[n.bank];
+    bool was_head = n.bankPrev == kNone;
     if (n.bankPrev != kNone)
         nodes[n.bankPrev].bankNext = n.bankNext;
     else
@@ -82,22 +61,26 @@ SchedQueue::take(Handle h)
         nodes[n.bankNext].bankPrev = n.bankPrev;
     else
         b.tail = n.bankPrev;
+
+    // Keep `active` in head-age order: an emptied bank leaves the list,
+    // and a bank whose head was taken moves back past the banks whose
+    // heads are now older than its new one.
     if (--b.count == 0) {
-        // Swap-remove from the active-bank list, fixing the moved bank's
-        // back-pointer. Pick order never depends on this list's order
-        // (min-seq scans), so the shuffle is invisible.
-        unsigned moved = active.back();
-        active[b.activePos] = moved;
-        banks[moved].activePos = b.activePos;
-        active.pop_back();
-        b.activePos = 0xffffffffu;
+        active.erase(std::find(active.begin(), active.end(), n.bank));
+    } else if (was_head) {
+        auto pos = std::find(active.begin(), active.end(), n.bank);
+        std::uint64_t seq = nodes[b.head].seq;
+        auto stop = std::find_if(pos + 1, active.end(), [&](unsigned fb) {
+            return nodes[banks[fb].head].seq > seq;
+        });
+        std::rotate(pos, pos + 1, stop);
     }
     ++b.version;
     --count;
 
     Request out = std::move(n.req);
     n.req = Request{};      // release the completion closure eagerly
-    n.next = freeHead;
+    n.bankNext = freeHead;
     freeHead = h;
     return out;
 }
@@ -112,14 +95,15 @@ SchedQueue::hitStats(unsigned fb, const Bank &bank)
         (!open || b.cachedRow == row)) {
         return b.hits;
     }
-    b.hits.hitCount = 0;
-    b.hits.oldestHit = kNone;
+    b.hits = BankHits{};
     if (open) {
         for (Handle h = b.head; h != kNone; h = nodes[h].bankNext) {
             if (nodes[h].req.coord.row == row) {
                 if (b.hits.oldestHit == kNone)
                     b.hits.oldestHit = h;
                 ++b.hits.hitCount;
+            } else if (b.hits.oldestMiss == kNone) {
+                b.hits.oldestMiss = h;
             }
         }
     }
@@ -130,8 +114,8 @@ SchedQueue::hitStats(unsigned fb, const Bank &bank)
 }
 
 FrFcfsScheduler::FrFcfsScheduler(unsigned num_banks)
-    : prepMark(num_banks, 0)
 {
+    frontiers.reserve(num_banks);
 }
 
 SchedQueue::Handle
@@ -175,38 +159,62 @@ FrFcfsScheduler::pickRowPrep(SchedQueue &queue, const DramDevice &dram,
                              Cycle now, const ActFilter &act_allowed,
                              const StreakCapped &capped)
 {
-    if (queue.empty())
-        return SchedQueue::kNone;
-    ++prepGen;
-
-    // Only the oldest request per bank may prepare that bank this cycle;
-    // an unsafe (mitigation-blocked) oldest request does not stop a younger
-    // safe request to the same bank from being considered.
-    for (SchedQueue::Handle h = queue.oldest(); h != SchedQueue::kNone;
-         h = queue.next(h)) {
-        const Request &req = queue.at(h);
-        unsigned fb = req.flatBank;
-        if (prepMark[fb] == prepGen)
-            continue;
+    // Collect each active bank's frontier in ascending age. `activeBanks`
+    // is in head-age order, so closed banks (frontier = head) append in
+    // order and only an open bank's younger oldest miss sifts left.
+    frontiers.clear();
+    for (unsigned fb : queue.activeBanks()) {
         const Bank &bank = dram.bank(fb);
+        Frontier f;
         if (bank.isOpen()) {
-            if (bank.openRow() == req.coord.row)
-                continue;   // column path will serve it
-            // Banks with a pending row hit keep their row open — unless
-            // their hit streak has been capped.
+            if (bank.earliest(DramCommand::kPre) > now)
+                continue;
+            // Row hits are the column path's; a bank with a pending row
+            // hit keeps its row open unless its hit streak is capped.
             const auto &hits = queue.hitStats(fb, bank);
-            if (hits.hitCount > 0 && !(capped && capped(fb)))
-                continue;   // row reuse pending; don't close
-            if (dram.canIssue(DramCommand::kPre, fb, now))
-                return h;
-            prepMark[fb] = prepGen;
+            if (hits.oldestMiss == SchedQueue::kNone ||
+                (hits.hitCount > 0 && !(capped && capped(fb))))
+                continue;
+            f.handle = hits.oldestMiss;
+            f.precharge = true;
         } else {
-            if (!act_allowed(req))
-                continue;   // blocked as RowHammer-unsafe; try younger ones
-            if (dram.canIssue(DramCommand::kAct, fb, now))
-                return h;
-            prepMark[fb] = prepGen;
+            f.handle = queue.bankOldest(fb);
         }
+        f.seq = queue.seqOf(f.handle);
+        std::size_t pos = frontiers.size();
+        frontiers.push_back(f);
+        for (; pos > 0 && frontiers[pos - 1].seq > f.seq; --pos)
+            frontiers[pos] = frontiers[pos - 1];
+        frontiers[pos] = f;
+    }
+
+    // Oldest frontier first. An unsafe (mitigation-blocked) request does
+    // not stop a younger safe request to the same bank from being
+    // considered: its bank's frontier advances and re-sorts.
+    std::size_t i = 0;
+    while (i < frontiers.size()) {
+        SchedQueue::Handle h = frontiers[i].handle;
+        if (frontiers[i].precharge)
+            return h;
+        const Request &req = queue.at(h);
+        if (act_allowed(req)) {
+            if (dram.canIssue(DramCommand::kAct, req.flatBank, now))
+                return h;
+            ++i;    // safe but not yet legal: the bank is settled
+            continue;
+        }
+        Frontier next;
+        next.handle = queue.bankNext(h);
+        if (next.handle == SchedQueue::kNone) {
+            ++i;
+            continue;
+        }
+        next.seq = queue.seqOf(next.handle);
+        std::size_t pos = i;
+        for (; pos + 1 < frontiers.size() &&
+               frontiers[pos + 1].seq < next.seq; ++pos)
+            frontiers[pos] = frontiers[pos + 1];
+        frontiers[pos] = next;
     }
     return SchedQueue::kNone;
 }

@@ -7,9 +7,10 @@
  * them per bank (FIFO within a bank, global age via sequence numbers), and
  * per-bank row-hit statistics are cached and revalidated lazily against the
  * bank's open-row state. Column picks cost O(active banks) instead of
- * O(queue); row-prep picks walk the global age list but return at the first
- * eligible request, preserving the exact pick — and the exact order of
- * mitigation safety queries — of the original full-walk implementation.
+ * O(queue). Row-prep picks visit only each active bank's frontier (the one
+ * request an oldest-first walk of the whole queue would act on in that
+ * bank) in ascending age, preserving the exact pick — and the exact order
+ * of mitigation safety queries — of the original full-walk implementation.
  *
  * All per-bank state is sized from the device, so arbitrarily large
  * organizations (multi-rank DDR4 with > 64 flat banks) work; the old
@@ -32,10 +33,12 @@ namespace bh
 /**
  * Age-ordered request queue with per-bank buckets.
  *
- * Requests are stored in a slab of nodes linked into (a) one global list in
- * arrival order and (b) one per-bank list in arrival order. Handles are
- * stable slab indices; removal is O(1). A monotonically increasing sequence
- * number per request gives the global age relation across banks.
+ * Requests are stored in a slab of nodes linked into one per-bank list in
+ * arrival order. Handles are stable slab indices. A monotonically
+ * increasing sequence number per request gives the global age relation
+ * across banks. The active-bank list is kept in head-age order, so a
+ * removal costs O(1) in its bank plus O(active banks) when it empties the
+ * bank or takes the bank's oldest request.
  */
 class SchedQueue
 {
@@ -58,16 +61,15 @@ class SchedQueue
     std::size_t size() const { return count; }
     bool empty() const { return count == 0; }
 
-    /** Global age-order iteration (oldest first). */
-    Handle oldest() const { return head; }
-    Handle next(Handle h) const { return nodes[h].next; }
-
     /** Per-bank age-order iteration (oldest first). */
     Handle bankOldest(unsigned fb) const { return banks[fb].head; }
     Handle bankNext(Handle h) const { return nodes[h].bankNext; }
     std::uint32_t bankCount(unsigned fb) const { return banks[fb].count; }
 
-    /** Banks currently holding at least one request (unordered). */
+    /**
+     * Banks currently holding at least one request, ordered by the
+     * sequence number of each bank's oldest request (oldest first).
+     */
     const std::vector<unsigned> &activeBanks() const { return active; }
 
     /** Row-hit statistics of one bank against its current open row. */
@@ -75,6 +77,7 @@ class SchedQueue
     {
         std::uint32_t hitCount = 0;     ///< requests matching the open row
         Handle oldestHit = kNone;       ///< oldest such request
+        Handle oldestMiss = kNone;      ///< oldest request to another row
     };
 
     /**
@@ -89,8 +92,8 @@ class SchedQueue
     {
         Request req;
         std::uint64_t seq = 0;
-        Handle prev = kNone, next = kNone;          ///< global age list
-        Handle bankPrev = kNone, bankNext = kNone;  ///< per-bank age list
+        /// Per-bank age list; `bankNext` also links free slab nodes.
+        Handle bankPrev = kNone, bankNext = kNone;
         unsigned bank = 0;
     };
 
@@ -99,7 +102,6 @@ class SchedQueue
     {
         Handle head = kNone, tail = kNone;
         std::uint32_t count = 0;
-        std::uint32_t activePos = 0xffffffffu;  ///< index into `active`
         std::uint64_t version = 0;      ///< bumped on push/take for the bank
         // Cache key: queue version + open-row state when computed.
         std::uint64_t cachedVersion = ~0ull;
@@ -110,7 +112,6 @@ class SchedQueue
 
     std::vector<Node> nodes;
     Handle freeHead = kNone;
-    Handle head = kNone, tail = kNone;
     std::size_t count = 0;
     std::uint64_t nextSeq = 0;
     std::vector<BankState> banks;
@@ -138,8 +139,8 @@ class FrFcfsScheduler
 
     /**
      * Pick the oldest row-buffer-hit request whose column command is legal
-     * at `now`, or kNone. Hits to streak-capped banks are skipped when an
-     * older conflicting request is waiting.
+     * at `now`, or kNone. Hits to a streak-capped bank are skipped when any
+     * request to another row of that bank is waiting, whatever its age.
      */
     SchedQueue::Handle
     pickColumnReady(SchedQueue &queue, ReqType type, const DramDevice &dram,
@@ -152,9 +153,18 @@ class FrFcfsScheduler
      * Skips banks where a row-hit request is still pending (don't close
      * useful rows — unless the bank's streak is capped) and requests whose
      * ACT the mitigation blocks — this is how RowHammer-safe requests are
-     * prioritized over unsafe ones (Section 3.1 of the paper). The
-     * mitigation filter is evaluated in global age order, exactly as the
-     * full-walk implementation did, so safety-query side effects (delay
+     * prioritized over unsafe ones (Section 3.1 of the paper).
+     *
+     * Only one request per bank can matter at a time, the bank's
+     * frontier: a closed bank's oldest request not yet refused by the
+     * mitigation, or an open bank's oldest conflicting request when its
+     * PRE is legal and no live (uncapped) hit keeps the row open. The
+     * frontiers are visited in ascending sequence number; an unsafe
+     * verdict advances that bank's frontier to its next request, and a
+     * safe one either returns the request (ACT legal) or retires the
+     * bank. That is the pick of the original oldest-first walk over the
+     * whole queue, with the mitigation filter called on the same requests
+     * in the same global age order, so safety-query side effects (delay
      * accounting, blocked counters) are bit-compatible.
      */
     SchedQueue::Handle
@@ -177,13 +187,16 @@ class FrFcfsScheduler
                             Cycle verdict_change_at);
 
   private:
-    /**
-     * Generation-stamped per-bank "already considered for prep" marks.
-     * 64-bit so the generation can never wrap into a stale mark over
-     * any realistic run length.
-     */
-    std::vector<std::uint64_t> prepMark;
-    std::uint64_t prepGen = 0;
+    /** One bank's row-prep candidate within a pickRowPrep call. */
+    struct Frontier
+    {
+        std::uint64_t seq = 0;                  ///< age of `handle`
+        SchedQueue::Handle handle = SchedQueue::kNone;
+        bool precharge = false;                 ///< open bank, PRE legal
+    };
+
+    /** pickRowPrep scratch, ascending `seq`; reused across calls. */
+    std::vector<Frontier> frontiers;
 };
 
 } // namespace bh

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
 
 #include "common/log.hh"
 
@@ -216,6 +218,22 @@ structuralDiff(const Json &a, const Json &b, const DiffOptions &opts)
     DiffWalker walker{opts, {}, false};
     walker.compare(a, b, "");
     return walker.out;
+}
+
+double
+parseFlagNumber(const std::string &flag, const std::string &text,
+                bool allowZero)
+{
+    char *end = nullptr;
+    double v = std::strtod(text.c_str(), &end);
+    if (end == text.c_str() || *end != '\0' || !std::isfinite(v) ||
+        v < 0.0 || (v == 0.0 && !allowZero)) {
+        std::fprintf(stderr, "bh_collect: %s wants a finite number %s 0, "
+                     "got '%s'\n", flag.c_str(), allowZero ? ">=" : ">",
+                     text.c_str());
+        std::exit(2);
+    }
+    return v;
 }
 
 } // namespace bh

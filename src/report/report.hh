@@ -5,9 +5,10 @@
  * Every BENCH_*.json carries a run manifest (experiment, scale, cell
  * counts, a grid fingerprint, and a digest per recorded sweep cell).
  * This module provides the hash behind the fingerprint and the cell
- * digests, and the structural diff (with per-field numeric tolerance)
- * used for golden-file CI gating via the bh_collect CLI. It is
- * simulation-free: everything here operates on JSON documents alone.
+ * digests, the structural diff (with per-field numeric tolerance) used
+ * for golden-file CI gating via the bh_collect CLI, and the parser of
+ * bh_collect's numeric flags. It is simulation-free: everything here
+ * operates on JSON documents and command-line text alone.
  */
 
 #ifndef BH_REPORT_REPORT_HH
@@ -61,6 +62,17 @@ struct DiffOptions
  */
 std::vector<std::string> structuralDiff(const Json &a, const Json &b,
                                         const DiffOptions &opts);
+
+/**
+ * Value of a numeric bh_collect flag (`--min-ratio`, `--abs-tol`,
+ * `--rel-tol`). The whole of `text` must be a finite number, > 0, or
+ * >= 0 when `allowZero`. Anything else (empty, junk, trailing junk,
+ * inf, nan, out of range) prints an error naming `flag` and `text` and
+ * exits 2, the report tools' usage-error code: a malformed bound must
+ * never fall back to a default.
+ */
+double parseFlagNumber(const std::string &flag, const std::string &text,
+                       bool allowZero);
 
 } // namespace bh
 

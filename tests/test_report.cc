@@ -11,15 +11,22 @@
  *  - `--cell` fails loudly on a non-numeric value or a cell outside
  *    the grid, and analytic experiments run whole under it;
  *  - the structural diff honors absolute/relative tolerance and
- *    ignored subtrees.
+ *    ignored subtrees;
+ *  - the perf gate passes at and above its floor, fails below it, skips
+ *    entries at another scale, refuses a vacuous pass, fails on a
+ *    missing experiment and honors the min-ratio override;
+ *  - bh_collect's numeric flags exit 2 on any malformed value.
  */
 
 #include <gtest/gtest.h>
 
+#include <initializer_list>
 #include <optional>
+#include <tuple>
 
 #include "bench/registry.hh"
 #include "common/fsio.hh"
+#include "report/perf.hh"
 #include "report/report.hh"
 #include "sim/runner.hh"
 
@@ -241,6 +248,110 @@ TEST(Diff, StructuralMismatchesAreReported)
     Json d = Json::object();
     d["v"] = 2.0;
     EXPECT_TRUE(structuralDiff(c, d, DiffOptions{}).empty());
+}
+
+TEST(CollectFlagsDeathTest, MalformedNumbersExitTwoNamingFlagAndValue)
+{
+    EXPECT_EQ(parseFlagNumber("--min-ratio", "0.05", false), 0.05);
+    EXPECT_EQ(parseFlagNumber("--abs-tol", "0", true), 0.0);
+    EXPECT_EQ(parseFlagNumber("--rel-tol", "1e-6", true), 1e-6);
+    for (const char *bad : {"abc", "-3", "", "0.05x", "0", "inf", "nan",
+                            "1e999"})
+        EXPECT_EXIT(parseFlagNumber("--min-ratio", bad, false),
+                    testing::ExitedWithCode(2),
+                    std::string("--min-ratio .*got '") + bad + "'");
+    for (const char *bad : {"-1e-9", "x", "", "1.5 "})
+        EXPECT_EXIT(parseFlagNumber("--rel-tol", bad, true),
+                    testing::ExitedWithCode(2),
+                    std::string("--rel-tol .*got '") + bad + "'");
+}
+
+/** Perf golden with one entry per (experiment, scale, ref_cps). */
+Json
+perfGolden(std::initializer_list<std::tuple<const char *, double, double>>
+               entries)
+{
+    Json golden = Json::object();
+    golden["entries"] = Json::array();
+    for (const auto &[name, scale, ref_cps] : entries) {
+        Json e = Json::object();
+        e["experiment"] = std::string(name);
+        e["scale"] = scale;
+        e["ref_cps"] = ref_cps;
+        e["min_ratio"] = 0.5;
+        golden["entries"].push(std::move(e));
+    }
+    return golden;
+}
+
+/** BENCH_perf.json at `scale` with one 2-second experiment. */
+Json
+perfMeasured(double scale, const char *name, double sim_cycles)
+{
+    Json measured = Json::object();
+    measured["scale"] = scale;
+    measured["experiments"] = Json::object();
+    Json m = Json::object();
+    m["wall_s"] = 2.0;
+    m["sim_cycles"] = sim_cycles;
+    measured["experiments"][name] = std::move(m);
+    return measured;
+}
+
+TEST(PerfGate, PassesAtAndAboveTheFloorFailsBelowIt)
+{
+    // ref 1000 cycles/s x min_ratio 0.5: the floor is 500 cycles/s.
+    Json golden = perfGolden({{"fig4", 4.0, 1000.0}});
+    PerfGateResult at = perfGate(golden, perfMeasured(4.0, "fig4", 1000.0));
+    EXPECT_TRUE(at.pass);
+    ASSERT_EQ(at.lines.size(), 1u);
+    EXPECT_EQ(at.lines[0].rfind("fig4: ok", 0), 0u) << at.lines[0];
+    EXPECT_TRUE(perfGate(golden, perfMeasured(4.0, "fig4", 8000.0)).pass);
+
+    PerfGateResult below =
+        perfGate(golden, perfMeasured(4.0, "fig4", 998.0));
+    EXPECT_FALSE(below.pass);
+    ASSERT_EQ(below.lines.size(), 1u);
+    EXPECT_EQ(below.lines[0].rfind("fig4: FAIL", 0), 0u) << below.lines[0];
+}
+
+TEST(PerfGate, EntriesAtAnotherScaleAreSkipped)
+{
+    Json golden = perfGolden({{"secsweep", 1.0, 1e9}, {"fig4", 4.0, 1000.0}});
+    PerfGateResult res = perfGate(golden, perfMeasured(4.0, "fig4", 1000.0));
+    EXPECT_TRUE(res.pass);
+    ASSERT_EQ(res.lines.size(), 2u);
+    EXPECT_EQ(res.lines[0],
+              "secsweep: skipped (golden scale 1, measured 4)");
+    EXPECT_EQ(res.lines[1].rfind("fig4: ok", 0), 0u) << res.lines[1];
+}
+
+TEST(PerfGate, RefusesToPassWhenNoEntryApplies)
+{
+    Json golden = perfGolden({{"fig4", 4.0, 1000.0}});
+    PerfGateResult res = perfGate(golden, perfMeasured(2.0, "fig4", 1e9));
+    EXPECT_FALSE(res.pass);
+    ASSERT_EQ(res.lines.size(), 2u);
+    EXPECT_EQ(res.lines[1], "no golden entry applies at measured scale 2");
+}
+
+TEST(PerfGate, ApplicableExperimentMissingFromTheMeasurementFails)
+{
+    Json golden = perfGolden({{"fig4", 4.0, 1000.0}, {"fig5", 4.0, 1000.0}});
+    PerfGateResult res = perfGate(golden, perfMeasured(4.0, "fig4", 1e9));
+    EXPECT_FALSE(res.pass);
+    ASSERT_EQ(res.lines.size(), 2u);
+    EXPECT_EQ(res.lines[1], "fig5: FAIL (not in measurement)");
+}
+
+TEST(PerfGate, MinRatioOverrideReplacesEveryEntrysRatio)
+{
+    // 250 cycles/s: below the entry's 0.5 floor, above a 0.25 override.
+    Json golden = perfGolden({{"fig4", 4.0, 1000.0}});
+    Json measured = perfMeasured(4.0, "fig4", 500.0);
+    EXPECT_FALSE(perfGate(golden, measured).pass);
+    EXPECT_TRUE(perfGate(golden, measured, 0.25).pass);
+    EXPECT_FALSE(perfGate(golden, measured, 0.3).pass);
 }
 
 } // namespace

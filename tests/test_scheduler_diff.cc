@@ -5,11 +5,16 @@
  * original full-queue-walk implementation — same picked request, and the
  * same sequence of mitigation safety queries (whose side effects, like
  * BlockHammer's delay accounting, are part of the simulation contract) —
- * across randomly generated DRAM states and request queues.
+ * across randomly generated DRAM states and request queues. One queue
+ * lives across all rounds, with arrivals, served picks and random
+ * removals, so the head-age order of SchedQueue::activeBanks() (which
+ * keeps the row-prep pick's frontier list nearly sorted as it is built)
+ * is checked after every push and take.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <deque>
 #include <optional>
@@ -130,24 +135,47 @@ randomizeDevice(DramDevice &dram, Rng &rng, Cycle &now, unsigned steps)
     }
 }
 
-/** Random queue over the device's current open rows (hits + conflicts). */
-std::deque<Request>
-randomQueue(const DramDevice &dram, Rng &rng, ReqType type)
+/** Random request, biased to the bank's open row (hits + conflicts). */
+Request
+randomRequest(const DramDevice &dram, Rng &rng, std::uint64_t id)
 {
-    std::deque<Request> q;
-    auto len = rng.below(70);
-    for (std::uint64_t i = 0; i < len; ++i) {
-        Request req;
-        unsigned fb = static_cast<unsigned>(rng.below(dram.numBanks()));
-        const Bank &bank = dram.bank(fb);
-        req.flatBank = fb;
-        req.type = type;
-        req.coord.row = (bank.isOpen() && rng.chance(0.5))
-            ? bank.openRow() : static_cast<RowId>(rng.below(128));
-        req.id = i;
-        q.push_back(req);
+    Request req;
+    unsigned fb = static_cast<unsigned>(rng.below(dram.numBanks()));
+    const Bank &bank = dram.bank(fb);
+    req.flatBank = fb;
+    req.coord.row = (bank.isOpen() && rng.chance(0.5))
+        ? bank.openRow() : static_cast<RowId>(rng.below(128));
+    req.id = id;
+    return req;
+}
+
+/**
+ * activeBanks() must list exactly the non-empty banks, each once, in
+ * strictly increasing sequence number of the bank's oldest request.
+ */
+::testing::AssertionResult
+activeBanksInHeadOrder(const SchedQueue &q, unsigned nbanks)
+{
+    const auto &active = q.activeBanks();
+    std::vector<bool> listed(nbanks, false);
+    for (std::size_t i = 0; i < active.size(); ++i) {
+        unsigned fb = active[i];
+        if (fb >= nbanks || listed[fb] || q.bankCount(fb) == 0)
+            return ::testing::AssertionFailure()
+                << "bank " << fb << " at position " << i
+                << " is out of range, listed twice or empty";
+        listed[fb] = true;
+        if (i > 0 && q.seqOf(q.bankOldest(active[i - 1])) >=
+                q.seqOf(q.bankOldest(fb)))
+            return ::testing::AssertionFailure()
+                << "bank " << fb << " at position " << i
+                << " has an older head than bank " << active[i - 1];
     }
-    return q;
+    for (unsigned fb = 0; fb < nbanks; ++fb)
+        if (!listed[fb] && q.bankCount(fb) != 0)
+            return ::testing::AssertionFailure()
+                << "non-empty bank " << fb << " is not listed";
+    return ::testing::AssertionSuccess();
 }
 
 void
@@ -163,15 +191,51 @@ runDifferential(unsigned nbanks, std::uint64_t seed)
     Rng rng(seed);
     Cycle now = 0;
 
+    // One queue (and its reference copy) across all rounds; handles[i]
+    // holds ref_q[i].
+    constexpr std::size_t kQueueCap = 64;
+    std::deque<Request> ref_q;
+    std::deque<SchedQueue::Handle> handles;
+    SchedQueue new_q(nbanks);
+    std::uint64_t next_id = 0;
+    auto push = [&](Request req) {
+        ref_q.push_back(req);
+        handles.push_back(new_q.push(std::move(req)));
+        ASSERT_EQ(new_q.size(), ref_q.size());
+        ASSERT_TRUE(activeBanksInHeadOrder(new_q, nbanks));
+    };
+    auto take = [&](SchedQueue::Handle h) {
+        auto it = std::find(handles.begin(), handles.end(), h);
+        ASSERT_NE(it, handles.end());
+        std::size_t i = static_cast<std::size_t>(it - handles.begin());
+        EXPECT_EQ(new_q.take(h).id, ref_q[i].id);
+        ref_q.erase(ref_q.begin() + static_cast<std::ptrdiff_t>(i));
+        handles.erase(it);
+        ASSERT_EQ(new_q.size(), ref_q.size());
+        ASSERT_TRUE(activeBanksInHeadOrder(new_q, nbanks));
+    };
+
     for (unsigned iter = 0; iter < 400; ++iter) {
         randomizeDevice(dram, rng, now, 12);
 
+        // Filling and draining phases swing the queue between empty and
+        // full; random removals hit heads and non-heads alike, so banks
+        // drain to empty and heads advance out of order.
+        bool draining = (iter / 25) % 2 == 1;
+        auto removals = rng.below(draining ? 8 : 2);
+        for (std::uint64_t k = 0; k < removals && !ref_q.empty(); ++k)
+            ASSERT_NO_FATAL_FAILURE(take(handles[rng.below(ref_q.size())]));
+        auto arrivals = rng.below(draining ? 3 : 12);
+        for (std::uint64_t k = 0; k < arrivals && ref_q.size() < kQueueCap;
+             ++k)
+            ASSERT_NO_FATAL_FAILURE(
+                push(randomRequest(dram, rng, next_id++)));
+
+        // A controller queue holds one request type.
         ReqType type = rng.chance(0.5) ? ReqType::kRead : ReqType::kWrite;
-        std::deque<Request> ref_q = randomQueue(dram, rng, type);
-        SchedQueue new_q(nbanks);
-        for (const Request &r : ref_q) {
-            Request copy = r;
-            new_q.push(std::move(copy));
+        for (std::size_t i = 0; i < ref_q.size(); ++i) {
+            ref_q[i].type = type;
+            new_q.at(handles[i]).type = type;
         }
 
         // Random capped banks and a deterministic (but arbitrary-looking)
@@ -241,6 +305,17 @@ runDifferential(unsigned nbanks, std::uint64_t seed)
                           SchedQueue::kNone)
                     << "iter " << iter << " cycle " << c;
             }
+        }
+
+        // Serve what was picked, as the controller would: a column
+        // command completes its request, and so (here) does an ACT. A
+        // PRE leaves its request queued.
+        if (new_col != SchedQueue::kNone) {
+            ASSERT_NO_FATAL_FAILURE(take(new_col));
+        }
+        if (new_prep != SchedQueue::kNone &&
+            !dram.bank(new_q.at(new_prep).flatBank).isOpen()) {
+            ASSERT_NO_FATAL_FAILURE(take(new_prep));
         }
     }
 }
