@@ -25,7 +25,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <functional>
 #include <map>
 #include <optional>
@@ -41,17 +40,6 @@
 
 namespace bh
 {
-
-/** Default scale: the BH_SCALE env var (>= 0.1), 1.0 when unset. */
-inline double
-benchScale()
-{
-    const char *s = std::getenv("BH_SCALE");
-    if (!s)
-        return 1.0;
-    double v = std::atof(s);
-    return v >= 0.1 ? v : 1.0;
-}
 
 /**
  * Execution context handed to every registered experiment. Experiments

@@ -117,14 +117,9 @@ main(int argc, char **argv)
         } else if (!std::strcmp(arg, "--list")) {
             list = true;
         } else if (!std::strcmp(arg, "--jobs") || !std::strcmp(arg, "-j")) {
-            int n = std::atoi(value());
-            if (n < 0 || n > 4096)
-                fatal("--jobs must be in [0, 4096] (0 = all cores)");
-            jobs = static_cast<unsigned>(n);
+            jobs = parseFlagCount(arg, value(), 0, 4096);
         } else if (!std::strcmp(arg, "--scale")) {
-            scale = std::atof(value());
-            if (scale < 0.1)
-                fatal("--scale must be >= 0.1");
+            scale = parseFlagReal(arg, value(), 0.1);
         } else if (!std::strcmp(arg, "--fast")) {
             scale = 0.1;
         } else if (!std::strcmp(arg, "--skip")) {
@@ -138,16 +133,12 @@ main(int argc, char **argv)
             else
                 fatal("--skip wants on, off, or verify, got '%s'", mode);
         } else if (!std::strcmp(arg, "--channels")) {
-            int n = std::atoi(value());
-            if (n < 1 || n > 64 || !isPow2(static_cast<unsigned>(n)))
+            channels = parseFlagCount(arg, value(), 1, 64);
+            if (!isPow2(channels))
                 fatal("--channels must be a power of two in [1, 64], "
-                      "got '%d'", n);
-            channels = static_cast<unsigned>(n);
+                      "got '%u'", channels);
         } else if (!std::strcmp(arg, "--channel-threads")) {
-            int n = std::atoi(value());
-            if (n < 1 || n > 64)
-                fatal("--channel-threads must be in [1, 64]");
-            channel_threads = static_cast<unsigned>(n);
+            channel_threads = parseFlagCount(arg, value(), 1, 64);
         } else if (!std::strcmp(arg, "--attack")) {
             attack_filter = value();
         } else if (!std::strcmp(arg, "--cell")) {

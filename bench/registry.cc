@@ -1,6 +1,9 @@
 #include "bench/registry.hh"
 
 #include <cctype>
+#include <cerrno>
+#include <cmath>
+#include <cstdlib>
 
 #include "bench/experiments.hh"
 #include "report/report.hh"
@@ -88,6 +91,37 @@ parseCellIndex(const char *text)
               "got '%s'",
               text);
     return cell;
+}
+
+unsigned
+parseFlagCount(const char *name, const char *text, unsigned lo, unsigned hi)
+{
+    char *end = nullptr;
+    errno = 0;
+    unsigned long long v = std::strtoull(text, &end, 10);
+    if (!std::isdigit(static_cast<unsigned char>(text[0])) || *end != '\0' ||
+        errno == ERANGE || v < lo || v > hi)
+        fatal("%s wants a whole number in [%u, %u], got '%s'", name, lo, hi,
+              text);
+    return static_cast<unsigned>(v);
+}
+
+double
+parseFlagReal(const char *name, const char *text, double min)
+{
+    char *end = nullptr;
+    double v = std::strtod(text, &end);
+    if (end == text || std::isspace(static_cast<unsigned char>(text[0])) ||
+        *end != '\0' || !std::isfinite(v) || v < min)
+        fatal("%s wants a finite number >= %g, got '%s'", name, min, text);
+    return v;
+}
+
+double
+benchScale()
+{
+    const char *s = std::getenv("BH_SCALE");
+    return s ? parseFlagReal("BH_SCALE", s, 0.1) : 1.0;
 }
 
 /**

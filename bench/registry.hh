@@ -49,6 +49,30 @@ void runBench(const BenchInfo &info, BenchContext &ctx);
 std::uint64_t parseCellIndex(const char *text);
 
 /**
+ * Value of a whole-number flag `name` of bh_bench or bh_farm: all of
+ * `text` must be decimal digits naming a value in [lo, hi]. Anything
+ * else (empty, junk, trailing junk, a sign, out of range) fatal()s
+ * naming `name` and `text`; a malformed value never falls back to a
+ * default.
+ */
+unsigned parseFlagCount(const char *name, const char *text, unsigned lo,
+                        unsigned hi);
+
+/**
+ * Value of a real-number flag (or environment variable) `name`: all of
+ * `text` must be one finite number >= `min`. Anything else (empty,
+ * junk, trailing junk, leading space, inf, nan, overflow, below `min`)
+ * fatal()s naming `name` and `text`.
+ */
+double parseFlagReal(const char *name, const char *text, double min);
+
+/**
+ * Default `--scale`: the BH_SCALE environment variable, which must then
+ * parse as `--scale` does (a finite number >= 0.1), else 1.0 when unset.
+ */
+double benchScale();
+
+/**
  * Grid identity hash of an experiment at the context's scale/channels:
  * call after an Enumerate pass has filled ctx.phases/nextCell. Farm
  * cells only combine when their fingerprints agree.

@@ -11,21 +11,10 @@ Bank::Bank(const DramTimings &timings) : t(timings)
 {
 }
 
-Cycle
-Bank::earliest(DramCommand cmd) const
+void
+Bank::unsupportedCommand(DramCommand cmd)
 {
-    switch (cmd) {
-      case DramCommand::kAct:
-        return nextAct;
-      case DramCommand::kPre:
-        return nextPre;
-      case DramCommand::kRd:
-        return nextRd;
-      case DramCommand::kWr:
-        return nextWr;
-      default:
-        panic("Bank::earliest: unsupported command %s", commandName(cmd));
-    }
+    panic("Bank::earliest: unsupported command %s", commandName(cmd));
 }
 
 void

@@ -30,7 +30,22 @@ class Bank
     RowId openRow() const { return row; }
 
     /** Earliest cycle the given command may be issued to this bank. */
-    Cycle earliest(DramCommand cmd) const;
+    Cycle
+    earliest(DramCommand cmd) const
+    {
+        switch (cmd) {
+          case DramCommand::kAct:
+            return nextAct;
+          case DramCommand::kPre:
+            return nextPre;
+          case DramCommand::kRd:
+            return nextRd;
+          case DramCommand::kWr:
+            return nextWr;
+          default:
+            unsupportedCommand(cmd);
+        }
+    }
 
     /**
      * Apply a command's timing effects at cycle `now`.
@@ -42,6 +57,9 @@ class Bank
     void blockUntil(Cycle cycle);
 
   private:
+    /** Panic for a command without per-bank timing (REF). */
+    [[noreturn]] static void unsupportedCommand(DramCommand cmd);
+
     const DramTimings &t;
     bool open = false;
     RowId row = 0;

@@ -21,31 +21,10 @@ DramDevice::DramDevice(const DramOrg &o, const DramTimings &timings)
     rowsPerRef = std::max(1u, org.rowsPerBank / refs_per_window);
 }
 
-Cycle
-DramDevice::earliest(DramCommand cmd, unsigned flat_bank) const
+void
+DramDevice::bankOutOfRange(unsigned flat_bank) const
 {
-    if (flat_bank >= banks.size())
-        panic("bank index %u out of range", flat_bank);
-    Cycle e = banks[flat_bank].earliest(cmd);
-    switch (cmd) {
-      case DramCommand::kAct: {
-        e = std::max(e, nextActRank);
-        // tFAW: the 4th-most-recent ACT bounds the next one.
-        Cycle oldest = actWindow[actWindowPos];
-        if (oldest >= 0)
-            e = std::max(e, oldest + t.tFAW);
-        break;
-      }
-      case DramCommand::kRd:
-        e = std::max(e, nextRd);
-        break;
-      case DramCommand::kWr:
-        e = std::max(e, nextWr);
-        break;
-      default:
-        break;
-    }
-    return e;
+    panic("bank index %u out of range", flat_bank);
 }
 
 void

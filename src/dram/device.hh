@@ -11,6 +11,7 @@
 #ifndef BH_DRAM_DEVICE_HH
 #define BH_DRAM_DEVICE_HH
 
+#include <algorithm>
 #include <array>
 #include <functional>
 #include <vector>
@@ -36,7 +37,32 @@ class DramDevice
     DramDevice(const DramOrg &org, const DramTimings &timings);
 
     /** Earliest legal issue cycle of `cmd` to `flat_bank`. */
-    Cycle earliest(DramCommand cmd, unsigned flat_bank) const;
+    Cycle
+    earliest(DramCommand cmd, unsigned flat_bank) const
+    {
+        if (flat_bank >= banks.size())
+            bankOutOfRange(flat_bank);
+        Cycle e = banks[flat_bank].earliest(cmd);
+        switch (cmd) {
+          case DramCommand::kAct: {
+            e = std::max(e, nextActRank);
+            // tFAW: the 4th-most-recent ACT bounds the next one.
+            Cycle oldest = actWindow[actWindowPos];
+            if (oldest >= 0)
+                e = std::max(e, oldest + t.tFAW);
+            break;
+          }
+          case DramCommand::kRd:
+            e = std::max(e, nextRd);
+            break;
+          case DramCommand::kWr:
+            e = std::max(e, nextWr);
+            break;
+          default:
+            break;
+        }
+        return e;
+    }
 
     /** True if `cmd` to `flat_bank` is legal at `now`. */
     bool
@@ -115,6 +141,9 @@ class DramDevice
     std::uint64_t busCycles = 0;
 
     std::vector<CommandListener> listeners;
+
+    /** Panic for a bank index past the channel's banks. */
+    [[noreturn]] void bankOutOfRange(unsigned flat_bank) const;
 
     void notify(DramCommand cmd, unsigned flat_bank, RowId row, Cycle now);
 };

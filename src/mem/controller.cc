@@ -177,6 +177,8 @@ MemController::tryRefresh(Cycle now)
 bool
 MemController::tryVictimRefresh(Cycle now)
 {
+    if (pendingVictims == 0)
+        return false;
     for (unsigned fb = 0; fb < banks; ++fb) {
         auto &ops = victimQ[fb];
         if (ops.empty())
@@ -223,6 +225,7 @@ MemController::tryVictimRefresh(Cycle now)
             if (!dram.bank(fb).isOpen() ||
                 dram.bank(fb).openRow() != op.row) {
                 ops.pop_front();
+                --pendingVictims;
                 ++numVictimDone;
                 ++numActions;
                 continue;
@@ -233,6 +236,7 @@ MemController::tryVictimRefresh(Cycle now)
                 if (energy)
                     energy->onOpenBankCount(dram.openBankCount(), now);
                 ops.pop_front();
+                --pendingVictims;
                 ++numVictimDone;
                 return true;
             }
@@ -262,9 +266,10 @@ MemController::tryDemand(Cycle now)
     ReqType primary_type = serve_writes ? ReqType::kWrite : ReqType::kRead;
     ReqType secondary_type = serve_writes ? ReqType::kRead : ReqType::kWrite;
 
-    auto capped = [&](unsigned bank) {
-        return hitStreak[bank] >= cfg.rowHitCap;
-    };
+    DemandBound &primary_bound = serve_writes ? writeBound : readBound;
+    DemandBound &secondary_bound = serve_writes ? readBound : writeBound;
+
+    StreakCapped capped{hitStreak.data(), cfg.rowHitCap};
     // 1. Row-buffer hits from the primary queue.
     if (auto h = scheduler.pickColumnReady(primary, primary_type, dram, now,
                                            capped);
@@ -287,18 +292,21 @@ MemController::tryDemand(Cycle now)
             ++numActBlocked;
         return safe;
     };
-    if (auto h = scheduler.pickRowPrep(primary, dram, now, act_filter,
-                                       capped);
+    if (auto h = scheduler.pickRowPrep(primary, primary_type, dram, now,
+                                       act_filter, capped, primary_bound);
         h != SchedQueue::kNone) {
         if (issuePrep(primary, h, now))
             return true;
     }
-    if (auto h = scheduler.pickRowPrep(secondary, dram, now, act_filter,
-                                       capped);
+    if (auto h = scheduler.pickRowPrep(secondary, secondary_type, dram, now,
+                                       act_filter, capped, secondary_bound);
         h != SchedQueue::kNone) {
         if (issuePrep(secondary, h, now))
             return true;
     }
+    // Nothing issued: both walks ran, and their bounds stay exact until
+    // the next action or arrival.
+    demandBoundsAt = now;
     return false;
 }
 
@@ -401,17 +409,9 @@ void
 MemController::scheduleVictimRefresh(unsigned flat_bank, RowId row)
 {
     victimQ[flat_bank].push_back(VictimOp{row, false});
+    ++pendingVictims;
     ++numVictimScheduled;
     ++numActions;
-}
-
-std::size_t
-MemController::pendingVictimRefreshes() const
-{
-    std::size_t n = 0;
-    for (const auto &q : victimQ)
-        n += q.size();
-    return n;
 }
 
 Cycle
@@ -421,6 +421,11 @@ MemController::nextEventAt(Cycle now)
     // its bound is the answer (the skip driver asks every quiet cycle).
     if (now < idleUntil && idleSinceLastTick())
         return idleUntil;
+    // The answer is read off the state the last executed tick left, so
+    // that tick must exist and nothing may have happened since.
+    if (lastTickAt < 0 || !idleSinceLastTick())
+        panic("MemController::nextEventAt(%lld): not idle since an "
+              "executed tick", static_cast<long long>(now));
 
     // The mitigation's epoch/reset boundaries bound every skip so that at
     // most one boundary is crossed per executed tick (its catch-up logic
@@ -445,7 +450,7 @@ MemController::nextEventAt(Cycle now)
 
     // Victim-refresh candidates. Completed ops whose bank moved on are
     // popped eagerly by the preceding tick, so pending ops wait on timing.
-    for (unsigned fb = 0; fb < banks; ++fb) {
+    for (unsigned fb = 0; pendingVictims != 0 && fb < banks; ++fb) {
         const auto &ops = victimQ[fb];
         if (ops.empty())
             continue;
@@ -460,20 +465,21 @@ MemController::nextEventAt(Cycle now)
         }
     }
 
-    // Demand candidates from both queues (either can serve any tick).
-    auto capped = [&](unsigned bank) {
-        return hitStreak[bank] >= cfg.rowHitCap;
-    };
+    // Demand candidates from both queues (either can serve any tick), as
+    // the idle tick's row-prep walks recorded them; an idle tick outside
+    // a refresh drain always reaches both.
+    if (demandBoundsAt != lastTickAt)
+        panic("MemController::nextEventAt(%lld): no demand bound recorded "
+              "at the last executed tick (%lld)", static_cast<long long>(now),
+              static_cast<long long>(lastTickAt));
     Cycle verdict = mitig.nextVerdictChangeAt(now);
     // Any unsafe verdict in the last tick makes the per-tick blocked
     // counters verdict-dependent: even if no command can issue earlier, a
     // verdict flip changes what the skipped ticks would have counted.
     if (lastTickBlockedEvals > 0)
         best = std::min(best, verdict);
-    best = std::min(best, scheduler.nextDemandEventAt(
-        readQ, ReqType::kRead, dram, lastTickAt, capped, verdict));
-    best = std::min(best, scheduler.nextDemandEventAt(
-        writeQ, ReqType::kWrite, dram, lastTickAt, capped, verdict));
+    best = std::min(best, readBound.at(verdict));
+    best = std::min(best, writeBound.at(verdict));
     return std::max(best, now);
 }
 

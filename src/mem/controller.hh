@@ -107,7 +107,7 @@ class MemController
     void scheduleVictimRefresh(unsigned flat_bank, RowId row);
 
     /** Pending victim refreshes not yet completed. */
-    std::size_t pendingVictimRefreshes() const;
+    std::size_t pendingVictimRefreshes() const { return pendingVictims; }
 
     /** Queue occupancy. */
     std::size_t readQueueDepth() const { return readQ.size(); }
@@ -171,7 +171,9 @@ class MemController
      * command, start a refresh, or see a mitigation verdict change),
      * assuming no new requests arrive. Conservative: never later than the
      * true next action, may be earlier. Only valid in an idle state (see
-     * idleSinceLastTick()).
+     * idleSinceLastTick()) after at least one executed tick: the answer
+     * comes from what that tick recorded, and asking in any other state
+     * panics.
      */
     Cycle nextEventAt(Cycle now);
 
@@ -257,6 +259,7 @@ class MemController
     SchedQueue readQ;
     SchedQueue writeQ;
     std::vector<std::deque<VictimOp>> victimQ;  ///< per bank
+    std::size_t pendingVictims = 0;             ///< ops in all of victimQ
 
     bool drainingWrites = false;
     bool drainToggle = false;
@@ -284,6 +287,10 @@ class MemController
     std::uint64_t stampBeforeLastTick = 0;
     std::uint64_t stampAfterLastTick = 0;
     Cycle lastTickAt = -1;
+    /// Demand event bounds of the two queues, recorded by the row-prep
+    /// walks of the tick at `demandBoundsAt` (-1: none yet).
+    DemandBound readBound, writeBound;
+    Cycle demandBoundsAt = -1;
     bool lastTickReachedDemand = false;
     std::uint64_t lastTickBlockedEvals = 0;
     bool fastIdleTicks = true;

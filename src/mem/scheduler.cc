@@ -86,15 +86,10 @@ SchedQueue::take(Handle h)
 }
 
 const SchedQueue::BankHits &
-SchedQueue::hitStats(unsigned fb, const Bank &bank)
+SchedQueue::recountHits(BankState &b, const Bank &bank)
 {
-    BankState &b = banks[fb];
     bool open = bank.isOpen();
     RowId row = open ? bank.openRow() : 0;
-    if (b.cachedVersion == b.version && b.cachedOpen == open &&
-        (!open || b.cachedRow == row)) {
-        return b.hits;
-    }
     b.hits = BankHits{};
     if (open) {
         for (Handle h = b.head; h != kNone; h = nodes[h].bankNext) {
@@ -121,7 +116,7 @@ FrFcfsScheduler::FrFcfsScheduler(unsigned num_banks)
 SchedQueue::Handle
 FrFcfsScheduler::pickColumnReady(SchedQueue &queue, ReqType type,
                                  const DramDevice &dram, Cycle now,
-                                 const StreakCapped &capped)
+                                 StreakCapped capped)
 {
     DramCommand cmd = (type == ReqType::kRead)
         ? DramCommand::kRd : DramCommand::kWr;
@@ -141,7 +136,7 @@ FrFcfsScheduler::pickColumnReady(SchedQueue &queue, ReqType type,
         // A capped bank only stops serving hits if someone is waiting for
         // a different row in it; otherwise capping would waste bandwidth.
         bool conflict_waiting = queue.bankCount(fb) > hits.hitCount;
-        if (conflict_waiting && capped && capped(fb))
+        if (conflict_waiting && capped(fb))
             continue;
         if (bank.earliest(cmd) > now)
             continue;
@@ -155,29 +150,50 @@ FrFcfsScheduler::pickColumnReady(SchedQueue &queue, ReqType type,
 }
 
 SchedQueue::Handle
-FrFcfsScheduler::pickRowPrep(SchedQueue &queue, const DramDevice &dram,
-                             Cycle now, const ActFilter &act_allowed,
-                             const StreakCapped &capped)
+FrFcfsScheduler::pickRowPrep(SchedQueue &queue, ReqType type,
+                             const DramDevice &dram, Cycle now,
+                             const ActFilter &act_allowed,
+                             StreakCapped capped, DemandBound &bound)
 {
+    DramCommand col = (type == ReqType::kRead)
+        ? DramCommand::kRd : DramCommand::kWr;
+    Cycle col_gate = dram.columnEarliest(col);
+    bound = DemandBound{};
+
     // Collect each active bank's frontier in ascending age. `activeBanks`
     // is in head-age order, so closed banks (frontier = head) append in
-    // order and only an open bank's younger oldest miss sifts left.
+    // order and only an open bank's younger oldest miss sifts left. The
+    // same pass records the earliest cycle each bank could next issue.
     frontiers.clear();
     for (unsigned fb : queue.activeBanks()) {
         const Bank &bank = dram.bank(fb);
         Frontier f;
         if (bank.isOpen()) {
-            if (bank.earliest(DramCommand::kPre) > now)
-                continue;
-            // Row hits are the column path's; a bank with a pending row
-            // hit keeps its row open unless its hit streak is capped.
+            // Row hits are the column path's (a capped streak serves none
+            // while a conflict waits); a bank with a pending row hit keeps
+            // its row open unless its hit streak is capped.
             const auto &hits = queue.hitStats(fb, bank);
-            if (hits.oldestMiss == SchedQueue::kNone ||
-                (hits.hitCount > 0 && !(capped && capped(fb))))
+            bool conflict = hits.oldestMiss != SchedQueue::kNone;
+            bool cap = capped(fb);
+            if (hits.hitCount > 0 && !(cap && conflict))
+                bound.timing = std::min(
+                    bound.timing, std::max(bank.earliest(col), col_gate));
+            if (!conflict || (hits.hitCount > 0 && !cap))
+                continue;
+            Cycle pre = bank.earliest(DramCommand::kPre);
+            bound.timing = std::min(bound.timing, pre);
+            if (pre > now)
                 continue;
             f.handle = hits.oldestMiss;
             f.precharge = true;
         } else {
+            // If nothing is picked, an ACT already legal now was refused
+            // by the mitigation: only a verdict flip can release it.
+            Cycle act = dram.earliest(DramCommand::kAct, fb);
+            if (act > now)
+                bound.timing = std::min(bound.timing, act);
+            else
+                bound.verdictBound = true;
             f.handle = queue.bankOldest(fb);
         }
         f.seq = queue.seqOf(f.handle);
@@ -217,43 +233,6 @@ FrFcfsScheduler::pickRowPrep(SchedQueue &queue, const DramDevice &dram,
         frontiers[pos] = next;
     }
     return SchedQueue::kNone;
-}
-
-Cycle
-FrFcfsScheduler::nextDemandEventAt(SchedQueue &queue, ReqType type,
-                                   const DramDevice &dram, Cycle last_tick_at,
-                                   const StreakCapped &capped,
-                                   Cycle verdict_change_at)
-{
-    DramCommand cmd = (type == ReqType::kRead)
-        ? DramCommand::kRd : DramCommand::kWr;
-    Cycle col_gate = dram.columnEarliest(cmd);
-    Cycle best = kNoEventCycle;
-    for (unsigned fb : queue.activeBanks()) {
-        const Bank &bank = dram.bank(fb);
-        if (bank.isOpen()) {
-            const auto &hits = queue.hitStats(fb, bank);
-            bool cap = capped && capped(fb);
-            bool conflict = queue.bankCount(fb) > hits.hitCount;
-            if (hits.hitCount > 0 && !(cap && conflict))
-                best = std::min(best,
-                                std::max(bank.earliest(cmd), col_gate));
-            // A conflicting request may close the row unless a live (not
-            // capped) hit keeps it open.
-            if (conflict && !(hits.hitCount > 0 && !cap))
-                best = std::min(best, bank.earliest(DramCommand::kPre));
-        } else {
-            Cycle act = dram.earliest(DramCommand::kAct, fb);
-            // An ACT that was already legal at the last executed tick and
-            // still was not issued is mitigation-blocked: its verdict can
-            // only flip at the mitigation's next time-driven state change.
-            // Later ACT-ready times are ordinary timing candidates (the
-            // controller simply has not ticked since they became legal).
-            best = std::min(best,
-                            act > last_tick_at ? act : verdict_change_at);
-        }
-    }
-    return best;
 }
 
 } // namespace bh

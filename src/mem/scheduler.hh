@@ -11,6 +11,9 @@
  * request an oldest-first walk of the whole queue would act on in that
  * bank) in ascending age, preserving the exact pick — and the exact order
  * of mitigation safety queries — of the original full-walk implementation.
+ * The same bank walk records the queue's demand event bound, which the
+ * event-skipping controller reads after an idle tick instead of walking
+ * the banks a second time.
  *
  * All per-bank state is sized from the device, so arbitrarily large
  * organizations (multi-rank DDR4 with > 64 flat banks) work; the old
@@ -20,6 +23,7 @@
 #ifndef BH_MEM_SCHEDULER_HH
 #define BH_MEM_SCHEDULER_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -85,7 +89,16 @@ class SchedQueue
      * recomputed only when the bank's row state or request set changed
      * since the cached value. Only meaningful for open banks.
      */
-    const BankHits &hitStats(unsigned fb, const Bank &bank);
+    const BankHits &
+    hitStats(unsigned fb, const Bank &bank)
+    {
+        BankState &b = banks[fb];
+        bool open = bank.isOpen();
+        if (b.cachedVersion == b.version && b.cachedOpen == open &&
+            (!open || b.cachedRow == bank.openRow()))
+            return b.hits;
+        return recountHits(b, bank);
+    }
 
   private:
     struct Node
@@ -110,12 +123,55 @@ class SchedQueue
         BankHits hits;
     };
 
+    /** Recompute and re-key `b`'s hit cache (hitStats cache miss). */
+    const BankHits &recountHits(BankState &b, const Bank &bank);
+
     std::vector<Node> nodes;
     Handle freeHead = kNone;
     std::size_t count = 0;
     std::uint64_t nextSeq = 0;
     std::vector<BankState> banks;
     std::vector<unsigned> active;
+};
+
+/**
+ * FR-FCFS-Cap view over the controller's per-bank row-hit streaks: a
+ * bank whose streak reached `cap` is capped, and stops serving further
+ * row hits (and may be closed) while a request to another of its rows
+ * waits, so one streaming thread cannot capture a bank indefinitely.
+ */
+struct StreakCapped
+{
+    const unsigned *streak = nullptr;   ///< consecutive row hits per bank
+    unsigned cap = 0;
+
+    bool operator()(unsigned bank) const { return streak[bank] >= cap; }
+};
+
+/**
+ * A queue's demand event bound, recorded by FrFcfsScheduler::pickRowPrep
+ * while it walks the queue's banks: the earliest future cycle at which
+ * a demand command for the queue could become issuable, assuming no
+ * intervening state change. Conservative: may name a cycle at which
+ * nothing is issuable yet, never one past an issue opportunity.
+ */
+struct DemandBound
+{
+    /// Earliest timing-driven candidate; kNoEventCycle when none.
+    Cycle timing = kNoEventCycle;
+    /**
+     * Some closed bank's ACT was already legal at the walk. If the walk
+     * picks nothing, that ACT is mitigation-blocked, and its verdict can
+     * only flip at the mitigation's next time-driven state change.
+     */
+    bool verdictBound = false;
+
+    /** The bound, given the mitigation's next possible verdict flip. */
+    Cycle
+    at(Cycle verdict_change_at) const
+    {
+        return verdictBound ? std::min(timing, verdict_change_at) : timing;
+    }
 };
 
 /**
@@ -128,13 +184,6 @@ class FrFcfsScheduler
     /** Predicate deciding if a request's ACT may be issued (mitigation). */
     using ActFilter = std::function<bool(const Request &)>;
 
-    /**
-     * Predicate deciding if a bank's row-hit streak has been capped:
-     * capped banks stop serving further row hits (and may be closed) so
-     * one streaming thread cannot capture a bank indefinitely.
-     */
-    using StreakCapped = std::function<bool(unsigned bank)>;
-
     explicit FrFcfsScheduler(unsigned num_banks);
 
     /**
@@ -144,7 +193,7 @@ class FrFcfsScheduler
      */
     SchedQueue::Handle
     pickColumnReady(SchedQueue &queue, ReqType type, const DramDevice &dram,
-                    Cycle now, const StreakCapped &capped);
+                    Cycle now, StreakCapped capped);
 
     /**
      * Pick the oldest request that needs (and can start) row preparation:
@@ -166,25 +215,15 @@ class FrFcfsScheduler
      * whole queue, with the mitigation filter called on the same requests
      * in the same global age order, so safety-query side effects (delay
      * accounting, blocked counters) are bit-compatible.
+     *
+     * The walk that collects the frontiers also records into `bound` the
+     * queue's demand event bound (`queue` holds requests of `type`), so
+     * an idle controller tick needs no second pass over its banks.
      */
     SchedQueue::Handle
-    pickRowPrep(SchedQueue &queue, const DramDevice &dram, Cycle now,
-                const ActFilter &act_allowed, const StreakCapped &capped);
-
-    /**
-     * Earliest future cycle at which a demand command for `queue` could
-     * become issuable, assuming no intervening state change. Banks whose
-     * ACT was already legal at the controller's last executed tick
-     * (`last_tick_at`) yet went unissued are mitigation-blocked and
-     * contribute `verdict_change_at` (the mitigation's next possible
-     * verdict flip). Returns kNoEventCycle when the queue presents no
-     * candidates. Conservative: may return a cycle at which nothing is
-     * issuable yet, never one that skips over an issue opportunity.
-     */
-    Cycle nextDemandEventAt(SchedQueue &queue, ReqType type,
-                            const DramDevice &dram, Cycle last_tick_at,
-                            const StreakCapped &capped,
-                            Cycle verdict_change_at);
+    pickRowPrep(SchedQueue &queue, ReqType type, const DramDevice &dram,
+                Cycle now, const ActFilter &act_allowed, StreakCapped capped,
+                DemandBound &bound);
 
   private:
     /** One bank's row-prep candidate within a pickRowPrep call. */

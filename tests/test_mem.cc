@@ -251,6 +251,20 @@ TEST_F(MemTest, VictimRefreshOccupiesBank)
     EXPECT_EQ(mem->controller().victimRefreshesDone(), 1u);
 }
 
+TEST_F(MemTest, VictimRefreshClosedByTheRefreshDrainCompletes)
+{
+    // The victim ACT issues just before the refresh deadline, so the
+    // refresh drain, not the victim path, precharges the bank; the op
+    // then completes without a PRE of its own.
+    const auto &t = mem->device().timings();
+    runFor(t.tREFI - 2);
+    mem->controller().scheduleVictimRefresh(0, 500);
+    runFor(t.tRAS + t.tRP + t.tRFC + 100);
+    EXPECT_EQ(mem->controller().refreshes(), 1u);
+    EXPECT_EQ(mem->controller().victimRefreshesDone(), 1u);
+    EXPECT_EQ(mem->controller().pendingVictimRefreshes(), 0u);
+}
+
 TEST_F(MemTest, VictimRefreshPrioritizedOverDemand)
 {
     // Victim refresh to bank 0 scheduled before a demand read arrives:
@@ -317,6 +331,27 @@ TEST_F(MemTest, ThreadStatsConstForUnknownThreads)
     EXPECT_EQ(mc.threadStats(2).reads, 1u);
     EXPECT_EQ(mc.threadStats(1234).reads, 0u);
     EXPECT_EQ(mc.inflight(2, 0), 1);
+}
+
+using MemDeathTest = MemTest;
+
+TEST_F(MemDeathTest, NextEventAtPanicsOutsideAnIdleState)
+{
+    // The answer is read off what the last executed tick recorded: before
+    // the first tick there is nothing to read.
+    EXPECT_DEATH(mem->controller().nextEventAt(0),
+                 "not idle since an executed tick");
+
+    // An idle tick answers (an empty controller next acts at refresh)...
+    runFor(1);
+    const auto &t = mem->device().timings();
+    EXPECT_EQ(mem->controller().nextEventAt(now), t.tREFI);
+
+    // ...until a request arrives, which voids what the tick recorded.
+    read(0, 100);
+    ASSERT_EQ(lastResult, SubmitResult::kAccepted);
+    EXPECT_DEATH(mem->controller().nextEventAt(now),
+                 "not idle since an executed tick");
 }
 
 TEST_F(MemTest, SyncStatsPublishesCounters)

@@ -20,6 +20,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <initializer_list>
 #include <optional>
 #include <tuple>
@@ -192,6 +193,57 @@ TEST(CellDeathTest, NonNumericCellIsAParseError)
     for (const char *bad : {"", "x", "12x", "-1", "+3", " 4", "0/2"})
         EXPECT_EXIT(parseCellIndex(bad), testing::ExitedWithCode(1),
                     "--cell wants a global cell index");
+}
+
+TEST(BenchFlagsDeathTest, MalformedCountsFailNamingFlagAndValue)
+{
+    EXPECT_EQ(parseFlagCount("--jobs", "0", 0, 4096), 0u);
+    EXPECT_EQ(parseFlagCount("--jobs", "4096", 0, 4096), 4096u);
+    EXPECT_EQ(parseFlagCount("--channels", "08", 1, 64), 8u);
+    for (const char *bad : {"4x", "abc", "", "inf", "nan", "-1", "1e999",
+                            " 4", "4 ", "4097", "99999999999999999999999"})
+        EXPECT_EXIT(parseFlagCount("--jobs", bad, 0, 4096),
+                    testing::ExitedWithCode(1),
+                    std::string("--jobs wants a whole number in \\[0, "
+                                "4096\\], got '") + bad + "'");
+    EXPECT_EXIT(parseFlagCount("--jobs", "+3", 0, 4096),
+                testing::ExitedWithCode(1), "--jobs wants a whole number");
+    for (const char *bad : {"0", "65"})
+        EXPECT_EXIT(parseFlagCount("--channel-threads", bad, 1, 64),
+                    testing::ExitedWithCode(1),
+                    std::string("--channel-threads .*got '") + bad + "'");
+}
+
+TEST(BenchFlagsDeathTest, MalformedRealsFailNamingFlagAndValue)
+{
+    EXPECT_EQ(parseFlagReal("--scale", "0.1", 0.1), 0.1);
+    EXPECT_EQ(parseFlagReal("--scale", "4", 0.1), 4.0);
+    EXPECT_EQ(parseFlagReal("--cell-budget", "0", 0.0), 0.0);
+    for (const char *bad : {"4x", "abc", "", "inf", "nan", "-1", "1e999",
+                            "0.05", " 1", "1 "})
+        EXPECT_EXIT(parseFlagReal("--scale", bad, 0.1),
+                    testing::ExitedWithCode(1),
+                    std::string("--scale wants a finite number >= 0.1, "
+                                "got '") + bad + "'");
+    for (const char *bad : {"", "-0.5", "inf", "nan", "30s"})
+        EXPECT_EXIT(parseFlagReal("--stale-after", bad, 0.0),
+                    testing::ExitedWithCode(1),
+                    std::string("--stale-after .*got '") + bad + "'");
+}
+
+TEST(BenchFlagsDeathTest, BhScaleParsesLikeTheScaleFlag)
+{
+    unsetenv("BH_SCALE");
+    EXPECT_EQ(benchScale(), 1.0);
+    setenv("BH_SCALE", "0.5", 1);
+    EXPECT_EQ(benchScale(), 0.5);
+    for (const char *bad : {"0.05", "abc", "", "inf", "nan", "2x"}) {
+        setenv("BH_SCALE", bad, 1);
+        EXPECT_EXIT(benchScale(), testing::ExitedWithCode(1),
+                    std::string("BH_SCALE wants a finite number >= 0.1, "
+                                "got '") + bad + "'");
+    }
+    unsetenv("BH_SCALE");
 }
 
 TEST(Diff, NumericToleranceAndIgnores)

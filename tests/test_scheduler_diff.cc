@@ -9,7 +9,9 @@
  * lives across all rounds, with arrivals, served picks and random
  * removals, so the head-age order of SchedQueue::activeBanks() (which
  * keeps the row-prep pick's frontier list nearly sorted as it is built)
- * is checked after every push and take.
+ * is checked after every push and take. The demand event bound that the
+ * row-prep walk records must equal the original separate bank walk
+ * (referenceNextDemandEventAt, kept verbatim below) in every round.
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +19,7 @@
 #include <algorithm>
 #include <array>
 #include <deque>
+#include <functional>
 #include <optional>
 #include <vector>
 
@@ -30,6 +33,9 @@ namespace
 
 using EvalLog = std::vector<std::pair<unsigned, RowId>>;
 
+/** The references' streak-cap predicate (a StreakCapped converts). */
+using CappedFn = std::function<bool(unsigned bank)>;
+
 /**
  * Reference implementation: the original stateless full-walk FR-FCFS
  * (stack arrays, O(queue) per call), kept verbatim as the oracle.
@@ -41,7 +47,7 @@ class ReferenceFrFcfs
 
     static std::optional<std::size_t>
     pickColumnReady(const std::deque<Request> &queue, const DramDevice &dram,
-                    Cycle now, const FrFcfsScheduler::StreakCapped &capped)
+                    Cycle now, const CappedFn &capped)
     {
         std::array<bool, kMaxBanks> conflict_waiting{};
         for (const auto &req : queue) {
@@ -68,7 +74,7 @@ class ReferenceFrFcfs
     static std::optional<std::size_t>
     pickRowPrep(const std::deque<Request> &queue, const DramDevice &dram,
                 Cycle now, const FrFcfsScheduler::ActFilter &act_allowed,
-                const FrFcfsScheduler::StreakCapped &capped)
+                const CappedFn &capped)
     {
         std::array<bool, kMaxBanks> keep_open{};
         for (const auto &req : queue) {
@@ -103,6 +109,51 @@ class ReferenceFrFcfs
         return std::nullopt;
     }
 };
+
+/**
+ * Reference demand event bound: the scheduler's original second walk
+ * over the queue's banks, kept verbatim. Earliest future cycle at which
+ * a demand command for `queue` could become issuable, assuming no
+ * intervening state change. Banks whose ACT was
+ * already legal at the controller's last executed tick (`last_tick_at`)
+ * yet went unissued are mitigation-blocked and contribute
+ * `verdict_change_at`.
+ */
+Cycle
+referenceNextDemandEventAt(SchedQueue &queue, ReqType type,
+                           const DramDevice &dram, Cycle last_tick_at,
+                           const CappedFn &capped, Cycle verdict_change_at)
+{
+    DramCommand cmd = (type == ReqType::kRead)
+        ? DramCommand::kRd : DramCommand::kWr;
+    Cycle col_gate = dram.columnEarliest(cmd);
+    Cycle best = kNoEventCycle;
+    for (unsigned fb : queue.activeBanks()) {
+        const Bank &bank = dram.bank(fb);
+        if (bank.isOpen()) {
+            const auto &hits = queue.hitStats(fb, bank);
+            bool cap = capped && capped(fb);
+            bool conflict = queue.bankCount(fb) > hits.hitCount;
+            if (hits.hitCount > 0 && !(cap && conflict))
+                best = std::min(best,
+                                std::max(bank.earliest(cmd), col_gate));
+            // A conflicting request may close the row unless a live (not
+            // capped) hit keeps it open.
+            if (conflict && !(hits.hitCount > 0 && !cap))
+                best = std::min(best, bank.earliest(DramCommand::kPre));
+        } else {
+            Cycle act = dram.earliest(DramCommand::kAct, fb);
+            // An ACT that was already legal at the last executed tick and
+            // still was not issued is mitigation-blocked: its verdict can
+            // only flip at the mitigation's next time-driven state change.
+            // Later ACT-ready times are ordinary timing candidates (the
+            // controller simply has not ticked since they became legal).
+            best = std::min(best,
+                            act > last_tick_at ? act : verdict_change_at);
+        }
+    }
+    return best;
+}
 
 /** Drive a device through random legal commands to diversify its state. */
 void
@@ -238,13 +289,15 @@ runDifferential(unsigned nbanks, std::uint64_t seed)
             new_q.at(handles[i]).type = type;
         }
 
-        // Random capped banks and a deterministic (but arbitrary-looking)
-        // safety verdict per (bank, row).
-        std::uint64_t cap_salt = rng.next();
+        // Random per-bank row-hit streaks around the cap (so some banks
+        // are capped) and a deterministic (but arbitrary-looking) safety
+        // verdict per (bank, row).
+        constexpr unsigned kCap = 4;
+        std::vector<unsigned> streak(nbanks);
+        for (unsigned &n : streak)
+            n = static_cast<unsigned>(rng.below(kCap + 2));
+        StreakCapped capped{streak.data(), kCap};
         std::uint64_t act_salt = rng.next();
-        auto capped = [&](unsigned bank) {
-            return ((bank * 2654435761u) ^ cap_salt) % 4 == 0;
-        };
         auto verdict = [&](unsigned bank, RowId row) {
             std::uint64_t h =
                 (static_cast<std::uint64_t>(bank) << 32 | row) * 0x9e3779b9;
@@ -276,8 +329,9 @@ runDifferential(unsigned nbanks, std::uint64_t seed)
         };
         auto ref_prep = ReferenceFrFcfs::pickRowPrep(ref_q, dram, now,
                                                      ref_filter, capped);
-        auto new_prep = sched.pickRowPrep(new_q, dram, now, new_filter,
-                                          capped);
+        DemandBound bound;
+        auto new_prep = sched.pickRowPrep(new_q, type, dram, now, new_filter,
+                                          capped, bound);
         if (ref_prep.has_value()) {
             ASSERT_NE(new_prep, SchedQueue::kNone) << "iter " << iter;
             EXPECT_EQ(ref_q[*ref_prep].id, new_q.at(new_prep).id)
@@ -287,21 +341,29 @@ runDifferential(unsigned nbanks, std::uint64_t seed)
         }
         EXPECT_EQ(ref_log, new_log) << "iter " << iter;
 
-        // When nothing picks, the scheduler's event bound must hold: no
-        // pick may become possible before it (under frozen verdicts).
+        // The bound the row-prep walk recorded is the separate walk's,
+        // whether or not the mitigation's verdict can flip.
+        for (Cycle verdict_at : {kNoEventCycle, now + 1 + iter % 32})
+            EXPECT_EQ(bound.at(verdict_at),
+                      referenceNextDemandEventAt(new_q, type, dram, now,
+                                                 capped, verdict_at))
+                << "iter " << iter << " verdict change at " << verdict_at;
+
+        // When nothing picks, the recorded bound must hold: no pick may
+        // become possible before it (under frozen verdicts).
         if (!ref_col && !ref_prep) {
             auto silent = [&](const Request &req) {
                 return verdict(req.flatBank, req.coord.row);
             };
-            Cycle bound = sched.nextDemandEventAt(new_q, type, dram, now,
-                                                  capped, kNoEventCycle);
-            Cycle horizon = std::min(bound, now + 200);
+            DemandBound later;
+            Cycle horizon = std::min(bound.at(kNoEventCycle), now + 200);
             for (Cycle c = now + 1; c < horizon; ++c) {
                 EXPECT_EQ(sched.pickColumnReady(new_q, type, dram, c,
                                                 capped),
                           SchedQueue::kNone)
                     << "iter " << iter << " cycle " << c;
-                EXPECT_EQ(sched.pickRowPrep(new_q, dram, c, silent, capped),
+                EXPECT_EQ(sched.pickRowPrep(new_q, type, dram, c, silent,
+                                            capped, later),
                           SchedQueue::kNone)
                     << "iter " << iter << " cycle " << c;
             }
@@ -317,6 +379,41 @@ runDifferential(unsigned nbanks, std::uint64_t seed)
             !dram.bank(new_q.at(new_prep).flatBank).isOpen()) {
             ASSERT_NO_FATAL_FAILURE(take(new_prep));
         }
+    }
+}
+
+TEST(SchedulerDemandBound, CappedHitYieldsToTheConflictsPrecharge)
+{
+    // One open bank holding a row hit and a conflict, at a cycle where
+    // its column command is already legal and its PRE is not yet. A
+    // live hit bounds at the column time; a capped one no longer keeps
+    // the row open, so the conflict's PRE time bounds instead.
+    DramOrg org;
+    DramDevice dram(org, DramTimings::ddr4());
+    const DramTimings &t = dram.timings();
+    dram.issue(DramCommand::kAct, 0, 7, 0);
+    SchedQueue q(dram.numBanks());
+    for (RowId row : {7u, 9u}) {
+        Request req;
+        req.flatBank = 0;
+        req.coord.row = row;
+        q.push(std::move(req));
+    }
+    Cycle now = t.tRCD;
+    ASSERT_LT(now, t.tRAS);
+    FrFcfsScheduler sched(dram.numBanks());
+    auto never = [](const Request &) { return false; };
+    for (unsigned streak : {0u, 4u}) {
+        StreakCapped capped{&streak, 4};
+        DemandBound bound;
+        EXPECT_EQ(sched.pickRowPrep(q, ReqType::kRead, dram, now, never,
+                                    capped, bound),
+                  SchedQueue::kNone);
+        EXPECT_EQ(bound.at(kNoEventCycle), streak < 4 ? t.tRCD : t.tRAS)
+            << "streak " << streak;
+        EXPECT_EQ(bound.at(kNoEventCycle),
+                  referenceNextDemandEventAt(q, ReqType::kRead, dram, now,
+                                             capped, kNoEventCycle));
     }
 }
 

@@ -24,6 +24,7 @@
  * the spec grammar (kill@3,truncate@5,... or random:SEED:COUNT).
  */
 
+#include <climits>
 #include <csignal>
 #include <cstring>
 #include <thread>
@@ -85,16 +86,6 @@ usage(std::FILE *out)
         "  -o, --out FILE      output (default BENCH_<experiment>.json)\n");
 }
 
-double
-parseSeconds(const char *what, const char *text)
-{
-    char *end = nullptr;
-    double v = std::strtod(text, &end);
-    if (!end || *end != '\0' || v < 0.0)
-        bh::fatal("%s wants a non-negative number, got '%s'", what, text);
-    return v;
-}
-
 std::string
 faultSpecFromEnv(const std::string &cli_spec)
 {
@@ -133,39 +124,35 @@ cmdInit(const std::string &dir, const std::vector<std::string> &args)
         if (arg == "--experiment") {
             spec.experiment = value();
         } else if (arg == "--scale") {
-            spec.scale = parseSeconds("--scale", value());
-            if (spec.scale < 0.1)
-                fatal("--scale must be >= 0.1");
+            spec.scale = parseFlagReal("--scale", value(), 0.1);
         } else if (arg == "--channels") {
-            spec.channels = static_cast<unsigned>(std::atoi(value()));
-            if (spec.channels < 1 || spec.channels > 64 ||
-                !isPow2(spec.channels))
-                fatal("--channels must be a power of two in [1, 64]");
+            spec.channels = parseFlagCount("--channels", value(), 1, 64);
+            if (!isPow2(spec.channels))
+                fatal("--channels must be a power of two in [1, 64], "
+                      "got '%u'", spec.channels);
         } else if (arg == "--channel-threads") {
-            spec.channelThreads = static_cast<unsigned>(std::atoi(value()));
-            if (spec.channelThreads < 1 || spec.channelThreads > 64)
-                fatal("--channel-threads must be in [1, 64]");
+            spec.channelThreads =
+                parseFlagCount("--channel-threads", value(), 1, 64);
         } else if (arg == "--attack") {
             spec.attackFilter = value();
         } else if (arg == "--max-attempts") {
-            int k = std::atoi(value());
-            if (k < 1 || k > 100)
-                fatal("--max-attempts must be in [1, 100]");
-            spec.policy.maxAttempts = static_cast<unsigned>(k);
+            spec.policy.maxAttempts =
+                parseFlagCount("--max-attempts", value(), 1, 100);
         } else if (arg == "--cell-budget") {
-            spec.policy.cellBudgetS = parseSeconds("--cell-budget", value());
+            spec.policy.cellBudgetS =
+                parseFlagReal("--cell-budget", value(), 0.0);
         } else if (arg == "--stale-after") {
-            spec.policy.staleAfterS = parseSeconds("--stale-after", value());
+            spec.policy.staleAfterS =
+                parseFlagReal("--stale-after", value(), 0.0);
         } else if (arg == "--backoff-base") {
             spec.policy.backoffBaseS =
-                parseSeconds("--backoff-base", value());
+                parseFlagReal("--backoff-base", value(), 0.0);
         } else if (arg == "--backoff-cap") {
-            spec.policy.backoffCapS = parseSeconds("--backoff-cap", value());
+            spec.policy.backoffCapS =
+                parseFlagReal("--backoff-cap", value(), 0.0);
         } else if (arg == "--verify-every") {
-            int n = std::atoi(value());
-            if (n < 0)
-                fatal("--verify-every must be >= 0");
-            spec.policy.verifyEvery = static_cast<unsigned>(n);
+            spec.policy.verifyEvery = parseFlagCount(
+                "--verify-every", value(), 0, UINT_MAX);
         } else {
             fatal("bh_farm init: unknown option %s", arg.c_str());
         }
@@ -218,7 +205,7 @@ cmdWork(const std::string &dir, const std::vector<std::string> &args)
         else if (arg == "--faults")
             fault_spec = value();
         else if (arg == "--jobs")
-            jobs = static_cast<unsigned>(std::atoi(value()));
+            jobs = parseFlagCount("--jobs", value(), 0, 4096);
         else
             fatal("bh_farm work: unknown option %s", arg.c_str());
     }
@@ -357,12 +344,9 @@ cmdRun(const std::string &dir, const std::vector<std::string> &args,
             return args[i].c_str();
         };
         if (arg == "--workers") {
-            int n = std::atoi(value());
-            if (n < 1 || n > 256)
-                fatal("--workers must be in [1, 256]");
-            workers = static_cast<unsigned>(n);
+            workers = parseFlagCount("--workers", value(), 1, 256);
         } else if (arg == "--jobs") {
-            jobs = static_cast<unsigned>(std::atoi(value()));
+            jobs = parseFlagCount("--jobs", value(), 0, 4096);
         } else if (arg == "--faults") {
             fault_spec = value();
         } else {
