@@ -68,8 +68,8 @@ struct BenchContext
     Runner *runner = nullptr;   ///< shared pool; set by the driver
     SkipMode skip = SkipMode::kEventSkip;   ///< bh_bench --skip MODE
     unsigned channels = 1;      ///< DRAM channels per simulated system
-    unsigned channelThreads = 1;    ///< lane workers per cell (no effect
-                                    ///< on results, byte-identical)
+    /// Not read; goes with the next benchmark change (ROADMAP).
+    unsigned channelThreads = 1;
     /**
      * Attack-pattern filter (bh_bench --attack NAME): experiments that
      * sweep the attack catalog (secsweep) keep only patterns whose name
@@ -192,7 +192,6 @@ benchConfig(const BenchContext &ctx, const std::string &mechanism,
     cfg.threads = 8;
     cfg.skip = ctx.skip;
     cfg.channels = ctx.channels;
-    cfg.channelThreads = ctx.channelThreads;
     cfg.attack.numBanks = 16;
     return cfg;
 }
@@ -228,7 +227,6 @@ securityConfig(const BenchContext &ctx, const std::string &mechanism,
     cfg.threads = 4;
     cfg.skip = ctx.skip;
     cfg.channels = channels;
-    cfg.channelThreads = ctx.channelThreads;
     cfg.securityOracle = true;
     return cfg;
 }

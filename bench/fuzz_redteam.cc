@@ -16,8 +16,8 @@
  *
  * Every chain is deterministic from a name-derived seed, and each cell
  * is one self-contained chain — so the grid farms, runs cell by cell,
- * and reproduces byte-identically at any --jobs / --channel-threads /
- * skip mode like every other experiment.
+ * and reproduces byte-identically at any --jobs / skip mode like every
+ * other experiment.
  */
 
 #include <map>

@@ -57,10 +57,6 @@ usage(std::FILE *out)
         "  --channels N  DRAM channels per simulated system (power of\n"
         "                two, default 1); each channel gets its own\n"
         "                controller and mitigation instance\n"
-        "  --channel-threads N\n"
-        "                worker threads ticking channel lanes inside\n"
-        "                each cell (default 1); results are\n"
-        "                byte-identical for any value\n"
         "  --attack NAME restrict attack-catalog experiments (secsweep)\n"
         "                to patterns whose name contains NAME; part of\n"
         "                the grid identity (a farm merges only cells of\n"
@@ -97,7 +93,6 @@ main(int argc, char **argv)
     std::optional<std::uint64_t> only_cell;
     SkipMode skip = SkipMode::kEventSkip;
     unsigned channels = 1;
-    unsigned channel_threads = 1;
     std::string attack_filter;
     std::string trace_path;
     std::string trace_filter;
@@ -137,8 +132,6 @@ main(int argc, char **argv)
             if (!isPow2(channels))
                 fatal("--channels must be a power of two in [1, 64], "
                       "got '%u'", channels);
-        } else if (!std::strcmp(arg, "--channel-threads")) {
-            channel_threads = parseFlagCount(arg, value(), 1, 64);
         } else if (!std::strcmp(arg, "--attack")) {
             attack_filter = value();
         } else if (!std::strcmp(arg, "--cell")) {
@@ -238,8 +231,7 @@ main(int argc, char **argv)
     std::printf("bh_bench: %zu experiment(s), %u worker(s), scale %.2g",
                 selected.size(), runner.jobs(), scale);
     if (channels > 1)
-        std::printf(", %u channels (%u lane thread(s))", channels,
-                    channel_threads);
+        std::printf(", %u channels", channels);
     if (only_cell)
         std::printf(", cell %llu only",
                     static_cast<unsigned long long>(*only_cell));
@@ -257,7 +249,6 @@ main(int argc, char **argv)
         BenchContext ctx;
         ctx.scale = scale;
         ctx.channels = channels;
-        ctx.channelThreads = channel_threads;
         ctx.attackFilter = attack_filter;
         ctx.runner = &runner;
         ctx.onlyCell = only_cell;
@@ -352,7 +343,6 @@ main(int argc, char **argv)
         perf["scale"] = scale;
         perf["jobs"] = static_cast<std::int64_t>(runner.jobs());
         perf["channels"] = static_cast<std::int64_t>(channels);
-        perf["channel_threads"] = static_cast<std::int64_t>(channel_threads);
         perf["started_unix"] = started_unix;
         perf["finished_unix"] =
             static_cast<std::int64_t>(std::time(nullptr));

@@ -153,7 +153,6 @@ Core::issueMemOp(Cycle now)
         req.type = pendingMem.isWrite ? ReqType::kWrite : ReqType::kRead;
         req.thread = thread;
         req.arrival = now;
-        req.id = Request::nextId();
         if (pendingMem.isWrite) {
             // Posted write: completes once accepted.
             if (mem.submit(std::move(req)) != SubmitResult::kAccepted)

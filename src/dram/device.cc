@@ -43,12 +43,10 @@ DramDevice::issue(DramCommand cmd, unsigned flat_bank, RowId row, Cycle now)
         actWindow[actWindowPos] = now;
         actWindowPos = (actWindowPos + 1) % actWindow.size();
         ++openBanks;
-        stats.inc("dram.act");
         break;
       case DramCommand::kPre:
         banks[flat_bank].issue(cmd, row, now);
         --openBanks;
-        stats.inc("dram.pre");
         break;
       case DramCommand::kRd:
         banks[flat_bank].issue(cmd, row, now);
@@ -56,20 +54,15 @@ DramDevice::issue(DramCommand cmd, unsigned flat_bank, RowId row, Cycle now)
         // Read-to-write turnaround: write burst must not collide with the
         // in-flight read burst on the shared data bus.
         nextWr = std::max(nextWr, now + t.tCL + t.tBL - t.tCWL + 1);
-        busCycles += static_cast<std::uint64_t>(t.tBL);
-        stats.inc("dram.rd");
         break;
       case DramCommand::kWr:
         banks[flat_bank].issue(cmd, row, now);
         nextWr = now + t.tCCD;
         nextRd = std::max(nextRd, now + t.tCWL + t.tBL + t.tWTR);
-        busCycles += static_cast<std::uint64_t>(t.tBL);
-        stats.inc("dram.wr");
         break;
       default:
         panic("DramDevice::issue: use issueRefresh for REF");
     }
-    notify(cmd, flat_bank, row, now);
 }
 
 Cycle
@@ -106,22 +99,7 @@ DramDevice::issueRefresh(Cycle now)
     RefreshedRange range{refreshRowPtr, rowsPerRef};
     refreshRowPtr = static_cast<RowId>(
         (refreshRowPtr + rowsPerRef) % org.rowsPerBank);
-    stats.inc("dram.ref");
-    notify(DramCommand::kRef, 0, range.firstRow, now);
     return range;
-}
-
-void
-DramDevice::addListener(CommandListener listener)
-{
-    listeners.push_back(std::move(listener));
-}
-
-void
-DramDevice::notify(DramCommand cmd, unsigned flat_bank, RowId row, Cycle now)
-{
-    for (auto &l : listeners)
-        l(cmd, flat_bank, row, now);
 }
 
 } // namespace bh

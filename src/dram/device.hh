@@ -13,10 +13,8 @@
 
 #include <algorithm>
 #include <array>
-#include <functional>
 #include <vector>
 
-#include "common/stats.hh"
 #include "dram/bank.hh"
 #include "dram/org.hh"
 #include "dram/timing.hh"
@@ -30,10 +28,6 @@ namespace bh
 class DramDevice
 {
   public:
-    /** Observer invoked on every command issue (energy, hammer tracking). */
-    using CommandListener = std::function<void(DramCommand, unsigned flat_bank,
-                                               RowId row, Cycle now)>;
-
     DramDevice(const DramOrg &org, const DramTimings &timings);
 
     /** Earliest legal issue cycle of `cmd` to `flat_bank`. */
@@ -108,19 +102,11 @@ class DramDevice
     /** Rows refreshed by each REF command (rowsPerBank / refreshes per tREFW). */
     unsigned rowsPerRefresh() const { return rowsPerRef; }
 
-    /** Register a command listener. */
-    void addListener(CommandListener listener);
-
-    /** Cycles the data bus has been occupied (utilization accounting). */
-    std::uint64_t busBusyCycles() const { return busCycles; }
-
     /** Number of banks currently open. */
     unsigned openBankCount() const { return openBanks; }
 
     const DramOrg &organization() const { return org; }
     const DramTimings &timings() const { return t; }
-
-    StatSet stats;
 
   private:
     DramOrg org;
@@ -138,14 +124,9 @@ class DramDevice
     RowId refreshRowPtr = 0;        ///< next row block to auto-refresh
     unsigned rowsPerRef = 0;
     unsigned openBanks = 0;
-    std::uint64_t busCycles = 0;
-
-    std::vector<CommandListener> listeners;
 
     /** Panic for a bank index past the channel's banks. */
     [[noreturn]] void bankOutOfRange(unsigned flat_bank) const;
-
-    void notify(DramCommand cmd, unsigned flat_bank, RowId row, Cycle now);
 };
 
 } // namespace bh

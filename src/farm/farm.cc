@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <climits>
 #include <cmath>
 #include <condition_variable>
 #include <cstdio>
@@ -11,6 +12,7 @@
 #include <memory>
 #include <mutex>
 
+#include "common/bitutils.hh"
 #include "common/fsio.hh"
 #include "common/log.hh"
 #include "farm/journal.hh"
@@ -68,6 +70,43 @@ strField(const Json &doc, const char *key)
     return v ? v->asString() : std::string();
 }
 
+/**
+ * Reads the number at `key` into `out` (`fallback` when absent). False,
+ * with `err` naming the field, `want` and the value, unless the member
+ * is a finite number that `ok` accepts.
+ */
+template <typename Ok>
+bool
+checkedField(const Json &doc, const char *key, double fallback,
+             const char *want, Ok ok, double &out, std::string &err)
+{
+    const Json *v = doc.find(key);
+    out = v ? v->asDouble() : fallback;
+    bool number = v && (v->type() == Json::Type::Int ||
+                        v->type() == Json::Type::Double);
+    if (!v || (number && std::isfinite(out) && ok(out)))
+        return true;
+    err = strfmt("farm.json: %s wants %s, got %s", key, want,
+                 v->dump().c_str());
+    return false;
+}
+
+/** A whole-number rule over [lo, hi] for checkedField. */
+auto
+wholeIn(double lo, double hi)
+{
+    return [lo, hi](double v) {
+        return v >= lo && v <= hi && v == std::floor(v);
+    };
+}
+
+/** A rule `v >= lo` for checkedField. */
+auto
+atLeast(double lo)
+{
+    return [lo](double v) { return v >= lo; };
+}
+
 } // namespace
 
 Json
@@ -78,7 +117,6 @@ FarmSpec::toJson() const
     doc["experiment"] = experiment;
     doc["scale"] = scale;
     doc["channels"] = channels;
-    doc["channel_threads"] = channelThreads;
     doc["attack_filter"] = attackFilter;
     doc["fingerprint"] = fingerprint;
     doc["cell_total"] = cellTotal;
@@ -103,35 +141,52 @@ FarmSpec::fromJson(const Json &doc, FarmSpec &out, std::string &err)
         return false;
     }
     out.experiment = strField(doc, "experiment");
-    out.scale = numField(doc, "scale", 1.0);
-    out.channels = static_cast<unsigned>(numField(doc, "channels", 1));
-    out.channelThreads =
-        static_cast<unsigned>(numField(doc, "channel_threads", 1));
     out.attackFilter = strField(doc, "attack_filter");
     out.fingerprint = strField(doc, "fingerprint");
-    out.cellTotal =
-        static_cast<std::uint64_t>(numField(doc, "cell_total", 0));
+    // Every number must lie where bh_farm init's flags put it: an edited
+    // or damaged farm.json fails here, naming the field, rather than in
+    // a cast out of range or as a grid that no longer matches.
+    const Json no_policy = Json::object();
+    const Json *pol = doc.find("policy");
+    if (!pol)
+        pol = &no_policy;
+    FarmPolicy &p = out.policy;
+    double channels = 0, cell_total = 0, max_attempts = 0, verify = 0;
+    auto pow2 = [](double v) {
+        return wholeIn(1, 64)(v) && isPow2(static_cast<unsigned>(v));
+    };
+    if (!checkedField(doc, "scale", 1.0, "a finite number >= 0.1",
+                      atLeast(0.1), out.scale, err) ||
+        !checkedField(doc, "channels", 1, "a power of two in [1, 64]",
+                      pow2, channels, err) ||
+        !checkedField(doc, "cell_total", 0, "a whole number in [1, 2^53]",
+                      wholeIn(1, 0x1p53), cell_total, err) ||
+        !checkedField(*pol, "max_attempts", 3,
+                      "a whole number in [1, 100]", wholeIn(1, 100),
+                      max_attempts, err) ||
+        !checkedField(*pol, "verify_every", 0,
+                      "a whole number in [0, 4294967295]",
+                      wholeIn(0, UINT_MAX), verify, err) ||
+        !checkedField(*pol, "cell_budget_s", 600.0, "a finite number >= 0",
+                      atLeast(0), p.cellBudgetS, err) ||
+        !checkedField(*pol, "stale_after_s", 60.0, "a finite number >= 0",
+                      atLeast(0), p.staleAfterS, err) ||
+        !checkedField(*pol, "backoff_base_s", 0.5, "a finite number >= 0",
+                      atLeast(0), p.backoffBaseS, err) ||
+        !checkedField(*pol, "backoff_cap_s", 30.0, "a finite number >= 0",
+                      atLeast(0), p.backoffCapS, err) ||
+        !checkedField(*pol, "watchdog_slice_s", 1.0, "a finite number > 0",
+                      [](double v) { return v > 0; }, p.watchdogSliceS,
+                      err))
+        return false;
+    out.channels = static_cast<unsigned>(channels);
+    out.cellTotal = static_cast<std::uint64_t>(cell_total);
+    p.maxAttempts = static_cast<unsigned>(max_attempts);
+    p.verifyEvery = static_cast<unsigned>(verify);
     if (out.experiment.empty() || out.fingerprint.empty() ||
         out.cellTotal == 0) {
         err = "farm.json: experiment, fingerprint, and a non-empty cell "
               "grid are required";
-        return false;
-    }
-    const Json *pol = doc.find("policy");
-    if (pol) {
-        out.policy.maxAttempts =
-            static_cast<unsigned>(numField(*pol, "max_attempts", 3));
-        out.policy.cellBudgetS = numField(*pol, "cell_budget_s", 600.0);
-        out.policy.staleAfterS = numField(*pol, "stale_after_s", 60.0);
-        out.policy.backoffBaseS = numField(*pol, "backoff_base_s", 0.5);
-        out.policy.backoffCapS = numField(*pol, "backoff_cap_s", 30.0);
-        out.policy.verifyEvery =
-            static_cast<unsigned>(numField(*pol, "verify_every", 0));
-        out.policy.watchdogSliceS =
-            numField(*pol, "watchdog_slice_s", 1.0);
-    }
-    if (out.policy.maxAttempts == 0) {
-        err = "farm.json: max_attempts must be >= 1";
         return false;
     }
     return true;

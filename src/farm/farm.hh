@@ -88,7 +88,6 @@ struct FarmSpec
     std::string experiment;
     double scale = 1.0;
     unsigned channels = 1;
-    unsigned channelThreads = 1;
     std::string attackFilter;
     std::string fingerprint;        ///< bench grid fingerprint (hex)
     std::uint64_t cellTotal = 0;

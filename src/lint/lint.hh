@@ -3,12 +3,12 @@
  * bh_lint: the repo's in-tree static analyzer.
  *
  * Every correctness claim this repo makes — byte-identical BENCH_*.json
- * for any --jobs/--cell/--channel-threads/--skip combination,
- * observation-only TraceSink and SecurityOracle hooks — is enforced
- * dynamically by differential tests that re-run the simulator. bh_lint
- * enforces the *source patterns* behind those claims statically, so a
- * new Mitigation or experiment that would break them fails at CI time
- * instead of one grid cell at a time. Rules (see rules.cc):
+ * for any --jobs/--cell/--skip combination, observation-only TraceSink
+ * and SecurityOracle hooks — is enforced dynamically by differential
+ * tests that re-run the simulator. bh_lint enforces the *source
+ * patterns* behind those claims statically, so a new Mitigation or
+ * experiment that would break them fails at CI time instead of one grid
+ * cell at a time. Rules (see rules.cc):
  *
  *   R1 nondet          banned nondeterminism sources in simulation code:
  *                      rand/srand/time()/wall-clock now(), and

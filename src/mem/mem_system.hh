@@ -9,12 +9,12 @@
  * target lane.
  *
  * Lanes are self-contained: a lane's tick touches only lane-local state,
- * so the driver may tick different lanes on different threads. Read
- * completions are buffered per lane (see DeferredCompletion) and the
- * driver delivers them to cores/the LLC at cycle `done`, in
- * (done, channel, lane-sequence) order — byte-identical results for any
- * worker count. Single-channel systems keep the legacy inline-callback
- * path bit-for-bit.
+ * so the driver may run one lane through a whole chunk of ticks before
+ * the next. Read completions are buffered per lane (see
+ * DeferredCompletion) and the driver delivers them to cores/the LLC at
+ * cycle `done`, in (done, channel, lane-sequence) order — byte-identical
+ * to ticking every lane every cycle. Single-channel systems keep the
+ * legacy inline-callback path bit-for-bit.
  */
 
 #ifndef BH_MEM_MEM_SYSTEM_HH
@@ -147,8 +147,8 @@ class MemSystem
 
     /**
      * Move the per-lane completion buffers into the delivery heap, in
-     * channel order. Call after lane ticks (serial or at a chunk
-     * barrier); multi-channel only.
+     * channel order. Call after lane ticks (one cycle's or a whole
+     * chunk's); multi-channel only.
      */
     void flushCompletions();
 

@@ -7,7 +7,6 @@
 #ifndef BH_MEM_REQUEST_HH
 #define BH_MEM_REQUEST_HH
 
-#include <cstdint>
 #include <functional>
 
 #include "common/types.hh"
@@ -40,15 +39,9 @@ struct Request
     /** Invoked with the completion cycle when data is returned (reads). */
     std::function<void(Cycle)> onComplete;
 
-    /** Unique id for tracing/debugging. */
-    std::uint64_t id = 0;
-
     // Scheduling bookkeeping (owned by the controller).
     bool rowHitAtIssue = false;
     bool neededPrecharge = false;
-
-    /** Allocate a fresh request id. */
-    static std::uint64_t nextId();
 };
 
 } // namespace bh

@@ -1,6 +1,7 @@
 #include "report/report.hh"
 
 #include <algorithm>
+#include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -226,8 +227,9 @@ parseFlagNumber(const std::string &flag, const std::string &text,
 {
     char *end = nullptr;
     double v = std::strtod(text.c_str(), &end);
-    if (end == text.c_str() || *end != '\0' || !std::isfinite(v) ||
-        v < 0.0 || (v == 0.0 && !allowZero)) {
+    if (end == text.c_str() ||
+        std::isspace(static_cast<unsigned char>(text[0])) || *end != '\0' ||
+        !std::isfinite(v) || v < 0.0 || (v == 0.0 && !allowZero)) {
         std::fprintf(stderr, "bh_collect: %s wants a finite number %s 0, "
                      "got '%s'\n", flag.c_str(), allowZero ? ">=" : ">",
                      text.c_str());

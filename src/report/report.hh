@@ -66,10 +66,10 @@ std::vector<std::string> structuralDiff(const Json &a, const Json &b,
 /**
  * Value of a numeric bh_collect flag (`--min-ratio`, `--abs-tol`,
  * `--rel-tol`). The whole of `text` must be a finite number, > 0, or
- * >= 0 when `allowZero`. Anything else (empty, junk, trailing junk,
- * inf, nan, out of range) prints an error naming `flag` and `text` and
- * exits 2, the report tools' usage-error code: a malformed bound must
- * never fall back to a default.
+ * >= 0 when `allowZero`. Anything else (empty, junk, a leading or
+ * trailing blank, inf, nan, out of range) prints an error naming `flag`
+ * and `text` and exits 2, the report tools' usage-error code: a
+ * malformed bound must never fall back to a default.
  */
 double parseFlagNumber(const std::string &flag, const std::string &text,
                        bool allowZero);

@@ -78,7 +78,6 @@ buildSystem(const ExperimentConfig &config, const MixSpec &mix)
     sys_cfg.mem.hammer.blastRadius = 1;     // double-sided attack model
     sys_cfg.mem.enableHammerObserver = config.hammerObserver;
     sys_cfg.mem.enableSecurityOracle = config.securityOracle;
-    sys_cfg.channelThreads = config.channelThreads;
 
     auto system = std::make_unique<System>(
         sys_cfg, [&config](unsigned ch) {
@@ -166,7 +165,7 @@ runExperiment(const ExperimentConfig &config, const MixSpec &mix)
 
         // Per-lane StatSet snapshot. Everything in it is event-driven
         // or skip-replayed, so the export is identical for any
-        // jobs/channel-threads/skip setting.
+        // jobs/skip setting.
         mc.syncStats();
         mc.mitigation().syncStats();
         Json lane = mc.stats.toJson();
@@ -198,7 +197,6 @@ aloneIpc(const ExperimentConfig &config, const std::string &app)
     // lock only protects the map structure, not the result.
     static std::mutex cacheMutex;
     static std::map<Key, double> cache;
-    // channelThreads is deliberately absent: it cannot change results.
     Key key{app, config.runCycles, config.warmupCycles, config.seed,
             config.refwMs, config.channels};
     {

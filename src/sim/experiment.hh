@@ -42,10 +42,7 @@ struct ExperimentConfig
      * evaluates BlockHammer per channel).
      */
     unsigned channels = 1;
-    /**
-     * Worker threads ticking channel lanes inside this one run. Purely an
-     * execution knob: results are byte-identical for any value.
-     */
+    /// Not read; goes with the next benchmark change (ROADMAP).
     unsigned channelThreads = 1;
     /**
      * Time-advance strategy. Event skipping is bit-compatible with

@@ -54,9 +54,6 @@ System::System(const SystemConfig &config, const MitigationFactory &factory)
     for (unsigned ch = 0; ch < memSys->channels(); ++ch)
         memSys->controller(ch).setFastIdleTicks(
             cfg.skip != SkipMode::kCycleByCycle);
-    if (cfg.channelThreads > 1 && memSys->channels() > 1)
-        lanePool = std::make_unique<ChannelPool>(
-            std::min(cfg.channelThreads, memSys->channels()));
     if (cfg.useLlc)
         llcPtr = std::make_unique<Llc>(cfg.llc, *memSys);
     traces.resize(cfg.threads);
@@ -167,18 +164,8 @@ System::advanceQuiet(Cycle target, bool lanes_idle)
     if (mc_ticks > 0) {
         // Each controller executes or replays its own ticks, so the
         // result is bit-identical to ticking every cycle.
-        auto advance_lane = [&](unsigned ch) {
+        for (unsigned ch = 0; ch < channels; ++ch)
             memSys->controller(ch).advance(first_mc, target, mcDivider);
-        };
-        // The pool is a pure execution strategy: lane work is
-        // data-independent, so inline and pooled rounds are identical.
-        // Idle lanes only replay, and tiny chunks skip the wake-up cost.
-        if (lanePool && !lanes_idle && mc_ticks * channels >= 32) {
-            lanePool->run(channels, advance_lane);
-        } else {
-            for (unsigned ch = 0; ch < channels; ++ch)
-                advance_lane(ch);
-        }
         memSys->flushCompletions();
     }
     // Quiet cores skip their ticks; stalled cores would have re-attempted

@@ -15,12 +15,12 @@
  *
  * Multi-channel systems also take that step while lanes are busy but
  * every core and the LLC is provably quiet: the per-channel lanes tick
- * independently over barrier-synced chunks — optionally on a worker
- * pool (SystemConfig::channelThreads) — with completions delivered at
- * their semantic completion cycle in (cycle, channel, lane-order).
- * Chunk boundaries are derived from simulation state only, so output is
- * byte-identical for any channelThreads value, including 1, and for
- * chunked vs cycle-by-cycle execution (see DESIGN.md, "channel lanes").
+ * alone, one after another, over a chunk that ends before any
+ * completion they produce could be due, and the completions are
+ * delivered at their semantic completion cycle in (cycle, channel,
+ * lane-order). Chunk boundaries are derived from simulation state only,
+ * so chunked and cycle-by-cycle execution are byte-identical (see
+ * DESIGN.md, "channel lanes").
  */
 
 #ifndef BH_SIM_SYSTEM_HH
@@ -31,7 +31,6 @@
 #include <vector>
 
 #include "core/core.hh"
-#include "sim/channel_pool.hh"
 #include "workloads/mixes.hh"
 
 namespace bh
@@ -73,11 +72,7 @@ struct SystemConfig
     unsigned mcClockDivider = 2;
     /** Time-advance strategy (see SkipMode). */
     SkipMode skip = SkipMode::kEventSkip;
-    /**
-     * Worker threads ticking channel lanes (1 = all lanes on the driver
-     * thread). Purely an execution knob: results are byte-identical for
-     * any value.
-     */
+    /// Not read; goes with the next benchmark change (ROADMAP).
     unsigned channelThreads = 1;
 };
 
@@ -166,7 +161,6 @@ class System
     SystemConfig cfg;
     std::unique_ptr<MemSystem> memSys;
     std::unique_ptr<Llc> llcPtr;
-    std::unique_ptr<ChannelPool> lanePool;  ///< channelThreads > 1 only
     std::vector<std::unique_ptr<TraceSource>> traces;
     std::vector<std::unique_ptr<Core>> cores;
     Cycle mcDivider = 1;            ///< CPU cycles per controller tick

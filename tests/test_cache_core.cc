@@ -255,9 +255,12 @@ TEST_F(CoreTest, CachedReadsGoThroughLlc)
     runSystem(core, &llc, 600);
     EXPECT_EQ(core.retired(), 20u);
     // All 20 accesses hit one line: whatever the MSHR-merge split between
-    // "hit" and "merged miss", exactly one DRAM fill must be issued.
+    // "hit" and "merged miss", exactly one DRAM fill must be issued. The
+    // controller classifies each served column command once.
     EXPECT_EQ(llc.hits() + llc.misses(), 20u);
-    EXPECT_EQ(mem.device().stats.counter("dram.rd"), 1u);
+    const MemController &mc = mem.controller();
+    EXPECT_EQ(mc.threadStats(0).reads, 1u);
+    EXPECT_EQ(mc.rowHits() + mc.rowMisses() + mc.rowConflicts(), 1u);
 }
 
 TEST_F(CoreTest, DoneAfterTraceEnds)

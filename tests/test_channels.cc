@@ -2,10 +2,10 @@
  * @file
  * Multi-channel memory-system tests: request steering into channel
  * lanes, per-channel mitigation instantiation, and the determinism
- * contract of the chunked lane driver — byte-identical results for any
- * --channel-threads value and for chunked (kEventSkip) vs cycle-by-cycle
- * (kCycleByCycle) execution. The per-mechanism skip-equivalence grid,
- * two-channel runs included, lives in test_skip.cc.
+ * contract of the chunked lane driver — byte-identical results for
+ * chunked (kEventSkip) vs cycle-by-cycle (kCycleByCycle) execution. The
+ * per-mechanism skip-equivalence grid, two-channel runs included, lives
+ * in test_skip.cc.
  */
 
 #include <gtest/gtest.h>
@@ -139,34 +139,6 @@ TEST(MultiChannel, ChunkedLaneDriverActuallyEngages)
     EXPECT_GT(system->chunkedCycles(), 0u);
 }
 
-TEST(MultiChannel, ThreadCountCannotChangeResults)
-{
-    for (unsigned channels : {2u, 4u}) {
-        ExperimentConfig one = channelConfig("BlockHammer", channels);
-        one.channelThreads = 1;
-        RunResult a = runExperiment(one, attackMix());
-
-        ExperimentConfig many = channelConfig("BlockHammer", channels);
-        many.channelThreads = channels;
-        RunResult b = runExperiment(many, attackMix());
-
-        expectEqualResults(a, b);
-    }
-}
-
-TEST(MultiChannel, ThreadCountCannotChangeBenignResults)
-{
-    ExperimentConfig one = channelConfig("PARA", 4);
-    one.channelThreads = 1;
-    RunResult a = runExperiment(one, benignMix());
-
-    ExperimentConfig many = channelConfig("PARA", 4);
-    many.channelThreads = 4;
-    RunResult b = runExperiment(many, benignMix());
-
-    expectEqualResults(a, b);
-}
-
 TEST(MultiChannel, AttackOnOneChannelLeavesOthersUnthrottled)
 {
     // The attack trace hammers channel 0 only; BlockHammer's per-channel
@@ -186,9 +158,9 @@ TEST(MultiChannel, RandomAttackPatternGridDifferential)
 {
     // Randomized differential grid over the adversarial attack-pattern
     // catalog: each sampled (pattern, mechanism, channels) cell must be
-    // byte-identical across chunked/threaded execution, cycle-by-cycle
-    // ticking, and --skip verify — including the SecurityOracle's
-    // verdict, which rides along in the full RunResult comparison.
+    // byte-identical across chunked execution, cycle-by-cycle ticking,
+    // and --skip verify — including the SecurityOracle's verdict, which
+    // rides along in the full RunResult comparison.
     Rng rng(20260729);
     const auto &catalog = attackPatternCatalog();
     const std::vector<std::string> mechs = {"BlockHammer", "PARA",
@@ -209,13 +181,11 @@ TEST(MultiChannel, RandomAttackPatternGridDifferential)
         ExperimentConfig ref = channelConfig(mech, channels);
         ref.securityOracle = true;
         ref.skip = SkipMode::kCycleByCycle;
-        ref.channelThreads = 1;
         RunResult a = runExperiment(ref, mix);
 
         ExperimentConfig fast = channelConfig(mech, channels);
         fast.securityOracle = true;
         fast.skip = SkipMode::kEventSkip;
-        fast.channelThreads = channels;
         RunResult b = runExperiment(fast, mix);
         expectEqualResults(a, b);
 

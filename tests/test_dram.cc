@@ -214,17 +214,6 @@ TEST_F(DeviceTest, RowsPerRefreshCoversBankPerWindow)
               DramOrg::paperConfig().rowsPerBank);
 }
 
-TEST_F(DeviceTest, ListenerSeesCommands)
-{
-    int acts = 0;
-    dev.addListener([&](DramCommand cmd, unsigned, RowId, Cycle) {
-        if (cmd == DramCommand::kAct)
-            ++acts;
-    });
-    dev.issue(DramCommand::kAct, 0, 5, 0);
-    EXPECT_EQ(acts, 1);
-}
-
 TEST_F(DeviceTest, OpenBankCountTracksState)
 {
     EXPECT_EQ(dev.openBankCount(), 0u);
@@ -234,24 +223,6 @@ TEST_F(DeviceTest, OpenBankCountTracksState)
     Cycle pre = dev.earliest(DramCommand::kPre, 0);
     dev.issue(DramCommand::kPre, 0, 0, pre);
     EXPECT_EQ(dev.openBankCount(), 1u);
-}
-
-TEST_F(DeviceTest, StatsCountCommands)
-{
-    dev.issue(DramCommand::kAct, 0, 1, 0);
-    Cycle rd = dev.earliest(DramCommand::kRd, 0);
-    dev.issue(DramCommand::kRd, 0, 1, rd);
-    EXPECT_EQ(dev.stats.counter("dram.act"), 1u);
-    EXPECT_EQ(dev.stats.counter("dram.rd"), 1u);
-}
-
-TEST_F(DeviceTest, BusBusyCyclesAccumulate)
-{
-    dev.issue(DramCommand::kAct, 0, 1, 0);
-    Cycle rd = dev.earliest(DramCommand::kRd, 0);
-    dev.issue(DramCommand::kRd, 0, 1, rd);
-    EXPECT_EQ(dev.busBusyCycles(),
-              static_cast<std::uint64_t>(timings.tBL));
 }
 
 } // namespace

@@ -7,6 +7,8 @@
  *  - FaultPlan parsing, canonicalization, and seeded deterministic
  *    expansion;
  *  - journal append/read round-trip with torn-line tolerance;
+ *  - farm.json numbers held to what `bh_farm init` accepts when a farm
+ *    opens, and an old file's extra key ignored;
  *  - the lease protocol end to end on a FakeFarmClock (zero real
  *    sleeping): claim/commit happy path, two interleaved workers,
  *    every FaultPlan kind recovered from, stale-lease stealing with
@@ -22,6 +24,7 @@
 
 #include <condition_variable>
 #include <filesystem>
+#include <limits>
 #include <mutex>
 #include <thread>
 
@@ -317,6 +320,101 @@ TEST(Farm, InitOpenAndReinit)
     Farm missing;
     EXPECT_FALSE(Farm::open(scratchDir("init_missing"), clock, missing,
                             err));
+}
+
+/** Writes `doc` as the farm.json of `dir` (subdirectories on open). */
+void
+writeSpecFile(const std::string &dir, const Json &doc)
+{
+    fs::create_directories(dir);
+    std::string err;
+    ASSERT_TRUE(atomicWriteFile(FarmPaths(dir).specFile(),
+                                doc.dump(2) + "\n", err)) << err;
+}
+
+TEST(Farm, OpenRejectsNumbersInitWouldRefuse)
+{
+    // One bad number per case; "policy" members go under that object.
+    struct Case
+    {
+        const char *field;
+        bool policy;
+        Json value;
+        const char *shown;
+    };
+    const Case cases[] = {
+        {"channels", false, 2.5, "2.5"},
+        {"channels", false, 3, "3"},
+        {"channels", false, 0, "0"},
+        {"channels", false, 128, "128"},
+        {"channels", false, "2", "\"2\""},
+        {"scale", false, 0.05, "0.05"},
+        {"scale", false, std::numeric_limits<double>::infinity(), "1e999"},
+        {"scale", false, Json(), "null"},
+        {"cell_total", false, 0, "0"},
+        {"cell_total", false, -1, "-1"},
+        {"cell_total", false, 2.5, "2.5"},
+        {"cell_total", false, 1e30, "1e+30"},
+        {"max_attempts", true, 1e12, "1e+12"},
+        {"max_attempts", true, 0, "0"},
+        {"max_attempts", true, 101, "101"},
+        {"verify_every", true, -2, "-2"},
+        {"verify_every", true, 0.5, "0.5"},
+        {"verify_every", true, std::int64_t{1} << 32, "4294967296"},
+        {"cell_budget_s", true, -1, "-1"},
+        {"stale_after_s", true, -0.5, "-0.5"},
+        {"backoff_base_s", true, std::numeric_limits<double>::infinity(),
+         "1e999"},
+        {"backoff_cap_s", true, -1, "-1"},
+        {"watchdog_slice_s", true, 0, "0"},
+        {"watchdog_slice_s", true, -1, "-1"},
+    };
+    FakeFarmClock clock;
+    for (const Case &c : cases) {
+        std::string dir = scratchDir("bad_number");
+        Json doc = testSpec().toJson();
+        (c.policy ? doc["policy"] : doc)[c.field] = c.value;
+        writeSpecFile(dir, doc);
+        Farm farm;
+        std::string err;
+        EXPECT_FALSE(Farm::open(dir, clock, farm, err))
+            << c.field << " = " << c.shown;
+        EXPECT_NE(err.find(std::string(c.field) + " wants"),
+                  std::string::npos) << err;
+        EXPECT_NE(err.find(std::string("got ") + c.shown), std::string::npos)
+            << err;
+    }
+    // The edges init accepts still open.
+    Json doc = testSpec().toJson();
+    doc["channels"] = 64;
+    doc["scale"] = 0.1;
+    doc["policy"]["max_attempts"] = 100;
+    doc["policy"]["verify_every"] = 4294967295u;
+    doc["policy"]["cell_budget_s"] = 0;
+    std::string dir = scratchDir("edge_numbers");
+    writeSpecFile(dir, doc);
+    Farm farm;
+    std::string err;
+    ASSERT_TRUE(Farm::open(dir, clock, farm, err)) << err;
+    EXPECT_EQ(farm.spec().channels, 64u);
+    EXPECT_EQ(farm.spec().policy.verifyEvery, 4294967295u);
+}
+
+TEST(Farm, OpensAndRunsAFarmJsonThatStillCarriesChannelThreads)
+{
+    // Farms initialized while lane threads existed carry this key; it is
+    // ignored, not an error.
+    std::string dir = scratchDir("legacy_key");
+    Json doc = testSpec().toJson();
+    doc["channel_threads"] = 4;
+    writeSpecFile(dir, doc);
+    FakeFarmClock clock;
+    std::string err;
+    Farm farm;
+    ASSERT_TRUE(Farm::open(dir, clock, farm, err)) << err;
+    EXPECT_EQ(driveToCompletion(farm, clock, "w0", FaultPlan(),
+                                goodRunner()), kGridCells);
+    EXPECT_EQ(collectedCells(farm).dump(), expectedCells().dump());
 }
 
 TEST(Farm, SingleWorkerHappyPath)

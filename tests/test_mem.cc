@@ -289,8 +289,11 @@ TEST_F(MemTest, WritesAreServedWhenReadsIdle)
     req.thread = 0;
     ASSERT_EQ(mem->submit(std::move(req)), SubmitResult::kAccepted);
     runFor(300);
-    EXPECT_EQ(mem->controller().writeQueueDepth(), 0u);
-    EXPECT_EQ(mem->controller().device().stats.counter("dram.wr"), 1u);
+    // The controller classifies each served column command once.
+    const MemController &mc = mem->controller();
+    EXPECT_EQ(mc.writeQueueDepth(), 0u);
+    EXPECT_EQ(mc.threadStats(0).writes, 1u);
+    EXPECT_EQ(mc.rowHits() + mc.rowMisses() + mc.rowConflicts(), 1u);
 }
 
 TEST_F(MemTest, InflightTracksAcceptedReads)

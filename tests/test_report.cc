@@ -209,9 +209,9 @@ TEST(BenchFlagsDeathTest, MalformedCountsFailNamingFlagAndValue)
     EXPECT_EXIT(parseFlagCount("--jobs", "+3", 0, 4096),
                 testing::ExitedWithCode(1), "--jobs wants a whole number");
     for (const char *bad : {"0", "65"})
-        EXPECT_EXIT(parseFlagCount("--channel-threads", bad, 1, 64),
+        EXPECT_EXIT(parseFlagCount("--channels", bad, 1, 64),
                     testing::ExitedWithCode(1),
-                    std::string("--channel-threads .*got '") + bad + "'");
+                    std::string("--channels .*got '") + bad + "'");
 }
 
 TEST(BenchFlagsDeathTest, MalformedRealsFailNamingFlagAndValue)
@@ -308,11 +308,11 @@ TEST(CollectFlagsDeathTest, MalformedNumbersExitTwoNamingFlagAndValue)
     EXPECT_EQ(parseFlagNumber("--abs-tol", "0", true), 0.0);
     EXPECT_EQ(parseFlagNumber("--rel-tol", "1e-6", true), 1e-6);
     for (const char *bad : {"abc", "-3", "", "0.05x", "0", "inf", "nan",
-                            "1e999"})
+                            "1e999", " 0.2", "0.2 "})
         EXPECT_EXIT(parseFlagNumber("--min-ratio", bad, false),
                     testing::ExitedWithCode(2),
                     std::string("--min-ratio .*got '") + bad + "'");
-    for (const char *bad : {"-1e-9", "x", "", "1.5 "})
+    for (const char *bad : {"-1e-9", "x", "", "1.5 ", " 1e-6"})
         EXPECT_EXIT(parseFlagNumber("--rel-tol", bad, true),
                     testing::ExitedWithCode(2),
                     std::string("--rel-tol .*got '") + bad + "'");

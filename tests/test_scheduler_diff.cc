@@ -186,7 +186,10 @@ randomizeDevice(DramDevice &dram, Rng &rng, Cycle &now, unsigned steps)
     }
 }
 
-/** Random request, biased to the bank's open row (hits + conflicts). */
+/**
+ * Random request, biased to the bank's open row (hits + conflicts),
+ * tagged with `id` in its address: the scheduler never reads it.
+ */
 Request
 randomRequest(const DramDevice &dram, Rng &rng, std::uint64_t id)
 {
@@ -196,7 +199,7 @@ randomRequest(const DramDevice &dram, Rng &rng, std::uint64_t id)
     req.flatBank = fb;
     req.coord.row = (bank.isOpen() && rng.chance(0.5))
         ? bank.openRow() : static_cast<RowId>(rng.below(128));
-    req.id = id;
+    req.addr = id;
     return req;
 }
 
@@ -259,7 +262,7 @@ runDifferential(unsigned nbanks, std::uint64_t seed)
         auto it = std::find(handles.begin(), handles.end(), h);
         ASSERT_NE(it, handles.end());
         std::size_t i = static_cast<std::size_t>(it - handles.begin());
-        EXPECT_EQ(new_q.take(h).id, ref_q[i].id);
+        EXPECT_EQ(new_q.take(h).addr, ref_q[i].addr);
         ref_q.erase(ref_q.begin() + static_cast<std::ptrdiff_t>(i));
         handles.erase(it);
         ASSERT_EQ(new_q.size(), ref_q.size());
@@ -310,7 +313,7 @@ runDifferential(unsigned nbanks, std::uint64_t seed)
         auto new_col = sched.pickColumnReady(new_q, type, dram, now, capped);
         if (ref_col.has_value()) {
             ASSERT_NE(new_col, SchedQueue::kNone) << "iter " << iter;
-            EXPECT_EQ(ref_q[*ref_col].id, new_q.at(new_col).id)
+            EXPECT_EQ(ref_q[*ref_col].addr, new_q.at(new_col).addr)
                 << "iter " << iter;
         } else {
             EXPECT_EQ(new_col, SchedQueue::kNone) << "iter " << iter;
@@ -334,7 +337,7 @@ runDifferential(unsigned nbanks, std::uint64_t seed)
                                           capped, bound);
         if (ref_prep.has_value()) {
             ASSERT_NE(new_prep, SchedQueue::kNone) << "iter " << iter;
-            EXPECT_EQ(ref_q[*ref_prep].id, new_q.at(new_prep).id)
+            EXPECT_EQ(ref_q[*ref_prep].addr, new_q.at(new_prep).addr)
                 << "iter " << iter;
         } else {
             EXPECT_EQ(new_prep, SchedQueue::kNone) << "iter " << iter;

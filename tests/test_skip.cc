@@ -25,9 +25,8 @@ namespace
 
 /**
  * Skip equivalence for every registered mechanism, at one and two
- * channels, with the security oracle on: event skipping (two lane
- * threads at two channels) and kVerify must reproduce the
- * cycle-by-cycle RunResult exactly. A short window makes every run cross
+ * channels, with the security oracle on: event skipping and kVerify
+ * must reproduce the cycle-by-cycle RunResult exactly. A short window makes every run cross
  * the mechanisms' time-driven boundaries: tREFW table resets (ABACuS,
  * CBT, DAPPER, Graphene), tREFW/2 throttler epochs (BlockHammer,
  * BreakHammer) and tREFI drains (DAPPER). A newly registered mechanism
@@ -55,7 +54,6 @@ TEST_P(SkipEquivalence, EventSkipAndVerifyMatchCycleByCycle)
     RunResult ref = runExperiment(cfg, attackMix());
 
     cfg.skip = SkipMode::kEventSkip;
-    cfg.channelThreads = channels;
     RunResult skipping = runExperiment(cfg, attackMix());
     expectEqualResults(ref, skipping);
 

@@ -4,7 +4,7 @@
  *
  *  - The hard invariant of the tracing subsystem: every registered
  *    experiment produces byte-identical JSON with tracing off, on, and
- *    filtered, at any --jobs/--channel-threads/--skip combination
+ *    filtered, at any --jobs/--skip combination
  *    (one-cell runs over every 7th cell keep the whole registry fast).
  *  - The emitted trace is valid Chrome trace_event JSON: it parses via
  *    src/common/json as an array of objects carrying ph/pid/tid/ts,
@@ -39,7 +39,6 @@ struct RunOpts
     double scale = 0.1;
     unsigned jobs = 1;
     unsigned channels = 1;
-    unsigned channelThreads = 1;
     SkipMode skip = SkipMode::kEventSkip;
     std::optional<std::uint64_t> onlyCell;
     std::string tracePath;      ///< empty = tracing off
@@ -62,7 +61,6 @@ runTraced(const char *name, const RunOpts &opts)
     ctx.scale = opts.scale;
     ctx.runner = &pool;
     ctx.channels = opts.channels;
-    ctx.channelThreads = opts.channelThreads;
     ctx.skip = opts.skip;
     ctx.onlyCell = opts.onlyCell;
     testing::internal::CaptureStdout();
@@ -145,11 +143,11 @@ TEST(TraceDifferential, AllExperimentsByteIdenticalWithTracingOnOffFiltered)
 
 /**
  * Tracing composed with every execution-shape knob: worker count,
- * channel count, lane threads, and skip mode must all agree with the
- * serial untraced reference byte-for-byte. The whole 2-channel fig4
+ * channel count, and skip mode must all agree with the serial
+ * untraced reference byte-for-byte. The whole 2-channel fig4
  * grid runs, so the jobs4 variant executes cells concurrently.
  */
-TEST(TraceDifferential, TracingIsInvariantAcrossJobsThreadsAndSkip)
+TEST(TraceDifferential, TracingIsInvariantAcrossJobsAndSkip)
 {
     RunOpts ref;
     ref.channels = 2;
@@ -159,19 +157,16 @@ TEST(TraceDifferential, TracingIsInvariantAcrossJobsThreadsAndSkip)
     {
         const char *tag;
         unsigned jobs;
-        unsigned channelThreads;
         SkipMode skip;
     };
     const Variant variants[] = {
-        {"jobs4", 4, 1, SkipMode::kEventSkip},
-        {"lanes2", 1, 2, SkipMode::kEventSkip},
-        {"noskip", 1, 1, SkipMode::kCycleByCycle},
-        {"verify", 2, 2, SkipMode::kVerify},
+        {"jobs4", 4, SkipMode::kEventSkip},
+        {"noskip", 1, SkipMode::kCycleByCycle},
+        {"verify", 2, SkipMode::kVerify},
     };
     for (const Variant &v : variants) {
         RunOpts opts = ref;
         opts.jobs = v.jobs;
-        opts.channelThreads = v.channelThreads;
         opts.skip = v.skip;
         opts.tracePath = tracePath(v.tag);
         EXPECT_EQ(base, runTraced("fig4", opts).dump(2)) << v.tag;

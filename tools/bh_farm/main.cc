@@ -55,7 +55,6 @@ usage(std::FILE *out)
         "  --experiment NAME   registered experiment (see bh_bench --list)\n"
         "  --scale X           fidelity multiplier >= 0.1 (default 1)\n"
         "  --channels N        DRAM channels (power of two, default 1)\n"
-        "  --channel-threads N lane threads per cell (default 1)\n"
         "  --attack NAME       attack-catalog filter (secsweep)\n"
         "  --max-attempts K    failures before a cell is poisoned "
         "(default 3)\n"
@@ -130,9 +129,6 @@ cmdInit(const std::string &dir, const std::vector<std::string> &args)
             if (!isPow2(spec.channels))
                 fatal("--channels must be a power of two in [1, 64], "
                       "got '%u'", spec.channels);
-        } else if (arg == "--channel-threads") {
-            spec.channelThreads =
-                parseFlagCount("--channel-threads", value(), 1, 64);
         } else if (arg == "--attack") {
             spec.attackFilter = value();
         } else if (arg == "--max-attempts") {
@@ -252,7 +248,6 @@ cmdWork(const std::string &dir, const std::vector<std::string> &args)
         BenchContext ctx;
         ctx.scale = spec.scale;
         ctx.channels = spec.channels;
-        ctx.channelThreads = spec.channelThreads;
         ctx.attackFilter = spec.attackFilter;
         ctx.runner = &runner;
         ctx.onlyCell = cell;
