@@ -236,7 +236,7 @@ main(int argc, char **argv)
         std::printf(", cell %llu only",
                     static_cast<unsigned long long>(*only_cell));
     if (trace_path.size())
-        std::printf("tracing to %s%s%s\n", trace_path.c_str(),
+        std::printf(", tracing to %s%s%s", trace_path.c_str(),
                     trace_filter.empty() ? "" : ", categories: ",
                     trace_filter.c_str());
     std::printf("\n\n");

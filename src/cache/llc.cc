@@ -82,6 +82,7 @@ Llc::access(Addr addr, bool is_write, ThreadId thread, Cycle now,
         mshr.erase(it);
         Cycle ready = done + cfg.fillLatency;
         installLine(line, entry.writeIntent, ready);
+        ++numFills;
         for (auto &w : entry.waiters)
             w(ready);
     };

@@ -85,6 +85,12 @@ class Llc
     std::uint64_t hits() const { return numHits; }
     std::uint64_t misses() const { return numMisses; }
     std::uint64_t writebacks() const { return numWritebacks; }
+
+    /**
+     * Memory fills delivered so far (each frees an MSHR and installs a
+     * line). The address is stable: a sleeping core watches it.
+     */
+    const std::uint64_t &fills() const { return numFills; }
     std::size_t mshrsInUse() const { return mshr.size(); }
 
   private:
@@ -120,6 +126,7 @@ class Llc
     std::uint64_t numHits = 0;
     std::uint64_t numMisses = 0;
     std::uint64_t numWritebacks = 0;
+    std::uint64_t numFills = 0;
     mutable std::vector<ThreadLlcStats> perThread;
     ThreadLlcStats &threadStatsMutable(ThreadId thread);
 };

@@ -12,9 +12,10 @@ Core::Core(const CoreConfig &config, ThreadId thread_id, TraceSource &trace_src,
 {
 }
 
-void
+bool
 Core::tick(Cycle now)
 {
+    accrueStalls(now);
     std::uint64_t stamp_at_entry = progressStamp();
 
     // Retire in order, up to retireWidth per cycle. A memory instruction at
@@ -42,7 +43,7 @@ Core::tick(Cycle now)
 
     // Issue in order, up to issueWidth per cycle, bounded by the window.
     // Bubble runs issue in one arithmetic step.
-    bool stalled = false;
+    Stall stall = Stall::kNone;
     bool fetched = false;
     for (unsigned w = 0; w < cfg.issueWidth;) {
         std::uint64_t room = cfg.windowSize - (instrIssued - instrRetired);
@@ -57,10 +58,9 @@ Core::tick(Cycle now)
             continue;
         }
         if (havePendingMem) {
-            if (!issueMemOp(now)) {
-                stalled = true;
+            stall = issueMemOp(now);
+            if (stall != Stall::kNone)
                 break;      // resource rejection; retry next cycle
-            }
             havePendingMem = false;
             ++instrIssued;
             ++w;
@@ -81,18 +81,68 @@ Core::tick(Cycle now)
         fetched = true;
         ++w;    // the fetch consumes this issue slot
     }
-    lastTickStalled = stalled;
-    if (stalled)
+    lastStall = stall;
+    if (stall != Stall::kNone)
         ++numStallCycles;
-    // Quiet means repeating this tick stays behavior-identical until
-    // nextEventAt() or a completion delivery: nothing retired, issued,
-    // or fetched (fetches mutate state without moving the stamp), and
-    // any stall is delivery-bound — queue-full stalls probe lane state
-    // that can change on any controller tick, so they must re-run every
-    // cycle. This is the precondition for the chunked multi-channel
-    // driver to replace core ticks with noteSkippedCycles().
-    lastTickQuiet = !fetched && progressStamp() == stamp_at_entry &&
-        (!stalled || stallDeliveryBound);
+    accruedUntil = now + 1;
+    bool moved = progressStamp() != stamp_at_entry;
+    // Fetches mutate state without moving the stamp.
+    lastTickNoop = !fetched && !moved;
+    return moved;
+}
+
+void
+Core::sleepIfNoop()
+{
+    sleepRule = SleepRule::kAwake;
+    if (!lastTickNoop || (llc && !llc->quiet()))
+        return;
+    wakeAt = nextEventAt();
+    deliveriesSeen = mlp->deliveries;
+    // An LLC fill frees an MSHR and installs a line: it can turn an
+    // MSHR-full rejection, or a cached op's queue-full or quota
+    // rejection, into an accepted access.
+    bool cached = llc && !pendingMem.bypassCache;
+    fillWatch = (lastStall == Stall::kMshr ||
+                 (lastStall == Stall::kLane && cached))
+        ? &llc->fills() : &kNoWatch;
+    fillsSeen = *fillWatch;
+    // The lane that rejected the op admits it only after it acts. The
+    // LLC submits the op's line, which lives on the same channel.
+    laneWatch = lastStall == Stall::kLane
+        ? &mem.admissionStamp(pendingMem.addr) : &kNoWatch;
+    laneSeen = *laneWatch;
+    sleepRule = quietTick() ? SleepRule::kQuiet : SleepRule::kReprobe;
+}
+
+void
+Core::verifySleep(Cycle now, SleepRule rule)
+{
+    // A re-probing core may turn MSHR-bound (quiet) while asleep: other
+    // cores' misses on other lanes can fill the MSHRs. Its wake rule
+    // covers an MSHR-bound core's too, so only the stall itself and
+    // quietness, which the lane-chunk driver relies on, must hold.
+    // The tick must not touch shared state either: a writeback it
+    // retried at its place in the cycle's core order would land there.
+    auto shared = [this] {
+        return mem.activityStamp() + (llc ? llc->writebacks() : 0);
+    };
+    bool stalled_before = lastStall != Stall::kNone;
+    bool quiet_before = quietTick();
+    std::uint64_t shared_before = shared();
+    tick(now);
+    const char *wrong = !lastTickNoop ? "retired, issued or fetched"
+        : shared() != shared_before ? "changed the memory system"
+        : (lastStall != Stall::kNone) != stalled_before
+        ? "changed whether it stalls"
+        : quiet_before && !quietTick() ? "stopped being quiet"
+                                         : nullptr;
+    if (wrong) {
+        panic("core sleep verify: core %d %s at cycle %lld while asleep "
+              "under the %s rule",
+              static_cast<int>(thread), wrong, static_cast<long long>(now),
+              rule == SleepRule::kQuiet ? "quiet" : "re-probe");
+    }
 }
 
 Cycle
@@ -109,21 +159,20 @@ Core::nextEventAt() const
     // A rejected memory issue can also unblock by time alone: the
     // MSHR-style outstanding bound drops when any in-flight op reaches
     // its completion time.
-    if (lastTickStalled && !mlp->knownDone.empty())
+    if (lastStall != Stall::kNone && !mlp->knownDone.empty())
         best = std::min(best, mlp->knownDone.top());
     return best;
 }
 
-bool
+Core::Stall
 Core::issueMemOp(Cycle now)
 {
     // L1-MSHR-style bound on memory-level parallelism. The bound drops
     // by time alone (knownDone) or at a completion delivery — both
     // boundaries the chunked driver observes, so this stall flavor is
     // chunk-safe.
-    stallDeliveryBound = true;
     if (mlp->outstandingAt(now) >= cfg.maxOutstandingMem)
-        return false;
+        return Stall::kMlp;
 
     // Reuse the completion slot across retries of the same rejected op.
     if (!retrySlot)
@@ -136,18 +185,18 @@ Core::issueMemOp(Cycle now)
             --state->unknown;
         }
         state->knownDone.push(done);
+        ++state->deliveries;
     };
 
     // Past the MLP gate, rejections hinge on queue/quota state a channel
-    // lane can change on any tick: the core must retry every cycle.
-    stallDeliveryBound = false;
-
+    // lane can change on any tick: the core must retry whenever the lane
+    // acts (kLane), unless the LLC's MSHRs are full (kMshr).
     if (pendingMem.bypassCache || !llc) {
         // Cheap pre-gate: a full target queue rejects the submit anyway.
         if (mem.queueFull(pendingMem.isWrite ? ReqType::kWrite
                                              : ReqType::kRead,
                           pendingMem.addr))
-            return false;
+            return Stall::kLane;
         Request req;
         req.addr = pendingMem.addr;
         req.type = pendingMem.isWrite ? ReqType::kWrite : ReqType::kRead;
@@ -156,36 +205,32 @@ Core::issueMemOp(Cycle now)
         if (pendingMem.isWrite) {
             // Posted write: completes once accepted.
             if (mem.submit(std::move(req)) != SubmitResult::kAccepted)
-                return false;
+                return Stall::kLane;
             slot->done = now + 1;
             mlp->knownDone.push(slot->done);
         } else {
             req.onComplete = on_done;
             if (mem.submit(std::move(req)) != SubmitResult::kAccepted)
-                return false;
+                return Stall::kLane;
         }
     } else {
         if (pendingMem.isWrite) {
             // Stores are posted: retire once the LLC accepts them.
             LlcResult res = llc->access(pendingMem.addr, true, thread, now,
                                         nullptr);
-            if (res == LlcResult::kReject) {
-                stallDeliveryBound = true;
-                return false;
-            }
+            if (res == LlcResult::kReject)
+                return Stall::kMshr;
             if (res == LlcResult::kRejectQueueFull)
-                return false;
+                return Stall::kLane;
             slot->done = now + 1;
             mlp->knownDone.push(slot->done);
         } else {
             LlcResult res = llc->access(pendingMem.addr, false, thread, now,
                                         on_done);
-            if (res == LlcResult::kReject) {
-                stallDeliveryBound = true;
-                return false;
-            }
+            if (res == LlcResult::kReject)
+                return Stall::kMshr;
             if (res == LlcResult::kRejectQueueFull)
-                return false;
+                return Stall::kLane;
         }
     }
     // Completion still unknown (no callback fired yet): count the op as
@@ -197,7 +242,7 @@ Core::issueMemOp(Cycle now)
     pending.push_back(MemOp{instrIssued, std::move(slot)});
     retrySlot.reset();      // consumed; next op gets a fresh slot
     ++numMemOps;
-    return true;
+    return Stall::kNone;
 }
 
 } // namespace bh

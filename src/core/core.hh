@@ -10,6 +10,7 @@
 #ifndef BH_CORE_CORE_HH
 #define BH_CORE_CORE_HH
 
+#include <algorithm>
 #include <deque>
 #include <functional>
 #include <memory>
@@ -32,6 +33,21 @@ struct CoreConfig
     unsigned maxOutstandingMem = 48;
 };
 
+/**
+ * Which wake rule keeps a core asleep (Core::asleep()). A core sleeps
+ * after an executed tick that changed nothing; until a wake condition
+ * fires, a repeat of that tick would change nothing either, so the
+ * driver does not run it.
+ */
+enum class SleepRule : std::uint8_t
+{
+    kAwake,     ///< not asleep: the driver ticks it
+    kQuiet,     ///< quietTick(): wakes by time, at a delivery to it, or
+                ///< (MSHR-bound) at an LLC fill
+    kReprobe,   ///< a full queue or quota rejected it: also wakes when
+                ///< its target lane acts
+};
+
 /** One hardware thread executing a trace. */
 class Core
 {
@@ -45,8 +61,11 @@ class Core
     Core(const CoreConfig &config, ThreadId thread, TraceSource &trace,
          Llc *llc, MemSystem &mem);
 
-    /** Advance one cycle. */
-    void tick(Cycle now);
+    /**
+     * Advance one cycle. Returns true when the tick moved the progress
+     * stamp (retired or issued anything).
+     */
+    bool tick(Cycle now);
 
     /** Instructions retired so far. */
     std::uint64_t retired() const { return instrRetired; }
@@ -54,7 +73,10 @@ class Core
     /** Memory operations issued so far. */
     std::uint64_t memOps() const { return numMemOps; }
 
-    /** Cycles the core could not issue due to resource rejection. */
+    /**
+     * Cycles the core could not issue due to resource rejection. Exact
+     * up to the last executed tick or accrueStalls() call.
+     */
     std::uint64_t stallCycles() const { return numStallCycles; }
 
     /**
@@ -79,25 +101,74 @@ class Core
     Cycle nextEventAt() const;
 
     /**
-     * The event-skipping driver eliminated `n` cycles in which this core
-     * would have re-attempted (and failed) the same memory issue.
+     * Count the stall cycles of the cycles before `now` that the driver
+     * covered without ticking this core (sleeping, event-skip jumps,
+     * lane chunks): each repeats the last executed tick, stalled or
+     * not. tick() does this for the cycles before its own; the driver
+     * calls it when a run ends so stallCycles() is exact there.
      */
     void
-    noteSkippedCycles(std::uint64_t n)
+    accrueStalls(Cycle now)
     {
-        if (lastTickStalled)
-            numStallCycles += n;
+        if (lastStall != Stall::kNone && now > accruedUntil)
+            numStallCycles += static_cast<std::uint64_t>(now - accruedUntil);
+        accruedUntil = std::max(accruedUntil, now);
     }
 
     /**
-     * True when the last tick was provably repeatable: re-running it
-     * changes nothing (beyond replayable stall accounting) until
-     * nextEventAt() or an external completion delivery. Queue-full
-     * retries probe controller state every cycle and are never quiet
-     * while controllers are active; MLP/MSHR-bound stalls are, because
-     * they clear only by time or at a delivery boundary.
+     * True when the last executed tick was provably repeatable: re-running
+     * it changes nothing (beyond stall accounting) until nextEventAt() or
+     * a completion delivery. This is the precondition for the chunked
+     * multi-channel driver to run lanes alone while the core's ticks
+     * wait. Queue-full and quota retries probe lane state that any
+     * controller tick can change, so they are never quiet; MLP- and
+     * MSHR-bound stalls are, because they clear only by time or at a
+     * delivery (an LLC fill is one).
      */
-    bool quietTick() const { return lastTickQuiet; }
+    bool
+    quietTick() const
+    {
+        return lastTickNoop && lastStall != Stall::kLane;
+    }
+
+    /**
+     * After an executed tick that retired, issued and fetched nothing,
+     * put the core to sleep: record the conditions under which a
+     * repeat of that tick could differ (see asleep()). A core stays
+     * awake after a tick that did anything, and while the LLC has
+     * writebacks to retry, which every Llc::access retries first.
+     */
+    void sleepIfNoop();
+
+    /**
+     * The rule that keeps this core asleep at `now`, or kAwake once a
+     * wake condition has fired: `now` reached nextEventAt() as of the
+     * sleep (the window head's completion, or an in-flight op's for a
+     * stalled core), a completion was delivered to it, an LLC fill
+     * freed an MSHR or installed a line it waits on, or its target
+     * lane acted (a command, an enqueue or a housekeeping tick: any
+     * change to queue occupancy, in-flight counts or quota inputs).
+     * Constant time: compares recorded stamps, nothing else.
+     */
+    SleepRule
+    asleep(Cycle now) const
+    {
+        if (sleepRule != SleepRule::kAwake && now < wakeAt &&
+            mlp->deliveries == deliveriesSeen && *fillWatch == fillsSeen &&
+            *laneWatch == laneSeen)
+            return sleepRule;
+        return SleepRule::kAwake;
+    }
+
+    /**
+     * --skip verify: tick a core that `rule` calls asleep and panic,
+     * naming the core, the cycle and the rule, unless the tick was the
+     * no-op the rule claims — no retire, issue or fetch, no request or
+     * writeback reaching the memory system, the same stall state, and
+     * still quiet if it was. The sleep stays in force until its own
+     * wake condition fires, as it would without the check.
+     */
+    void verifySleep(Cycle now, SleepRule rule);
 
     /** True if the trace ended and all work drained. */
     bool done() const { return traceEnded && pending.empty(); }
@@ -105,6 +176,16 @@ class Core
     ThreadId threadId() const { return thread; }
 
   private:
+    /** Why the last memory issue attempt was rejected. */
+    enum class Stall : std::uint8_t
+    {
+        kNone,
+        kMlp,   ///< outstanding-op bound: clears by time or at a delivery
+        kMshr,  ///< LLC MSHRs full: clears at an LLC fill
+        kLane,  ///< full queue or quota on the target lane: clears when
+                ///< that lane acts
+    };
+
     /**
      * Completion state of one memory instruction, shared with the
      * completion callback registered at the LLC / memory system.
@@ -134,6 +215,7 @@ class Core
     struct MlpState
     {
         unsigned unknown = 0;
+        std::uint64_t deliveries = 0;   ///< completions delivered so far
         std::priority_queue<Cycle, std::vector<Cycle>,
                             std::greater<Cycle>> knownDone;
 
@@ -147,7 +229,8 @@ class Core
         }
     };
 
-    bool issueMemOp(Cycle now);
+    /** Issue the pending memory op; kNone when it was accepted. */
+    Stall issueMemOp(Cycle now);
 
     CoreConfig cfg;
     ThreadId thread = 0;
@@ -164,15 +247,25 @@ class Core
     bool havePendingMem = false;
     TraceEntry pendingMem;
     bool traceEnded = false;
-    bool lastTickStalled = false;
-    bool lastTickQuiet = false;
-    bool stallDeliveryBound = false;    ///< last rejection clears only at
-                                        ///< a known time or a delivery
+    Stall lastStall = Stall::kNone;     ///< the last tick's rejection
+    bool lastTickNoop = false;          ///< retired, issued, fetched nothing
+    Cycle accruedUntil = 0;     ///< stall cycles counted below this cycle
     std::shared_ptr<MemSlot> retrySlot;     ///< completion slot, reused
                                             ///< across rejected attempts
 
     std::deque<MemOp> pending;
     std::shared_ptr<MlpState> mlp = std::make_shared<MlpState>();
+
+    /// Sleep state (sleepIfNoop()): a watch the rule does not use points
+    /// at kNoWatch, which never moves.
+    static constexpr std::uint64_t kNoWatch = 0;
+    SleepRule sleepRule = SleepRule::kAwake;
+    Cycle wakeAt = 0;
+    std::uint64_t deliveriesSeen = 0;
+    const std::uint64_t *fillWatch = &kNoWatch;     ///< LLC fill count
+    std::uint64_t fillsSeen = 0;
+    const std::uint64_t *laneWatch = &kNoWatch;     ///< lane activity
+    std::uint64_t laneSeen = 0;
 };
 
 } // namespace bh

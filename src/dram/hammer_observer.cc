@@ -8,12 +8,11 @@ namespace bh
 {
 
 HammerObserver::HammerObserver(const DramOrg &o, const HammerConfig &config)
-    : org(o), cfg(config), rows(o.rowsPerBank), banks(o.banksPerChannel())
+    : org(o), cfg(config), rows(o.rowsPerBank), banks(o.banksPerChannel()),
+      disturbance(static_cast<std::size_t>(banks) * rows),
+      actCount(static_cast<std::size_t>(banks) * rows)
 {
-    std::size_t n = static_cast<std::size_t>(banks) * rows;
-    disturbance.assign(n, 0.0);
-    actCount.assign(n, 0);
-    flipped.assign(n, false);
+    flipped.assign(static_cast<std::size_t>(banks) * rows, false);
     impact.resize(cfg.blastRadius + 1, 0.0);
     for (unsigned k = 1; k <= cfg.blastRadius; ++k) {
         impact[k] = 1.0;
@@ -66,8 +65,8 @@ HammerObserver::onAutoRefresh(RowId first_row, unsigned num_rows)
     std::size_t n = std::min<std::size_t>(num_rows, rows);
     std::size_t head = std::min(n, rows - first);
     auto clear = [this](std::size_t i, std::size_t len) {
-        std::fill_n(disturbance.begin() + i, len, 0.0);
-        std::fill_n(actCount.begin() + i, len, 0u);
+        std::fill_n(disturbance.from(i), len, 0.0);
+        std::fill_n(actCount.from(i), len, 0u);
         std::fill_n(flipped.begin() + i, len, false);
     };
     for (unsigned b = 0; b < banks; ++b) {

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "common/types.hh"
+#include "common/zeroed_array.hh"
 #include "dram/org.hh"
 
 namespace bh
@@ -98,8 +99,8 @@ class HammerObserver
     HammerConfig cfg;
     unsigned rows = 0;
     unsigned banks = 0;
-    std::vector<double> disturbance;    ///< per (bank,row)
-    std::vector<std::uint32_t> actCount;///< acts since own refresh
+    ZeroedArray<double> disturbance;    ///< per (bank,row)
+    ZeroedArray<std::uint32_t> actCount;///< acts since own refresh
     std::vector<bool> flipped;          ///< flip already reported
     std::vector<double> impact;         ///< c_k per distance
     std::vector<BitFlipEvent> flips;

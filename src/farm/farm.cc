@@ -72,13 +72,14 @@ strField(const Json &doc, const char *key)
 
 /**
  * Reads the number at `key` into `out` (`fallback` when absent). False,
- * with `err` naming the field, `want` and the value, unless the member
- * is a finite number that `ok` accepts.
+ * with `err` naming `file`, the field, `want` and the value, unless the
+ * member is a finite number that `ok` accepts.
  */
 template <typename Ok>
 bool
 checkedField(const Json &doc, const char *key, double fallback,
-             const char *want, Ok ok, double &out, std::string &err)
+             const char *want, Ok ok, double &out, std::string &err,
+             const std::string &file = "farm.json")
 {
     const Json *v = doc.find(key);
     out = v ? v->asDouble() : fallback;
@@ -86,7 +87,7 @@ checkedField(const Json &doc, const char *key, double fallback,
                         v->type() == Json::Type::Double);
     if (!v || (number && std::isfinite(out) && ok(out)))
         return true;
-    err = strfmt("farm.json: %s wants %s, got %s", key, want,
+    err = strfmt("%s: %s wants %s, got %s", file.c_str(), key, want,
                  v->dump().c_str());
     return false;
 }
@@ -105,6 +106,24 @@ auto
 atLeast(double lo)
 {
     return [lo](double v) { return v >= lo; };
+}
+
+/**
+ * The attempt number at `key` of the per-cell record `file` (a fail
+ * record's `attempts`, a lease's `attempt`), held to the range init
+ * allows for max_attempts. Anything else is fatal, naming the file, the
+ * field and the value: a cast would wrap or overflow.
+ */
+unsigned
+recordAttempt(const Json &doc, const char *key, double fallback,
+              const std::string &file)
+{
+    double v = 0;
+    std::string err;
+    if (!checkedField(doc, key, fallback, "a whole number in [1, 100]",
+                      wholeIn(1, 100), v, err, file))
+        fatal("%s", err.c_str());
+    return static_cast<unsigned>(v);
 }
 
 } // namespace
@@ -389,7 +408,8 @@ Farm::recordFailure(const std::string &worker, std::uint64_t cell,
     info.cell = cell;
     Json prior;
     if (loadJsonFile(paths_.failFile(cell), prior)) {
-        info.attempts = static_cast<unsigned>(numField(prior, "attempts"));
+        info.attempts = recordAttempt(prior, "attempts", 0,
+                                      paths_.failFile(cell));
         const Json *reasons = prior.find("reasons");
         if (reasons && reasons->type() == Json::Type::Array)
             for (std::size_t i = 0; i < reasons->size(); ++i)
@@ -500,13 +520,13 @@ Farm::scan(const std::string &worker)
         if (!cellOfName(name, "cell_", cell))
             continue;
         Json doc;
-        if (!loadJsonFile(paths_.failDir() + "/" + name, doc))
+        std::string path = paths_.failDir() + "/" + name;
+        if (!loadJsonFile(path, doc))
             continue;   // torn fail record: claimable immediately
         CellView &view = cells[cell];
         view.hasFail = true;
         view.fail.cell = cell;
-        view.fail.attempts =
-            static_cast<unsigned>(numField(doc, "attempts"));
+        view.fail.attempts = recordAttempt(doc, "attempts", 0, path);
         view.fail.lastFailUnix = numField(doc, "last_fail_unix");
         view.fail.nextRetryUnix = numField(doc, "next_retry_unix");
     }
@@ -520,10 +540,10 @@ Farm::scan(const std::string &worker)
         LeaseInfo lease;
         lease.cell = cell;
         lease.verify = verify;
-        if (loadJsonFile(paths_.leaseDir() + "/" + name, doc)) {
+        std::string path = paths_.leaseDir() + "/" + name;
+        if (loadJsonFile(path, doc)) {
             lease.worker = strField(doc, "worker");
-            lease.attempt =
-                static_cast<unsigned>(numField(doc, "attempt", 1));
+            lease.attempt = recordAttempt(doc, "attempt", 1, path);
             lease.claimUnix = numField(doc, "claim_unix", now);
         } else {
             // Unreadable lease (should not happen: claims are created

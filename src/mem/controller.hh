@@ -150,9 +150,13 @@ class MemController
      * DRAM commands, completed victim-refresh ops, accepted requests, and
      * ticks at a mitigation housekeeping boundary.
      * The event-skipping driver compares stamps across a cycle to decide
-     * whether the system is quiescent.
+     * whether the system is quiescent. It moves on every change to queue
+     * occupancy, in-flight counts and quota inputs (ACTs feed RHLI, a
+     * housekeeping tick swaps throttler epochs), so a core rejected at
+     * this lane's admission gate watches it (stable address) to know
+     * when a retry can succeed.
      */
-    std::uint64_t activityStamp() const { return numActions; }
+    const std::uint64_t &activityStamp() const { return numActions; }
 
     /**
      * True when the most recent tick() performed no externally visible

@@ -131,13 +131,28 @@ class MemSystem
 
     const AddressMapper &mapper() const { return *map; }
 
-    /** Number of rejected submissions due to quota (throttling pressure). */
+    /**
+     * Number of rejected submissions due to quota (throttling pressure).
+     * A diagnostic of the polling loop: it counts retries, so it falls
+     * when sleeping cores and skips retry less, and is never replayed.
+     */
     std::uint64_t quotaRejects() const { return numQuotaRejects; }
 
     // ---- driver hooks (System::run) ------------------------------------
 
     /** Sum of every lane's activity stamp (quiescence check). */
     std::uint64_t activityStamp() const;
+
+    /**
+     * The activity stamp of the lane that admits requests to `addr`
+     * (MemController::activityStamp): a request it rejected for a full
+     * queue or a quota can be admitted only after the stamp moves.
+     */
+    const std::uint64_t &
+    admissionStamp(Addr addr) const
+    {
+        return lanes[map->channelOf(addr)].ctrl->activityStamp();
+    }
 
     /** True when every lane's last tick was idle (see MemController). */
     bool allIdleSinceLastTick() const;

@@ -132,6 +132,9 @@ runExperiment(const ExperimentConfig &config, const MixSpec &mix)
     for (unsigned t = 0; t < config.threads; ++t) {
         res.ipc.push_back(system->ipc(t));
         res.isAttack.push_back(isAttackApp(mix.apps[t]));
+        const Core &core = system->core(t);
+        res.cores.push_back(
+            {core.retired(), core.memOps(), core.stallCycles()});
     }
     res.energyJ = system->energy();
     // Merge per-channel state deterministically by channel index: counters

@@ -108,6 +108,21 @@ struct RunResult
     /** True when the activation-bounding guarantee held end to end. */
     bool secSafe() const { return secMargin < 1.0; }
 
+    /** Whole-run counters of one core, warmup included. */
+    struct CoreCounts
+    {
+        std::uint64_t retired = 0;
+        std::uint64_t memOps = 0;
+        std::uint64_t stallCycles = 0;
+    };
+
+    /**
+     * Per thread. No report prints them; the skip-equivalence tests
+     * compare them, since a sleeping or skipped core's stall cycles are
+     * accrued without ticking it.
+     */
+    std::vector<CoreCounts> cores;
+
     /**
      * Per-lane StatSet snapshots: {"ch0": {mc..., mitig...}, ...}.
      * Deterministic (event-driven samples and skip-replayed counters

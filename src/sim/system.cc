@@ -103,11 +103,9 @@ System::setTrace(unsigned slot, std::unique_ptr<TraceSource> trace,
 }
 
 std::uint64_t
-System::progressStamp() const
+System::uncoreStamp() const
 {
     std::uint64_t s = memSys->activityStamp();
-    for (const auto &core : cores)
-        s += core->progressStamp();
     if (llcPtr)
         s += llcPtr->writebacks();
     return s;
@@ -168,11 +166,9 @@ System::advanceQuiet(Cycle target, bool lanes_idle)
             memSys->controller(ch).advance(first_mc, target, mcDivider);
         memSys->flushCompletions();
     }
-    // Quiet cores skip their ticks; stalled cores would have re-attempted
-    // (and failed) the same issue every cycle — replay that accounting.
+    // Cores skip their ticks; a stalled core accrues the stall cycles of
+    // the retries it skipped at its next tick (Core::accrueStalls).
     auto k_cpu = static_cast<std::uint64_t>(target - start);
-    for (auto &core : cores)
-        core->noteSkippedCycles(k_cpu);
     (lanes_idle ? numSkipped : numChunked) += k_cpu;
     currentCycle = target;
     if (TraceSink::on()) {
@@ -200,6 +196,7 @@ System::run(Cycle cycles)
     Cycle end = currentCycle + cycles;
     unsigned n = static_cast<unsigned>(cores.size());
     bool track = cfg.skip != SkipMode::kCycleByCycle;
+    bool verify = cfg.skip == SkipMode::kVerify;
     bool multi = memSys->channels() > 1;
     while (currentCycle < end) {
         // Completions due this cycle mutate core/LLC state before any
@@ -207,12 +204,28 @@ System::run(Cycle cycles)
         // at issue, the legacy path).
         if (multi)
             memSys->deliverCompletionsDue(currentCycle);
-        std::uint64_t before = track ? progressStamp() : 0;
+        std::uint64_t before = track ? uncoreStamp() : 0;
         // Rotate the tick order so no core gets a systematic head start
-        // when racing for shared queue slots.
-        unsigned first = static_cast<unsigned>(currentCycle) % n;
-        for (unsigned i = 0; i < n; ++i)
-            cores[(first + i) % n]->tick(currentCycle);
+        // when racing for shared queue slots. A sleeping core's tick
+        // would change nothing (--skip verify runs it to check that),
+        // so it can neither progress nor need its stall counted now.
+        bool cores_moved = false;
+        unsigned slot = static_cast<unsigned>(currentCycle) % n;
+        for (unsigned i = 0; i < n; ++i, slot = slot + 1 == n ? 0 : slot + 1) {
+            Core &core = *cores[slot];
+            SleepRule rule =
+                track ? core.asleep(currentCycle) : SleepRule::kAwake;
+            if (rule == SleepRule::kAwake) {
+                ++numCoreTicks;
+                cores_moved |= core.tick(currentCycle);
+                if (track)
+                    core.sleepIfNoop();
+            } else {
+                ++numCoreSleeps;
+                if (verify)
+                    core.verifySleep(currentCycle, rule);
+            }
+        }
         if (llcPtr)
             llcPtr->tick(currentCycle);
         if (currentCycle % mcDivider == 0)
@@ -222,7 +235,7 @@ System::run(Cycle cycles)
 
         if (!track)
             continue;
-        bool progressed = progressStamp() != before;
+        bool progressed = cores_moved || uncoreStamp() != before;
         bool idle = !progressed && memSys->allIdleSinceLastTick();
 
         if (cfg.skip == SkipMode::kVerify) {
@@ -248,6 +261,10 @@ System::run(Cycle cycles)
         if (target > currentCycle)
             advanceQuiet(target, idle);
     }
+    // Stall cycles of the ticks that slept or were skipped are counted
+    // lazily; settle them so stallCycles() is exact between runs.
+    for (auto &core : cores)
+        core->accrueStalls(currentCycle);
 }
 
 void

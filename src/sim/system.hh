@@ -9,9 +9,12 @@
  * component making progress, the system finds the horizon up to which
  * the cores and the LLC stay quiet and advances every channel lane
  * there in one step (MemController::advance replays the idle ticks); the
- * cores replay their per-cycle stall counters. A skipping run is
- * bit-compatible with a cycle-by-cycle run; SkipMode kVerify executes
- * cycle-by-cycle while asserting every skip claim.
+ * cores accrue the stall cycles of the cycles they did not tick. Between
+ * jumps, a core whose last tick changed nothing sleeps until one of its
+ * wake conditions fires (Core::asleep), and the driver ticks only awake
+ * cores. A skipping run is bit-compatible with a cycle-by-cycle run;
+ * SkipMode kVerify executes cycle-by-cycle while asserting every skip
+ * and sleep claim.
  *
  * Multi-channel systems also take that step while lanes are busy but
  * every core and the LLC is provably quiet: the per-channel lanes tick
@@ -52,8 +55,10 @@ std::uint64_t simCyclesTotal();
 enum class SkipMode
 {
     kCycleByCycle,  ///< tick every cycle (the reference behavior)
-    kEventSkip,     ///< jump over provably idle stretches (default)
-    kVerify,        ///< tick every cycle, assert every skip claim
+    kEventSkip,     ///< jump over provably idle stretches and let idle
+                    ///< cores sleep (default)
+    kVerify,        ///< tick every cycle and core, assert every skip and
+                    ///< sleep claim
 };
 
 /** Builds the mitigation instance of one memory channel. */
@@ -118,6 +123,18 @@ class System
     /** Core-quiet cycles covered by lane chunks so far (diagnostics). */
     std::uint64_t chunkedCycles() const { return numChunked; }
 
+    /**
+     * Core ticks run on awake cores so far (diagnostics, like the two
+     * below; observation-only).
+     */
+    std::uint64_t coreTicksExecuted() const { return numCoreTicks; }
+
+    /**
+     * Core ticks a sleep rule covered so far: not run, except under
+     * --skip verify, which runs them to check the claim.
+     */
+    std::uint64_t coreTicksSlept() const { return numCoreSleeps; }
+
     Core &core(unsigned slot) { return *cores[slot]; }
     const Core &core(unsigned slot) const { return *cores[slot]; }
     Llc *llc() { return llcPtr.get(); }
@@ -133,8 +150,11 @@ class System
     }
 
   private:
-    /** Combined progress stamp over every component (quiescence check). */
-    std::uint64_t progressStamp() const;
+    /**
+     * Progress stamp of the memory system and the LLC: a cycle changed
+     * nothing when it stays put and no core tick moved.
+     */
+    std::uint64_t uncoreStamp() const;
 
     /** `c` rounded up to the next controller clock edge. */
     Cycle
@@ -153,8 +173,8 @@ class System
     Cycle quietHorizon(Cycle end, bool lanes_idle);
 
     /**
-     * Advance every lane to `target` while cores replay their quiet
-     * cycles: an event-skip jump (`lanes_idle`) or a lane chunk.
+     * Advance every lane to `target` while the cores' ticks wait: an
+     * event-skip jump (`lanes_idle`) or a lane chunk.
      */
     void advanceQuiet(Cycle target, bool lanes_idle);
 
@@ -170,6 +190,8 @@ class System
     std::vector<std::uint64_t> retiredAtMeasureStart;
     std::uint64_t numSkipped = 0;
     std::uint64_t numChunked = 0;
+    std::uint64_t numCoreTicks = 0;
+    std::uint64_t numCoreSleeps = 0;
     Cycle verifiedQuietUntil = 0;   ///< kVerify: active skip claim bound
     TraceMeta driverMeta;           ///< tid = channel count (driver row)
 };

@@ -2,7 +2,8 @@
  * @file
  * Shared fixtures of the skip-equivalence and multi-channel tests: a
  * short experiment configuration, a 4-thread attack mix and a benign
- * mix, and a comparison of every RunResult field.
+ * mix, and a comparison of every RunResult field, per-core counters
+ * included.
  */
 
 #ifndef BH_TESTS_EXPERIMENT_HELPERS_HH
@@ -49,7 +50,20 @@ benignMix()
     return mix;
 }
 
-/** Every field of two runs is equal, per-lane stats included. */
+/** Every core's retired instructions, memory ops and stall cycles match. */
+inline void
+expectEqualCores(const std::vector<RunResult::CoreCounts> &a,
+                 const std::vector<RunResult::CoreCounts> &b)
+{
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        EXPECT_EQ(a[i].retired, b[i].retired) << "core " << i;
+        EXPECT_EQ(a[i].memOps, b[i].memOps) << "core " << i;
+        EXPECT_EQ(a[i].stallCycles, b[i].stallCycles) << "core " << i;
+    }
+}
+
+/** Every field of two runs is equal, per-lane stats and cores included. */
 inline void
 expectEqualResults(const RunResult &a, const RunResult &b)
 {
@@ -73,6 +87,7 @@ expectEqualResults(const RunResult &a, const RunResult &b)
     EXPECT_EQ(a.secFirstViolation, b.secFirstViolation);
     EXPECT_EQ(a.secViolatingRows, b.secViolatingRows);
     EXPECT_EQ(a.stats.dump(), b.stats.dump());
+    expectEqualCores(a.cores, b.cores);
 }
 
 } // namespace bh

@@ -400,6 +400,49 @@ TEST(Farm, OpenRejectsNumbersInitWouldRefuse)
     EXPECT_EQ(farm.spec().policy.verifyEvery, 4294967295u);
 }
 
+TEST(Farm, RecordAttemptOutsideInitRangeIsFatalNamingTheFile)
+{
+    // A fail record's `attempts` and a lease's `attempt` are held to
+    // max_attempts' range: a cast of 1e12 or -1 would journal a wrapped
+    // attempt number, and 2.5 would silently truncate.
+    const std::pair<Json, const char *> bad[] = {
+        {1e12, "1e\\+12"}, {-1, "-1"}, {2.5, "2\\.5"}};
+    FakeFarmClock clock;
+    for (bool lease : {false, true}) {
+        for (const auto &[value, shown] : bad) {
+            std::string dir = scratchDir("bad_attempt");
+            std::string err;
+            ASSERT_TRUE(Farm::init(dir, testSpec(), clock, err)) << err;
+            Farm farm;
+            ASSERT_TRUE(Farm::open(dir, clock, farm, err)) << err;
+            FarmPaths paths(dir);
+            Json doc = Json::object();
+            doc["cell"] = 1;
+            std::string file = lease ? paths.leaseFile(1, false)
+                                     : paths.failFile(1);
+            const char *field = lease ? "attempt" : "attempts";
+            doc[field] = value;
+            if (lease) {
+                doc["worker"] = "w9";
+                doc["claim_unix"] = 0.0;
+            } else {
+                doc["last_fail_unix"] = 0.0;
+                doc["next_retry_unix"] = 0.0;
+                doc["reasons"] = Json::array();
+            }
+            ASSERT_TRUE(atomicWriteFile(file, doc.dump(2) + "\n", err))
+                << err;
+            Farm::Claim claim;
+            double hint = 0.0;
+            EXPECT_EXIT(farm.pickWork("w0", FaultPlan(), claim, &hint),
+                        testing::ExitedWithCode(1),
+                        file + ": " + field + " wants a whole number in "
+                            "\\[1, 100\\], got " + shown)
+                << field << " = " << value.dump();
+        }
+    }
+}
+
 TEST(Farm, OpensAndRunsAFarmJsonThatStillCarriesChannelThreads)
 {
     // Farms initialized while lane threads existed carry this key; it is

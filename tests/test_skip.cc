@@ -6,13 +6,15 @@
  * for every registered mechanism: every RunResult field of a skipping
  * run equals the reference run, and SkipMode::kVerify (cycle-by-cycle
  * execution that asserts every skip claim) must complete without
- * tripping. The scheduler must also handle organizations with more than
- * 64 flat banks, which used to hit a stack-array panic.
+ * tripping. Hand-built systems check each wake rule of sleeping cores
+ * the same way. The scheduler must also handle organizations with more
+ * than 64 flat banks, which used to hit a stack-array panic.
  */
 
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <functional>
 #include <string>
 #include <tuple>
 
@@ -90,6 +92,233 @@ TEST(EventSkip, ActuallySkipsOnThrottledAttack)
     auto system = buildSystem(cfg, attackMix());
     system->run(cfg.warmupCycles + cfg.runCycles);
     EXPECT_GT(system->skippedCycles(), 0u);
+}
+
+TEST(CoreSleep, SleepsOnThrottledAttack)
+{
+    ExperimentConfig cfg = shortConfig("BlockHammer");
+    auto system = buildSystem(cfg, attackMix());
+    system->run(cfg.warmupCycles + cfg.runCycles);
+    // Most core ticks of a throttled attack change nothing.
+    EXPECT_GT(system->coreTicksSlept(), 2 * system->coreTicksExecuted());
+
+    cfg.skip = SkipMode::kCycleByCycle;
+    auto reference = buildSystem(cfg, attackMix());
+    reference->run(cfg.warmupCycles + cfg.runCycles);
+    EXPECT_EQ(reference->coreTicksSlept(), 0u);
+    EXPECT_EQ(reference->coreTicksExecuted(),
+              cfg.threads *
+                  static_cast<std::uint64_t>(cfg.warmupCycles +
+                                             cfg.runCycles));
+}
+
+/** Scripted trace: each entry once, then the end of the trace. */
+class ScriptTrace : public TraceSource
+{
+  public:
+    explicit ScriptTrace(std::vector<TraceEntry> entries)
+        : list(std::move(entries))
+    {
+    }
+
+    bool
+    next(TraceEntry &entry) override
+    {
+        if (pos >= list.size())
+            return false;
+        entry = list[pos++];
+        return true;
+    }
+
+    void reset() override { pos = 0; }
+
+  private:
+    std::vector<TraceEntry> list;
+    std::size_t pos = 0;
+};
+
+TraceEntry
+memOp(Addr addr, bool write = false, bool bypass = false)
+{
+    TraceEntry e;
+    e.isMem = true;
+    e.isWrite = write;
+    e.bypassCache = bypass;
+    e.addr = addr;
+    return e;
+}
+
+/** A hand-built system: one script per core. */
+struct SleepCase
+{
+    SystemConfig cfg;
+    std::vector<std::vector<TraceEntry>> scripts;
+    std::function<std::unique_ptr<Mitigation>()> mitigation = [] {
+        return std::make_unique<NullMitigation>();
+    };
+    Cycle cycles = 2000;
+};
+
+struct SleepRun
+{
+    std::vector<RunResult::CoreCounts> cores;
+    std::uint64_t slept = 0;
+};
+
+SleepRun
+runCase(const SleepCase &c, SkipMode mode)
+{
+    SystemConfig cfg = c.cfg;
+    cfg.skip = mode;
+    cfg.threads = static_cast<unsigned>(c.scripts.size());
+    System system(cfg, [&c](unsigned) { return c.mitigation(); });
+    for (unsigned t = 0; t < cfg.threads; ++t)
+        system.setTrace(t, std::make_unique<ScriptTrace>(c.scripts[t]));
+    system.run(c.cycles);
+    SleepRun out;
+    for (unsigned t = 0; t < cfg.threads; ++t) {
+        const Core &core = system.core(t);
+        out.cores.push_back(
+            {core.retired(), core.memOps(), core.stallCycles()});
+    }
+    out.slept = system.coreTicksSlept();
+    return out;
+}
+
+/**
+ * Sleeping engages, and --skip on and --skip verify (which panics on a
+ * wrong sleep claim) reproduce every core's counters at --skip off.
+ */
+void
+expectSleepExact(const SleepCase &c)
+{
+    SleepRun ref = runCase(c, SkipMode::kCycleByCycle);
+    for (SkipMode mode : {SkipMode::kEventSkip, SkipMode::kVerify}) {
+        SleepRun run = runCase(c, mode);
+        EXPECT_GT(run.slept, 0u);
+        expectEqualCores(run.cores, ref.cores);
+    }
+}
+
+/** AttackThrottler-style quota: none for `thread` (any: -1) on `bank`. */
+class QuotaZero : public Mitigation
+{
+  public:
+    QuotaZero(ThreadId only_thread, int only_bank)
+        : thread(only_thread), bank(only_bank)
+    {
+    }
+    std::string name() const override { return "QuotaZero"; }
+
+    int
+    quota(ThreadId t, unsigned b) const override
+    {
+        bool hit = (thread < 0 || t == thread) &&
+            (bank < 0 || static_cast<int>(b) == bank);
+        return hit ? 0 : -1;
+    }
+
+  private:
+    ThreadId thread;
+    int bank;
+};
+
+/** First line address at or after `from` on `channel`, in another bank
+ *  than `not_bank` (any bank: -1). */
+Addr
+findLine(const SystemConfig &cfg, Addr from, unsigned channel,
+         int not_bank = -1)
+{
+    AddressMapper map(cfg.mem.org, cfg.mem.scheme);
+    for (Addr a = from;; a += kLineBytes) {
+        DramCoord c = map.decode(a);
+        if (c.channel == channel &&
+            static_cast<int>(c.flatBank(cfg.mem.org)) != not_bank)
+            return a;
+    }
+}
+
+TEST(CoreSleep, QuotaRejectedCoreWakesWhenItsHeadCompletes)
+{
+    // The core's first read is served; its second is refused by a zero
+    // quota for good. After the first read's column command the lane
+    // goes quiet, and only time retires the window head: the
+    // re-probing core must wake at the head's completion time.
+    SleepCase c;
+    c.cfg.useLlc = false;
+    Addr first = 0;
+    int first_bank = static_cast<int>(
+        AddressMapper(c.cfg.mem.org, c.cfg.mem.scheme)
+            .decode(first)
+            .flatBank(c.cfg.mem.org));
+    Addr second = findLine(c.cfg, kLineBytes, 0, first_bank);
+    int blocked = static_cast<int>(
+        AddressMapper(c.cfg.mem.org, c.cfg.mem.scheme)
+            .decode(second)
+            .flatBank(c.cfg.mem.org));
+    c.mitigation = [blocked] {
+        return std::make_unique<QuotaZero>(kNoThread, blocked);
+    };
+    c.scripts = {{memOp(first), memOp(second)}};
+    expectSleepExact(c);
+    EXPECT_EQ(runCase(c, SkipMode::kEventSkip).cores[0].retired, 1u);
+}
+
+TEST(CoreSleep, MshrFullCoreWakesAtAFillForAnotherCore)
+{
+    // One MSHR: core 0's miss holds it, and core 1's miss is refused
+    // until core 0's fill frees it. Nothing is delivered to core 1.
+    SleepCase c;
+    c.cfg.llc.mshrs = 1;
+    c.scripts = {{memOp(0)}, {memOp(1 << 20)}};
+    expectSleepExact(c);
+    EXPECT_EQ(runCase(c, SkipMode::kEventSkip).cores[1].memOps, 1u);
+}
+
+TEST(CoreSleep, QueueFullCoreWakesAtATake)
+{
+    // A two-entry read queue: core 0 fills it, and core 1's read gets in
+    // only once the controller takes one of core 0's.
+    SleepCase c;
+    c.cfg.useLlc = false;
+    c.cfg.mem.ctrl.readQueueSize = 2;
+    c.scripts = {{memOp(0), memOp(1 << 20)}, {memOp(2 << 20)}};
+    expectSleepExact(c);
+    EXPECT_EQ(runCase(c, SkipMode::kEventSkip).cores[1].memOps, 1u);
+}
+
+TEST(CoreSleep, LlcCoreStaysAwakeWhileWritebacksWaitToRetry)
+{
+    // Two channels, so a fill is delivered after its column command,
+    // while the lanes are otherwise quiet. Core 0's cached read is
+    // refused by a zero quota on channel 0 for good. On channel 1, core
+    // 1 streams writes through a one-set, one-way LLC, so every fill
+    // evicts a dirty line, and core 2's uncached writes keep the
+    // two-entry write queue full, so those writebacks wait in the LLC.
+    // Core 0's every tick retries them (Llc::access does) at its place
+    // in the core order: it must wake at the fill that queued them and
+    // stay awake until they drain.
+    SleepCase c;
+    c.cfg.mem.org = DramOrg::paperConfig(2);
+    c.cfg.llc.capacityBytes = kLineBytes;
+    c.cfg.llc.ways = 1;
+    c.cfg.mem.ctrl.writeQueueSize = 2;
+    c.cfg.mem.ctrl.writeHighWatermark = 2;
+    c.cfg.mem.ctrl.writeLowWatermark = 1;
+    c.mitigation = [] { return std::make_unique<QuotaZero>(0, -1); };
+    c.cycles = 20000;
+    std::vector<TraceEntry> refused = {memOp(findLine(c.cfg, 0, 0))};
+    std::vector<TraceEntry> dirtying, flood;
+    Addr a = 0, b = 1 << 24;
+    for (int i = 0; i < 200; ++i) {
+        a = findLine(c.cfg, a + kLineBytes, 1);
+        dirtying.push_back(memOp(a, i % 2 == 0));
+        b = findLine(c.cfg, b + kLineBytes, 1);
+        flood.push_back(memOp(b, true, true));
+        flood.push_back(memOp(b, true, true));
+    }
+    c.scripts = {refused, dirtying, flood};
+    expectSleepExact(c);
 }
 
 TEST(LargeOrg, EightRankDdr4RunsWithoutPanic)
