@@ -2,21 +2,25 @@
  * @file
  * A fixed-size array that starts at zero without touching its memory.
  *
- * It comes from calloc, which leaves fresh pages untouched because they
- * read as zero. Large per-row tables (the hammer observer's counters,
- * 12 MB per channel at the paper's 64K rows x 16 banks) then cost no
- * page faults when a system is built; each page faults in when the run
- * first touches one of its rows. std::vector would write every zero up
- * front, and whether those writes fault depends on whether the heap
- * kept the previous system's pages.
+ * Its pages come straight from an anonymous private mapping, which the
+ * kernel hands out untouched and reading as zero. Large per-row tables
+ * (the hammer observer's counters, 12 MB per channel at the paper's
+ * 64K rows x 16 banks) then cost no page faults when a system is built;
+ * each page faults in when the run first touches one of its rows, and
+ * the pages go back to the kernel when the array dies. calloc would do
+ * the same only while glibc serves the request by mmap: once a freed
+ * table raises glibc's mmap threshold, the next calloc recycles heap
+ * pages that are already resident, and the same run reads a different
+ * peak RSS depending on what ran before it.
  */
 
 #ifndef BH_COMMON_ZEROED_ARRAY_HH
 #define BH_COMMON_ZEROED_ARRAY_HH
 
+#include <sys/mman.h>
+
 #include <cstddef>
-#include <cstdlib>
-#include <memory>
+#include <limits>
 #include <new>
 
 namespace bh
@@ -28,24 +32,37 @@ class ZeroedArray
 {
   public:
     explicit ZeroedArray(std::size_t n)
-        : data(static_cast<T *>(std::calloc(n, sizeof(T))))
     {
-        if (n > 0 && !data)
+        if (n > std::numeric_limits<std::size_t>::max() / sizeof(T))
             throw std::bad_alloc();
+        bytes = n * sizeof(T);
+        if (bytes == 0)
+            return;
+        void *p = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                       MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+        if (p == MAP_FAILED)
+            throw std::bad_alloc();
+        data = static_cast<T *>(p);
     }
 
-    T &operator[](std::size_t i) { return data.get()[i]; }
-    const T &operator[](std::size_t i) const { return data.get()[i]; }
+    ~ZeroedArray()
+    {
+        if (data)
+            munmap(data, bytes);
+    }
+
+    ZeroedArray(const ZeroedArray &) = delete;
+    ZeroedArray &operator=(const ZeroedArray &) = delete;
+
+    T &operator[](std::size_t i) { return data[i]; }
+    const T &operator[](std::size_t i) const { return data[i]; }
 
     /** Pointer to element `i` (for std::fill_n over a row range). */
-    T *from(std::size_t i) { return data.get() + i; }
+    T *from(std::size_t i) { return data + i; }
 
   private:
-    struct Free
-    {
-        void operator()(T *p) const { std::free(p); }
-    };
-    std::unique_ptr<T, Free> data;
+    T *data = nullptr;
+    std::size_t bytes = 0;
 };
 
 } // namespace bh

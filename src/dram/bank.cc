@@ -20,6 +20,7 @@ Bank::unsupportedCommand(DramCommand cmd)
 void
 Bank::issue(DramCommand cmd, RowId target_row, Cycle now)
 {
+    ++stateStamp;
     switch (cmd) {
       case DramCommand::kAct:
         if (open)
@@ -57,6 +58,7 @@ Bank::issue(DramCommand cmd, RowId target_row, Cycle now)
 void
 Bank::blockUntil(Cycle cycle)
 {
+    ++stateStamp;
     nextAct = std::max(nextAct, cycle);
 }
 

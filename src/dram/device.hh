@@ -38,14 +38,9 @@ class DramDevice
             bankOutOfRange(flat_bank);
         Cycle e = banks[flat_bank].earliest(cmd);
         switch (cmd) {
-          case DramCommand::kAct: {
-            e = std::max(e, nextActRank);
-            // tFAW: the 4th-most-recent ACT bounds the next one.
-            Cycle oldest = actWindow[actWindowPos];
-            if (oldest >= 0)
-                e = std::max(e, oldest + t.tFAW);
+          case DramCommand::kAct:
+            e = std::max(e, actEarliest());
             break;
-          }
           case DramCommand::kRd:
             e = std::max(e, nextRd);
             break;
@@ -76,6 +71,20 @@ class DramDevice
     columnEarliest(DramCommand cmd) const
     {
         return cmd == DramCommand::kRd ? nextRd : nextWr;
+    }
+
+    /**
+     * Rank-level earliest issue cycle of an ACT (tRRD, tFAW), before
+     * per-bank constraints; earliest(kAct, b) is the max of this and
+     * bank b's own ACT time.
+     */
+    Cycle
+    actEarliest() const
+    {
+        // tFAW: the 4th-most-recent ACT bounds the next one.
+        Cycle oldest = actWindow[actWindowPos];
+        return oldest >= 0 ? std::max(nextActRank, oldest + t.tFAW)
+                           : nextActRank;
     }
 
     /** Issue a command; panics on a timing violation. */

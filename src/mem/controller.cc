@@ -11,8 +11,10 @@ namespace bh
 MemController::MemController(DramDevice &device, const ControllerConfig &config,
                              Mitigation &mitigation, HammerObserver *hammer_obs,
                              DramEnergyModel *energy_model)
-    : dram(device), cfg(config), mitig(mitigation), hammer(hammer_obs),
-      energy(energy_model), scheduler(device.numBanks()),
+    : dram(device), cfg(config), mitig(mitigation),
+      queriesObservable(mitigation.actQueriesObservable()),
+      hammer(hammer_obs), energy(energy_model),
+      scheduler(device.numBanks()),
       readQ(device.numBanks()), writeQ(device.numBanks()),
       victimQ(device.numBanks()),
       nextRefreshAt(device.timings().tREFI),
@@ -58,8 +60,23 @@ MemController::enqueue(Request req)
     writeDepthHist->add(static_cast<std::int64_t>(writeQ.size()) +
                         (req.type == ReqType::kWrite ? 1 : 0));
     Cycle arrival = req.arrival;
+    ReqType type = req.type;
     queue.push(std::move(req));
+    // An arrival inside an idle window changes only its own bank's next
+    // command and its queue's size (whose watermarks the replay applies),
+    // so where queries have no effect it lowers the window's end to that
+    // bank's bound instead of voiding the window.
+    bool keep_window = !queriesObservable && idleUntil > 0 &&
+        windowStamp == numActions;
     ++numActions;
+    if (keep_window) {
+        StreakCapped capped{hitStreak.data(), cfg.rowHitCap};
+        Cycle at = scheduler.bankEventAt(queue, type, dram, capped, fb);
+        DemandBound &bound = type == ReqType::kRead ? readBound : writeBound;
+        bound.timing = std::min(bound.timing, at);
+        idleUntil = std::min(idleUntil, at);
+        windowStamp = numActions;
+    }
     if (TraceSink::on()) {
         TraceSink::counter("queue", "depth", tmeta, arrival,
                            {{"read",
@@ -74,18 +91,20 @@ void
 MemController::advance(Cycle from, Cycle to, Cycle step)
 {
     for (Cycle now = from; now < to;) {
-        // Idle fast path: if the last executed tick did nothing, nothing
-        // has arrived since, and no timing/mitigation event matures
-        // before `now`, every tick before idleUntil is an exact repeat of
-        // the last one — replay their (purely internal) bookkeeping
-        // instead of re-walking the queues. Disabled in cycle-by-cycle
-        // reference mode.
-        if (now < idleUntil && idleSinceLastTick()) {
+        // Idle fast path: inside a live idle window (see idleUntil) no
+        // timing/mitigation event matures and no command can issue, so
+        // every tick before idleUntil is an exact repeat of an idle tick
+        // — replay their (purely internal) bookkeeping instead of
+        // re-walking the queues. Disabled in cycle-by-cycle reference
+        // mode.
+        if (now < idleUntil && windowStamp == numActions) {
             Cycle span = std::min(idleUntil, to) - now;
             // Division-free for tick(), the path of every controller
             // cycle the driver steps one at a time.
             auto n = static_cast<std::uint64_t>(
                 step == 1 ? span : (span + step - 1) / step);
+            if (replayCheck)
+                checkReplayedTicks(now, n, step);
             noteSkippedTicks(n);
             now += static_cast<Cycle>(n) * step;
         } else {
@@ -98,6 +117,7 @@ MemController::advance(Cycle from, Cycle to, Cycle step)
 void
 MemController::execute(Cycle now)
 {
+    ++numTicksExecuted;
     idleUntil = 0;
     stampBeforeLastTick = numActions;
     lastTickAt = now;
@@ -115,19 +135,39 @@ MemController::execute(Cycle now)
         refreshPending = true;
 
     // At most one command per cycle on the command bus.
+    bool issued_demand = false;
     if (!tryRefresh(now) && !refreshPending) {
         // While refresh is pending, all effort goes to closing banks.
         if (!tryVictimRefresh(now)) {
             lastTickReachedDemand = true;
-            tryDemand(now);
+            issued_demand = tryDemand(now);
         }
     }
 
     lastTickBlockedEvals = numActBlocked - blocked_before;
     stampAfterLastTick = numActions;
+    windowStamp = numActions;
+    if (stampAfterLastTick != stampBeforeLastTick)
+        ++numTicksActed;
 
-    if (fastIdleTicks && stampAfterLastTick == stampBeforeLastTick)
-        idleUntil = nextEventAt(now);
+    if (!fastIdleTicks)
+        return;
+    if (stampAfterLastTick == stampBeforeLastTick) {
+        idleUntil = eventBound(now);
+    } else if (issued_demand && !queriesObservable && pendingVictims == 0) {
+        // No confirmation tick. A demand command means no refresh drain,
+        // and with no victim op pending the next tick could only issue
+        // another demand command. Every query it would make answers
+        // "safe" and records nothing, so its walks would record the
+        // queues' timing bounds, read here off the banks' cached events.
+        StreakCapped capped{hitStreak.data(), cfg.rowHitCap};
+        readBound = DemandBound{
+            scheduler.demandEventAt(readQ, ReqType::kRead, dram, capped)};
+        writeBound = DemandBound{
+            scheduler.demandEventAt(writeQ, ReqType::kWrite, dram, capped)};
+        demandBoundsAt = now;
+        idleUntil = eventBound(now);
+    }
 }
 
 bool
@@ -248,14 +288,7 @@ MemController::tryVictimRefresh(Cycle now)
 bool
 MemController::tryDemand(Cycle now)
 {
-    // Write drain hysteresis.
-    if (drainingWrites) {
-        if (writeQ.size() <= cfg.writeLowWatermark)
-            drainingWrites = false;
-    } else {
-        if (writeQ.size() >= cfg.writeHighWatermark)
-            drainingWrites = true;
-    }
+    updateDrainState();
     // While draining, alternate read/write priority so a sustained write
     // flood (e.g., a non-temporal copy) cannot monopolize the command bus
     // and starve readers.
@@ -308,6 +341,18 @@ MemController::tryDemand(Cycle now)
     // the next action or arrival.
     demandBoundsAt = now;
     return false;
+}
+
+void
+MemController::updateDrainState()
+{
+    // Write drain hysteresis. Idempotent while writeQ.size() stays put.
+    if (drainingWrites) {
+        if (writeQ.size() <= cfg.writeLowWatermark)
+            drainingWrites = false;
+    } else if (writeQ.size() >= cfg.writeHighWatermark) {
+        drainingWrites = true;
+    }
 }
 
 void
@@ -426,7 +471,12 @@ MemController::nextEventAt(Cycle now)
     if (lastTickAt < 0 || !idleSinceLastTick())
         panic("MemController::nextEventAt(%lld): not idle since an "
               "executed tick", static_cast<long long>(now));
+    return eventBound(now);
+}
 
+Cycle
+MemController::eventBound(Cycle now)
+{
     // The mitigation's epoch/reset boundaries bound every skip so that at
     // most one boundary is crossed per executed tick (its catch-up logic
     // then matches the cycle-by-cycle path exactly).
@@ -469,7 +519,7 @@ MemController::nextEventAt(Cycle now)
     // the idle tick's row-prep walks recorded them; an idle tick outside
     // a refresh drain always reaches both.
     if (demandBoundsAt != lastTickAt)
-        panic("MemController::nextEventAt(%lld): no demand bound recorded "
+        panic("MemController::eventBound(%lld): no demand bound recorded "
               "at the last executed tick (%lld)", static_cast<long long>(now),
               static_cast<long long>(lastTickAt));
     Cycle verdict = mitig.nextVerdictChangeAt(now);
@@ -486,14 +536,49 @@ MemController::nextEventAt(Cycle now)
 void
 MemController::noteSkippedTicks(std::uint64_t n)
 {
+    // A replayed tick is idle, so the controller is idle since it, also
+    // when its window began at a tick that acted or saw an arrival.
+    stampBeforeLastTick = stampAfterLastTick = numActions;
     if (lastTickReachedDemand) {
-        // Each skipped tick would have re-evaluated the same mitigation
-        // safety queries and flipped the drain fairness toggle once.
+        // That tick or an arrival may have moved writeQ.size() across a
+        // watermark since the hysteresis last ran. Each skipped tick
+        // would have re-evaluated the same mitigation safety queries
+        // and flipped the drain fairness toggle once.
+        updateDrainState();
         numActBlocked += lastTickBlockedEvals * n;
         if (n & 1)
             drainToggle = !drainToggle;
     }
     mitig.noteSkippedTicks(n);
+}
+
+void
+MemController::checkReplayedTicks(Cycle from, std::uint64_t n, Cycle step)
+{
+    // Only windows of mechanisms whose queries have no effect can be
+    // checked by running the picks: a query of another one may record.
+    if (queriesObservable || !lastTickReachedDemand)
+        return;
+    StreakCapped capped{hitStreak.data(), cfg.rowHitCap};
+    FrFcfsScheduler::ActFilter safe = [](const Request &) { return true; };
+    DemandBound scratch;
+    for (std::uint64_t i = 0; i < n; ++i) {
+        Cycle now = from + static_cast<Cycle>(i) * step;
+        for (ReqType type : {ReqType::kRead, ReqType::kWrite}) {
+            SchedQueue &queue = type == ReqType::kRead ? readQ : writeQ;
+            if (scheduler.pickColumnReady(queue, type, dram, now, capped) !=
+                    SchedQueue::kNone ||
+                scheduler.pickRowPrep(queue, type, dram, now, safe, capped,
+                                      scratch) != SchedQueue::kNone)
+                panic("event-skip verify: channel %u would issue from its "
+                      "%s queue at cycle %lld, inside a window claimed "
+                      "idle until %lld",
+                      replayChannel,
+                      type == ReqType::kRead ? "read" : "write",
+                      static_cast<long long>(now),
+                      static_cast<long long>(idleUntil));
+        }
+    }
 }
 
 int

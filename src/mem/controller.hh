@@ -113,6 +113,9 @@ class MemController
     std::size_t readQueueDepth() const { return readQ.size(); }
     std::size_t writeQueueDepth() const { return writeQ.size(); }
 
+    /** Is the write-drain hysteresis draining writes? */
+    bool writeDraining() const { return drainingWrites; }
+
     /** Queue-full admission checks (cheap pre-gate for submit retries). */
     bool readQueueFull() const { return readQ.size() >= cfg.readQueueSize; }
     bool writeQueueFull() const
@@ -146,6 +149,16 @@ class MemController
     std::uint64_t rowConflicts() const { return numRowConflicts; }
 
     /**
+     * Controller ticks executed so far, and those of them that moved the
+     * activity stamp (a command, a finished victim op or a housekeeping
+     * boundary); every other simulated tick was replayed. Diagnostics
+     * of the skip machinery, like System::coreTicksExecuted(): they
+     * depend on the skip mode and are in no report.
+     */
+    std::uint64_t ticksExecuted() const { return numTicksExecuted; }
+    std::uint64_t ticksActed() const { return numTicksActed; }
+
+    /**
      * Monotonic count of externally visible controller activity: issued
      * DRAM commands, completed victim-refresh ops, accepted requests, and
      * ticks at a mitigation housekeeping boundary.
@@ -159,9 +172,10 @@ class MemController
     const std::uint64_t &activityStamp() const { return numActions; }
 
     /**
-     * True when the most recent tick() performed no externally visible
-     * action AND no request arrived since it ran — the precondition for
-     * treating that tick as representative of skipped idle ticks.
+     * True when the most recent tick, executed or replayed, performed no
+     * externally visible action AND no request arrived since it ran —
+     * the precondition for treating that tick as representative of
+     * skipped idle ticks.
      */
     bool
     idleSinceLastTick() const
@@ -176,8 +190,8 @@ class MemController
      * assuming no new requests arrive. Conservative: never later than the
      * true next action, may be earlier. Only valid in an idle state (see
      * idleSinceLastTick()) after at least one executed tick: the answer
-     * comes from what that tick recorded, and asking in any other state
-     * panics.
+     * comes from what that tick recorded (or, after a derived window,
+     * what it derived), and asking in any other state panics.
      */
     Cycle nextEventAt(Cycle now);
 
@@ -188,6 +202,19 @@ class MemController
      * `--skip off` exercises the original code path end to end.
      */
     void setFastIdleTicks(bool enabled) { fastIdleTicks = enabled; }
+
+    /**
+     * --skip verify: run the column and row-prep picks (without side
+     * effects) at every tick a window replays, where the mitigation's
+     * queries have no effect, and panic, naming `channel`, the cycle
+     * and the queue, if one would issue.
+     */
+    void
+    verifyReplays(unsigned channel)
+    {
+        replayCheck = true;
+        replayChannel = channel;
+    }
 
     /**
      * Divert read-completion callbacks into `sink` instead of invoking
@@ -239,10 +266,23 @@ class MemController
     /**
      * Replay the externally invisible side effects of `n` skipped idle
      * ticks: blocked-activation counters (exactly `n` times the last idle
-     * tick's safety-query evaluations), the write-drain fairness toggle,
-     * and the mitigation's own per-tick accounting.
+     * tick's safety-query evaluations), the write-drain hysteresis and
+     * fairness toggle, and the mitigation's own per-tick accounting.
      */
     void noteSkippedTicks(std::uint64_t n);
+
+    /**
+     * The earliest cycle >= `now` at which the controller could act, read
+     * off the state the last executed tick recorded (nextEventAt's
+     * answer, without its state check).
+     */
+    Cycle eventBound(Cycle now);
+
+    /** verifyReplays' check of the `n` ticks from `from`, `step` apart. */
+    void checkReplayedTicks(Cycle from, std::uint64_t n, Cycle step);
+
+    /** Write-drain hysteresis against the current writeQ.size(). */
+    void updateDrainState();
 
     bool tryRefresh(Cycle now);
     bool tryVictimRefresh(Cycle now);
@@ -255,6 +295,8 @@ class MemController
     DramDevice &dram;
     ControllerConfig cfg;
     Mitigation &mitig;
+    /// mitig.actQueriesObservable(): false enables derived windows.
+    bool queriesObservable = true;
     HammerObserver *hammer;
     SecurityOracle *secOracle = nullptr;
     DramEnergyModel *energy;
@@ -298,7 +340,19 @@ class MemController
     bool lastTickReachedDemand = false;
     std::uint64_t lastTickBlockedEvals = 0;
     bool fastIdleTicks = true;
-    Cycle idleUntil = 0;    ///< no controller event before this (0: none)
+    /**
+     * The idle window: every tick before idleUntil (0: none) is idle
+     * while numActions == windowStamp. An executed tick that did nothing
+     * opens one at its event bound; where queries have no effect, so
+     * does one that issued a demand command with no victim op pending
+     * (a derived window), and an arrival lowers it rather than voiding.
+     */
+    Cycle idleUntil = 0;
+    std::uint64_t windowStamp = 0;
+    bool replayCheck = false;       ///< verifyReplays()
+    unsigned replayChannel = 0;
+    std::uint64_t numTicksExecuted = 0;
+    std::uint64_t numTicksActed = 0;
 
     std::uint64_t numReads = 0;
     std::uint64_t numWrites = 0;

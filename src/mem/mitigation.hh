@@ -47,6 +47,17 @@ class Mitigation
         return true;
     }
 
+    /**
+     * Can an isActSafe() call have an effect? False promises that every
+     * query answers "safe" and records nothing, so the controller may
+     * stop executing ticks whose only work would be such queries (it
+     * derives its next event from DRAM timing instead; DESIGN.md "How a
+     * skip is decided"). The default is "observable", the promise-free
+     * answer: a mechanism, or a wrapper around one, that does not state
+     * the capability keeps the path that runs every query.
+     */
+    virtual bool actQueriesObservable() const { return true; }
+
     /** A demand activation was issued. */
     virtual void
     onActivate(unsigned bank, RowId row, ThreadId thread, Cycle now)
@@ -149,6 +160,7 @@ class NullMitigation : public Mitigation
 {
   public:
     std::string name() const override { return "Baseline"; }
+    bool actQueriesObservable() const override { return false; }
 };
 
 } // namespace bh

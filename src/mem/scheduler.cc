@@ -1,13 +1,15 @@
 #include "mem/scheduler.hh"
 
 #include <algorithm>
+#include <array>
 
 #include "common/log.hh"
 
 namespace bh
 {
 
-SchedQueue::SchedQueue(unsigned num_banks) : banks(num_banks)
+SchedQueue::SchedQueue(unsigned num_banks)
+    : banks(num_banks), events(num_banks)
 {
 }
 
@@ -106,6 +108,81 @@ SchedQueue::recountHits(BankState &b, const Bank &bank)
     b.cachedOpen = open;
     b.cachedRow = row;
     return b.hits;
+}
+
+const SchedQueue::BankEvent &
+SchedQueue::recountEvent(unsigned fb, const Bank &bank, DramCommand col,
+                         bool capped, std::uint8_t mode)
+{
+    EventCache &e = events[fb];
+    if (!bank.isOpen()) {
+        e.event = BankEvent{bank.earliest(DramCommand::kAct),
+                            EventKind::kActivate};
+    } else {
+        // A live row hit (not capped while a conflict waits) keeps the
+        // row open for its column command; otherwise a conflict waits
+        // for the PRE.
+        const BankHits &hits = hitStats(fb, bank);
+        bool conflict = hits.oldestMiss != kNone;
+        if (hits.hitCount > 0 && !(capped && conflict))
+            e.event = BankEvent{bank.earliest(col), EventKind::kColumn};
+        else
+            e.event = BankEvent{bank.earliest(DramCommand::kPre),
+                                EventKind::kPrecharge};
+    }
+    e.version = banks[fb].version;
+    e.stamp = bank.stamp();
+    e.mode = mode;
+    return e.event;
+}
+
+namespace
+{
+
+/** Earliest event per SchedQueue::EventKind, before rank gates. */
+using KindMins = std::array<Cycle, 3>;
+
+/** The earliest of `mins` once the rank's column and ACT gates apply. */
+Cycle
+gated(const KindMins &mins, const DramDevice &dram, DramCommand col)
+{
+    using Kind = SchedQueue::EventKind;
+    auto at = [&](Kind k) { return mins[static_cast<std::size_t>(k)]; };
+    return std::min({std::max(at(Kind::kColumn), dram.columnEarliest(col)),
+                     at(Kind::kPrecharge),
+                     std::max(at(Kind::kActivate), dram.actEarliest())});
+}
+
+} // namespace
+
+Cycle
+FrFcfsScheduler::demandEventAt(SchedQueue &queue, ReqType type,
+                               const DramDevice &dram, StreakCapped capped)
+{
+    DramCommand col = (type == ReqType::kRead)
+        ? DramCommand::kRd : DramCommand::kWr;
+    KindMins mins{kNoEventCycle, kNoEventCycle, kNoEventCycle};
+    for (unsigned fb : queue.activeBanks()) {
+        const auto &e = queue.bankEvent(fb, dram.bank(fb), col, capped(fb));
+        Cycle &slot = mins[static_cast<std::size_t>(e.kind)];
+        slot = std::min(slot, e.at);
+    }
+    return gated(mins, dram, col);
+}
+
+Cycle
+FrFcfsScheduler::bankEventAt(SchedQueue &queue, ReqType type,
+                             const DramDevice &dram, StreakCapped capped,
+                             unsigned fb)
+{
+    if (queue.bankCount(fb) == 0)
+        return kNoEventCycle;
+    DramCommand col = (type == ReqType::kRead)
+        ? DramCommand::kRd : DramCommand::kWr;
+    const auto &e = queue.bankEvent(fb, dram.bank(fb), col, capped(fb));
+    KindMins mins{kNoEventCycle, kNoEventCycle, kNoEventCycle};
+    mins[static_cast<std::size_t>(e.kind)] = e.at;
+    return gated(mins, dram, col);
 }
 
 FrFcfsScheduler::FrFcfsScheduler(unsigned num_banks)

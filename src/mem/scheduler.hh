@@ -100,6 +100,41 @@ class SchedQueue
         return recountHits(b, bank);
     }
 
+    /** The demand command a bank's requests in one queue wait for. */
+    enum class EventKind : std::uint8_t
+    {
+        kColumn,        ///< a live row hit's RD/WR
+        kPrecharge,     ///< a conflict's PRE (no live hit keeps the row)
+        kActivate,      ///< a closed bank's ACT
+    };
+
+    /** A bank's next demand command and the bank's own time for it. */
+    struct BankEvent
+    {
+        Cycle at = 0;   ///< Bank::earliest, before any rank-level gate
+        EventKind kind = EventKind::kActivate;
+    };
+
+    /**
+     * The command the requests of active bank `fb` wait for next, by
+     * the rules pickRowPrep records its bound with, and the bank's own
+     * earliest cycle for it (`col` is the queue's column command,
+     * `capped` the bank's streak cap). Cached per bank, apart from the
+     * buckets, and revalidated like hitStats: against the bank's
+     * request set, its state stamp (Bank::stamp), `capped` and `col`.
+     */
+    const BankEvent &
+    bankEvent(unsigned fb, const Bank &bank, DramCommand col, bool capped)
+    {
+        EventCache &e = events[fb];
+        auto mode = static_cast<std::uint8_t>(
+            (capped ? 1 : 0) | (col == DramCommand::kWr ? 2 : 0));
+        if (e.version == banks[fb].version && e.stamp == bank.stamp() &&
+            e.mode == mode)
+            return e.event;
+        return recountEvent(fb, bank, col, capped, mode);
+    }
+
   private:
     struct Node
     {
@@ -126,12 +161,28 @@ class SchedQueue
     /** Recompute and re-key `b`'s hit cache (hitStats cache miss). */
     const BankHits &recountHits(BankState &b, const Bank &bank);
 
+    /** bankEvent's cache entry and its key. */
+    struct EventCache
+    {
+        std::uint64_t version = ~0ull;  ///< BankState::version
+        std::uint64_t stamp = 0;        ///< Bank::stamp
+        std::uint8_t mode = 0;          ///< capped | (col is WR) << 1
+        BankEvent event;
+    };
+
+    /** Recompute and re-key bank `fb`'s event (bankEvent cache miss). */
+    const BankEvent &recountEvent(unsigned fb, const Bank &bank,
+                                  DramCommand col, bool capped,
+                                  std::uint8_t mode);
+
     std::vector<Node> nodes;
     Handle freeHead = kNone;
     std::size_t count = 0;
     std::uint64_t nextSeq = 0;
     std::vector<BankState> banks;
     std::vector<unsigned> active;
+    /// Per bank; apart from `banks`, whose walks never read it.
+    std::vector<EventCache> events;
 };
 
 /**
@@ -224,6 +275,24 @@ class FrFcfsScheduler
     pickRowPrep(SchedQueue &queue, ReqType type, const DramDevice &dram,
                 Cycle now, const ActFilter &act_allowed, StreakCapped capped,
                 DemandBound &bound);
+
+    /**
+     * The queue's demand event bound with every ACT taken as safe: the
+     * earliest cycle at which a column, PRE or ACT command for one of
+     * its requests becomes legal, from the banks' cached events
+     * (SchedQueue::bankEvent) and the rank-level column and ACT gates.
+     * At a tick where pickColumnReady and a pickRowPrep whose filter
+     * passes every request both pick nothing, it is the bound that
+     * pickRowPrep records; the controller reads it instead of walking
+     * when a mitigation's queries cannot have an effect.
+     */
+    Cycle demandEventAt(SchedQueue &queue, ReqType type,
+                        const DramDevice &dram, StreakCapped capped);
+
+    /** demandEventAt over bank `fb` alone (kNoEventCycle when idle). */
+    Cycle bankEventAt(SchedQueue &queue, ReqType type,
+                      const DramDevice &dram, StreakCapped capped,
+                      unsigned fb);
 
   private:
     /** One bank's row-prep candidate within a pickRowPrep call. */

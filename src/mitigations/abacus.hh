@@ -37,6 +37,8 @@ class Abacus : public Mitigation
     explicit Abacus(const MitigationSettings &settings);
 
     std::string name() const override { return "ABACuS"; }
+    /** Keeps the default isActSafe: always safe, nothing recorded. */
+    bool actQueriesObservable() const override { return false; }
 
     void onActivate(unsigned bank, RowId row, ThreadId thread,
                     Cycle now) override;

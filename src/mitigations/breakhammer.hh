@@ -58,6 +58,10 @@ class BreakHammer : public Mitigation
     {
         return base->isActSafe(bank, row, thread, now);
     }
+    bool actQueriesObservable() const override
+    {
+        return base->actQueriesObservable();
+    }
 
     void onActivate(unsigned bank, RowId row, ThreadId thread,
                     Cycle now) override;

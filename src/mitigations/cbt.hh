@@ -38,6 +38,8 @@ class Cbt : public Mitigation
                  unsigned max_counters = 0);
 
     std::string name() const override { return "CBT"; }
+    /** Keeps the default isActSafe: always safe, nothing recorded. */
+    bool actQueriesObservable() const override { return false; }
 
     void onActivate(unsigned bank, RowId row, ThreadId thread,
                     Cycle now) override;

@@ -39,6 +39,8 @@ class Dapper : public Mitigation
     explicit Dapper(const MitigationSettings &settings);
 
     std::string name() const override { return "DAPPER"; }
+    /** Keeps the default isActSafe: always safe, nothing recorded. */
+    bool actQueriesObservable() const override { return false; }
 
     void onActivate(unsigned bank, RowId row, ThreadId thread,
                     Cycle now) override;

@@ -32,6 +32,8 @@ class Graphene : public Mitigation
     explicit Graphene(const MitigationSettings &settings);
 
     std::string name() const override { return "Graphene"; }
+    /** Keeps the default isActSafe: always safe, nothing recorded. */
+    bool actQueriesObservable() const override { return false; }
 
     void onActivate(unsigned bank, RowId row, ThreadId thread,
                     Cycle now) override;

@@ -26,6 +26,8 @@ class Para : public Mitigation
     explicit Para(const MitigationSettings &settings);
 
     std::string name() const override { return "PARA"; }
+    /** Keeps the default isActSafe: always safe, nothing recorded. */
+    bool actQueriesObservable() const override { return false; }
 
     void onActivate(unsigned bank, RowId row, ThreadId thread,
                     Cycle now) override;

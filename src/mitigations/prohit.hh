@@ -30,6 +30,8 @@ class Prohit : public Mitigation
     explicit Prohit(const MitigationSettings &settings);
 
     std::string name() const override { return "PRoHIT"; }
+    /** Keeps the default isActSafe: always safe, nothing recorded. */
+    bool actQueriesObservable() const override { return false; }
 
     void onActivate(unsigned bank, RowId row, ThreadId thread,
                     Cycle now) override;

@@ -32,6 +32,8 @@ class Twice : public Mitigation
     explicit Twice(const MitigationSettings &settings);
 
     std::string name() const override { return "TWiCe"; }
+    /** Keeps the default isActSafe: always safe, nothing recorded. */
+    bool actQueriesObservable() const override { return false; }
 
     void onActivate(unsigned bank, RowId row, ThreadId thread,
                     Cycle now) override;

@@ -63,7 +63,8 @@ ExperimentConfig::attackEnv() const
 }
 
 std::unique_ptr<System>
-buildSystem(const ExperimentConfig &config, const MixSpec &mix)
+buildSystem(const ExperimentConfig &config, const MixSpec &mix,
+            const MitigationWrapper &wrap)
 {
     if (mix.apps.size() != config.threads)
         fatal("mix '%s' has %zu apps for %u threads", mix.name.c_str(),
@@ -80,9 +81,10 @@ buildSystem(const ExperimentConfig &config, const MixSpec &mix)
     sys_cfg.mem.enableSecurityOracle = config.securityOracle;
 
     auto system = std::make_unique<System>(
-        sys_cfg, [&config](unsigned ch) {
-            return makeMitigation(config.mechanism,
-                                  config.mitigationSettings(ch));
+        sys_cfg, [&config, &wrap](unsigned ch) {
+            auto mitigation = makeMitigation(config.mechanism,
+                                             config.mitigationSettings(ch));
+            return wrap ? wrap(std::move(mitigation)) : std::move(mitigation);
         });
 
     AttackEnv env = config.attackEnv();
@@ -118,9 +120,10 @@ buildSystem(const ExperimentConfig &config, const MixSpec &mix)
 }
 
 RunResult
-runExperiment(const ExperimentConfig &config, const MixSpec &mix)
+runExperiment(const ExperimentConfig &config, const MixSpec &mix,
+              const MitigationWrapper &wrap)
 {
-    auto system = buildSystem(config, mix);
+    auto system = buildSystem(config, mix, wrap);
     if (config.warmupCycles > 0)
         system->run(config.warmupCycles);
     system->startMeasurement();
@@ -165,6 +168,8 @@ runExperiment(const ExperimentConfig &config, const MixSpec &mix)
         res.rowHits += mc.rowHits();
         res.rowMisses += mc.rowMisses();
         res.rowConflicts += mc.rowConflicts();
+        res.ctrlTicksExecuted += mc.ticksExecuted();
+        res.ctrlTicksActed += mc.ticksActed();
 
         // Per-lane StatSet snapshot. Everything in it is event-driven
         // or skip-replayed, so the export is identical for any

@@ -12,6 +12,7 @@
 #ifndef BH_SIM_EXPERIMENT_HH
 #define BH_SIM_EXPERIMENT_HH
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -124,6 +125,15 @@ struct RunResult
     std::vector<CoreCounts> cores;
 
     /**
+     * Controller ticks executed over the whole run, all lanes, and those
+     * that acted (MemController::ticksExecuted/ticksActed). Diagnostics
+     * of the skip machinery: they differ across skip modes, so no
+     * report prints them and the skip-equivalence tests leave them out.
+     */
+    std::uint64_t ctrlTicksExecuted = 0;
+    std::uint64_t ctrlTicksActed = 0;
+
+    /**
      * Per-lane StatSet snapshots: {"ch0": {mc..., mitig...}, ...}.
      * Deterministic (event-driven samples and skip-replayed counters
      * only), so cell payloads carrying it stay byte-identical across
@@ -136,12 +146,24 @@ struct RunResult
     std::vector<double> benignIpc() const;
 };
 
-/** Build a fully-wired system for a mix (traces installed). */
-std::unique_ptr<System> buildSystem(const ExperimentConfig &config,
-                                    const MixSpec &mix);
+/**
+ * Wraps one channel's mitigation instance as a system is built (a
+ * decorator that forwards the hooks, as instrumentation and tests use).
+ */
+using MitigationWrapper =
+    std::function<std::unique_ptr<Mitigation>(std::unique_ptr<Mitigation>)>;
 
-/** Run one (mechanism, mix) experiment. */
-RunResult runExperiment(const ExperimentConfig &config, const MixSpec &mix);
+/**
+ * Build a fully-wired system for a mix (traces installed), passing each
+ * channel's mitigation instance through `wrap` when one is given.
+ */
+std::unique_ptr<System> buildSystem(const ExperimentConfig &config,
+                                    const MixSpec &mix,
+                                    const MitigationWrapper &wrap = nullptr);
+
+/** Run one (mechanism, mix) experiment; `wrap` as for buildSystem. */
+RunResult runExperiment(const ExperimentConfig &config, const MixSpec &mix,
+                        const MitigationWrapper &wrap = nullptr);
 
 /**
  * Per-app alone-run IPC on the Baseline system (the denominator of the

@@ -51,9 +51,13 @@ System::System(const SystemConfig &config, const MitigationFactory &factory)
         cfg.mem, buildPerChannel(cfg, factory));
     mcDivider = std::max<Cycle>(1, cfg.mcClockDivider);
     // --skip off is the end-to-end reference: no fast paths anywhere.
-    for (unsigned ch = 0; ch < memSys->channels(); ++ch)
+    // --skip verify keeps them, and checks every replayed window.
+    for (unsigned ch = 0; ch < memSys->channels(); ++ch) {
         memSys->controller(ch).setFastIdleTicks(
             cfg.skip != SkipMode::kCycleByCycle);
+        if (cfg.skip == SkipMode::kVerify)
+            memSys->controller(ch).verifyReplays(ch);
+    }
     if (cfg.useLlc)
         llcPtr = std::make_unique<Llc>(cfg.llc, *memSys);
     traces.resize(cfg.threads);

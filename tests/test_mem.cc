@@ -69,6 +69,27 @@ class ScriptedMitigation : public Mitigation
     unsigned refreshCount = 0;
 };
 
+/** A request of `type` to (flat bank, row, col) at cycle `arrival`. */
+Request
+requestTo(const AddressMapper &map, ReqType type, unsigned bank, RowId row,
+          unsigned col, ThreadId thread, Cycle arrival)
+{
+    DramCoord c;
+    const DramOrg &org = map.organization();
+    c.rank = bank / org.banksPerRank();
+    unsigned in_rank = bank % org.banksPerRank();
+    c.bankGroup = in_rank / org.banksPerGroup;
+    c.bank = in_rank % org.banksPerGroup;
+    c.row = row;
+    c.col = col;
+    Request req;
+    req.addr = map.encode(c);
+    req.type = type;
+    req.thread = thread;
+    req.arrival = arrival;
+    return req;
+}
+
 /** Harness wiring a MemSystem with the scripted mechanism. */
 class MemTest : public ::testing::Test
 {
@@ -87,19 +108,8 @@ class MemTest : public ::testing::Test
     std::shared_ptr<Cycle>
     read(unsigned bank, RowId row, unsigned col = 0, ThreadId thread = 0)
     {
-        DramCoord c;
-        const DramOrg &org = mem->mapper().organization();
-        c.rank = bank / org.banksPerRank();
-        unsigned in_rank = bank % org.banksPerRank();
-        c.bankGroup = in_rank / org.banksPerGroup;
-        c.bank = in_rank % org.banksPerGroup;
-        c.row = row;
-        c.col = col;
-        Request req;
-        req.addr = mem->mapper().encode(c);
-        req.type = ReqType::kRead;
-        req.thread = thread;
-        req.arrival = now;
+        Request req = requestTo(mem->mapper(), ReqType::kRead, bank, row,
+                                col, thread, now);
         auto done = std::make_shared<Cycle>(-1);
         req.onComplete = [done](Cycle c2) { *done = c2; };
         lastResult = mem->submit(std::move(req));
@@ -355,6 +365,184 @@ TEST_F(MemDeathTest, NextEventAtPanicsOutsideAnIdleState)
     ASSERT_EQ(lastResult, SubmitResult::kAccepted);
     EXPECT_DEATH(mem->controller().nextEventAt(now),
                  "not idle since an executed tick");
+}
+
+/**
+ * Arrivals inside idle windows where the mitigation's queries have no
+ * effect (Baseline). Two single-channel systems run one script: one
+ * with idle windows (--skip on), one that executes every tick (--skip
+ * off). An arrival lowers the fast system's window to the arriving
+ * bank's own bound, so the tick after it is replayed, and the window end
+ * the fast system then reports must be the bound the reference's
+ * executed tick recorded, and every completion time must match.
+ */
+class ArrivalWindowTest : public ::testing::Test
+{
+  protected:
+    void
+    build(const ControllerConfig &ctrl = ControllerConfig{})
+    {
+        for (bool fast : {true, false}) {
+            MemSystemConfig cfg;
+            cfg.enableEnergy = false;
+            cfg.enableHammerObserver = false;
+            cfg.ctrl = ctrl;
+            auto &mem = fast ? fastMem : refMem;
+            mem = std::make_unique<MemSystem>(
+                cfg, std::make_unique<NullMitigation>());
+            mem->controller().setFastIdleTicks(fast);
+        }
+    }
+
+    /** Submit one request to both systems. */
+    void
+    submit(ReqType type, unsigned bank, RowId row, unsigned col = 0)
+    {
+        for (MemSystem *mem : {fastMem.get(), refMem.get()}) {
+            Request req =
+                requestTo(mem->mapper(), type, bank, row, col, 0, now);
+            auto done = std::make_shared<Cycle>(-1);
+            req.onComplete = [done](Cycle c) { *done = c; };
+            ASSERT_EQ(mem->submit(std::move(req)), SubmitResult::kAccepted);
+            (mem == fastMem.get() ? fastDone : refDone).push_back(done);
+        }
+    }
+
+    void
+    runFor(Cycle cycles)
+    {
+        for (Cycle end = now + cycles; now < end; ++now) {
+            fastMem->tick(now);
+            refMem->tick(now);
+            ASSERT_EQ(fast().writeDraining(), ref().writeDraining())
+                << "cycle " << now;
+        }
+    }
+
+    /** Run until the fast system's `type` queue holds `depth` requests. */
+    void
+    runUntilDepth(ReqType type, std::size_t depth)
+    {
+        auto at = [&](const MemController &mc) {
+            return type == ReqType::kRead ? mc.readQueueDepth()
+                                          : mc.writeQueueDepth();
+        };
+        for (Cycle limit = now + 2000; at(fast()) != depth; ) {
+            ASSERT_LT(now, limit) << "queue never reached depth " << depth;
+            ASSERT_NO_FATAL_FAILURE(runFor(1));
+            ASSERT_EQ(at(fast()), at(ref()));
+        }
+    }
+
+    /**
+     * Tick once after an arrival: the fast system replays the tick, and
+     * its window end equals the reference's recorded bound.
+     */
+    Cycle
+    boundAfterArrival()
+    {
+        std::uint64_t executed = fast().ticksExecuted();
+        runFor(1);
+        EXPECT_EQ(fast().ticksExecuted(), executed)
+            << "the arrival voided the window";
+        Cycle at = fast().nextEventAt(now);
+        EXPECT_EQ(at, ref().nextEventAt(now));
+        EXPECT_GT(at, now);
+        return at;
+    }
+
+    /** Run both systems dry; every completion matches. */
+    void
+    expectSameCompletions()
+    {
+        runFor(3000);
+        ASSERT_EQ(fastDone.size(), refDone.size());
+        for (std::size_t i = 0; i < fastDone.size(); ++i) {
+            EXPECT_GE(*refDone[i], 0) << "request " << i;
+            EXPECT_EQ(*fastDone[i], *refDone[i]) << "request " << i;
+        }
+        EXPECT_LT(fast().ticksExecuted(), ref().ticksExecuted());
+    }
+
+    MemController &fast() { return fastMem->controller(); }
+    MemController &ref() { return refMem->controller(); }
+    const DramDevice &dram() { return fastMem->device(); }
+
+    std::unique_ptr<MemSystem> fastMem, refMem;
+    std::vector<std::shared_ptr<Cycle>> fastDone, refDone;
+    Cycle now = 0;
+};
+
+TEST_F(ArrivalWindowTest, HitToAnOpenBankBoundsAtItsColumnTime)
+{
+    build();
+    // Bank 0's row opens and its read is served; the rank's column gate
+    // (tCCD) then holds the next read past the tick after the arrival.
+    submit(ReqType::kRead, 0, 100);
+    runUntilDepth(ReqType::kRead, 0);
+    submit(ReqType::kRead, 0, 100, 1);
+    Cycle col = dram().earliest(DramCommand::kRd, 0);
+    EXPECT_EQ(boundAfterArrival(), col);
+    expectSameCompletions();
+}
+
+TEST_F(ArrivalWindowTest, MissThatConflictsBoundsAtThePrechargeTime)
+{
+    build();
+    submit(ReqType::kRead, 0, 100);
+    runUntilDepth(ReqType::kRead, 0);
+    submit(ReqType::kRead, 0, 200);
+    Cycle pre = dram().bank(0).earliest(DramCommand::kPre);
+    EXPECT_EQ(boundAfterArrival(), pre);
+    expectSameCompletions();
+}
+
+TEST_F(ArrivalWindowTest, IdleClosedBankBoundsAtTheRankGatedActTime)
+{
+    build();
+    // Four ACTs in a row fill the tFAW window; the fifth bank's own ACT
+    // time has long passed, so the rank's tRRD/tFAW gate bounds it.
+    for (unsigned bank = 0; bank < 4; ++bank)
+        submit(ReqType::kRead, bank, 100 + bank);
+    runUntilDepth(ReqType::kRead, 0);
+    submit(ReqType::kRead, 4, 100);
+    Cycle act = dram().earliest(DramCommand::kAct, 4);
+    ASSERT_GT(act, dram().bank(4).earliest(DramCommand::kAct));
+    EXPECT_EQ(act, dram().actEarliest());
+    EXPECT_EQ(boundAfterArrival(), act);
+    expectSameCompletions();
+}
+
+TEST_F(ArrivalWindowTest, WriteWatermarksApplyOnTheNextReplayedTick)
+{
+    ControllerConfig ctrl;
+    ctrl.writeHighWatermark = 3;
+    ctrl.writeLowWatermark = 1;
+    build(ctrl);
+    // A read opens bank 0. Three writes to idle banks arrive inside the
+    // windows that follow its ACT; the one that lifts the write queue to
+    // the high watermark starts the drain on the replayed tick after it.
+    submit(ReqType::kRead, 0, 100);
+    runFor(1);
+    for (unsigned bank = 1; bank <= 3; ++bank) {
+        EXPECT_FALSE(fast().writeDraining());
+        submit(ReqType::kWrite, bank, 100);
+        boundAfterArrival();
+    }
+    EXPECT_TRUE(fast().writeDraining());
+
+    // The write that leaves one queued ends the drain on the replayed
+    // tick after it, and a write arriving then (above the low watermark,
+    // below the high one) must find the drain ended.
+    runUntilDepth(ReqType::kWrite, 1);
+    std::uint64_t executed = fast().ticksExecuted();
+    runFor(1);
+    ASSERT_EQ(fast().ticksExecuted(), executed);
+    EXPECT_FALSE(fast().writeDraining());
+    submit(ReqType::kWrite, 4, 100);
+    boundAfterArrival();
+    EXPECT_FALSE(fast().writeDraining());
+    expectSameCompletions();
 }
 
 TEST_F(MemTest, SyncStatsPublishesCounters)

@@ -11,7 +11,9 @@
  * keeps the row-prep pick's frontier list nearly sorted as it is built)
  * is checked after every push and take. The demand event bound that the
  * row-prep walk records must equal the original separate bank walk
- * (referenceNextDemandEventAt, kept verbatim below) in every round.
+ * (referenceNextDemandEventAt, kept verbatim below) in every round, and
+ * so must the bound FrFcfsScheduler::demandEventAt combines from the
+ * banks' cached events, with every ACT taken as safe.
  */
 
 #include <gtest/gtest.h>
@@ -352,6 +354,23 @@ runDifferential(unsigned nbanks, std::uint64_t seed)
                                                  capped, verdict_at))
                 << "iter " << iter << " verdict change at " << verdict_at;
 
+        // The bound from the banks' cached events takes every ACT as
+        // safe: the separate walk's when no ACT has been refused (no
+        // tick yet), so every ACT-ready time is a timing candidate. The
+        // cache entries live across rounds, in which random commands
+        // move some banks' stamps and leave others', and streaks and
+        // the queue's type change.
+        Cycle cached = sched.demandEventAt(new_q, type, dram, capped);
+        EXPECT_EQ(cached,
+                  referenceNextDemandEventAt(new_q, type, dram, -1, capped,
+                                             kNoEventCycle))
+            << "iter " << iter;
+        Cycle per_bank = kNoEventCycle;
+        for (unsigned fb = 0; fb < nbanks; ++fb)
+            per_bank = std::min(per_bank, sched.bankEventAt(new_q, type, dram,
+                                                            capped, fb));
+        EXPECT_EQ(per_bank, cached) << "iter " << iter;
+
         // When nothing picks, the recorded bound must hold: no pick may
         // become possible before it (under frozen verdicts).
         if (!ref_col && !ref_prep) {
@@ -417,6 +436,10 @@ TEST(SchedulerDemandBound, CappedHitYieldsToTheConflictsPrecharge)
         EXPECT_EQ(bound.at(kNoEventCycle),
                   referenceNextDemandEventAt(q, ReqType::kRead, dram, now,
                                              capped, kNoEventCycle));
+        // The cached event follows the cap with no bank command between.
+        EXPECT_EQ(sched.demandEventAt(q, ReqType::kRead, dram, capped),
+                  bound.at(kNoEventCycle))
+            << "streak " << streak;
     }
 }
 

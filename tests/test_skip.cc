@@ -77,6 +77,156 @@ INSTANTIATE_TEST_SUITE_P(
         return name + "_" + std::to_string(std::get<1>(info.param)) + "ch";
     });
 
+/**
+ * Forwards every hook to a built mechanism but keeps the default
+ * capability (queries observable), so the controller keeps the path
+ * that executes every tick a window does not cover.
+ */
+class Forwarding : public Mitigation
+{
+  public:
+    explicit Forwarding(std::unique_ptr<Mitigation> wrapped)
+        : inner(std::move(wrapped))
+    {
+    }
+
+    std::string name() const override { return inner->name(); }
+
+    bool
+    isActSafe(unsigned bank, RowId row, ThreadId thread, Cycle now) override
+    {
+        return inner->isActSafe(bank, row, thread, now);
+    }
+
+    void
+    onActivate(unsigned bank, RowId row, ThreadId thread, Cycle now) override
+    {
+        inner->onActivate(bank, row, thread, now);
+    }
+
+    void
+    onAutoRefresh(RowId first_row, unsigned num_rows, Cycle now) override
+    {
+        inner->onAutoRefresh(first_row, num_rows, now);
+    }
+
+    void tick(Cycle now) override { inner->tick(now); }
+
+    Cycle
+    nextHousekeepingAt(Cycle now) const override
+    {
+        return inner->nextHousekeepingAt(now);
+    }
+
+    Cycle
+    nextVerdictChangeAt(Cycle now) const override
+    {
+        return inner->nextVerdictChangeAt(now);
+    }
+
+    void noteSkippedTicks(std::uint64_t n) override
+    {
+        inner->noteSkippedTicks(n);
+    }
+
+    int
+    quota(ThreadId thread, unsigned bank) const override
+    {
+        return inner->quota(thread, bank);
+    }
+
+    int
+    threadQuota(ThreadId thread) const override
+    {
+        return inner->threadQuota(thread);
+    }
+
+    void
+    setController(MemController *mc) override
+    {
+        Mitigation::setController(mc);
+        inner->setController(mc);
+    }
+
+    void
+    syncStats() override
+    {
+        inner->syncStats();
+        stats = inner->stats;
+    }
+
+  private:
+    std::unique_ptr<Mitigation> inner;
+};
+
+/** Registered mechanisms whose safety queries cannot have an effect. */
+std::vector<std::string>
+unobservableMechanisms()
+{
+    std::vector<std::string> out;
+    for (const auto &name : mitigationNames())
+        if (!makeMitigation(name, ExperimentConfig{}.mitigationSettings())
+                 ->actQueriesObservable())
+            out.push_back(name);
+    return out;
+}
+
+TEST(QueryCapability, OnlyBlockHammersQueriesHaveAnEffect)
+{
+    // BlockHammer counts unsafe verdicts and first refusals, and the
+    // observe-only mode counts them without refusing; every other
+    // mechanism keeps the default isActSafe (BreakHammer forwards it).
+    std::vector<std::string> expected;
+    for (const auto &name : mitigationNames())
+        if (name != "BlockHammer" && name != "BlockHammer-Observe")
+            expected.push_back(name);
+    EXPECT_EQ(unobservableMechanisms(), expected);
+}
+
+/**
+ * Where queries have no effect, the controller derives its next event
+ * after a demand command and lowers its window at an arrival instead of
+ * executing ticks to find out. The same mechanism wrapped so that it
+ * keeps the default capability takes the old path: both runs must be
+ * equal in every field, the derived path with strictly fewer executed
+ * controller ticks and exactly as many that acted.
+ */
+class DerivedWindows
+    : public ::testing::TestWithParam<std::tuple<std::string, unsigned>>
+{
+};
+
+TEST_P(DerivedWindows, MatchTheExecutedTicksTheyReplace)
+{
+    const auto &[mechanism, channels] = GetParam();
+    ExperimentConfig cfg = shortConfig(mechanism, channels);
+    cfg.securityOracle = true;
+    cfg.nRH = 256;
+    cfg.refwMs = 0.04;
+
+    RunResult derived = runExperiment(cfg, attackMix());
+    RunResult executed = runExperiment(
+        cfg, attackMix(), [](std::unique_ptr<Mitigation> m) {
+            return std::make_unique<Forwarding>(std::move(m));
+        });
+    expectEqualResults(executed, derived);
+    EXPECT_LT(derived.ctrlTicksExecuted, executed.ctrlTicksExecuted);
+    // A tick that acts is never replayed.
+    EXPECT_EQ(derived.ctrlTicksActed, executed.ctrlTicksActed);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    UnobservableQueries, DerivedWindows,
+    ::testing::Combine(::testing::ValuesIn(unobservableMechanisms()),
+                       ::testing::Values(1u, 4u)),
+    [](const ::testing::TestParamInfo<DerivedWindows::ParamType> &info) {
+        std::string name = std::get<0>(info.param);
+        for (char &c : name)
+            if (!std::isalnum(static_cast<unsigned char>(c)))
+                c = '_';
+        return name + "_" + std::to_string(std::get<1>(info.param)) + "ch";
+    });
+
 TEST(EventSkip, BitCompatibleOnBenignGraphene)
 {
     ExperimentConfig cfg = shortConfig("Graphene");
