@@ -6,7 +6,7 @@ namespace bh
 {
 
 BlockHammer::BlockHammer(const BlockHammerConfig &config)
-    : cfg(config), blocker(config), throttler(config)
+    : cfg(config), blocker(config), throttler(config), stamps(config.banks)
 {
 }
 
@@ -75,6 +75,7 @@ BlockHammer::onActivate(unsigned bank, RowId row, ThreadId thread, Cycle now)
 
     blocker.onActivate(bank, row, now);
     shadow.insert(k);
+    ++stamps[bank];
 }
 
 void
@@ -85,7 +86,12 @@ BlockHammer::tick(Cycle now)
     if (blocker.clockTick(now)) {
         throttler.onEpochBoundary();
         shadow.onEpochBoundary();
+        for (auto &stamp : stamps)
+            ++stamp;
     }
+    // Queries and inserts age the history out themselves; doing it here
+    // too keeps nextVerdictChangeAt() current when no query runs.
+    blocker.expireHistory(now);
 }
 
 Cycle
@@ -122,6 +128,20 @@ BlockHammer::noteSkippedTicks(std::uint64_t n)
         unsafeDeltaLatched = true;
     }
     numUnsafe += unsafeTickDelta * n;
+}
+
+const std::uint64_t *
+BlockHammer::verdictStamps() const
+{
+    // Observe-only answers "safe" to a query that counts a refusal: a
+    // repeated safe answer records something, so nothing is cached.
+    return cfg.observeOnly ? nullptr : stamps.data();
+}
+
+Cycle
+BlockHammer::refusalLapsesAt(unsigned bank, RowId row, Cycle) const
+{
+    return blocker.refusalLapsesAt(bank, row);
 }
 
 int

@@ -6,15 +6,23 @@
  * Also carries a simulation-only exact "shadow" tracker that replays the
  * D-CBF's rolling window without aliasing, giving ground truth for the
  * false-positive analyses of Section 8.4 (the hardware mechanism itself
- * never needs it).
+ * never needs it; see exact_shadow.hh).
+ *
+ * A verdict depends only on the bank's D-CBF, the row's history-buffer
+ * entries and time, so BlockHammer (not its observe-only mode, whose
+ * "safe" answers still count refusals) exposes per-bank verdict stamps
+ * and refusal lapse times, and the controller replays repeated verdicts
+ * instead of asking again (Mitigation::verdictStamps).
  */
 
 #ifndef BH_BLOCKHAMMER_BLOCKHAMMER_HH
 #define BH_BLOCKHAMMER_BLOCKHAMMER_HH
 
 #include <unordered_map>
+#include <vector>
 
 #include "blockhammer/attack_throttler.hh"
+#include "blockhammer/exact_shadow.hh"
 #include "blockhammer/row_blocker.hh"
 #include "mem/mitigation.hh"
 
@@ -37,6 +45,10 @@ class BlockHammer : public Mitigation
     Cycle nextHousekeepingAt(Cycle now) const override;
     Cycle nextVerdictChangeAt(Cycle now) const override;
     void noteSkippedTicks(std::uint64_t n) override;
+    const std::uint64_t *verdictStamps() const override;
+    Cycle refusalLapsesAt(unsigned bank, RowId row,
+                          Cycle now) const override;
+    void noteRepeatedRefusals(std::uint64_t n) override { numUnsafe += n; }
     int quota(ThreadId thread, unsigned bank) const override;
     void syncStats() override;
 
@@ -75,32 +87,6 @@ class BlockHammer : public Mitigation
     const Histogram &falsePositiveDelayHistogram() const { return fpHist; }
 
   private:
-    /** Exact two-epoch rolling activation counts (simulation oracle). */
-    struct ExactShadow
-    {
-        std::unordered_map<std::uint64_t, std::uint32_t> side[2];
-        unsigned active = 0;
-
-        void
-        insert(std::uint64_t key)
-        {
-            ++side[0][key];
-            ++side[1][key];
-        }
-        std::uint32_t
-        count(std::uint64_t key) const
-        {
-            auto it = side[active].find(key);
-            return it == side[active].end() ? 0 : it->second;
-        }
-        void
-        onEpochBoundary()
-        {
-            side[active].clear();
-            active = 1 - active;
-        }
-    };
-
     std::uint64_t
     key(unsigned bank, RowId row) const
     {
@@ -111,6 +97,8 @@ class BlockHammer : public Mitigation
     RowBlocker blocker;
     AttackThrottler throttler;
     ExactShadow shadow;
+    /// Per bank: moves at its activations and at every epoch swap.
+    std::vector<std::uint64_t> stamps;
 
     /** First-blocked timestamps of rows currently being delayed. */
     std::unordered_map<std::uint64_t, Cycle> firstBlocked;

@@ -26,7 +26,9 @@ HistoryBuffer::insert(std::uint64_t row_key, Cycle now)
     if (++tail == slots.size())
         tail = 0;
     ++numValid;
-    ++members[row_key];
+    Member &m = members[row_key];
+    ++m.count;
+    m.last = now;
 }
 
 void
@@ -37,7 +39,7 @@ HistoryBuffer::expire(Cycle now)
         if (now - oldest.timestamp < tDelay)
             break;
         auto it = members.find(oldest.key);
-        if (it != members.end() && --it->second == 0)
+        if (it != members.end() && --it->second.count == 0)
             members.erase(it);
         if (++head == slots.size())
             head = 0;

@@ -49,6 +49,17 @@ class HistoryBuffer
     /** Was `row_key` activated within the last tDelay window? */
     bool recentlyActivated(std::uint64_t row_key, Cycle now);
 
+    /**
+     * Cycle of `row_key`'s latest entry still in the buffer, or -1 when
+     * it has none. Entries age out only in expire(), so ask after it.
+     */
+    Cycle
+    lastActivation(std::uint64_t row_key) const
+    {
+        auto it = members.find(row_key);
+        return it == members.end() ? -1 : it->second.last;
+    }
+
     unsigned capacity() const { return static_cast<unsigned>(slots.size()); }
     unsigned validCount() const { return numValid; }
     Cycle delayWindow() const { return tDelay; }
@@ -71,12 +82,19 @@ class HistoryBuffer
     unsigned tail = 0;      ///< next insertion point
     unsigned numValid = 0;
 
+    /** A key's live entries: how many, and the latest one's cycle. */
+    struct Member
+    {
+        unsigned count = 0;
+        Cycle last = 0;
+    };
+
     /**
      * Membership index over the valid slots. The hardware searches all CAM
      * entries in parallel; the map reproduces that single-cycle lookup in
      * O(1) instead of a linear scan.
      */
-    std::unordered_map<std::uint64_t, unsigned> members;
+    std::unordered_map<std::uint64_t, Member> members;
 };
 
 } // namespace bh

@@ -12,6 +12,7 @@
 #ifndef BH_BLOCKHAMMER_ROW_BLOCKER_HH
 #define BH_BLOCKHAMMER_ROW_BLOCKER_HH
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -36,6 +37,22 @@ class RowBlocker
 
     /** Epoch clock; returns true when an epoch boundary was crossed. */
     bool clockTick(Cycle now);
+
+    /** Age the history buffer's entries out up to `now`. */
+    void expireHistory(Cycle now) { hb.expire(now); }
+
+    /**
+     * First cycle at which a refusal of (bank, row) answered at the
+     * current cycle can lapse with no activation of the bank: the row's
+     * latest history entry ages out, or the epoch boundary swaps the
+     * filters. Only meaningful right after isSafe() refused the row.
+     */
+    Cycle
+    refusalLapsesAt(unsigned bank, RowId row) const
+    {
+        return std::min(hb.lastActivation(rankRowKey(bank, row)) + delay,
+                        nextBoundary);
+    }
 
     /** Cycle of the next epoch boundary (event-skipping bound). */
     Cycle nextBoundaryAt() const;

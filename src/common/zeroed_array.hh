@@ -22,6 +22,7 @@
 #include <cstddef>
 #include <limits>
 #include <new>
+#include <utility>
 
 namespace bh
 {
@@ -59,6 +60,14 @@ class ZeroedArray
 
     /** Pointer to element `i` (for std::fill_n over a row range). */
     T *from(std::size_t i) { return data + i; }
+
+    /** Exchange the pages of two arrays (a table grown by rehash). */
+    void
+    swap(ZeroedArray &other) noexcept
+    {
+        std::swap(data, other.data);
+        std::swap(bytes, other.bytes);
+    }
 
   private:
     T *data = nullptr;

@@ -13,6 +13,7 @@ MemController::MemController(DramDevice &device, const ControllerConfig &config,
                              DramEnergyModel *energy_model)
     : dram(device), cfg(config), mitig(mitigation),
       queriesObservable(mitigation.actQueriesObservable()),
+      verdictChains(mitigation.verdictStamps() != nullptr),
       hammer(hammer_obs), energy(energy_model),
       scheduler(device.numBanks()),
       readQ(device.numBanks()), writeQ(device.numBanks()),
@@ -320,19 +321,35 @@ MemController::tryDemand(Cycle now)
     // 3. Row preparation, honoring the mitigation's safety verdict.
     auto act_filter = [&](const Request &req) {
         unsigned fb = req.flatBank;
+        ++numActQueries;
         bool safe = mitig.isActSafe(fb, req.coord.row, req.thread, now);
         if (!safe)
             ++numActBlocked;
         return safe;
     };
-    if (auto h = scheduler.pickRowPrep(primary, primary_type, dram, now,
-                                       act_filter, capped, primary_bound);
+    // With verdict stamps, the refusals a pick replays from its chains
+    // count as the queries they stand for.
+    auto pick_prep = [&](SchedQueue &queue, ReqType type,
+                         DemandBound &bound) {
+        if (!verdictChains)
+            return scheduler.pickRowPrep(queue, type, dram, now, act_filter,
+                                         capped, bound);
+        VerdictReplay replay{mitig};
+        auto h = scheduler.pickRowPrep(queue, type, dram, now, act_filter,
+                                       capped, bound, &replay);
+        if (replay.replayed > 0) {
+            numActBlocked += replay.replayed;
+            numRefusalsReplayed += replay.replayed;
+            mitig.noteRepeatedRefusals(replay.replayed);
+        }
+        return h;
+    };
+    if (auto h = pick_prep(primary, primary_type, primary_bound);
         h != SchedQueue::kNone) {
         if (issuePrep(primary, h, now))
             return true;
     }
-    if (auto h = scheduler.pickRowPrep(secondary, secondary_type, dram, now,
-                                       act_filter, capped, secondary_bound);
+    if (auto h = pick_prep(secondary, secondary_type, secondary_bound);
         h != SchedQueue::kNone) {
         if (issuePrep(secondary, h, now))
             return true;

@@ -159,6 +159,16 @@ class MemController
     std::uint64_t ticksActed() const { return numTicksActed; }
 
     /**
+     * Safety queries the row-prep picks asked the mitigation, and the
+     * refusals they replayed from verdict chains instead of asking
+     * again (Mitigation::verdictStamps). Together they are the queries
+     * the plain walk makes; like ticksExecuted(), they depend on the
+     * path taken and are in no report.
+     */
+    std::uint64_t actQueries() const { return numActQueries; }
+    std::uint64_t refusalsReplayed() const { return numRefusalsReplayed; }
+
+    /**
      * Monotonic count of externally visible controller activity: issued
      * DRAM commands, completed victim-refresh ops, accepted requests, and
      * ticks at a mitigation housekeeping boundary.
@@ -297,6 +307,8 @@ class MemController
     Mitigation &mitig;
     /// mitig.actQueriesObservable(): false enables derived windows.
     bool queriesObservable = true;
+    /// mitig.verdictStamps() is not null: picks replay verdict chains.
+    bool verdictChains = false;
     HammerObserver *hammer;
     SecurityOracle *secOracle = nullptr;
     DramEnergyModel *energy;
@@ -353,6 +365,8 @@ class MemController
     unsigned replayChannel = 0;
     std::uint64_t numTicksExecuted = 0;
     std::uint64_t numTicksActed = 0;
+    std::uint64_t numActQueries = 0;
+    std::uint64_t numRefusalsReplayed = 0;
 
     std::uint64_t numReads = 0;
     std::uint64_t numWrites = 0;

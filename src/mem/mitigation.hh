@@ -58,6 +58,39 @@ class Mitigation
      */
     virtual bool actQueriesObservable() const { return true; }
 
+    /**
+     * Verdict stamps, one per flat bank, or nullptr (the default). A
+     * mechanism that returns an array promises that an isActSafe()
+     * verdict on (bank, row) is a function of time and of state that
+     * only moves with the bank's stamp (its activations, its epoch
+     * swaps); that a "safe" answer records nothing and holds until the
+     * stamp moves; and that a refusal holds until the stamp moves or
+     * refusalLapsesAt() passes, and repeats only its count. The
+     * controller may then replay such verdicts from a cache instead of
+     * asking again (DESIGN.md "Verdict chains"). The array must stay
+     * where it is for the mechanism's lifetime. The default keeps every
+     * query live, so a wrapper that does not forward this stays exact.
+     */
+    virtual const std::uint64_t *verdictStamps() const { return nullptr; }
+
+    /**
+     * The first cycle at which the refusal of (bank, row) that
+     * isActSafe() just answered at `now` may lapse without the bank's
+     * stamp moving. Only asked where verdictStamps() is not null.
+     */
+    virtual Cycle
+    refusalLapsesAt(unsigned bank, RowId row, Cycle now) const
+    {
+        (void)bank; (void)row;
+        return now + 1;
+    }
+
+    /**
+     * The controller replayed `n` cached refusals in place of asking
+     * again: count them as the queries would have (verdictStamps()).
+     */
+    virtual void noteRepeatedRefusals(std::uint64_t n) { (void)n; }
+
     /** A demand activation was issued. */
     virtual void
     onActivate(unsigned bank, RowId row, ThreadId thread, Cycle now)

@@ -9,7 +9,7 @@ namespace bh
 {
 
 SchedQueue::SchedQueue(unsigned num_banks)
-    : banks(num_banks), events(num_banks)
+    : banks(num_banks), events(num_banks), chains(num_banks)
 {
 }
 
@@ -188,6 +188,7 @@ FrFcfsScheduler::bankEventAt(SchedQueue &queue, ReqType type,
 FrFcfsScheduler::FrFcfsScheduler(unsigned num_banks)
 {
     frontiers.reserve(num_banks);
+    cached.reserve(num_banks);
 }
 
 SchedQueue::Handle
@@ -230,21 +231,37 @@ SchedQueue::Handle
 FrFcfsScheduler::pickRowPrep(SchedQueue &queue, ReqType type,
                              const DramDevice &dram, Cycle now,
                              const ActFilter &act_allowed,
-                             StreakCapped capped, DemandBound &bound)
+                             StreakCapped capped, DemandBound &bound,
+                             VerdictReplay *replay)
 {
     DramCommand col = (type == ReqType::kRead)
         ? DramCommand::kRd : DramCommand::kWr;
     Cycle col_gate = dram.columnEarliest(col);
     bound = DemandBound{};
 
+    // The pick so far: a frontier that needs no query (a legal PRE, or a
+    // chain's known-safe request with a legal ACT). The walk below asks
+    // only about requests older than it.
+    SchedQueue::Handle best = SchedQueue::kNone;
+    std::uint64_t best_seq = ~0ull;
+    auto known_pick = [&](SchedQueue::Handle h) {
+        std::uint64_t seq = queue.seqOf(h);
+        if (seq < best_seq) {
+            best = h;
+            best_seq = seq;
+        }
+    };
+
     // Collect each active bank's frontier in ascending age. `activeBanks`
     // is in head-age order, so closed banks (frontier = head) append in
-    // order and only an open bank's younger oldest miss sifts left. The
+    // order; a chain's frontier, younger than its head, sifts left. The
     // same pass records the earliest cycle each bank could next issue.
     frontiers.clear();
+    cached.clear();
+    const std::uint64_t *stamps =
+        replay ? replay->mitigation.verdictStamps() : nullptr;
     for (unsigned fb : queue.activeBanks()) {
         const Bank &bank = dram.bank(fb);
-        Frontier f;
         if (bank.isOpen()) {
             // Row hits are the column path's (a capped streak serves none
             // while a conflict waits); a bank with a pending row hit keeps
@@ -259,18 +276,33 @@ FrFcfsScheduler::pickRowPrep(SchedQueue &queue, ReqType type,
                 continue;
             Cycle pre = bank.earliest(DramCommand::kPre);
             bound.timing = std::min(bound.timing, pre);
-            if (pre > now)
-                continue;
-            f.handle = hits.oldestMiss;
-            f.precharge = true;
+            if (pre <= now)
+                known_pick(hits.oldestMiss);
+            continue;
+        }
+        // If nothing is picked, an ACT already legal now was refused by
+        // the mitigation: only a verdict flip can release it.
+        Cycle act = dram.earliest(DramCommand::kAct, fb);
+        Frontier f;
+        f.legal = act <= now;
+        if (f.legal)
+            bound.verdictBound = true;
+        else
+            bound.timing = std::min(bound.timing, act);
+        if (replay) {
+            auto &chain = queue.verdictChain(fb, stamps[fb], now);
+            if (chain.refused > 0)
+                cached.push_back({fb, chain.refused, chain.lastRefusedSeq});
+            if (chain.next == SchedQueue::kNone)
+                continue;       // every request refused
+            if (chain.nextSafe) {
+                if (f.legal)
+                    known_pick(chain.next);
+                continue;       // a safe request settles the bank
+            }
+            f.handle = chain.next;
+            f.chain = &chain;
         } else {
-            // If nothing is picked, an ACT already legal now was refused
-            // by the mitigation: only a verdict flip can release it.
-            Cycle act = dram.earliest(DramCommand::kAct, fb);
-            if (act > now)
-                bound.timing = std::min(bound.timing, act);
-            else
-                bound.verdictBound = true;
             f.handle = queue.bankOldest(fb);
         }
         f.seq = queue.seqOf(f.handle);
@@ -281,23 +313,36 @@ FrFcfsScheduler::pickRowPrep(SchedQueue &queue, ReqType type,
         frontiers[pos] = f;
     }
 
-    // Oldest frontier first. An unsafe (mitigation-blocked) request does
-    // not stop a younger safe request to the same bank from being
-    // considered: its bank's frontier advances and re-sorts.
+    // Oldest frontier first, up to the known pick. An unsafe
+    // (mitigation-blocked) request does not stop a younger safe request
+    // to the same bank from being considered: its bank's frontier
+    // advances and re-sorts.
     std::size_t i = 0;
-    while (i < frontiers.size()) {
-        SchedQueue::Handle h = frontiers[i].handle;
-        if (frontiers[i].precharge)
-            return h;
-        const Request &req = queue.at(h);
+    while (i < frontiers.size() && frontiers[i].seq < best_seq) {
+        Frontier &f = frontiers[i];
+        const Request &req = queue.at(f.handle);
         if (act_allowed(req)) {
-            if (dram.canIssue(DramCommand::kAct, req.flatBank, now))
-                return h;
+            if (f.chain)
+                f.chain->nextSafe = true;
+            if (f.legal) {
+                best = f.handle;
+                best_seq = f.seq;
+                break;
+            }
             ++i;    // safe but not yet legal: the bank is settled
             continue;
         }
-        Frontier next;
-        next.handle = queue.bankNext(h);
+        Frontier next = f;
+        next.handle = queue.bankNext(f.handle);
+        if (SchedQueue::VerdictChain *chain = f.chain) {
+            ++chain->refused;
+            chain->lastRefusedSeq = f.seq;
+            chain->validUntil = std::min(
+                chain->validUntil,
+                replay->mitigation.refusalLapsesAt(req.flatBank,
+                                                   req.coord.row, now));
+            chain->next = next.handle;
+        }
         if (next.handle == SchedQueue::kNone) {
             ++i;
             continue;
@@ -309,7 +354,20 @@ FrFcfsScheduler::pickRowPrep(SchedQueue &queue, ReqType type,
             frontiers[pos] = frontiers[pos + 1];
         frontiers[pos] = next;
     }
-    return SchedQueue::kNone;
+
+    // The walk would have asked again about every cached refusal older
+    // than the pick, and each would have been refused again.
+    for (const CachedRefusals &c : cached) {
+        if (c.lastSeq < best_seq) {
+            replay->replayed += c.count;
+            continue;
+        }
+        SchedQueue::Handle h = queue.bankOldest(c.bank);
+        for (std::uint32_t k = 0; k < c.count && queue.seqOf(h) < best_seq;
+             ++k, h = queue.bankNext(h))
+            ++replay->replayed;
+    }
+    return best;
 }
 
 } // namespace bh

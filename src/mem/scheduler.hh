@@ -13,7 +13,9 @@
  * of mitigation safety queries — of the original full-walk implementation.
  * The same bank walk records the queue's demand event bound, which the
  * event-skipping controller reads after an idle tick instead of walking
- * the banks a second time.
+ * the banks a second time. Under a mitigation with verdict stamps, each
+ * bank keeps the known prefix of its verdicts (its verdict chain), and
+ * the pick asks only what no chain knows yet.
  *
  * All per-bank state is sized from the device, so arbitrarily large
  * organizations (multi-rank DDR4 with > 64 flat banks) work; the old
@@ -29,6 +31,7 @@
 #include <vector>
 
 #include "dram/device.hh"
+#include "mem/mitigation.hh"
 #include "mem/request.hh"
 
 namespace bh
@@ -135,6 +138,42 @@ class SchedQueue
         return recountEvent(fb, bank, col, capped, mode);
     }
 
+    /**
+     * The known prefix of a closed bank's safety verdicts, oldest
+     * request first, under a mitigation with verdict stamps
+     * (Mitigation::verdictStamps): `refused` refusals from the bank's
+     * head, then `next`, whose verdict is safe if `nextSafe` and not
+     * yet known otherwise (kNone: every request was refused).
+     */
+    struct VerdictChain
+    {
+        Handle next = kNone;
+        std::uint32_t refused = 0;
+        bool nextSafe = false;
+        std::uint64_t lastRefusedSeq = 0;   ///< the youngest refusal's seq
+        Cycle validUntil = kNoEventCycle;   ///< earliest refusal lapse
+        std::uint64_t version = ~0ull;      ///< key: BankState::version
+        std::uint64_t stamp = 0;            ///< key: the bank's stamp
+    };
+
+    /**
+     * Bank `fb`'s verdict chain, revalidated like hitStats: it holds
+     * while the bank's request set and verdict `stamp` are unchanged
+     * and `now` is before its earliest refusal lapse, and restarts
+     * empty at the bank's head otherwise.
+     */
+    VerdictChain &
+    verdictChain(unsigned fb, std::uint64_t stamp, Cycle now)
+    {
+        VerdictChain &c = chains[fb];
+        const BankState &b = banks[fb];
+        if (c.version != b.version || c.stamp != stamp ||
+            now >= c.validUntil)
+            c = VerdictChain{b.head, 0, false, 0, kNoEventCycle, b.version,
+                             stamp};
+        return c;
+    }
+
   private:
     struct Node
     {
@@ -183,6 +222,8 @@ class SchedQueue
     std::vector<unsigned> active;
     /// Per bank; apart from `banks`, whose walks never read it.
     std::vector<EventCache> events;
+    /// Per bank; apart from `banks` too, read by chained picks only.
+    std::vector<VerdictChain> chains;
 };
 
 /**
@@ -223,6 +264,17 @@ struct DemandBound
     {
         return verdictBound ? std::min(timing, verdict_change_at) : timing;
     }
+};
+
+/**
+ * A row-prep pick that replays cached verdicts instead of asking again:
+ * the mitigation, whose verdictStamps() must not be null, and the
+ * cached refusals the picks passed over, which the caller counts.
+ */
+struct VerdictReplay
+{
+    const Mitigation &mitigation;
+    std::uint64_t replayed = 0;
 };
 
 /**
@@ -270,11 +322,19 @@ class FrFcfsScheduler
      * The walk that collects the frontiers also records into `bound` the
      * queue's demand event bound (`queue` holds requests of `type`), so
      * an idle controller tick needs no second pass over its banks.
+     *
+     * With `replay`, a closed bank's frontier starts where its verdict
+     * chain ends, the chains learn every verdict the filter answers, and
+     * the cached refusals older than the pick, which the walk would have
+     * asked again, are added to `replay->replayed` instead. The pick and
+     * the bound are the walk's, and the filter is called on the walk's
+     * requests minus those whose verdicts a chain holds, in the walk's
+     * order.
      */
     SchedQueue::Handle
     pickRowPrep(SchedQueue &queue, ReqType type, const DramDevice &dram,
                 Cycle now, const ActFilter &act_allowed, StreakCapped capped,
-                DemandBound &bound);
+                DemandBound &bound, VerdictReplay *replay = nullptr);
 
     /**
      * The queue's demand event bound with every ACT taken as safe: the
@@ -295,16 +355,27 @@ class FrFcfsScheduler
                       unsigned fb);
 
   private:
-    /** One bank's row-prep candidate within a pickRowPrep call. */
+    /** One closed bank's next request to query within a pickRowPrep. */
     struct Frontier
     {
         std::uint64_t seq = 0;                  ///< age of `handle`
         SchedQueue::Handle handle = SchedQueue::kNone;
-        bool precharge = false;                 ///< open bank, PRE legal
+        bool legal = false;                     ///< the bank's ACT, now
+        SchedQueue::VerdictChain *chain = nullptr;  ///< with a replay
+    };
+
+    /** A bank's cached refusals at the start of a chained pick. */
+    struct CachedRefusals
+    {
+        unsigned bank = 0;
+        std::uint32_t count = 0;
+        std::uint64_t lastSeq = 0;              ///< the youngest one's seq
     };
 
     /** pickRowPrep scratch, ascending `seq`; reused across calls. */
     std::vector<Frontier> frontiers;
+    /** Chained pickRowPrep scratch; reused across calls. */
+    std::vector<CachedRefusals> cached;
 };
 
 } // namespace bh

@@ -62,6 +62,19 @@ class BreakHammer : public Mitigation
     {
         return base->actQueriesObservable();
     }
+    const std::uint64_t *verdictStamps() const override
+    {
+        return base->verdictStamps();
+    }
+    Cycle refusalLapsesAt(unsigned bank, RowId row,
+                          Cycle now) const override
+    {
+        return base->refusalLapsesAt(bank, row, now);
+    }
+    void noteRepeatedRefusals(std::uint64_t n) override
+    {
+        base->noteRepeatedRefusals(n);
+    }
 
     void onActivate(unsigned bank, RowId row, ThreadId thread,
                     Cycle now) override;

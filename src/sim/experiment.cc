@@ -170,6 +170,8 @@ runExperiment(const ExperimentConfig &config, const MixSpec &mix,
         res.rowConflicts += mc.rowConflicts();
         res.ctrlTicksExecuted += mc.ticksExecuted();
         res.ctrlTicksActed += mc.ticksActed();
+        res.ctrlActQueries += mc.actQueries();
+        res.ctrlRefusalsReplayed += mc.refusalsReplayed();
 
         // Per-lane StatSet snapshot. Everything in it is event-driven
         // or skip-replayed, so the export is identical for any

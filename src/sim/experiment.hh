@@ -134,6 +134,14 @@ struct RunResult
     std::uint64_t ctrlTicksActed = 0;
 
     /**
+     * Safety queries asked and refusals replayed from verdict chains,
+     * all lanes (MemController::actQueries/refusalsReplayed). Like the
+     * tick counts, they depend on the path taken and are in no report.
+     */
+    std::uint64_t ctrlActQueries = 0;
+    std::uint64_t ctrlRefusalsReplayed = 0;
+
+    /**
      * Per-lane StatSet snapshots: {"ch0": {mc..., mitig...}, ...}.
      * Deterministic (event-driven samples and skip-replayed counters
      * only), so cell payloads carrying it stay byte-identical across

@@ -1,14 +1,20 @@
 /**
  * @file
  * Tests for BlockHammer: configuration math (Equations 1 and 3, Table 1,
- * Table 7), the history buffer, RowBlocker, AttackThrottler, and the
- * integrated mechanism.
+ * Table 7), the history buffer, RowBlocker, AttackThrottler, the
+ * integrated mechanism, its verdict stamps and refusal lapses, and the
+ * flat shadow table against a hash-map reference.
  */
 
 #include <gtest/gtest.h>
 
+#include <unordered_map>
+#include <vector>
+
 #include "analysis/security.hh"
 #include "blockhammer/blockhammer.hh"
+#include "blockhammer/exact_shadow.hh"
+#include "common/rng.hh"
 
 namespace bh
 {
@@ -189,6 +195,24 @@ TEST(HistoryBuffer, NextExpiryTracksOldestLiveEntry)
     EXPECT_EQ(hb.nextExpiryAt(), 1140);
     hb.expire(1140);
     EXPECT_EQ(hb.nextExpiryAt(), kNoEventCycle);
+}
+
+TEST(HistoryBuffer, LastActivationIsTheLatestLiveEntry)
+{
+    HistoryBuffer hb(8, 100);
+    EXPECT_EQ(hb.lastActivation(42), -1);
+    hb.insert(42, 1000);
+    hb.insert(7, 1020);
+    hb.insert(42, 1050);
+    EXPECT_EQ(hb.lastActivation(42), 1050);
+    EXPECT_EQ(hb.lastActivation(7), 1020);
+    hb.expire(1100);    // the first entry of 42 ages out, not the second
+    EXPECT_EQ(hb.lastActivation(42), 1050);
+    hb.expire(1149);
+    EXPECT_EQ(hb.lastActivation(42), 1050);
+    hb.expire(1150);
+    EXPECT_EQ(hb.lastActivation(42), -1);
+    EXPECT_EQ(hb.lastActivation(7), -1);
 }
 
 TEST(HistoryBuffer, WrapsAroundWithoutStaleEntries)
@@ -421,6 +445,130 @@ TEST(BlockHammerMech, EpochTickSynchronizesComponents)
     bh.tick(cfg.tCBF);
     EXPECT_DOUBLE_EQ(bh.rhli(1, 0), 0.0);
     EXPECT_TRUE(bh.isActSafe(0, 5, 1, cfg.tCBF + 1));
+}
+
+TEST(BlockHammerMech, RefusalLapsesAtTheDelayEdge)
+{
+    BlockHammerConfig cfg = tinyConfig();
+    BlockHammer bh(cfg);
+    Cycle now = 0;
+    for (int i = 0; i < 128; ++i) {
+        bh.onActivate(0, 5, 0, now);
+        now += 200;
+    }
+    Cycle last = now - 200;
+    Cycle lapse = last + bh.rowBlocker().tDelay();
+    ASSERT_LT(lapse, bh.rowBlocker().nextBoundaryAt());
+    ASSERT_FALSE(bh.isActSafe(0, 5, 0, now));
+    EXPECT_EQ(bh.refusalLapsesAt(0, 5, now), lapse);
+    // Refused up to the edge, safe at it.
+    EXPECT_FALSE(bh.isActSafe(0, 5, 0, lapse - 1));
+    EXPECT_EQ(bh.refusalLapsesAt(0, 5, lapse - 1), lapse);
+    EXPECT_TRUE(bh.isActSafe(0, 5, 0, lapse));
+
+    // An entry that would outlive the epoch lapses at its boundary, where
+    // the filters swap.
+    Cycle boundary = bh.rowBlocker().nextBoundaryAt();
+    Cycle late = boundary - bh.rowBlocker().tDelay() / 2;
+    bh.onActivate(0, 5, 0, late);
+    ASSERT_FALSE(bh.isActSafe(0, 5, 0, late + 1));
+    EXPECT_EQ(bh.refusalLapsesAt(0, 5, late + 1), boundary);
+}
+
+TEST(BlockHammerMech, VerdictStampsMoveWithActivationsAndEpochSwaps)
+{
+    BlockHammerConfig cfg = tinyConfig();
+    BlockHammer bh(cfg);
+    const std::uint64_t *stamps = bh.verdictStamps();
+    ASSERT_NE(stamps, nullptr);
+    std::vector<std::uint64_t> before(stamps, stamps + cfg.banks);
+
+    // An activation moves its own bank's stamp only.
+    bh.onActivate(1, 7, 0, 100);
+    for (unsigned b = 0; b < cfg.banks; ++b)
+        EXPECT_EQ(stamps[b] != before[b], b == 1) << "bank " << b;
+
+    // A tick before the boundary moves none; the swap moves all.
+    before.assign(stamps, stamps + cfg.banks);
+    Cycle boundary = bh.rowBlocker().nextBoundaryAt();
+    bh.tick(boundary - 1);
+    for (unsigned b = 0; b < cfg.banks; ++b)
+        EXPECT_EQ(stamps[b], before[b]) << "bank " << b;
+    bh.tick(boundary);
+    for (unsigned b = 0; b < cfg.banks; ++b)
+        EXPECT_NE(stamps[b], before[b]) << "bank " << b;
+
+    // Observe-only keeps every query live.
+    cfg.observeOnly = true;
+    EXPECT_EQ(BlockHammer(cfg).verdictStamps(), nullptr);
+}
+
+TEST(BlockHammerMech, TickAgesTheHistoryOut)
+{
+    // With no query to age the history out, the next verdict change
+    // must not name an entry that already left the window.
+    BlockHammerConfig cfg = tinyConfig();
+    BlockHammer bh(cfg);
+    bh.onActivate(0, 5, 0, 100);
+    Cycle expiry = 100 + bh.rowBlocker().tDelay();
+    EXPECT_EQ(bh.nextVerdictChangeAt(0), expiry);
+    bh.tick(expiry);
+    EXPECT_EQ(bh.nextVerdictChangeAt(expiry),
+              bh.rowBlocker().nextBoundaryAt());
+}
+
+/** The node-based two-epoch shadow the flat table replaced. */
+struct ReferenceShadow
+{
+    std::unordered_map<std::uint64_t, std::uint32_t> side[2];
+    unsigned active = 0;
+
+    void
+    insert(std::uint64_t key)
+    {
+        ++side[0][key];
+        ++side[1][key];
+    }
+    std::uint32_t
+    count(std::uint64_t key) const
+    {
+        auto it = side[active].find(key);
+        return it == side[active].end() ? 0 : it->second;
+    }
+    void
+    onEpochBoundary()
+    {
+        side[active].clear();
+        active = 1 - active;
+    }
+};
+
+TEST(ExactShadow, MatchesHashMapsAcrossGrowthAndEpochClears)
+{
+    // Epochs of growing key counts (bank << 32 | row keys, key 0
+    // included) rehash each table several times; every epoch clears one.
+    ExactShadow flat;
+    ReferenceShadow ref;
+    Rng rng(0x5bad0);
+    for (unsigned epoch = 0; epoch < 5; ++epoch) {
+        std::uint64_t keys = 64u << (2 * epoch);
+        for (std::uint64_t i = 0; i < 4 * keys; ++i) {
+            std::uint64_t key = rng.below(16) << 32 | rng.below(keys);
+            flat.insert(key);
+            ref.insert(key);
+            std::uint64_t probe = rng.below(16) << 32 | rng.below(2 * keys);
+            ASSERT_EQ(flat.count(probe), ref.count(probe))
+                << "epoch " << epoch << " key " << probe;
+        }
+        for (std::uint64_t row = 0; row < 2 * keys; ++row)
+            for (std::uint64_t bank : {0ull, 7ull, 15ull})
+                ASSERT_EQ(flat.count(bank << 32 | row),
+                          ref.count(bank << 32 | row))
+                    << "epoch " << epoch;
+        flat.onEpochBoundary();
+        ref.onEpochBoundary();
+        EXPECT_EQ(flat.count(0), ref.count(0)) << "epoch " << epoch;
+    }
 }
 
 } // namespace

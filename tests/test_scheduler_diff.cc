@@ -14,6 +14,14 @@
  * (referenceNextDemandEventAt, kept verbatim below) in every round, and
  * so must the bound FrFcfsScheduler::demandEventAt combines from the
  * banks' cached events, with every ACT taken as safe.
+ *
+ * The chained pick (pickRowPrep with a VerdictReplay) runs in the same
+ * rounds against a scripted mitigation whose per-bank verdict stamps
+ * move and whose refusals lapse at random between rounds. It must make
+ * the walk's pick and record its bound; its live queries must be the
+ * walk's minus the repeats of verdicts its chains still hold, in the
+ * walk's order; its live plus replayed refusals must add up to the
+ * walk's; and each row's first refusal must be the walk's.
  */
 
 #include <gtest/gtest.h>
@@ -22,7 +30,10 @@
 #include <array>
 #include <deque>
 #include <functional>
+#include <map>
 #include <optional>
+#include <set>
+#include <tuple>
 #include <vector>
 
 #include "common/rng.hh"
@@ -33,7 +44,8 @@ namespace bh
 namespace
 {
 
-using EvalLog = std::vector<std::pair<unsigned, RowId>>;
+/** Safety queries in call order: (bank, row, request id). */
+using EvalLog = std::vector<std::tuple<unsigned, RowId, std::uint64_t>>;
 
 /** The references' streak-cap predicate (a StreakCapped converts). */
 using CappedFn = std::function<bool(unsigned bank)>;
@@ -206,6 +218,99 @@ randomRequest(const DramDevice &dram, Rng &rng, std::uint64_t id)
 }
 
 /**
+ * A mitigation that keeps the verdict-stamp promise
+ * (Mitigation::verdictStamps) with verdicts drawn at random: a row's
+ * verdict is drawn at its first query, a refusal with a random lapse
+ * cycle, and holds until its bank's stamp moves or the lapse passes,
+ * when the next query draws again. Counting is left to the callers.
+ */
+class ScriptedVerdicts : public Mitigation
+{
+  public:
+    ScriptedVerdicts(unsigned nbanks, std::uint64_t seed)
+        : stamps(nbanks, 0), rng(seed)
+    {
+    }
+
+    std::string name() const override { return "Scripted"; }
+
+    bool
+    isActSafe(unsigned bank, RowId row, ThreadId, Cycle now) override
+    {
+        Entry &e = table[key(bank, row)];
+        if (e.drawn && e.stamp == stamps[bank] && (e.safe || now < e.lapse))
+            return e.safe;
+        e.drawn = true;
+        e.stamp = stamps[bank];
+        e.safe = !rng.chance(0.4);
+        e.lapse = now + 1 + static_cast<Cycle>(rng.below(400));
+        return e.safe;
+    }
+
+    const std::uint64_t *verdictStamps() const override
+    {
+        return stamps.data();
+    }
+
+    Cycle
+    refusalLapsesAt(unsigned bank, RowId row, Cycle) const override
+    {
+        return table.at(key(bank, row)).lapse;
+    }
+
+    /** Move bank `fb`'s stamp (an activation or an epoch swap). */
+    void bump(unsigned fb) { ++stamps[fb]; }
+
+    static std::uint64_t
+    key(unsigned bank, RowId row)
+    {
+        return static_cast<std::uint64_t>(bank) << 32 | row;
+    }
+
+  private:
+    struct Entry
+    {
+        bool drawn = false;
+        bool safe = true;
+        std::uint64_t stamp = 0;
+        Cycle lapse = 0;
+    };
+
+    std::vector<std::uint64_t> stamps;
+    std::map<std::uint64_t, Entry> table;
+    Rng rng;
+};
+
+/** Refusals a pick path counted, and each row's first refusal cycle. */
+struct RefusalLog
+{
+    std::uint64_t count = 0;
+    std::uint64_t replayed = 0;     ///< of `count`, replayed from chains
+    std::map<std::uint64_t, Cycle> first;
+
+    void
+    refuse(const Request &req, Cycle now)
+    {
+        ++count;
+        first.emplace(ScriptedVerdicts::key(req.flatBank, req.coord.row),
+                      now);
+    }
+};
+
+/**
+ * What a bank's verdict chain should hold: the requests whose verdicts
+ * the chained pick learned since the bank's request set or stamp last
+ * changed, or one of those refusals last lapsed.
+ */
+struct KnownVerdicts
+{
+    std::uint64_t changes = 0;      ///< the bank's pushes and takes
+    std::uint64_t stamp = 0;
+    Cycle validUntil = kNoEventCycle;
+    std::set<std::uint64_t> ids;
+};
+
+/**
  * activeBanks() must list exactly the non-empty banks, each once, in
  * strictly increasing sequence number of the bank's oldest request.
  */
@@ -234,6 +339,67 @@ activeBanksInHeadOrder(const SchedQueue &q, unsigned nbanks)
     return ::testing::AssertionSuccess();
 }
 
+/**
+ * Run the chained pick on `q` at `now` and check it against the walk
+ * that just ran: its pick (`walk_pick`, a request id, ~0 for none), its
+ * bound and query log, and the refusals each path counted. `known`
+ * models the chains and learns the live queries' verdicts.
+ */
+void
+checkChainedPick(FrFcfsScheduler &sched, SchedQueue &q, ReqType type,
+                 const DramDevice &dram, Cycle now, StreakCapped capped,
+                 ScriptedVerdicts &mitig, const EvalLog &walk_log,
+                 std::uint64_t walk_pick, const DemandBound &walk_bound,
+                 const RefusalLog &walked, RefusalLog &chained,
+                 std::vector<KnownVerdicts> &known,
+                 const std::vector<std::uint64_t> &bank_changes,
+                 std::uint64_t &omitted, unsigned iter)
+{
+    const std::uint64_t *stamps = mitig.verdictStamps();
+    for (unsigned fb = 0; fb < known.size(); ++fb) {
+        KnownVerdicts &k = known[fb];
+        if (k.changes != bank_changes[fb] || k.stamp != stamps[fb] ||
+            now >= k.validUntil)
+            k = KnownVerdicts{bank_changes[fb], stamps[fb], kNoEventCycle,
+                              {}};
+    }
+    EvalLog expected;
+    for (const auto &query : walk_log)
+        if (!known[std::get<0>(query)].ids.count(std::get<2>(query)))
+            expected.push_back(query);
+
+    EvalLog live;
+    auto filter = [&](const Request &req) {
+        live.emplace_back(req.flatBank, req.coord.row, req.addr);
+        bool safe = mitig.isActSafe(req.flatBank, req.coord.row, req.thread,
+                                    now);
+        KnownVerdicts &k = known[req.flatBank];
+        k.ids.insert(req.addr);
+        if (!safe) {
+            chained.refuse(req, now);
+            k.validUntil = std::min(
+                k.validUntil,
+                mitig.refusalLapsesAt(req.flatBank, req.coord.row, now));
+        }
+        return safe;
+    };
+    VerdictReplay replay{mitig};
+    DemandBound bound;
+    auto pick = sched.pickRowPrep(q, type, dram, now, filter, capped, bound,
+                                  &replay);
+    chained.count += replay.replayed;
+    chained.replayed += replay.replayed;
+    omitted += walk_log.size() - live.size();
+
+    EXPECT_EQ(pick == SchedQueue::kNone ? ~0ull : q.at(pick).addr, walk_pick)
+        << "iter " << iter;
+    EXPECT_EQ(bound.timing, walk_bound.timing) << "iter " << iter;
+    EXPECT_EQ(bound.verdictBound, walk_bound.verdictBound) << "iter " << iter;
+    EXPECT_EQ(live, expected) << "iter " << iter;
+    EXPECT_EQ(chained.count, walked.count) << "iter " << iter;
+    EXPECT_EQ(chained.first, walked.first) << "iter " << iter;
+}
+
 void
 runDifferential(unsigned nbanks, std::uint64_t seed)
 {
@@ -246,6 +412,12 @@ runDifferential(unsigned nbanks, std::uint64_t seed)
     FrFcfsScheduler sched(nbanks);
     Rng rng(seed);
     Cycle now = 0;
+    ScriptedVerdicts mitig(nbanks, seed * 31 + 7);
+    Rng stamp_rng(seed ^ 0x57a3b);
+    RefusalLog walked, chained;
+    std::uint64_t omitted = 0;      ///< walk queries the chains answered
+    std::vector<KnownVerdicts> known(nbanks);
+    std::vector<std::uint64_t> bank_changes(nbanks, 0);
 
     // One queue (and its reference copy) across all rounds; handles[i]
     // holds ref_q[i].
@@ -255,6 +427,7 @@ runDifferential(unsigned nbanks, std::uint64_t seed)
     SchedQueue new_q(nbanks);
     std::uint64_t next_id = 0;
     auto push = [&](Request req) {
+        ++bank_changes[req.flatBank];
         ref_q.push_back(req);
         handles.push_back(new_q.push(std::move(req)));
         ASSERT_EQ(new_q.size(), ref_q.size());
@@ -264,6 +437,7 @@ runDifferential(unsigned nbanks, std::uint64_t seed)
         auto it = std::find(handles.begin(), handles.end(), h);
         ASSERT_NE(it, handles.end());
         std::size_t i = static_cast<std::size_t>(it - handles.begin());
+        ++bank_changes[ref_q[i].flatBank];
         EXPECT_EQ(new_q.take(h).addr, ref_q[i].addr);
         ref_q.erase(ref_q.begin() + static_cast<std::ptrdiff_t>(i));
         handles.erase(it);
@@ -295,18 +469,19 @@ runDifferential(unsigned nbanks, std::uint64_t seed)
         }
 
         // Random per-bank row-hit streaks around the cap (so some banks
-        // are capped) and a deterministic (but arbitrary-looking) safety
-        // verdict per (bank, row).
+        // are capped). Safety verdicts come from the scripted mitigation,
+        // and some banks' stamps move between rounds.
         constexpr unsigned kCap = 4;
         std::vector<unsigned> streak(nbanks);
         for (unsigned &n : streak)
             n = static_cast<unsigned>(rng.below(kCap + 2));
         StreakCapped capped{streak.data(), kCap};
-        std::uint64_t act_salt = rng.next();
-        auto verdict = [&](unsigned bank, RowId row) {
-            std::uint64_t h =
-                (static_cast<std::uint64_t>(bank) << 32 | row) * 0x9e3779b9;
-            return ((h ^ act_salt) % 3) != 0;
+        for (unsigned fb = 0; fb < nbanks; ++fb)
+            if (stamp_rng.chance(0.1))
+                mitig.bump(fb);
+        auto verdict = [&](const Request &req) {
+            return mitig.isActSafe(req.flatBank, req.coord.row, req.thread,
+                                   now);
         };
 
         // Column picks must select the identical request.
@@ -325,12 +500,15 @@ runDifferential(unsigned nbanks, std::uint64_t seed)
         // safety-filter evaluations (their side effects are modeled).
         EvalLog ref_log, new_log;
         auto ref_filter = [&](const Request &req) {
-            ref_log.emplace_back(req.flatBank, req.coord.row);
-            return verdict(req.flatBank, req.coord.row);
+            ref_log.emplace_back(req.flatBank, req.coord.row, req.addr);
+            bool safe = verdict(req);
+            if (!safe)
+                walked.refuse(req, now);
+            return safe;
         };
         auto new_filter = [&](const Request &req) {
-            new_log.emplace_back(req.flatBank, req.coord.row);
-            return verdict(req.flatBank, req.coord.row);
+            new_log.emplace_back(req.flatBank, req.coord.row, req.addr);
+            return verdict(req);
         };
         auto ref_prep = ReferenceFrFcfs::pickRowPrep(ref_q, dram, now,
                                                      ref_filter, capped);
@@ -345,6 +523,13 @@ runDifferential(unsigned nbanks, std::uint64_t seed)
             EXPECT_EQ(new_prep, SchedQueue::kNone) << "iter " << iter;
         }
         EXPECT_EQ(ref_log, new_log) << "iter " << iter;
+
+        // The chained pick: same pick and bound, the walk's queries
+        // minus the verdicts the chains hold, and the same refusals.
+        ASSERT_NO_FATAL_FAILURE(checkChainedPick(
+            sched, new_q, type, dram, now, capped, mitig, ref_log,
+            ref_prep ? ref_q[*ref_prep].addr : ~0ull, bound, walked,
+            chained, known, bank_changes, omitted, iter));
 
         // The bound the row-prep walk recorded is the separate walk's,
         // whether or not the mitigation's verdict can flip.
@@ -374,9 +559,7 @@ runDifferential(unsigned nbanks, std::uint64_t seed)
         // When nothing picks, the recorded bound must hold: no pick may
         // become possible before it (under frozen verdicts).
         if (!ref_col && !ref_prep) {
-            auto silent = [&](const Request &req) {
-                return verdict(req.flatBank, req.coord.row);
-            };
+            auto silent = [&](const Request &req) { return verdict(req); };
             DemandBound later;
             Cycle horizon = std::min(bound.at(kNoEventCycle), now + 200);
             for (Cycle c = now + 1; c < horizon; ++c) {
@@ -399,9 +582,20 @@ runDifferential(unsigned nbanks, std::uint64_t seed)
         }
         if (new_prep != SchedQueue::kNone &&
             !dram.bank(new_q.at(new_prep).flatBank).isOpen()) {
+            // The activation moves its bank's stamp and ends its row's
+            // delay episode.
+            const Request &req = new_q.at(new_prep);
+            mitig.bump(req.flatBank);
+            auto k = ScriptedVerdicts::key(req.flatBank, req.coord.row);
+            walked.first.erase(k);
+            chained.first.erase(k);
             ASSERT_NO_FATAL_FAILURE(take(new_prep));
         }
     }
+    // The rounds exercise the chains: cached verdicts stand in for
+    // queries, refusals among them.
+    EXPECT_GT(omitted, chained.replayed);
+    EXPECT_GT(chained.replayed, 0u);
 }
 
 TEST(SchedulerDemandBound, CappedHitYieldsToTheConflictsPrecharge)

@@ -79,8 +79,9 @@ INSTANTIATE_TEST_SUITE_P(
 
 /**
  * Forwards every hook to a built mechanism but keeps the default
- * capability (queries observable), so the controller keeps the path
- * that executes every tick a window does not cover.
+ * capabilities (queries observable, no verdict stamps), so the
+ * controller keeps the path that executes every tick a window does not
+ * cover and asks every query the walk makes.
  */
 class Forwarding : public Mitigation
 {
@@ -182,6 +183,71 @@ TEST(QueryCapability, OnlyBlockHammersQueriesHaveAnEffect)
             expected.push_back(name);
     EXPECT_EQ(unobservableMechanisms(), expected);
 }
+
+TEST(QueryCapability, OnlyBlockHammerExposesVerdictStamps)
+{
+    // BlockHammer-Observe answers "safe" to queries that count a
+    // refusal, so its repeated answers cannot be replayed from a cache.
+    std::vector<std::string> stamped;
+    for (const auto &name : mitigationNames())
+        if (makeMitigation(name, ExperimentConfig{}.mitigationSettings())
+                ->verdictStamps())
+            stamped.push_back(name);
+    EXPECT_EQ(stamped, std::vector<std::string>{"BlockHammer"});
+    // BreakHammer forwards its base's stamps.
+    EXPECT_NE(makeMitigation("BreakHammer+BlockHammer",
+                             ExperimentConfig{}.mitigationSettings())
+                  ->verdictStamps(),
+              nullptr);
+}
+
+/**
+ * Under a mechanism with verdict stamps, the row-prep picks replay
+ * repeated verdicts from per-bank chains instead of asking again. The
+ * same mechanism wrapped so that it hides the stamps asks every query:
+ * both runs must be equal in every field (refusal counts, first-refusal
+ * delays and throttling included), the chained one with strictly fewer
+ * live queries, and live queries plus replayed refusals add up.
+ */
+class VerdictChains
+    : public ::testing::TestWithParam<std::tuple<std::string, unsigned>>
+{
+};
+
+TEST_P(VerdictChains, ReplayTheQueriesTheyCache)
+{
+    const auto &[mechanism, channels] = GetParam();
+    ExperimentConfig cfg = shortConfig(mechanism, channels);
+    cfg.securityOracle = true;
+    cfg.nRH = 256;
+    cfg.refwMs = 0.04;
+
+    RunResult chained = runExperiment(cfg, attackMix());
+    RunResult walked = runExperiment(
+        cfg, attackMix(), [](std::unique_ptr<Mitigation> m) {
+            return std::make_unique<Forwarding>(std::move(m));
+        });
+    expectEqualResults(walked, chained);
+    EXPECT_GT(walked.blockedActs, 0u);
+    EXPECT_EQ(walked.ctrlRefusalsReplayed, 0u);
+    EXPECT_GT(chained.ctrlRefusalsReplayed, 0u);
+    EXPECT_LT(chained.ctrlActQueries, walked.ctrlActQueries);
+    // Replays change no executed tick.
+    EXPECT_EQ(chained.ctrlTicksExecuted, walked.ctrlTicksExecuted);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    StampedVerdicts, VerdictChains,
+    ::testing::Combine(::testing::Values("BlockHammer",
+                                         "BreakHammer+BlockHammer"),
+                       ::testing::Values(1u, 4u)),
+    [](const ::testing::TestParamInfo<VerdictChains::ParamType> &info) {
+        std::string name = std::get<0>(info.param);
+        for (char &c : name)
+            if (!std::isalnum(static_cast<unsigned char>(c)))
+                c = '_';
+        return name + "_" + std::to_string(std::get<1>(info.param)) + "ch";
+    });
 
 /**
  * Where queries have no effect, the controller derives its next event
