@@ -20,7 +20,6 @@ Bank::unsupportedCommand(DramCommand cmd)
 void
 Bank::issue(DramCommand cmd, RowId target_row, Cycle now)
 {
-    ++stateStamp;
     switch (cmd) {
       case DramCommand::kAct:
         if (open)
@@ -58,7 +57,6 @@ Bank::issue(DramCommand cmd, RowId target_row, Cycle now)
 void
 Bank::blockUntil(Cycle cycle)
 {
-    ++stateStamp;
     nextAct = std::max(nextAct, cycle);
 }
 

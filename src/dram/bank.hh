@@ -10,8 +10,6 @@
 #ifndef BH_DRAM_BANK_HH
 #define BH_DRAM_BANK_HH
 
-#include <cstdint>
-
 #include "common/types.hh"
 #include "dram/command.hh"
 #include "dram/timing.hh"
@@ -58,13 +56,6 @@ class Bank
     /** Force-block ACT until `cycle` (used by all-bank refresh). */
     void blockUntil(Cycle cycle);
 
-    /**
-     * Moves whenever the open row or an earliest() answer may have
-     * changed (every issue() and blockUntil()): a cache of anything
-     * derived from this bank's state stays valid while it stays put.
-     */
-    std::uint64_t stamp() const { return stateStamp; }
-
   private:
     /** Panic for a command without per-bank timing (REF). */
     [[noreturn]] static void unsupportedCommand(DramCommand cmd);
@@ -76,7 +67,6 @@ class Bank
     Cycle nextPre = 0;
     Cycle nextRd = 0;
     Cycle nextWr = 0;
-    std::uint64_t stateStamp = 0;
 };
 
 } // namespace bh

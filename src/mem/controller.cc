@@ -158,9 +158,9 @@ MemController::execute(Cycle now)
     } else if (issued_demand && !queriesObservable && pendingVictims == 0) {
         // No confirmation tick. A demand command means no refresh drain,
         // and with no victim op pending the next tick could only issue
-        // another demand command. Every query it would make answers
-        // "safe" and records nothing, so its walks would record the
-        // queues' timing bounds, read here off the banks' cached events.
+        // another demand command. Its picks would take every ACT as safe
+        // and record the queues' timing bounds, read here off the event
+        // tables.
         StreakCapped capped{hitStreak.data(), cfg.rowHitCap};
         readBound = DemandBound{
             scheduler.demandEventAt(readQ, ReqType::kRead, dram, capped)};
@@ -169,6 +169,17 @@ MemController::execute(Cycle now)
         demandBoundsAt = now;
         idleUntil = eventBound(now);
     }
+}
+
+void
+MemController::issueCommand(DramCommand cmd, unsigned fb, RowId row,
+                            Cycle now)
+{
+    dram.issue(cmd, fb, row, now);
+    // The bank's next demand command, or its time, may have moved in
+    // either queue.
+    readQ.touch(fb);
+    writeQ.touch(fb);
 }
 
 bool
@@ -181,7 +192,7 @@ MemController::tryRefresh(Cycle now)
     for (unsigned fb = 0; fb < banks; ++fb) {
         if (dram.bank(fb).isOpen() &&
             dram.canIssue(DramCommand::kPre, fb, now)) {
-            dram.issue(DramCommand::kPre, fb, 0, now);
+            issueCommand(DramCommand::kPre, fb, 0, now);
             ++numActions;
             if (energy)
                 energy->onOpenBankCount(dram.openBankCount(), now);
@@ -196,6 +207,8 @@ MemController::tryRefresh(Cycle now)
         return false;
 
     auto range = dram.issueRefresh(now);
+    readQ.touchAll();       // every bank's ACT now waits for tRFC
+    writeQ.touchAll();
     ++numActions;
     if (TraceSink::on()) {
         TraceSink::instant("mem", "refresh", tmeta, now,
@@ -228,7 +241,7 @@ MemController::tryVictimRefresh(Cycle now)
         if (!op.activated) {
             if (dram.bank(fb).isOpen()) {
                 if (dram.canIssue(DramCommand::kPre, fb, now)) {
-                    dram.issue(DramCommand::kPre, fb, 0, now);
+                    issueCommand(DramCommand::kPre, fb, 0, now);
                     ++numActions;
                     if (energy)
                         energy->onOpenBankCount(dram.openBankCount(), now);
@@ -237,7 +250,7 @@ MemController::tryVictimRefresh(Cycle now)
                 continue;
             }
             if (dram.canIssue(DramCommand::kAct, fb, now)) {
-                dram.issue(DramCommand::kAct, fb, op.row, now);
+                issueCommand(DramCommand::kAct, fb, op.row, now);
                 ++numActions;
                 if (TraceSink::on()) {
                     TraceSink::instant(
@@ -272,7 +285,7 @@ MemController::tryVictimRefresh(Cycle now)
                 continue;
             }
             if (dram.canIssue(DramCommand::kPre, fb, now)) {
-                dram.issue(DramCommand::kPre, fb, 0, now);
+                issueCommand(DramCommand::kPre, fb, 0, now);
                 ++numActions;
                 if (energy)
                     energy->onOpenBankCount(dram.openBankCount(), now);
@@ -327,10 +340,14 @@ MemController::tryDemand(Cycle now)
             ++numActBlocked;
         return safe;
     };
-    // With verdict stamps, the refusals a pick replays from its chains
-    // count as the queries they stand for.
+    // Where queries have no effect, the pick asks none. With verdict
+    // stamps, the refusals a pick replays from its chains count as the
+    // queries they stand for.
     auto pick_prep = [&](SchedQueue &queue, ReqType type,
                          DemandBound &bound) {
+        if (!queriesObservable)
+            return scheduler.pickRowPrepAllSafe(queue, type, dram, now,
+                                                capped, bound);
         if (!verdictChains)
             return scheduler.pickRowPrep(queue, type, dram, now, act_filter,
                                          capped, bound);
@@ -381,11 +398,12 @@ MemController::issueColumn(SchedQueue &queue, SchedQueue::Handle h,
     unsigned fb = req.flatBank;
     DramCommand cmd = (req.type == ReqType::kRead)
         ? DramCommand::kRd : DramCommand::kWr;
-    dram.issue(cmd, fb, req.coord.row, now);
+    issueCommand(cmd, fb, req.coord.row, now);
     if (energy)
         energy->onCommand(cmd, now);
 
-    // Row-hit streak accounting for FR-FCFS-Cap.
+    // Row-hit streak accounting for FR-FCFS-Cap (the command's touch
+    // covers the streak's change).
     if (req.rowHitAtIssue && !req.neededPrecharge)
         ++hitStreak[fb];
 
@@ -428,7 +446,7 @@ MemController::issuePrep(SchedQueue &queue, SchedQueue::Handle h, Cycle now)
     unsigned fb = req.flatBank;
     const Bank &bank = dram.bank(fb);
     if (bank.isOpen()) {
-        dram.issue(DramCommand::kPre, fb, 0, now);
+        issueCommand(DramCommand::kPre, fb, 0, now);
         ++numActions;
         if (TraceSink::on()) {
             TraceSink::instant("mem", "pre", tmeta, now,
@@ -440,7 +458,7 @@ MemController::issuePrep(SchedQueue &queue, SchedQueue::Handle h, Cycle now)
         ++numPreDemand;
         return true;
     }
-    dram.issue(DramCommand::kAct, fb, req.coord.row, now);
+    issueCommand(DramCommand::kAct, fb, req.coord.row, now);
     ++numActions;
     if (TraceSink::on()) {
         TraceSink::instant("mem", "act", tmeta, now,
@@ -569,31 +587,87 @@ MemController::noteSkippedTicks(std::uint64_t n)
     mitig.noteSkippedTicks(n);
 }
 
+namespace
+{
+
+/**
+ * The column pick as a walk over the queue's banks, independent of the
+ * event table: the oldest row hit whose column command is legal at
+ * `now`, skipping capped banks while a conflict waits.
+ */
+SchedQueue::Handle
+walkColumnReady(SchedQueue &queue, DramCommand col, const DramDevice &dram,
+                Cycle now, StreakCapped capped)
+{
+    if (dram.columnEarliest(col) > now)
+        return SchedQueue::kNone;
+    SchedQueue::Handle best = SchedQueue::kNone;
+    std::uint64_t best_seq = ~0ull;
+    for (unsigned fb : queue.activeBanks()) {
+        const Bank &bank = dram.bank(fb);
+        if (!bank.isOpen())
+            continue;
+        const auto &hits = queue.hitStats(fb, bank);
+        if (hits.hitCount == 0 ||
+            (queue.bankCount(fb) > hits.hitCount && capped(fb)) ||
+            bank.earliest(col) > now)
+            continue;
+        std::uint64_t seq = queue.seqOf(hits.oldestHit);
+        if (seq < best_seq) {
+            best = hits.oldestHit;
+            best_seq = seq;
+        }
+    }
+    return best;
+}
+
+} // namespace
+
 void
 MemController::checkReplayedTicks(Cycle from, std::uint64_t n, Cycle step)
 {
-    // Only windows of mechanisms whose queries have no effect can be
-    // checked by running the picks: a query of another one may record.
-    if (queriesObservable || !lastTickReachedDemand)
-        return;
     StreakCapped capped{hitStreak.data(), cfg.rowHitCap};
     FrFcfsScheduler::ActFilter safe = [](const Request &) { return true; };
-    DemandBound scratch;
-    for (std::uint64_t i = 0; i < n; ++i) {
-        Cycle now = from + static_cast<Cycle>(i) * step;
-        for (ReqType type : {ReqType::kRead, ReqType::kWrite}) {
-            SchedQueue &queue = type == ReqType::kRead ? readQ : writeQ;
-            if (scheduler.pickColumnReady(queue, type, dram, now, capped) !=
+    for (ReqType type : {ReqType::kRead, ReqType::kWrite}) {
+        bool read = type == ReqType::kRead;
+        SchedQueue &queue = read ? readQ : writeQ;
+        DramCommand col = read ? DramCommand::kRd : DramCommand::kWr;
+        const char *name = read ? "read" : "write";
+        // A table entry that no touch marked stale must still be current.
+        if (int fb = queue.firstWrongEvent(dram, col, capped); fb >= 0)
+            panic("event-skip verify: channel %u's %s queue holds an "
+                  "outdated event for bank %d at cycle %lld",
+                  replayChannel, name, fb, static_cast<long long>(from));
+        // Only windows of mechanisms whose queries have no effect can be
+        // checked by running the picks: a query of another one may
+        // record.
+        if (queriesObservable || !lastTickReachedDemand)
+            continue;
+        for (std::uint64_t i = 0; i < n; ++i) {
+            Cycle now = from + static_cast<Cycle>(i) * step;
+            DemandBound walked, table;
+            if (walkColumnReady(queue, col, dram, now, capped) !=
                     SchedQueue::kNone ||
                 scheduler.pickRowPrep(queue, type, dram, now, safe, capped,
-                                      scratch) != SchedQueue::kNone)
+                                      walked) != SchedQueue::kNone)
                 panic("event-skip verify: channel %u would issue from its "
                       "%s queue at cycle %lld, inside a window claimed "
                       "idle until %lld",
-                      replayChannel,
-                      type == ReqType::kRead ? "read" : "write",
-                      static_cast<long long>(now),
+                      replayChannel, name, static_cast<long long>(now),
                       static_cast<long long>(idleUntil));
+            // The walks picked nothing, so no ACT was legal and their
+            // bound is the table's demand event bound.
+            if (scheduler.pickColumnReady(queue, type, dram, now, capped) !=
+                    SchedQueue::kNone ||
+                scheduler.pickRowPrepAllSafe(queue, type, dram, now, capped,
+                                             table) != SchedQueue::kNone ||
+                table.timing != walked.timing ||
+                table.verdictBound != walked.verdictBound ||
+                scheduler.demandEventAt(queue, type, dram, capped) !=
+                    walked.timing)
+                panic("event-skip verify: channel %u's %s queue event "
+                      "table disagrees with the walks at cycle %lld",
+                      replayChannel, name, static_cast<long long>(now));
         }
     }
 }

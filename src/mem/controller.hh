@@ -169,6 +169,17 @@ class MemController
     std::uint64_t refusalsReplayed() const { return numRefusalsReplayed; }
 
     /**
+     * The scheduler's work counters (FrFcfsScheduler::Work): bank
+     * entries its picks and bounds scanned, and event-table entries it
+     * recomputed. Like ticksExecuted(), they depend on the path taken
+     * (`--skip verify` adds its checks' scans) and are in no report.
+     */
+    const FrFcfsScheduler::Work &schedWork() const
+    {
+        return scheduler.work();
+    }
+
+    /**
      * Monotonic count of externally visible controller activity: issued
      * DRAM commands, completed victim-refresh ops, accepted requests, and
      * ticks at a mitigation housekeeping boundary.
@@ -214,10 +225,13 @@ class MemController
     void setFastIdleTicks(bool enabled) { fastIdleTicks = enabled; }
 
     /**
-     * --skip verify: run the column and row-prep picks (without side
-     * effects) at every tick a window replays, where the mitigation's
-     * queries have no effect, and panic, naming `channel`, the cycle
-     * and the queue, if one would issue.
+     * --skip verify: at every run of ticks a window replays, check each
+     * event-table entry not marked stale against a fresh computation.
+     * Where the mitigation's queries have no effect, also run the
+     * column and row-prep walks (without side effects) at every
+     * replayed tick, and the table's picks and bounds against them.
+     * Panic, naming `channel`, the cycle and the queue, if a walk would
+     * issue or the table disagrees.
      */
     void
     verifyReplays(unsigned channel)
@@ -297,6 +311,8 @@ class MemController
     bool tryRefresh(Cycle now);
     bool tryVictimRefresh(Cycle now);
     bool tryDemand(Cycle now);
+    /** Issue `cmd` to bank `fb` and touch the bank in both queues. */
+    void issueCommand(DramCommand cmd, unsigned fb, RowId row, Cycle now);
     void issueColumn(SchedQueue &queue, SchedQueue::Handle h, Cycle now);
     bool issuePrep(SchedQueue &queue, SchedQueue::Handle h, Cycle now);
     void noteInflight(ThreadId thread, unsigned bank, int delta);

@@ -9,7 +9,7 @@ namespace bh
 {
 
 SchedQueue::SchedQueue(unsigned num_banks)
-    : banks(num_banks), events(num_banks), chains(num_banks)
+    : banks(num_banks), table(num_banks), chains(num_banks)
 {
 }
 
@@ -45,6 +45,7 @@ SchedQueue::push(Request &&req)
     if (b.count++ == 0)
         active.push_back(n.bank);
     ++b.version;
+    markStale(n.bank);
     ++count;
     return h;
 }
@@ -78,6 +79,7 @@ SchedQueue::take(Handle h)
         std::rotate(pos, pos + 1, stop);
     }
     ++b.version;
+    markStale(n.bank);
     --count;
 
     Request out = std::move(n.req);
@@ -110,40 +112,103 @@ SchedQueue::recountHits(BankState &b, const Bank &bank)
     return b.hits;
 }
 
-const SchedQueue::BankEvent &
-SchedQueue::recountEvent(unsigned fb, const Bank &bank, DramCommand col,
-                         bool capped, std::uint8_t mode)
+void
+SchedQueue::touchAll()
 {
-    EventCache &e = events[fb];
-    if (!bank.isOpen()) {
-        e.event = BankEvent{bank.earliest(DramCommand::kAct),
-                            EventKind::kActivate};
-    } else {
-        // A live row hit (not capped while a conflict waits) keeps the
-        // row open for its column command; otherwise a conflict waits
-        // for the PRE.
-        const BankHits &hits = hitStats(fb, bank);
-        bool conflict = hits.oldestMiss != kNone;
-        if (hits.hitCount > 0 && !(capped && conflict))
-            e.event = BankEvent{bank.earliest(col), EventKind::kColumn};
-        else
-            e.event = BankEvent{bank.earliest(DramCommand::kPre),
-                                EventKind::kPrecharge};
+    for (unsigned fb : active)
+        markStale(fb);
+}
+
+SchedQueue::BankEvent
+SchedQueue::computeEvent(unsigned fb, const Bank &bank, DramCommand col,
+                         bool capped)
+{
+    const BankState &b = banks[fb];
+    auto make = [&](EventKind kind, Cycle at, Handle h) {
+        return BankEvent{at, nodes[h].seq, h, kind, false};
+    };
+    if (b.count == 0)
+        return BankEvent{};
+    if (!bank.isOpen())
+        return make(EventKind::kActivate, bank.earliest(DramCommand::kAct),
+                    b.head);
+    // A live row hit (not capped while a conflict waits) keeps the row
+    // open for its column command; otherwise a conflict waits for the PRE.
+    const BankHits &hits = hitStats(fb, bank);
+    bool conflict = hits.oldestMiss != kNone;
+    if (hits.hitCount > 0 && !(capped && conflict))
+        return make(EventKind::kColumn, bank.earliest(col), hits.oldestHit);
+    return make(EventKind::kPrecharge, bank.earliest(DramCommand::kPre),
+                hits.oldestMiss);
+}
+
+std::uint32_t
+SchedQueue::recomputeStale(const DramDevice &dram, DramCommand col,
+                           StreakCapped capped)
+{
+    auto n = static_cast<std::uint32_t>(staleBanks.size());
+    for (unsigned fb : staleBanks) {
+        BankEvent e = computeEvent(fb, dram.bank(fb), col, capped(fb));
+        const BankEvent &old = table[fb];
+        // A minimum can only fall here, unless the entry that may have
+        // held it moved away; then the next read rebuilds them.
+        if (old.kind != EventKind::kNone &&
+            old.at == mins[static_cast<std::size_t>(old.kind)] &&
+            (e.kind != old.kind || e.at > old.at))
+            minsValid = false;
+        else if (e.kind != EventKind::kNone)
+            mins[static_cast<std::size_t>(e.kind)] = std::min(
+                mins[static_cast<std::size_t>(e.kind)], e.at);
+        table[fb] = e;
     }
-    e.version = banks[fb].version;
-    e.stamp = bank.stamp();
-    e.mode = mode;
-    return e.event;
+    staleBanks.clear();
+    return n;
+}
+
+void
+SchedQueue::rebuildMins(std::uint64_t &scanned)
+{
+    mins.fill(kNoEventCycle);
+    for (unsigned fb : active) {
+        const BankEvent &e = table[fb];
+        Cycle &slot = mins[static_cast<std::size_t>(e.kind)];
+        slot = std::min(slot, e.at);
+    }
+    scanned += active.size();
+    minsValid = true;
+}
+
+int
+SchedQueue::firstWrongEvent(const DramDevice &dram, DramCommand col,
+                            StreakCapped capped)
+{
+    for (unsigned fb = 0; fb < table.size(); ++fb) {
+        const BankEvent &e = table[fb];
+        if (e.stale)
+            continue;
+        BankEvent fresh = computeEvent(fb, dram.bank(fb), col, capped(fb));
+        if (fresh.kind != e.kind || fresh.at != e.at ||
+            fresh.handle != e.handle || fresh.seq != e.seq)
+            return static_cast<int>(fb);
+    }
+    return -1;
 }
 
 namespace
 {
 
-/** Earliest event per SchedQueue::EventKind, before rank gates. */
-using KindMins = std::array<Cycle, 3>;
+using KindMins = SchedQueue::KindMins;
+constexpr KindMins kNoMins{kNoEventCycle, kNoEventCycle, kNoEventCycle,
+                           kNoEventCycle};
+
+DramCommand
+columnCommand(ReqType type)
+{
+    return type == ReqType::kRead ? DramCommand::kRd : DramCommand::kWr;
+}
 
 /** The earliest of `mins` once the rank's column and ACT gates apply. */
-Cycle
+inline Cycle
 gated(const KindMins &mins, const DramDevice &dram, DramCommand col)
 {
     using Kind = SchedQueue::EventKind;
@@ -159,15 +224,9 @@ Cycle
 FrFcfsScheduler::demandEventAt(SchedQueue &queue, ReqType type,
                                const DramDevice &dram, StreakCapped capped)
 {
-    DramCommand col = (type == ReqType::kRead)
-        ? DramCommand::kRd : DramCommand::kWr;
-    KindMins mins{kNoEventCycle, kNoEventCycle, kNoEventCycle};
-    for (unsigned fb : queue.activeBanks()) {
-        const auto &e = queue.bankEvent(fb, dram.bank(fb), col, capped(fb));
-        Cycle &slot = mins[static_cast<std::size_t>(e.kind)];
-        slot = std::min(slot, e.at);
-    }
-    return gated(mins, dram, col);
+    DramCommand col = columnCommand(type);
+    counts.recomputed += queue.syncEvents(dram, col, capped);
+    return gated(queue.eventMins(counts.scanned), dram, col);
 }
 
 Cycle
@@ -177,10 +236,11 @@ FrFcfsScheduler::bankEventAt(SchedQueue &queue, ReqType type,
 {
     if (queue.bankCount(fb) == 0)
         return kNoEventCycle;
-    DramCommand col = (type == ReqType::kRead)
-        ? DramCommand::kRd : DramCommand::kWr;
-    const auto &e = queue.bankEvent(fb, dram.bank(fb), col, capped(fb));
-    KindMins mins{kNoEventCycle, kNoEventCycle, kNoEventCycle};
+    DramCommand col = columnCommand(type);
+    counts.recomputed += queue.syncEvents(dram, col, capped);
+    ++counts.scanned;
+    const auto &e = queue.event(fb);
+    KindMins mins = kNoMins;
     mins[static_cast<std::size_t>(e.kind)] = e.at;
     return gated(mins, dram, col);
 }
@@ -196,32 +256,70 @@ FrFcfsScheduler::pickColumnReady(SchedQueue &queue, ReqType type,
                                  const DramDevice &dram, Cycle now,
                                  StreakCapped capped)
 {
-    DramCommand cmd = (type == ReqType::kRead)
-        ? DramCommand::kRd : DramCommand::kWr;
+    using Kind = SchedQueue::EventKind;
+    DramCommand col = columnCommand(type);
     // Rank-level column gate (tCCD, bus turnaround) applies to every bank.
-    if (dram.columnEarliest(cmd) > now)
+    if (dram.columnEarliest(col) > now)
         return SchedQueue::kNone;
-
+    counts.recomputed += queue.syncEvents(dram, col, capped);
+    // Known minima can show that no column entry's time has come.
+    const KindMins *mins = queue.currentMins();
+    if (mins && (*mins)[static_cast<std::size_t>(Kind::kColumn)] > now)
+        return SchedQueue::kNone;
+    counts.scanned += queue.activeBanks().size();
     SchedQueue::Handle best = SchedQueue::kNone;
-    std::uint64_t best_seq = 0;
+    std::uint64_t best_seq = ~0ull;
     for (unsigned fb : queue.activeBanks()) {
-        const Bank &bank = dram.bank(fb);
-        if (!bank.isOpen())
-            continue;
-        const auto &hits = queue.hitStats(fb, bank);
-        if (hits.hitCount == 0)
-            continue;
-        // A capped bank only stops serving hits if someone is waiting for
-        // a different row in it; otherwise capping would waste bandwidth.
-        bool conflict_waiting = queue.bankCount(fb) > hits.hitCount;
-        if (conflict_waiting && capped(fb))
-            continue;
-        if (bank.earliest(cmd) > now)
-            continue;
-        std::uint64_t seq = queue.seqOf(hits.oldestHit);
-        if (best == SchedQueue::kNone || seq < best_seq) {
-            best = hits.oldestHit;
-            best_seq = seq;
+        const auto &e = queue.event(fb);
+        if (e.kind == Kind::kColumn && e.at <= now && e.seq < best_seq) {
+            best = e.handle;
+            best_seq = e.seq;
+        }
+    }
+    return best;
+}
+
+SchedQueue::Handle
+FrFcfsScheduler::pickRowPrepAllSafe(SchedQueue &queue, ReqType type,
+                                    const DramDevice &dram, Cycle now,
+                                    StreakCapped capped, DemandBound &bound)
+{
+    using Kind = SchedQueue::EventKind;
+    auto at = [](const KindMins &mins, Kind kind) {
+        return mins[static_cast<std::size_t>(kind)];
+    };
+    DramCommand col = columnCommand(type);
+    counts.recomputed += queue.syncEvents(dram, col, capped);
+    // Each kind's rank gate (a PRE has none), indexed by EventKind.
+    const KindMins gates{dram.columnEarliest(col), 0, dram.actEarliest(),
+                         0};
+    // Known minima can show that no PRE or ACT is legal: then nothing is
+    // picked, no ACT bounds through a verdict flip, and the bound is the
+    // gated minima's.
+    const KindMins *mins = queue.currentMins();
+    if (mins && at(*mins, Kind::kPrecharge) > now &&
+        std::max(at(*mins, Kind::kActivate), at(gates, Kind::kActivate)) >
+            now) {
+        bound = DemandBound{gated(*mins, dram, col)};
+        return SchedQueue::kNone;
+    }
+    counts.scanned += queue.activeBanks().size();
+    bound = DemandBound{};
+    SchedQueue::Handle best = SchedQueue::kNone;
+    std::uint64_t best_seq = ~0ull;
+    for (unsigned fb : queue.activeBanks()) {
+        const auto &e = queue.event(fb);
+        Cycle e_at = std::max(e.at, at(gates, e.kind));
+        // pickRowPrep's rules: a column or PRE command bounds at its
+        // time, an ACT already legal only through a verdict flip if
+        // nothing is picked.
+        bool legal_act = e.kind == Kind::kActivate && e_at <= now;
+        bound.verdictBound |= legal_act;
+        bound.timing = std::min(bound.timing,
+                                legal_act ? kNoEventCycle : e_at);
+        if (e.kind != Kind::kColumn && e_at <= now && e.seq < best_seq) {
+            best = e.handle;
+            best_seq = e.seq;
         }
     }
     return best;
@@ -234,10 +332,10 @@ FrFcfsScheduler::pickRowPrep(SchedQueue &queue, ReqType type,
                              StreakCapped capped, DemandBound &bound,
                              VerdictReplay *replay)
 {
-    DramCommand col = (type == ReqType::kRead)
-        ? DramCommand::kRd : DramCommand::kWr;
+    DramCommand col = columnCommand(type);
     Cycle col_gate = dram.columnEarliest(col);
     bound = DemandBound{};
+    counts.scanned += queue.activeBanks().size();
 
     // The pick so far: a frontier that needs no query (a legal PRE, or a
     // chain's known-safe request with a legal ACT). The walk below asks

@@ -5,17 +5,20 @@
  *
  * The scheduler is incremental: requests live in a SchedQueue that buckets
  * them per bank (FIFO within a bank, global age via sequence numbers), and
- * per-bank row-hit statistics are cached and revalidated lazily against the
- * bank's open-row state. Column picks cost O(active banks) instead of
- * O(queue). Row-prep picks visit only each active bank's frontier (the one
- * request an oldest-first walk of the whole queue would act on in that
- * bank) in ascending age, preserving the exact pick — and the exact order
- * of mitigation safety queries — of the original full-walk implementation.
- * The same bank walk records the queue's demand event bound, which the
- * event-skipping controller reads after an idle tick instead of walking
- * the banks a second time. Under a mitigation with verdict stamps, each
- * bank keeps the known prefix of its verdicts (its verdict chain), and
- * the pick asks only what no chain knows yet.
+ * each queue keeps one event table: per bank, the demand command its
+ * requests wait for, the bank's own earliest cycle for it and the request
+ * it serves. An entry is recomputed only after its bank's request set,
+ * DRAM state or streak cap changed. Column picks, the row-prep pick of a
+ * mechanism whose safety queries have no effect, and the demand event
+ * bounds read the table; they cost one compact entry per active bank.
+ * The row-prep walk of a mechanism whose queries do have an effect visits
+ * only each active bank's frontier (the one request an oldest-first walk
+ * of the whole queue would act on in that bank) in ascending age,
+ * preserving the exact pick — and the exact order of mitigation safety
+ * queries — of the original full-walk implementation, and records the
+ * queue's demand event bound on the way. Under a mitigation with verdict
+ * stamps, each bank keeps the known prefix of its verdicts (its verdict
+ * chain), and the walk asks only what no chain knows yet.
  *
  * All per-bank state is sized from the device, so arbitrarily large
  * organizations (multi-rank DDR4 with > 64 flat banks) work; the old
@@ -26,6 +29,7 @@
 #define BH_MEM_SCHEDULER_HH
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -36,6 +40,20 @@
 
 namespace bh
 {
+
+/**
+ * FR-FCFS-Cap view over the controller's per-bank row-hit streaks: a
+ * bank whose streak reached `cap` is capped, and stops serving further
+ * row hits (and may be closed) while a request to another of its rows
+ * waits, so one streaming thread cannot capture a bank indefinitely.
+ */
+struct StreakCapped
+{
+    const unsigned *streak = nullptr;   ///< consecutive row hits per bank
+    unsigned cap = 0;
+
+    bool operator()(unsigned bank) const { return streak[bank] >= cap; }
+};
 
 /**
  * Age-ordered request queue with per-bank buckets.
@@ -109,34 +127,84 @@ class SchedQueue
         kColumn,        ///< a live row hit's RD/WR
         kPrecharge,     ///< a conflict's PRE (no live hit keeps the row)
         kActivate,      ///< a closed bank's ACT
-    };
-
-    /** A bank's next demand command and the bank's own time for it. */
-    struct BankEvent
-    {
-        Cycle at = 0;   ///< Bank::earliest, before any rank-level gate
-        EventKind kind = EventKind::kActivate;
+        kNone,          ///< the bank holds no request of this queue
     };
 
     /**
-     * The command the requests of active bank `fb` wait for next, by
-     * the rules pickRowPrep records its bound with, and the bank's own
-     * earliest cycle for it (`col` is the queue's column command,
-     * `capped` the bank's streak cap). Cached per bank, apart from the
-     * buckets, and revalidated like hitStats: against the bank's
-     * request set, its state stamp (Bank::stamp), `capped` and `col`.
+     * One entry of the event table: the command the requests of a bank
+     * wait for next, by the rules pickRowPrep records its bound with, the
+     * bank's own earliest cycle for it, and the request it serves (a live
+     * hit's oldest request, a conflict's oldest request to another row,
+     * or a closed bank's oldest request).
      */
-    const BankEvent &
-    bankEvent(unsigned fb, const Bank &bank, DramCommand col, bool capped)
+    struct BankEvent
     {
-        EventCache &e = events[fb];
-        auto mode = static_cast<std::uint8_t>(
-            (capped ? 1 : 0) | (col == DramCommand::kWr ? 2 : 0));
-        if (e.version == banks[fb].version && e.stamp == bank.stamp() &&
-            e.mode == mode)
-            return e.event;
-        return recountEvent(fb, bank, col, capped, mode);
+        Cycle at = kNoEventCycle;   ///< Bank::earliest, before rank gates
+        std::uint64_t seq = 0;      ///< age of `handle`
+        Handle handle = kNone;
+        EventKind kind = EventKind::kNone;
+        bool stale = false;         ///< recompute before the next read
+    };
+
+    /**
+     * Bank `fb`'s DRAM state or streak cap changed: its entry is
+     * recomputed at the next syncEvents. push and take mark their bank
+     * themselves; every other change (a command to the bank from any
+     * source, a streak that crosses the cap) must be reported here.
+     */
+    void
+    touch(unsigned fb)
+    {
+        if (banks[fb].count != 0)
+            markStale(fb);
     }
+
+    /** Touch every bank (an all-bank REF moves every ACT time). */
+    void touchAll();
+
+    /**
+     * Bring the table up to date for a queue whose column command is
+     * `col`: recompute each stale entry from `dram` and `capped`, and
+     * return how many were recomputed.
+     */
+    std::uint32_t
+    syncEvents(const DramDevice &dram, DramCommand col, StreakCapped capped)
+    {
+        if (staleBanks.empty())
+            return 0;
+        return recomputeStale(dram, col, capped);
+    }
+
+    /** Bank `fb`'s entry; current after syncEvents. */
+    const BankEvent &event(unsigned fb) const { return table[fb]; }
+
+    /** The earliest `at` per EventKind (the kNone slot is unused). */
+    using KindMins = std::array<Cycle, 4>;
+
+    /**
+     * The table's earliest entry of each kind, current after syncEvents.
+     * Kept as entries change; only after an entry that may have held a
+     * minimum moved away from it are they rebuilt, by a scan of the
+     * active banks' entries, whose count is added to `scanned`.
+     */
+    const KindMins &
+    eventMins(std::uint64_t &scanned)
+    {
+        if (!minsValid)
+            rebuildMins(scanned);
+        return mins;
+    }
+
+    /** The minima if no rebuild is due, else null (no scan). */
+    const KindMins *currentMins() const { return minsValid ? &mins : nullptr; }
+
+    /**
+     * Audit for `--skip verify`: the first bank whose entry is not stale
+     * and still differs from a fresh computation against `dram` and
+     * `capped`, or -1. An entry that fails was missed by a touch.
+     */
+    int firstWrongEvent(const DramDevice &dram, DramCommand col,
+                        StreakCapped capped);
 
     /**
      * The known prefix of a closed bank's safety verdicts, oldest
@@ -200,19 +268,31 @@ class SchedQueue
     /** Recompute and re-key `b`'s hit cache (hitStats cache miss). */
     const BankHits &recountHits(BankState &b, const Bank &bank);
 
-    /** bankEvent's cache entry and its key. */
-    struct EventCache
+    /** Queue bank `fb`'s entry for recomputation. */
+    void
+    markStale(unsigned fb)
     {
-        std::uint64_t version = ~0ull;  ///< BankState::version
-        std::uint64_t stamp = 0;        ///< Bank::stamp
-        std::uint8_t mode = 0;          ///< capped | (col is WR) << 1
-        BankEvent event;
-    };
+        if (!table[fb].stale) {
+            table[fb].stale = true;
+            staleBanks.push_back(fb);
+        }
+    }
 
-    /** Recompute and re-key bank `fb`'s event (bankEvent cache miss). */
-    const BankEvent &recountEvent(unsigned fb, const Bank &bank,
-                                  DramCommand col, bool capped,
-                                  std::uint8_t mode);
+    /**
+     * Bank `fb`'s entry, computed afresh (the stale flag clear). A column
+     * entry holds for either column command: a bank's RD and WR times
+     * move together (only an ACT sets them), so a queue whose requests
+     * change type needs no recomputation.
+     */
+    BankEvent computeEvent(unsigned fb, const Bank &bank, DramCommand col,
+                           bool capped);
+
+    /** syncEvents' work once some entry is stale. */
+    std::uint32_t recomputeStale(const DramDevice &dram, DramCommand col,
+                                 StreakCapped capped);
+
+    /** eventMins' scan. */
+    void rebuildMins(std::uint64_t &scanned);
 
     std::vector<Node> nodes;
     Handle freeHead = kNone;
@@ -220,24 +300,15 @@ class SchedQueue
     std::uint64_t nextSeq = 0;
     std::vector<BankState> banks;
     std::vector<unsigned> active;
-    /// Per bank; apart from `banks`, whose walks never read it.
-    std::vector<EventCache> events;
+    /// The event table, per bank; apart from `banks`, whose walks never
+    /// read it.
+    std::vector<BankEvent> table;
+    std::vector<unsigned> staleBanks;       ///< banks whose entry is stale
+    KindMins mins{kNoEventCycle, kNoEventCycle, kNoEventCycle,
+                  kNoEventCycle};
+    bool minsValid = true;                  ///< else rebuild before a read
     /// Per bank; apart from `banks` too, read by chained picks only.
     std::vector<VerdictChain> chains;
-};
-
-/**
- * FR-FCFS-Cap view over the controller's per-bank row-hit streaks: a
- * bank whose streak reached `cap` is capped, and stops serving further
- * row hits (and may be closed) while a request to another of its rows
- * waits, so one streaming thread cannot capture a bank indefinitely.
- */
-struct StreakCapped
-{
-    const unsigned *streak = nullptr;   ///< consecutive row hits per bank
-    unsigned cap = 0;
-
-    bool operator()(unsigned bank) const { return streak[bank] >= cap; }
 };
 
 /**
@@ -293,10 +364,25 @@ class FrFcfsScheduler
      * Pick the oldest row-buffer-hit request whose column command is legal
      * at `now`, or kNone. Hits to a streak-capped bank are skipped when any
      * request to another row of that bank is waiting, whatever its age.
+     * Behind the rank's column gate, a scan of the event table's column
+     * entries.
      */
     SchedQueue::Handle
     pickColumnReady(SchedQueue &queue, ReqType type, const DramDevice &dram,
                     Cycle now, StreakCapped capped);
+
+    /**
+     * The row-prep pick of pickRowPrep with a filter that passes every
+     * request, read off the event table: the oldest request whose PRE or
+     * ACT is legal at `now`, with no filter call and no frontier sort.
+     * It records into `bound` the bound pickRowPrep records. The
+     * controller takes it where the mitigation's safety queries have no
+     * effect (Mitigation::actQueriesObservable).
+     */
+    SchedQueue::Handle
+    pickRowPrepAllSafe(SchedQueue &queue, ReqType type,
+                       const DramDevice &dram, Cycle now,
+                       StreakCapped capped, DemandBound &bound);
 
     /**
      * Pick the oldest request that needs (and can start) row preparation:
@@ -339,12 +425,12 @@ class FrFcfsScheduler
     /**
      * The queue's demand event bound with every ACT taken as safe: the
      * earliest cycle at which a column, PRE or ACT command for one of
-     * its requests becomes legal, from the banks' cached events
-     * (SchedQueue::bankEvent) and the rank-level column and ACT gates.
-     * At a tick where pickColumnReady and a pickRowPrep whose filter
-     * passes every request both pick nothing, it is the bound that
-     * pickRowPrep records; the controller reads it instead of walking
-     * when a mitigation's queries cannot have an effect.
+     * its requests becomes legal, from the event table's earliest entry
+     * of each kind and the rank-level column and ACT gates. At a tick
+     * where pickColumnReady and pickRowPrepAllSafe both pick nothing, it
+     * is the bound that pickRowPrepAllSafe records; the controller reads
+     * it instead of picking when a mitigation's queries cannot have an
+     * effect.
      */
     Cycle demandEventAt(SchedQueue &queue, ReqType type,
                         const DramDevice &dram, StreakCapped capped);
@@ -353,6 +439,18 @@ class FrFcfsScheduler
     Cycle bankEventAt(SchedQueue &queue, ReqType type,
                       const DramDevice &dram, StreakCapped capped,
                       unsigned fb);
+
+    /**
+     * Work counters, observation-only: bank entries that picks and
+     * bounds scanned (the event table's entries, and the banks a
+     * pickRowPrep walk visits), and table entries recomputed.
+     */
+    struct Work
+    {
+        std::uint64_t scanned = 0;
+        std::uint64_t recomputed = 0;
+    };
+    const Work &work() const { return counts; }
 
   private:
     /** One closed bank's next request to query within a pickRowPrep. */
@@ -376,6 +474,7 @@ class FrFcfsScheduler
     std::vector<Frontier> frontiers;
     /** Chained pickRowPrep scratch; reused across calls. */
     std::vector<CachedRefusals> cached;
+    Work counts;
 };
 
 } // namespace bh

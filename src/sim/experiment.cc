@@ -172,6 +172,8 @@ runExperiment(const ExperimentConfig &config, const MixSpec &mix,
         res.ctrlTicksActed += mc.ticksActed();
         res.ctrlActQueries += mc.actQueries();
         res.ctrlRefusalsReplayed += mc.refusalsReplayed();
+        res.ctrlEntriesScanned += mc.schedWork().scanned;
+        res.ctrlEntriesRecomputed += mc.schedWork().recomputed;
 
         // Per-lane StatSet snapshot. Everything in it is event-driven
         // or skip-replayed, so the export is identical for any

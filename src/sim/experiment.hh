@@ -142,6 +142,14 @@ struct RunResult
     std::uint64_t ctrlRefusalsReplayed = 0;
 
     /**
+     * Scheduler work, all lanes (MemController::schedWork): bank entries
+     * that picks and bounds scanned, and event-table entries
+     * recomputed. Observation-only, like the counts above.
+     */
+    std::uint64_t ctrlEntriesScanned = 0;
+    std::uint64_t ctrlEntriesRecomputed = 0;
+
+    /**
      * Per-lane StatSet snapshots: {"ch0": {mc..., mitig...}, ...}.
      * Deterministic (event-driven samples and skip-replayed counters
      * only), so cell payloads carrying it stay byte-identical across

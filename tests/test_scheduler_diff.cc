@@ -11,9 +11,18 @@
  * keeps the row-prep pick's frontier list nearly sorted as it is built)
  * is checked after every push and take. The demand event bound that the
  * row-prep walk records must equal the original separate bank walk
- * (referenceNextDemandEventAt, kept verbatim below) in every round, and
- * so must the bound FrFcfsScheduler::demandEventAt combines from the
- * banks' cached events, with every ACT taken as safe.
+ * (referenceNextDemandEventAt, kept verbatim below) in every round.
+ *
+ * The queue's event table is checked in the same rounds: the column
+ * pick, the all-safe row-prep pick (pickRowPrepAllSafe, against the
+ * reference walk with a filter that passes every request) and its bound,
+ * demandEventAt (against the separate walk with every ACT taken as
+ * safe), and each bank's bankEventAt (against a per-bank reference read
+ * off the plain request list). Between the picks, random commands, now
+ * and then an all-bank REF, and streaks that cross the cap change some
+ * banks and leave others; the test touches exactly the changed banks,
+ * as the controller does, and every entry it did not touch must still
+ * be current (SchedQueue::firstWrongEvent).
  *
  * The chained pick (pickRowPrep with a VerdictReplay) runs in the same
  * rounds against a scripted mitigation whose per-bank verdict stamps
@@ -169,11 +178,77 @@ referenceNextDemandEventAt(SchedQueue &queue, ReqType type,
     return best;
 }
 
-/** Drive a device through random legal commands to diversify its state. */
+/**
+ * Reference bound of bank `fb` alone with every ACT taken as safe, read
+ * off the plain request list by the separate walk's rules: a live row
+ * hit's column time behind the rank's column gate, else a conflict's PRE
+ * time, or a closed bank's ACT time behind the rank's ACT gates.
+ */
+Cycle
+referenceBankEventAt(const std::deque<Request> &queue, ReqType type,
+                     const DramDevice &dram, const CappedFn &capped,
+                     unsigned fb)
+{
+    DramCommand cmd = (type == ReqType::kRead)
+        ? DramCommand::kRd : DramCommand::kWr;
+    const Bank &bank = dram.bank(fb);
+    bool any = false, hit = false, conflict = false;
+    for (const auto &req : queue) {
+        if (req.flatBank != fb)
+            continue;
+        any = true;
+        if (bank.isOpen() && bank.openRow() == req.coord.row)
+            hit = true;
+        else
+            conflict = true;
+    }
+    if (!any)
+        return kNoEventCycle;
+    if (!bank.isOpen())
+        return dram.earliest(DramCommand::kAct, fb);
+    if (hit && !(conflict && capped(fb)))
+        return std::max(bank.earliest(cmd), dram.columnEarliest(cmd));
+    return bank.earliest(DramCommand::kPre);
+}
+
+/**
+ * An all-bank REF, as the controller's refresh drain issues it: close
+ * every open bank as soon as its PRE is legal, then refresh, which moves
+ * every bank's ACT time (Bank::blockUntil). `q` learns each change.
+ */
 void
-randomizeDevice(DramDevice &dram, Rng &rng, Cycle &now, unsigned steps)
+refreshDevice(DramDevice &dram, Cycle &now, SchedQueue &q)
+{
+    for (unsigned fb = 0; fb < dram.numBanks(); ++fb) {
+        if (!dram.bank(fb).isOpen())
+            continue;
+        now = std::max(now, dram.earliest(DramCommand::kPre, fb));
+        dram.issue(DramCommand::kPre, fb, 0, now);
+        q.touch(fb);
+    }
+    now = std::max(now, dram.earliestRefresh());
+    dram.issueRefresh(now);
+    q.touchAll();
+}
+
+/**
+ * Drive a device through random legal commands to diversify its state,
+ * and now and then an all-bank REF. `q` learns each change, as the
+ * controller's queues do.
+ */
+void
+randomizeDevice(DramDevice &dram, Rng &rng, Cycle &now, unsigned steps,
+                SchedQueue &q)
 {
     unsigned nbanks = dram.numBanks();
+    if (rng.below(10) == 0)
+        refreshDevice(dram, now, q);
+    auto issue = [&](DramCommand cmd, unsigned fb, RowId row) {
+        if (dram.canIssue(cmd, fb, now)) {
+            dram.issue(cmd, fb, row, now);
+            q.touch(fb);
+        }
+    };
     for (unsigned s = 0; s < steps; ++s) {
         now += static_cast<Cycle>(rng.below(24));
         unsigned fb = static_cast<unsigned>(rng.below(nbanks));
@@ -181,21 +256,17 @@ randomizeDevice(DramDevice &dram, Rng &rng, Cycle &now, unsigned steps)
         if (bank.isOpen()) {
             switch (rng.below(3)) {
               case 0:
-                if (dram.canIssue(DramCommand::kRd, fb, now))
-                    dram.issue(DramCommand::kRd, fb, bank.openRow(), now);
+                issue(DramCommand::kRd, fb, bank.openRow());
                 break;
               case 1:
-                if (dram.canIssue(DramCommand::kWr, fb, now))
-                    dram.issue(DramCommand::kWr, fb, bank.openRow(), now);
+                issue(DramCommand::kWr, fb, bank.openRow());
                 break;
               default:
-                if (dram.canIssue(DramCommand::kPre, fb, now))
-                    dram.issue(DramCommand::kPre, fb, 0, now);
+                issue(DramCommand::kPre, fb, 0);
                 break;
             }
-        } else if (dram.canIssue(DramCommand::kAct, fb, now)) {
-            dram.issue(DramCommand::kAct, fb,
-                       static_cast<RowId>(rng.below(128)), now);
+        } else {
+            issue(DramCommand::kAct, fb, static_cast<RowId>(rng.below(128)));
         }
     }
 }
@@ -445,8 +516,13 @@ runDifferential(unsigned nbanks, std::uint64_t seed)
         ASSERT_TRUE(activeBanksInHeadOrder(new_q, nbanks));
     };
 
+    // Streaks live across rounds: a bank whose cap flips is touched.
+    constexpr unsigned kCap = 4;
+    std::vector<unsigned> streak(nbanks, 0);
+    StreakCapped capped{streak.data(), kCap};
+
     for (unsigned iter = 0; iter < 400; ++iter) {
-        randomizeDevice(dram, rng, now, 12);
+        randomizeDevice(dram, rng, now, 12, new_q);
 
         // Filling and draining phases swing the queue between empty and
         // full; random removals hit heads and non-heads alike, so banks
@@ -471,11 +547,20 @@ runDifferential(unsigned nbanks, std::uint64_t seed)
         // Random per-bank row-hit streaks around the cap (so some banks
         // are capped). Safety verdicts come from the scripted mitigation,
         // and some banks' stamps move between rounds.
-        constexpr unsigned kCap = 4;
-        std::vector<unsigned> streak(nbanks);
-        for (unsigned &n : streak)
-            n = static_cast<unsigned>(rng.below(kCap + 2));
-        StreakCapped capped{streak.data(), kCap};
+        for (unsigned fb = 0; fb < nbanks; ++fb) {
+            bool was_capped = capped(fb);
+            streak[fb] = static_cast<unsigned>(rng.below(kCap + 2));
+            if (capped(fb) != was_capped)
+                new_q.touch(fb);
+        }
+        // Every entry that no touch marked stale is current.
+        EXPECT_EQ(new_q.firstWrongEvent(dram,
+                                        type == ReqType::kRead
+                                            ? DramCommand::kRd
+                                            : DramCommand::kWr,
+                                        capped),
+                  -1)
+            << "iter " << iter;
         for (unsigned fb = 0; fb < nbanks; ++fb)
             if (stamp_rng.chance(0.1))
                 mitig.bump(fb);
@@ -539,22 +624,37 @@ runDifferential(unsigned nbanks, std::uint64_t seed)
                                                  capped, verdict_at))
                 << "iter " << iter << " verdict change at " << verdict_at;
 
-        // The bound from the banks' cached events takes every ACT as
-        // safe: the separate walk's when no ACT has been refused (no
-        // tick yet), so every ACT-ready time is a timing candidate. The
-        // cache entries live across rounds, in which random commands
-        // move some banks' stamps and leave others', and streaks and
-        // the queue's type change.
-        Cycle cached = sched.demandEventAt(new_q, type, dram, capped);
-        EXPECT_EQ(cached,
+        // The event table's row-prep pick takes every ACT as safe: the
+        // walk's pick under a filter that passes every request, and the
+        // walk's bound, which no verdict moves.
+        auto all_safe = [](const Request &) { return true; };
+        auto ref_safe = ReferenceFrFcfs::pickRowPrep(ref_q, dram, now,
+                                                     all_safe, capped);
+        DemandBound table_bound;
+        auto table_prep = sched.pickRowPrepAllSafe(new_q, type, dram, now,
+                                                   capped, table_bound);
+        EXPECT_EQ(table_prep == SchedQueue::kNone ? ~0ull
+                                                  : new_q.at(table_prep).addr,
+                  ref_safe ? ref_q[*ref_safe].addr : ~0ull)
+            << "iter " << iter;
+        EXPECT_EQ(table_bound.timing, bound.timing) << "iter " << iter;
+        EXPECT_EQ(table_bound.verdictBound, bound.verdictBound)
+            << "iter " << iter;
+
+        // The table's bound takes every ACT as safe: the separate walk's
+        // when no ACT has been refused (no tick yet), so every ACT-ready
+        // time is a timing candidate. The entries live across rounds, in
+        // which random commands and REFs change some banks and leave
+        // others, and streaks and the queue's type change.
+        Cycle table_at = sched.demandEventAt(new_q, type, dram, capped);
+        EXPECT_EQ(table_at,
                   referenceNextDemandEventAt(new_q, type, dram, -1, capped,
                                              kNoEventCycle))
             << "iter " << iter;
-        Cycle per_bank = kNoEventCycle;
         for (unsigned fb = 0; fb < nbanks; ++fb)
-            per_bank = std::min(per_bank, sched.bankEventAt(new_q, type, dram,
-                                                            capped, fb));
-        EXPECT_EQ(per_bank, cached) << "iter " << iter;
+            EXPECT_EQ(sched.bankEventAt(new_q, type, dram, capped, fb),
+                      referenceBankEventAt(ref_q, type, dram, capped, fb))
+                << "iter " << iter << " bank " << fb;
 
         // When nothing picks, the recorded bound must hold: no pick may
         // become possible before it (under frozen verdicts).
@@ -621,6 +721,7 @@ TEST(SchedulerDemandBound, CappedHitYieldsToTheConflictsPrecharge)
     auto never = [](const Request &) { return false; };
     for (unsigned streak : {0u, 4u}) {
         StreakCapped capped{&streak, 4};
+        q.touch(0);     // the bank's cap flips between the iterations
         DemandBound bound;
         EXPECT_EQ(sched.pickRowPrep(q, ReqType::kRead, dram, now, never,
                                     capped, bound),
@@ -630,9 +731,15 @@ TEST(SchedulerDemandBound, CappedHitYieldsToTheConflictsPrecharge)
         EXPECT_EQ(bound.at(kNoEventCycle),
                   referenceNextDemandEventAt(q, ReqType::kRead, dram, now,
                                              capped, kNoEventCycle));
-        // The cached event follows the cap with no bank command between.
+        // The table follows the touched cap with no bank command between.
         EXPECT_EQ(sched.demandEventAt(q, ReqType::kRead, dram, capped),
                   bound.at(kNoEventCycle))
+            << "streak " << streak;
+        DemandBound table;
+        EXPECT_EQ(sched.pickRowPrepAllSafe(q, ReqType::kRead, dram, now,
+                                           capped, table),
+                  SchedQueue::kNone);
+        EXPECT_EQ(table.at(kNoEventCycle), bound.at(kNoEventCycle))
             << "streak " << streak;
     }
 }

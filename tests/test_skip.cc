@@ -252,10 +252,12 @@ INSTANTIATE_TEST_SUITE_P(
 /**
  * Where queries have no effect, the controller derives its next event
  * after a demand command and lowers its window at an arrival instead of
- * executing ticks to find out. The same mechanism wrapped so that it
- * keeps the default capability takes the old path: both runs must be
- * equal in every field, the derived path with strictly fewer executed
- * controller ticks and exactly as many that acted.
+ * executing ticks to find out, and its row-prep pick reads the event
+ * table instead of asking. The same mechanism wrapped so that it keeps
+ * the default capability takes the old path: both runs must be equal in
+ * every field, the derived path with strictly fewer executed controller
+ * ticks and exactly as many that acted, no safety query and fewer bank
+ * entries scanned.
  */
 class DerivedWindows
     : public ::testing::TestWithParam<std::tuple<std::string, unsigned>>
@@ -279,6 +281,9 @@ TEST_P(DerivedWindows, MatchTheExecutedTicksTheyReplace)
     EXPECT_LT(derived.ctrlTicksExecuted, executed.ctrlTicksExecuted);
     // A tick that acts is never replayed.
     EXPECT_EQ(derived.ctrlTicksActed, executed.ctrlTicksActed);
+    EXPECT_EQ(derived.ctrlActQueries, 0u);
+    EXPECT_GT(executed.ctrlActQueries, 0u);
+    EXPECT_LT(derived.ctrlEntriesScanned, executed.ctrlEntriesScanned);
 }
 
 INSTANTIATE_TEST_SUITE_P(
