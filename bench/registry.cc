@@ -85,8 +85,10 @@ std::uint64_t
 parseCellIndex(const char *text)
 {
     char *end = nullptr;
+    errno = 0;
     std::uint64_t cell = std::strtoull(text, &end, 10);
-    if (!std::isdigit(static_cast<unsigned char>(text[0])) || *end != '\0')
+    if (!std::isdigit(static_cast<unsigned char>(text[0])) || *end != '\0' ||
+        errno == ERANGE)
         fatal("--cell wants a global cell index (see bh_bench --list), "
               "got '%s'",
               text);

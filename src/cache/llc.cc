@@ -1,5 +1,7 @@
 #include "cache/llc.hh"
 
+#include <algorithm>
+
 #include "common/bitutils.hh"
 #include "common/log.hh"
 
@@ -14,6 +16,7 @@ Llc::Llc(const LlcConfig &config, MemSystem &mem_system)
     if (numSets == 0)
         fatal("LLC capacity too small");
     lines.assign(numSets * cfg.ways, Line{});
+    mshrFile.resize(cfg.mshrs);
 }
 
 Llc::Line *
@@ -30,7 +33,7 @@ Llc::findLine(Addr line)
 
 LlcResult
 Llc::access(Addr addr, bool is_write, ThreadId thread, Cycle now,
-            std::function<void(Cycle)> on_done)
+            Completion on_done)
 {
     // Stalled writebacks gate new allocations to bound buffering.
     if (!wbRetry.empty()) {
@@ -49,57 +52,59 @@ Llc::access(Addr addr, bool is_write, ThreadId thread, Cycle now,
         ++numHits;
         ++tstats.accesses;
         if (on_done)
-            on_done(now + cfg.hitLatency);
+            on_done.deliver(now + cfg.hitLatency);
         return LlcResult::kHit;
     }
 
-    // Miss: merge into an existing MSHR if the fill is already in flight.
-    if (auto it = mshr.find(line); it != mshr.end()) {
-        if (on_done)
-            it->second.waiters.push_back(std::move(on_done));
-        it->second.writeIntent |= is_write;
-        ++numMisses;
-        ++tstats.accesses;
-        ++tstats.misses;
-        return LlcResult::kMiss;
-    }
-
-    if (mshr.size() >= cfg.mshrs)
-        return LlcResult::kReject;
-    if (mem.queueFull(ReqType::kRead, line * kLineBytes))
-        return LlcResult::kRejectQueueFull;  // the submit would bounce
-
-    Request req;
-    req.addr = line * kLineBytes;
-    req.type = ReqType::kRead;      // write-allocate fetches the line
-    req.thread = thread;
-    req.arrival = now;
-    req.onComplete = [this, line](Cycle done) {
-        auto it = mshr.find(line);
-        if (it == mshr.end())
-            panic("LLC fill completion without MSHR entry");
-        MshrEntry entry = std::move(it->second);
-        mshr.erase(it);
-        Cycle ready = done + cfg.fillLatency;
-        installLine(line, entry.writeIntent, ready);
-        ++numFills;
-        for (auto &w : entry.waiters)
-            w(ready);
+    // Miss: merge into the MSHR whose fill brings the line, or start a
+    // fill in a free one.
+    auto find = [this](Addr l) {
+        return std::find_if(mshrFile.begin(), mshrFile.end(),
+                            [l](const Mshr &m) { return m.line == l; });
     };
-
-    if (mem.submit(std::move(req)) != SubmitResult::kAccepted)
-        return LlcResult::kRejectQueueFull;
-
-    MshrEntry entry;
+    auto m = find(line);
+    if (m == mshrFile.end()) {
+        m = find(kNoLine);
+        if (m == mshrFile.end())
+            return LlcResult::kReject;
+        if (mem.queueFull(ReqType::kRead, line * kLineBytes))
+            return LlcResult::kRejectQueueFull;  // the submit would bounce
+        Request req;
+        req.addr = line * kLineBytes;
+        req.type = ReqType::kRead;      // write-allocate fetches the line
+        req.thread = thread;
+        req.arrival = now;
+        req.completion = Completion{
+            this, static_cast<std::uint32_t>(m - mshrFile.begin())};
+        if (mem.submit(std::move(req)) != SubmitResult::kAccepted)
+            return LlcResult::kRejectQueueFull;
+        m->line = line;
+        ++mshrsBusy;
+    }
     if (on_done)
-        entry.waiters.push_back(std::move(on_done));
-    entry.writeIntent = is_write;
-    entry.thread = thread;
-    mshr.emplace(line, std::move(entry));
+        m->waiters.push_back(on_done);
+    m->writeIntent |= is_write;
     ++numMisses;
     ++tstats.accesses;
     ++tstats.misses;
     return LlcResult::kMiss;
+}
+
+void
+Llc::complete(std::uint32_t slot, Cycle done)
+{
+    Mshr &m = mshrFile[slot];
+    if (m.line == kNoLine)
+        panic("LLC fill completion for free MSHR %u", slot);
+    Cycle ready = done + cfg.fillLatency;
+    installLine(m.line, m.writeIntent, ready);
+    m.line = kNoLine;
+    m.writeIntent = false;
+    --mshrsBusy;
+    ++numFills;
+    for (const Completion &w : m.waiters)
+        w.deliver(ready);
+    m.waiters.clear();
 }
 
 void

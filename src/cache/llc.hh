@@ -2,7 +2,9 @@
  * @file
  * Shared last-level cache: 16 MB, 8-way, 64 B lines, LRU, write-back,
  * write-allocate, with MSHR-based miss merging and writeback retry
- * (Table 5 of the paper).
+ * (Table 5 of the paper). The MSHRs are a fixed file of `mshrs`
+ * entries; a fill's request carries its entry as a completion token,
+ * and the entry's waiters are the tokens of the accesses it serves.
  */
 
 #ifndef BH_CACHE_LLC_HH
@@ -10,8 +12,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
-#include <unordered_map>
 #include <vector>
 
 #include "mem/mem_system.hh"
@@ -39,8 +39,8 @@ struct LlcConfig
  */
 enum class LlcResult
 {
-    kHit,               ///< on_done already invoked with completion cycle
-    kMiss,              ///< on_done will fire when the fill completes
+    kHit,               ///< on_done already completed
+    kMiss,              ///< on_done completes when the fill does
     kReject,            ///< MSHR pressure; a completion delivery must land
     kRejectQueueFull,   ///< queue/writeback backpressure; retry every cycle
 };
@@ -58,18 +58,25 @@ struct ThreadLlcStats
 };
 
 /** Shared set-associative write-back LLC. */
-class Llc
+class Llc final : public CompletionTarget
 {
   public:
     Llc(const LlcConfig &config, MemSystem &mem);
 
     /**
-     * Access the cache. For hits, `on_done` is invoked synchronously with
-     * the completion cycle; for misses it fires when the memory fill
-     * returns.
+     * Access the cache. A hit completes `on_done` at once, with the hit's
+     * completion cycle; a miss completes it when the memory fill returns.
+     * Posted writes pass no token.
      */
     LlcResult access(Addr addr, bool is_write, ThreadId thread, Cycle now,
-                     std::function<void(Cycle)> on_done);
+                     Completion on_done = {});
+
+    /**
+     * The fill of MSHR `slot` returned at `done`: install the line, free
+     * the entry and complete its waiters, in registration order, at
+     * `done + fillLatency`.
+     */
+    void complete(std::uint32_t slot, Cycle done) override;
 
     /** Retry stalled writebacks. Call every cycle. */
     void tick(Cycle now);
@@ -91,7 +98,7 @@ class Llc
      * line). The address is stable: a sleeping core watches it.
      */
     const std::uint64_t &fills() const { return numFills; }
-    std::size_t mshrsInUse() const { return mshr.size(); }
+    std::size_t mshrsInUse() const { return mshrsBusy; }
 
   private:
     struct Line
@@ -102,11 +109,15 @@ class Llc
         std::uint64_t lastUse = 0;
     };
 
-    struct MshrEntry
+    /** Line address of a free MSHR (no line address reaches it). */
+    static constexpr Addr kNoLine = ~Addr{0};
+
+    /** One MSHR: a fill in flight and the accesses waiting on it. */
+    struct Mshr
     {
-        std::vector<std::function<void(Cycle)>> waiters;
+        Addr line = kNoLine;
         bool writeIntent = false;
-        ThreadId thread = kNoThread;
+        std::vector<Completion> waiters;    ///< in registration order
     };
 
     Addr lineAddr(Addr addr) const { return addr / kLineBytes; }
@@ -120,7 +131,8 @@ class Llc
     std::size_t numSets = 0;
     std::vector<Line> lines;            ///< numSets * ways
     std::uint64_t useCounter = 0;
-    std::unordered_map<Addr, MshrEntry> mshr;
+    std::vector<Mshr> mshrFile;         ///< cfg.mshrs entries
+    std::size_t mshrsBusy = 0;          ///< entries with a fill in flight
     std::deque<Addr> wbRetry;
 
     std::uint64_t numHits = 0;

@@ -8,7 +8,7 @@ namespace bh
 Core::Core(const CoreConfig &config, ThreadId thread_id, TraceSource &trace_src,
            Llc *llc_ptr, MemSystem &mem_system)
     : cfg(config), thread(thread_id), trace(trace_src), llc(llc_ptr),
-      mem(mem_system)
+      mem(mem_system), window(config.windowSize)
 {
 }
 
@@ -24,17 +24,17 @@ Core::tick(Cycle now)
     for (unsigned r = 0; r < cfg.retireWidth;) {
         if (instrRetired >= instrIssued)
             break;
-        if (!pending.empty() && pending.front().pos == instrRetired) {
-            Cycle done = pending.front().slot->done;
+        if (inFlight > 0 && window[head].pos == instrRetired) {
+            Cycle done = window[head].done;
             if (done < 0 || done > now)
                 break;
-            pending.pop_front();
+            head = ringIndex(1);
+            --inFlight;
             ++instrRetired;
             ++r;
             continue;
         }
-        std::uint64_t stop = pending.empty()
-            ? instrIssued : pending.front().pos;
+        std::uint64_t stop = inFlight == 0 ? instrIssued : window[head].pos;
         std::uint64_t k = std::min<std::uint64_t>(
             cfg.retireWidth - r, std::min(instrIssued, stop) - instrRetired);
         instrRetired += k;
@@ -98,7 +98,7 @@ Core::sleepIfNoop()
     if (!lastTickNoop || (llc && !llc->quiet()))
         return;
     wakeAt = nextEventAt();
-    deliveriesSeen = mlp->deliveries;
+    deliveriesSeen = numDeliveries;
     // An LLC fill frees an MSHR and installs a line: it can turn an
     // MSHR-full rejection, or a cached op's queue-full or quota
     // rejection, into an accepted access.
@@ -151,17 +151,28 @@ Core::nextEventAt() const
     Cycle best = kNoEventCycle;
     // In-order retirement: only the window head matters. Its completion
     // time is known once the memory system has issued the access.
-    if (!pending.empty() && pending.front().pos == instrRetired) {
-        Cycle done = pending.front().slot->done;
-        if (done >= 0)
-            best = done;
-    }
+    if (inFlight > 0 && window[head].pos == instrRetired &&
+        window[head].done >= 0)
+        best = window[head].done;
     // A rejected memory issue can also unblock by time alone: the
     // MSHR-style outstanding bound drops when any in-flight op reaches
     // its completion time.
-    if (lastStall != Stall::kNone && !mlp->knownDone.empty())
-        best = std::min(best, mlp->knownDone.top());
+    if (lastStall != Stall::kNone && !knownDone.empty())
+        best = std::min(best, knownDone.top());
     return best;
+}
+
+void
+Core::complete(std::uint32_t slot, Cycle done)
+{
+    // Loads count as unknown once issued (pos < instrIssued); the load
+    // being issued gets here only as an LLC hit, before it counts.
+    MemOp &op = window[slot];
+    if (op.pos < instrIssued)
+        --unknownDone;
+    op.done = done;
+    knownDone.push(done);
+    ++numDeliveries;
 }
 
 Core::Stall
@@ -171,76 +182,52 @@ Core::issueMemOp(Cycle now)
     // by time alone (knownDone) or at a completion delivery — both
     // boundaries the chunked driver observes, so this stall flavor is
     // chunk-safe.
-    if (mlp->outstandingAt(now) >= cfg.maxOutstandingMem)
+    if (outstandingAt(now) >= cfg.maxOutstandingMem)
         return Stall::kMlp;
 
-    // Reuse the completion slot across retries of the same rejected op.
-    if (!retrySlot)
-        retrySlot = std::make_shared<MemSlot>();
-    std::shared_ptr<MemSlot> slot = retrySlot;
-    auto on_done = [state = mlp, slot](Cycle done) {
-        slot->done = done;
-        if (slot->counted) {
-            slot->counted = false;
-            --state->unknown;
-        }
-        state->knownDone.push(done);
-        ++state->deliveries;
-    };
+    // The op takes the ring entry past the youngest in-flight op (the
+    // window has room for it); a rejected attempt leaves it free. Stores
+    // are posted, so they carry no token; a hit completes a load's token
+    // before access() returns.
+    bool write = pendingMem.isWrite;
+    std::uint32_t slot = ringIndex(inFlight);
+    MemOp &op = window[slot];
+    op = MemOp{instrIssued};
+    Completion on_done = write ? Completion{} : Completion{this, slot};
 
     // Past the MLP gate, rejections hinge on queue/quota state a channel
     // lane can change on any tick: the core must retry whenever the lane
     // acts (kLane), unless the LLC's MSHRs are full (kMshr).
     if (pendingMem.bypassCache || !llc) {
+        ReqType type = write ? ReqType::kWrite : ReqType::kRead;
         // Cheap pre-gate: a full target queue rejects the submit anyway.
-        if (mem.queueFull(pendingMem.isWrite ? ReqType::kWrite
-                                             : ReqType::kRead,
-                          pendingMem.addr))
+        if (mem.queueFull(type, pendingMem.addr))
             return Stall::kLane;
         Request req;
         req.addr = pendingMem.addr;
-        req.type = pendingMem.isWrite ? ReqType::kWrite : ReqType::kRead;
+        req.type = type;
         req.thread = thread;
         req.arrival = now;
-        if (pendingMem.isWrite) {
-            // Posted write: completes once accepted.
-            if (mem.submit(std::move(req)) != SubmitResult::kAccepted)
-                return Stall::kLane;
-            slot->done = now + 1;
-            mlp->knownDone.push(slot->done);
-        } else {
-            req.onComplete = on_done;
-            if (mem.submit(std::move(req)) != SubmitResult::kAccepted)
-                return Stall::kLane;
-        }
+        req.completion = on_done;
+        if (mem.submit(std::move(req)) != SubmitResult::kAccepted)
+            return Stall::kLane;
     } else {
-        if (pendingMem.isWrite) {
-            // Stores are posted: retire once the LLC accepts them.
-            LlcResult res = llc->access(pendingMem.addr, true, thread, now,
-                                        nullptr);
-            if (res == LlcResult::kReject)
-                return Stall::kMshr;
-            if (res == LlcResult::kRejectQueueFull)
-                return Stall::kLane;
-            slot->done = now + 1;
-            mlp->knownDone.push(slot->done);
-        } else {
-            LlcResult res = llc->access(pendingMem.addr, false, thread, now,
-                                        on_done);
-            if (res == LlcResult::kReject)
-                return Stall::kMshr;
-            if (res == LlcResult::kRejectQueueFull)
-                return Stall::kLane;
-        }
+        LlcResult res = llc->access(pendingMem.addr, write, thread, now,
+                                    on_done);
+        if (res == LlcResult::kReject)
+            return Stall::kMshr;
+        if (res == LlcResult::kRejectQueueFull)
+            return Stall::kLane;
     }
-    // Completion still unknown (no callback fired yet): count the op as
-    // outstanding until its time arrives.
-    if (slot->done < 0) {
-        slot->counted = true;
-        ++mlp->unknown;
+    // A posted store completes once accepted. A load whose completion is
+    // still unknown (not a hit) counts as outstanding until it returns.
+    if (write) {
+        op.done = now + 1;
+        knownDone.push(op.done);
+    } else if (op.done < 0) {
+        ++unknownDone;
     }
-    pending.push_back(MemOp{instrIssued, std::move(slot)});
-    retrySlot.reset();      // consumed; next op gets a fresh slot
+    ++inFlight;
     ++numMemOps;
     return Stall::kNone;
 }

@@ -4,16 +4,16 @@
  * instruction window). Non-memory instructions execute in one cycle;
  * memory operations access the shared LLC (or bypass it) and block
  * retirement until their data returns, bounding memory-level parallelism
- * by the window size exactly as Ramulator's trace CPU does.
+ * by the window size exactly as Ramulator's trace CPU does. In-flight
+ * memory operations sit in a fixed ring of `windowSize` entries; an
+ * op's completion token names its ring entry.
  */
 
 #ifndef BH_CORE_CORE_HH
 #define BH_CORE_CORE_HH
 
 #include <algorithm>
-#include <deque>
 #include <functional>
-#include <memory>
 #include <queue>
 #include <vector>
 
@@ -49,7 +49,7 @@ enum class SleepRule : std::uint8_t
 };
 
 /** One hardware thread executing a trace. */
-class Core
+class Core final : public CompletionTarget
 {
   public:
     /**
@@ -66,6 +66,9 @@ class Core
      * stamp (retired or issued anything).
      */
     bool tick(Cycle now);
+
+    /** The data of the op in ring entry `slot` returns at `done`. */
+    void complete(std::uint32_t slot, Cycle done) override;
 
     /** Instructions retired so far. */
     std::uint64_t retired() const { return instrRetired; }
@@ -154,7 +157,7 @@ class Core
     asleep(Cycle now) const
     {
         if (sleepRule != SleepRule::kAwake && now < wakeAt &&
-            mlp->deliveries == deliveriesSeen && *fillWatch == fillsSeen &&
+            numDeliveries == deliveriesSeen && *fillWatch == fillsSeen &&
             *laneWatch == laneSeen)
             return sleepRule;
         return SleepRule::kAwake;
@@ -171,9 +174,7 @@ class Core
     void verifySleep(Cycle now, SleepRule rule);
 
     /** True if the trace ended and all work drained. */
-    bool done() const { return traceEnded && pending.empty(); }
-
-    ThreadId threadId() const { return thread; }
+    bool done() const { return traceEnded && inFlight == 0; }
 
   private:
     /** Why the last memory issue attempt was rejected. */
@@ -186,48 +187,33 @@ class Core
                 ///< that lane acts
     };
 
-    /**
-     * Completion state of one memory instruction, shared with the
-     * completion callback registered at the LLC / memory system.
-     * `counted` marks ops currently included in `outstandingUnknown`.
-     */
-    struct MemSlot
-    {
-        Cycle done = -1;        ///< -1 while the completion time is unknown
-        bool counted = false;
-    };
-
-    /** An in-flight memory instruction, ordered by window position. */
+    /** An in-flight memory instruction: one entry of the window ring. */
     struct MemOp
     {
-        std::uint64_t pos = 0;          ///< instruction index in the window
-        std::shared_ptr<MemSlot> slot;
+        std::uint64_t pos = 0;  ///< instruction index in the window
+        Cycle done = -1;        ///< -1 while the completion time is unknown
     };
+
+    /** The ring entry `k` places past the oldest in-flight op. */
+    std::uint32_t
+    ringIndex(std::uint32_t k) const
+    {
+        auto n = static_cast<std::uint32_t>(window.size());
+        return head + k < n ? head + k : head + k - n;
+    }
 
     /**
-     * O(1) memory-level-parallelism accounting (replaces scanning
-     * `pending` on every issue attempt): ops with unknown completion
-     * times are counted directly; known times sit in a min-heap and
-     * drop out as simulated time passes them. Owned via shared_ptr so
-     * completion callbacks parked in the LLC or controller can never
-     * dangle, even if the Core is replaced with ops in flight.
+     * O(1) memory-level-parallelism accounting: ops with unknown
+     * completion times are counted directly; known times sit in a
+     * min-heap and drop out as simulated time passes them.
      */
-    struct MlpState
+    unsigned
+    outstandingAt(Cycle now)
     {
-        unsigned unknown = 0;
-        std::uint64_t deliveries = 0;   ///< completions delivered so far
-        std::priority_queue<Cycle, std::vector<Cycle>,
-                            std::greater<Cycle>> knownDone;
-
-        /** Ops past their completion time leave the outstanding set. */
-        unsigned
-        outstandingAt(Cycle now)
-        {
-            while (!knownDone.empty() && knownDone.top() <= now)
-                knownDone.pop();
-            return unknown + static_cast<unsigned>(knownDone.size());
-        }
-    };
+        while (!knownDone.empty() && knownDone.top() <= now)
+            knownDone.pop();
+        return unknownDone + static_cast<unsigned>(knownDone.size());
+    }
 
     /** Issue the pending memory op; kNone when it was accepted. */
     Stall issueMemOp(Cycle now);
@@ -250,11 +236,14 @@ class Core
     Stall lastStall = Stall::kNone;     ///< the last tick's rejection
     bool lastTickNoop = false;          ///< retired, issued, fetched nothing
     Cycle accruedUntil = 0;     ///< stall cycles counted below this cycle
-    std::shared_ptr<MemSlot> retrySlot;     ///< completion slot, reused
-                                            ///< across rejected attempts
 
-    std::deque<MemOp> pending;
-    std::shared_ptr<MlpState> mlp = std::make_shared<MlpState>();
+    std::vector<MemOp> window;      ///< cfg.windowSize entries, in order
+    std::uint32_t head = 0;         ///< ring entry of the oldest op
+    std::uint32_t inFlight = 0;     ///< ops issued, not yet retired
+    unsigned unknownDone = 0;       ///< in-flight ops with done == -1
+    std::priority_queue<Cycle, std::vector<Cycle>, std::greater<Cycle>>
+        knownDone;
+    std::uint64_t numDeliveries = 0;    ///< completions delivered so far
 
     /// Sleep state (sleepIfNoop()): a watch the rule does not use points
     /// at kNoWatch, which never moves.

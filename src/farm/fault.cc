@@ -1,6 +1,8 @@
 #include "farm/fault.hh"
 
 #include <algorithm>
+#include <cerrno>
+#include <cstdlib>
 
 #include "common/fsio.hh"
 #include "common/log.hh"
@@ -28,6 +30,16 @@ kindFromName(const std::string &name, FaultKind &out)
         }
     }
     return false;
+}
+
+/** `text` as a whole decimal number: digits only, no overflow. */
+bool
+parseWhole(const std::string &text, std::uint64_t &out)
+{
+    errno = 0;
+    out = std::strtoull(text.c_str(), nullptr, 10);
+    return !text.empty() && errno != ERANGE &&
+        text.find_first_not_of("0123456789") == std::string::npos;
 }
 
 } // namespace
@@ -90,9 +102,12 @@ FaultPlan::parse(const std::string &spec, std::uint64_t cell_total,
         if (item.rfind("random:", 0) == 0) {
             // random:<seed>:<count> — deterministic expansion over the
             // grid; every kind is eligible for every cell.
-            unsigned long long seed = 0, count = 0;
-            if (std::sscanf(item.c_str(), "random:%llu:%llu", &seed,
-                            &count) != 2 || count == 0 || count > 4096) {
+            std::size_t colon = item.find(':', 7);  // past "random:"
+            std::uint64_t seed = 0, count = 0;
+            if (colon == std::string::npos ||
+                !parseWhole(item.substr(7, colon - 7), seed) ||
+                !parseWhole(item.substr(colon + 1), count) || count == 0 ||
+                count > 4096) {
                 err = "malformed random fault spec '" + item +
                       "' (want random:<seed>:<count>)";
                 return false;
@@ -102,7 +117,7 @@ FaultPlan::parse(const std::string &spec, std::uint64_t cell_total,
                 return false;
             }
             Rng rng(seed);
-            for (unsigned long long i = 0; i < count; ++i) {
+            for (std::uint64_t i = 0; i < count; ++i) {
                 Fault f;
                 f.kind = kAllKinds[rng.below(std::size(kAllKinds))];
                 f.cell = rng.below(cell_total);
@@ -122,16 +137,14 @@ FaultPlan::parse(const std::string &spec, std::uint64_t cell_total,
                   "' (kill, truncate, corrupt, stale, dup)";
             return false;
         }
-        char *end = nullptr;
         const std::string cell_str = item.substr(at + 1);
-        f.cell = std::strtoull(cell_str.c_str(), &end, 10);
-        if (!end || *end != '\0') {
+        if (!parseWhole(cell_str, f.cell)) {
             err = "malformed fault cell '" + cell_str + "'";
             return false;
         }
         if (cell_total > 0 && f.cell >= cell_total) {
-            err = strfmt("fault cell %llu outside the %llu-cell grid",
-                         static_cast<unsigned long long>(f.cell),
+            err = strfmt("fault cell '%s' outside the %llu-cell grid",
+                         cell_str.c_str(),
                          static_cast<unsigned long long>(cell_total));
             return false;
         }

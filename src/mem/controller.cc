@@ -429,14 +429,11 @@ MemController::issueColumn(SchedQueue &queue, SchedQueue::Handle h,
     if (req.type == ReqType::kRead)
         noteInflight(req.thread, fb, -1);
     latencyHist->add(static_cast<std::int64_t>(done - req.arrival));
-    if (req.onComplete) {
-        if (completionSink) {
-            completionSink->push_back(DeferredCompletion{
-                done, completionSeq++, std::move(req.onComplete)});
-        } else {
-            req.onComplete(done);
-        }
-    }
+    if (req.completion && deliveries)
+        deliveries->push(Delivery{done, deliveryChannel, completionSeq++,
+                                  req.completion});
+    else if (req.completion)
+        req.completion.deliver(done);
 }
 
 bool

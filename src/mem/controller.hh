@@ -21,6 +21,8 @@
 
 #include <deque>
 #include <memory>
+#include <queue>
+#include <tuple>
 #include <vector>
 
 #include "common/stats.hh"
@@ -52,19 +54,30 @@ struct ControllerConfig
 };
 
 /**
- * A read completion the controller produced but has not yet delivered to
- * the requester. Multi-channel systems tick their channel lanes without
- * touching shared core/LLC state; completions are buffered here (with the
- * lane-local sequence number that makes cross-lane delivery order
- * deterministic) and invoked by the driver at cycle `done`, the cycle the
- * data semantically returns.
+ * A read completion a multi-channel lane produced, due at cycle `done`,
+ * the cycle its data semantically returns. Lanes tick without touching
+ * shared core/LLC state: they push these into the memory system's one
+ * delivery heap, and the driver delivers them in (done, channel, seq)
+ * order, `seq` being lane-local and monotonic.
  */
-struct DeferredCompletion
+struct Delivery
 {
     Cycle done = 0;
-    std::uint64_t seq = 0;          ///< lane-local, monotonic
-    std::function<void(Cycle)> fn;
+    unsigned channel = 0;
+    std::uint64_t seq = 0;
+    Completion to;
+
+    bool
+    operator>(const Delivery &o) const
+    {
+        return std::tie(done, channel, seq) >
+            std::tie(o.done, o.channel, o.seq);
+    }
 };
+
+/** Pending deliveries, the earliest (done, channel, seq) on top. */
+using DeliveryHeap = std::priority_queue<Delivery, std::vector<Delivery>,
+                                         std::greater<Delivery>>;
 
 /** Per-thread row-buffer interaction counters. */
 struct ThreadMemStats
@@ -241,15 +254,16 @@ class MemController
     }
 
     /**
-     * Divert read-completion callbacks into `sink` instead of invoking
-     * them inline during tick(). Multi-channel lanes set this so their
-     * ticks never touch shared core/LLC state (the driver delivers the
-     * buffered completions at cycle `done`); nullptr (the single-channel
-     * default) restores the inline legacy behavior.
+     * Push completions into `heap`, tagged with `channel`, instead of
+     * completing them inline at column issue (the single-channel
+     * default, nullptr): multi-channel lane ticks never touch shared
+     * core/LLC state.
      */
-    void setCompletionSink(std::vector<DeferredCompletion> *sink)
+    void
+    deliverVia(DeliveryHeap *heap, unsigned channel)
     {
-        completionSink = sink;
+        deliveries = heap;
+        deliveryChannel = channel;
     }
 
     /**
@@ -340,7 +354,8 @@ class MemController
     Cycle nextRefreshAt = 0;
     bool refreshPending = false;
 
-    std::vector<DeferredCompletion> *completionSink = nullptr;
+    DeliveryHeap *deliveries = nullptr;
+    unsigned deliveryChannel = 0;
     std::uint64_t completionSeq = 0;
 
     TraceMeta tmeta;

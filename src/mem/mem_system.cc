@@ -47,11 +47,10 @@ MemSystem::MemSystem(const MemSystemConfig &config,
         if (lane.oracle)
             lane.ctrl->setSecurityOracle(lane.oracle.get());
         // Multi-channel lanes must not touch shared core/LLC state from
-        // inside a tick; completions are buffered and delivered by the
-        // driver at cycle `done`. Single-channel keeps the legacy inline
-        // invocation bit-for-bit.
+        // inside a tick; the driver delivers their completions at cycle
+        // `done`. Single-channel completes inline at column issue.
         if (multi)
-            lane.ctrl->setCompletionSink(&lane.completions);
+            lane.ctrl->deliverVia(&deliveries, ch);
     }
 }
 
@@ -80,14 +79,6 @@ bool
 MemSystem::queueFull(ReqType type, Addr addr) const
 {
     const Lane &lane = lanes[map->channelOf(addr)];
-    return type == ReqType::kRead ? lane.ctrl->readQueueFull()
-                                  : lane.ctrl->writeQueueFull();
-}
-
-bool
-MemSystem::queueFull(ReqType type) const
-{
-    const Lane &lane = soleLane();
     return type == ReqType::kRead ? lane.ctrl->readQueueFull()
                                   : lane.ctrl->writeQueueFull();
 }
@@ -164,8 +155,6 @@ MemSystem::tick(Cycle now)
 {
     for (auto &lane : lanes)
         lane.ctrl->tick(now);
-    if (lanes.size() > 1)
-        flushCompletions();
 }
 
 double
@@ -206,38 +195,22 @@ MemSystem::nextEventAt(Cycle now)
 }
 
 void
-MemSystem::flushCompletions()
-{
-    for (unsigned ch = 0; ch < lanes.size(); ++ch) {
-        for (auto &dc : lanes[ch].completions) {
-            pendingDeliveries.push(PendingDelivery{
-                dc.done, ch, dc.seq,
-                std::make_shared<std::function<void(Cycle)>>(
-                    std::move(dc.fn))});
-        }
-        lanes[ch].completions.clear();
-    }
-}
-
-void
 MemSystem::deliverCompletionsDue(Cycle now)
 {
-    while (!pendingDeliveries.empty() &&
-           pendingDeliveries.top().done <= now) {
-        PendingDelivery d = pendingDeliveries.top();
-        pendingDeliveries.pop();
-        // The callback may submit new requests (LLC writebacks); lanes
+    while (!deliveries.empty() && deliveries.top().done <= now) {
+        Delivery d = deliveries.top();
+        deliveries.pop();
+        // A delivery may submit new requests (LLC writebacks); lanes
         // only observe them at their next tick, regardless of execution
         // strategy, so delivery order fully determines the outcome.
-        (*d.fn)(d.done);
+        d.to.deliver(d.done);
     }
 }
 
 Cycle
 MemSystem::nextCompletionAt() const
 {
-    return pendingDeliveries.empty() ? kNoEventCycle
-                                     : pendingDeliveries.top().done;
+    return deliveries.empty() ? kNoEventCycle : deliveries.top().done;
 }
 
 Cycle

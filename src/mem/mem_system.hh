@@ -10,18 +10,18 @@
  *
  * Lanes are self-contained: a lane's tick touches only lane-local state,
  * so the driver may run one lane through a whole chunk of ticks before
- * the next. Read completions are buffered per lane (see
- * DeferredCompletion) and the driver delivers them to cores/the LLC at
- * cycle `done`, in (done, channel, lane-sequence) order — byte-identical
- * to ticking every lane every cycle. Single-channel systems keep the
- * legacy inline-callback path bit-for-bit.
+ * the next. A lane pushes each read's completion token into the one
+ * delivery heap (see Delivery), and the driver delivers it to its core
+ * or the LLC at cycle `done`, in (done, channel, lane-sequence) order —
+ * byte-identical to ticking every lane every cycle. Single-channel
+ * systems complete inline at column issue, a deliberate timing
+ * difference (DESIGN.md, "Architecture").
  */
 
 #ifndef BH_MEM_MEM_SYSTEM_HH
 #define BH_MEM_MEM_SYSTEM_HH
 
 #include <memory>
-#include <queue>
 #include <vector>
 
 #include "analysis/security_oracle.hh"
@@ -74,14 +74,15 @@ class MemSystem
     MemSystem(const MemSystemConfig &config,
               std::unique_ptr<Mitigation> mitigation);
 
+    /** Lanes hold the delivery heap's address: neither copied nor moved. */
+    MemSystem(const MemSystem &) = delete;
+    MemSystem &operator=(const MemSystem &) = delete;
+
     /** Decode, check quota, and enqueue a request on its channel lane. */
     SubmitResult submit(Request req);
 
     /** Would a request of `type` to `addr` bounce off a full queue? */
     bool queueFull(ReqType type, Addr addr) const;
-
-    /** Single-channel queue-full check (fatal on multi-channel systems). */
-    bool queueFull(ReqType type) const;
 
     /** Advance every lane one memory-controller cycle (serially). */
     void tick(Cycle now);
@@ -126,8 +127,6 @@ class MemSystem
     DramDevice &device() { return *soleLane().dram; }
     Mitigation &mitigation() { return *soleLane().mitig; }
     HammerObserver *hammerObserver() { return soleLane().hammer.get(); }
-    SecurityOracle *securityOracle() { return soleLane().oracle.get(); }
-    DramEnergyModel *energyModel() { return soleLane().energy.get(); }
 
     const AddressMapper &mapper() const { return *map; }
 
@@ -160,14 +159,7 @@ class MemSystem
     /** Min over lanes of the controller's next-event bound. */
     Cycle nextEventAt(Cycle now);
 
-    /**
-     * Move the per-lane completion buffers into the delivery heap, in
-     * channel order. Call after lane ticks (one cycle's or a whole
-     * chunk's); multi-channel only.
-     */
-    void flushCompletions();
-
-    /** Invoke every buffered completion with done <= now, in order. */
+    /** Deliver every pending completion with done <= now, in order. */
     void deliverCompletionsDue(Cycle now);
 
     /** Earliest pending delivery, or kNoEventCycle when none. */
@@ -191,7 +183,6 @@ class MemSystem
         std::unique_ptr<SecurityOracle> oracle;
         std::unique_ptr<Mitigation> mitig;
         std::unique_ptr<MemController> ctrl;
-        std::vector<DeferredCompletion> completions;
     };
 
     Lane &
@@ -210,30 +201,10 @@ class MemSystem
         return const_cast<MemSystem *>(this)->soleLane();
     }
 
-    /** Delivery-heap entry: ordered by (done, channel, lane seq). */
-    struct PendingDelivery
-    {
-        Cycle done = 0;
-        unsigned channel = 0;
-        std::uint64_t seq = 0;
-        std::shared_ptr<std::function<void(Cycle)>> fn;
-
-        bool
-        operator>(const PendingDelivery &o) const
-        {
-            if (done != o.done)
-                return done > o.done;
-            if (channel != o.channel)
-                return channel > o.channel;
-            return seq > o.seq;
-        }
-    };
-
     MemSystemConfig cfg;
     std::unique_ptr<AddressMapper> map;
     std::vector<Lane> lanes;
-    std::priority_queue<PendingDelivery, std::vector<PendingDelivery>,
-                        std::greater<PendingDelivery>> pendingDeliveries;
+    DeliveryHeap deliveries;    ///< multi-channel; lanes hold its address
     std::uint64_t numQuotaRejects = 0;
 };
 

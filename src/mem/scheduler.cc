@@ -83,7 +83,6 @@ SchedQueue::take(Handle h)
     --count;
 
     Request out = std::move(n.req);
-    n.req = Request{};      // release the completion closure eagerly
     n.bankNext = freeHead;
     freeHead = h;
     return out;

@@ -100,6 +100,10 @@ System::setTrace(unsigned slot, std::unique_ptr<TraceSource> trace,
 {
     if (slot >= cfg.threads)
         fatal("trace slot %u out of range", slot);
+    // Completion tokens of the old core's in-flight ops point at it.
+    if (currentCycle > 0)
+        fatal("trace slot %u set after the system ran (cycle %lld)", slot,
+              static_cast<long long>(currentCycle));
     traces[slot] = std::move(trace);
     cores[slot] = std::make_unique<Core>(
         core_cfg, static_cast<ThreadId>(slot), *traces[slot],
@@ -168,7 +172,6 @@ System::advanceQuiet(Cycle target, bool lanes_idle)
         // result is bit-identical to ticking every cycle.
         for (unsigned ch = 0; ch < channels; ++ch)
             memSys->controller(ch).advance(first_mc, target, mcDivider);
-        memSys->flushCompletions();
     }
     // Cores skip their ticks; a stalled core accrues the stall cycles of
     // the retries it skipped at its next tick (Core::accrueStalls).

@@ -19,11 +19,12 @@
  * Multi-channel systems also take that step while lanes are busy but
  * every core and the LLC is provably quiet: the per-channel lanes tick
  * alone, one after another, over a chunk that ends before any
- * completion they produce could be due, and the completions are
- * delivered at their semantic completion cycle in (cycle, channel,
- * lane-order). Chunk boundaries are derived from simulation state only,
- * so chunked and cycle-by-cycle execution are byte-identical (see
- * DESIGN.md, "channel lanes").
+ * completion they produce could be due, and the memory system's one
+ * delivery heap hands each completion token to its core or the LLC at
+ * its semantic completion cycle, in (cycle, channel, lane-order). Chunk
+ * boundaries are derived from simulation state only, so chunked and
+ * cycle-by-cycle execution are byte-identical (see DESIGN.md, "channel
+ * lanes").
  */
 
 #ifndef BH_SIM_SYSTEM_HH
@@ -91,7 +92,10 @@ class System
     /** Single-channel convenience constructor (mem.org.channels == 1). */
     System(const SystemConfig &config, std::unique_ptr<Mitigation> mitigation);
 
-    /** Install the trace for one core slot (must precede run()). */
+    /**
+     * Install the trace for one core slot before the first run(); after
+     * it, a fatal error: in-flight completion tokens point at the core.
+     */
     void setTrace(unsigned slot, std::unique_ptr<TraceSource> trace);
 
     /**

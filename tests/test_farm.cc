@@ -131,6 +131,26 @@ TEST(FaultPlan, ParseAndCanonicalize)
     EXPECT_FALSE(FaultPlan::parse("kill@12", 10, plan, err));
     EXPECT_NE(err.find("outside"), std::string::npos);
     EXPECT_FALSE(FaultPlan::parse("kill", 10, plan, err));
+
+    // Cells, seeds and counts are whole decimal numbers, and an error
+    // quotes the text as typed.
+    const std::pair<const char *, const char *> bad[] = {
+        {"kill@+3", "'+3'"},
+        {"kill@ 3", "' 3'"},
+        {"kill@-1", "'-1'"},
+        {"kill@3x", "'3x'"},
+        {"kill@99999999999999999999", "'99999999999999999999'"},
+        {"random:42:8junk", "'random:42:8junk'"},
+        {"random:42:+8", "'random:42:+8'"},
+        {"random:-1:8", "'random:-1:8'"},
+        {"random:42", "'random:42'"},
+        {"random:99999999999999999999:8", "'random:99999999999999999999:8'"},
+    };
+    for (const auto &[spec, quoted] : bad) {
+        EXPECT_FALSE(FaultPlan::parse(spec, 10, plan, err)) << spec;
+        EXPECT_NE(err.find(quoted), std::string::npos) << spec << ": " << err;
+        EXPECT_TRUE(plan.empty()) << spec;
+    }
 }
 
 TEST(FaultPlan, SeededRandomExpansionIsDeterministic)

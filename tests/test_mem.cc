@@ -10,6 +10,7 @@
 #include <set>
 
 #include "mem/mem_system.hh"
+#include "recording_target.hh"
 
 namespace bh
 {
@@ -104,16 +105,18 @@ class MemTest : public ::testing::Test
         mem = std::make_unique<MemSystem>(cfg, std::move(mit));
     }
 
-    /** Submit a read to (bank, row, col); returns completion flag. */
-    std::shared_ptr<Cycle>
+    /**
+     * Submit a read to (bank, row, col); returns its completion cycle,
+     * -1 until it completes.
+     */
+    const Cycle *
     read(unsigned bank, RowId row, unsigned col = 0, ThreadId thread = 0)
     {
         Request req = requestTo(mem->mapper(), ReqType::kRead, bank, row,
                                 col, thread, now);
-        auto done = std::make_shared<Cycle>(-1);
-        req.onComplete = [done](Cycle c2) { *done = c2; };
+        req.completion = sink.token();
         lastResult = mem->submit(std::move(req));
-        return done;
+        return &sink.done.back();
     }
 
     void
@@ -123,6 +126,7 @@ class MemTest : public ::testing::Test
             mem->tick(now);
     }
 
+    RecordingTarget sink;
     std::unique_ptr<MemSystem> mem;
     ScriptedMitigation *mitig = nullptr;
     SubmitResult lastResult = SubmitResult::kAccepted;
@@ -401,10 +405,9 @@ class ArrivalWindowTest : public ::testing::Test
         for (MemSystem *mem : {fastMem.get(), refMem.get()}) {
             Request req =
                 requestTo(mem->mapper(), type, bank, row, col, 0, now);
-            auto done = std::make_shared<Cycle>(-1);
-            req.onComplete = [done](Cycle c) { *done = c; };
+            RecordingTarget &sink = mem == fastMem.get() ? fastDone : refDone;
+            req.completion = sink.token();
             ASSERT_EQ(mem->submit(std::move(req)), SubmitResult::kAccepted);
-            (mem == fastMem.get() ? fastDone : refDone).push_back(done);
         }
     }
 
@@ -456,10 +459,10 @@ class ArrivalWindowTest : public ::testing::Test
     expectSameCompletions()
     {
         runFor(3000);
-        ASSERT_EQ(fastDone.size(), refDone.size());
-        for (std::size_t i = 0; i < fastDone.size(); ++i) {
-            EXPECT_GE(*refDone[i], 0) << "request " << i;
-            EXPECT_EQ(*fastDone[i], *refDone[i]) << "request " << i;
+        ASSERT_EQ(fastDone.done.size(), refDone.done.size());
+        for (std::size_t i = 0; i < fastDone.done.size(); ++i) {
+            EXPECT_GE(refDone.done[i], 0) << "request " << i;
+            EXPECT_EQ(fastDone.done[i], refDone.done[i]) << "request " << i;
         }
         EXPECT_LT(fast().ticksExecuted(), ref().ticksExecuted());
     }
@@ -469,7 +472,7 @@ class ArrivalWindowTest : public ::testing::Test
     const DramDevice &dram() { return fastMem->device(); }
 
     std::unique_ptr<MemSystem> fastMem, refMem;
-    std::vector<std::shared_ptr<Cycle>> fastDone, refDone;
+    RecordingTarget fastDone, refDone;
     Cycle now = 0;
 };
 

@@ -190,7 +190,8 @@ TEST(CellDeathTest, NonNumericCellIsAParseError)
 {
     EXPECT_EQ(parseCellIndex("0"), 0u);
     EXPECT_EQ(parseCellIndex("183"), 183u);
-    for (const char *bad : {"", "x", "12x", "-1", "+3", " 4", "0/2"})
+    for (const char *bad : {"", "x", "12x", "-1", "+3", " 4", "0/2",
+                            "99999999999999999999"})
         EXPECT_EXIT(parseCellIndex(bad), testing::ExitedWithCode(1),
                     "--cell wants a global cell index");
 }
