@@ -16,6 +16,15 @@
  * construction. The refresh-aligned count lives in HammerObserver
  * (RunResult::maxRowActs).
  *
+ * One lane's controller issues its activations in cycle order, and the
+ * oracle relies on it (an activation earlier than the previous one
+ * panics). Every window therefore expires in issue order, so one ring
+ * of (cycle, flat row) records per channel replaces a queue per row:
+ * each activation pops the records that left its window, decrementing
+ * their rows' counts in a flat zero-paged array, then pushes itself.
+ * That is amortized O(1) per activation with no allocation once the
+ * ring has grown to the busiest window.
+ *
  * The verdict of a run is its *disturbance margin*: the maximum sliding
  * window count any row ever reached, divided by N_RH. margin < 1 means
  * the activation-bounding guarantee held; margin >= 1 records the first
@@ -30,10 +39,11 @@
 #define BH_ANALYSIS_SECURITY_ORACLE_HH
 
 #include <cstdint>
-#include <deque>
-#include <unordered_map>
+#include <limits>
+#include <vector>
 
 #include "common/types.hh"
+#include "common/zeroed_array.hh"
 #include "dram/org.hh"
 
 namespace bh
@@ -61,7 +71,8 @@ class SecurityOracle
   public:
     SecurityOracle(const DramOrg &org, const SecurityOracleConfig &config);
 
-    /** Record a demand activation of (bank, row) at `now`. */
+    /** Record a demand activation of (bank, row) at `now`, which must
+     *  not precede the previous activation. */
     void onActivate(unsigned bank, RowId row, Cycle now);
 
     /** Max sliding-window count any row ever reached. */
@@ -87,18 +98,23 @@ class SecurityOracle
     /** Total activations observed. */
     std::uint64_t activationCount() const { return acts; }
 
-    /** Current window count of one row at `now` (test introspection;
-     *  prunes expired activations as a side effect). */
-    std::uint32_t currentWindowActs(unsigned bank, RowId row, Cycle now);
+    /** Activations of one row in (now - tREFW, last activation] (test
+     *  introspection). */
+    std::uint32_t currentWindowActs(unsigned bank, RowId row,
+                                    Cycle now) const;
 
     const SecurityOracleConfig &config() const { return cfg; }
 
   private:
-    struct RowState
+    /** One activation in the window ring. */
+    struct WindowAct
     {
-        std::deque<Cycle> window;       ///< act cycles, oldest first
-        bool violated = false;
+        Cycle cycle = 0;
+        std::uint32_t row = 0;          ///< flat (bank, row) index
     };
+
+    /** Count-word flag: the row was already counted as violating. */
+    static constexpr std::uint32_t kViolated = 1u << 31;
 
     std::size_t
     index(unsigned bank, RowId row) const
@@ -106,13 +122,28 @@ class SecurityOracle
         return static_cast<std::size_t>(bank) * rows + row;
     }
 
-    // bh-lint: allow(observer-const) private helper mutating the oracle's own window state, not an observer hook
-    void prune(RowState &state, Cycle now);
+    /** Whether `act` has left the window of an activation at `now`. */
+    bool
+    expired(const WindowAct &act, Cycle now) const
+    {
+        // The window is (now - tREFW, now]: an activation exactly tREFW
+        // ago has left the window of an activation happening now.
+        return act.cycle <= now - cfg.windowCycles;
+    }
+
+    /** Double the ring (allocate it at the first activation). */
+    void grow();
 
     SecurityOracleConfig cfg;
     unsigned rows = 0;
-    /** Sparse per-row sliding windows, keyed by flat (bank, row). */
-    std::unordered_map<std::size_t, RowState> touched;
+    /** Activations inside the window, oldest at `head`; a power-of-two
+     *  size once allocated. */
+    std::vector<WindowAct> ring;
+    std::size_t head = 0;
+    std::size_t live = 0;               ///< records in the ring
+    /** Per flat (bank, row): window count, kViolated in the top bit. */
+    ZeroedArray<std::uint32_t> counts;
+    Cycle lastAct = std::numeric_limits<Cycle>::min();  ///< previous ACT
     OraclePeak peakState;
     Cycle firstViolation = kNoEventCycle;
     std::uint64_t numViolatingRows = 0;
