@@ -103,16 +103,21 @@ struct BenchContext
     std::vector<CellPhase> phases;
 
     /**
-     * Self-profile of one executed cell: wall-clock spent in fn() and
-     * simulated cycles covered (simCyclesThisThread delta). Filled by
-     * runCells in Run mode only, keyed by global cell index; the driver
-     * writes it as BENCH_perf.json — never into BENCH_<name>.json, whose
-     * bytes must not depend on host speed.
+     * Self-profile of one executed cell: wall-clock spent in fn(),
+     * simulated cycles covered (simCyclesThisThread delta) and the
+     * controller work of its runs (workThisThread). Filled by runCells
+     * in Run mode only, keyed by global cell index; the driver writes it
+     * as BENCH_perf.json — never into BENCH_<name>.json, whose bytes
+     * must not depend on host speed or on the path a run took.
      */
     struct CellPerf
     {
         double wallS = 0.0;
         std::uint64_t simCycles = 0;
+        WorkCounts work;
+
+        /** The cell's BENCH_perf.json entry. */
+        Json toJson() const;
     };
     std::map<std::uint64_t, CellPerf> cellPerf;
 

@@ -63,6 +63,7 @@ BenchContext::runCells(const std::string &label, std::size_t n,
             // plus the simulated cycles the worker thread covers inside
             // it (System::run accumulates a thread-local counter).
             resetSimCyclesThisThread();
+            resetWorkThisThread();
             // bh-lint: allow(nondet) wall-clock self-profile sidecar; never feeds simulation state
             auto t0 = std::chrono::steady_clock::now();
             out[owned[k]] = fn(owned[k]);
@@ -71,6 +72,7 @@ BenchContext::runCells(const std::string &label, std::size_t n,
             CellPerf perf;
             perf.wallS = std::chrono::duration<double>(t1 - t0).count();
             perf.simCycles = simCyclesThisThread();
+            perf.work = workThisThread();
             std::lock_guard<std::mutex> lock(perfMutex);
             cellPerf[first + owned[k]] = perf;
         });
@@ -92,6 +94,24 @@ BenchContext::runCells(const std::string &label, std::size_t n,
         ++cellsRun;
     }
     return out;
+}
+
+Json
+BenchContext::CellPerf::toJson() const
+{
+    auto count = [](std::uint64_t n) { return static_cast<std::int64_t>(n); };
+    Json w = Json::object();
+    w["ticks_executed"] = count(work.ticksExecuted);
+    w["ticks_acted"] = count(work.ticksActed);
+    w["act_queries"] = count(work.actQueries);
+    w["refusals_replayed"] = count(work.refusalsReplayed);
+    w["entries_scanned"] = count(work.entriesScanned);
+    w["entries_recomputed"] = count(work.entriesRecomputed);
+    Json c = Json::object();
+    c["wall_ms"] = wallS * 1e3;
+    c["sim_cycles"] = count(simCycles);
+    c["work"] = std::move(w);
+    return c;
 }
 
 } // namespace bh

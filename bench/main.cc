@@ -292,12 +292,8 @@ main(int argc, char **argv)
         }
         pe["phases"] = std::move(pe_phases);
         Json pe_cells = Json::object();
-        for (const auto &kv : ctx.cellPerf) {
-            Json c = Json::object();
-            c["wall_ms"] = kv.second.wallS * 1e3;
-            c["sim_cycles"] = static_cast<std::int64_t>(kv.second.simCycles);
-            pe_cells[std::to_string(kv.first)] = std::move(c);
-        }
+        for (const auto &kv : ctx.cellPerf)
+            pe_cells[std::to_string(kv.first)] = kv.second.toJson();
         pe["cells"] = std::move(pe_cells);
         perf_experiments[info->name] = std::move(pe);
 

@@ -123,6 +123,9 @@ BlockHammer::noteSkippedTicks(std::uint64_t n)
     // (delay bookkeeping is first-refusal-only, so only the counter
     // needs replaying). The per-tick delta is latched at the first
     // replay so repeated replays of one executed tick stay linear.
+    // Reached only without stamps (observe-only, or behind a wrapper
+    // that hides them): otherwise the controller counts the refusals
+    // itself (noteRepeatedRefusals).
     if (!unsafeDeltaLatched) {
         unsafeTickDelta = numUnsafe - unsafeAtTickStart;
         unsafeDeltaLatched = true;

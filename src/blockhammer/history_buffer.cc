@@ -6,7 +6,7 @@ namespace bh
 {
 
 HistoryBuffer::HistoryBuffer(unsigned entries, Cycle t_delay)
-    : slots(entries), tDelay(t_delay)
+    : numEntries(entries), tDelay(t_delay)
 {
     if (entries == 0)
         fatal("history buffer needs at least one entry");
@@ -16,6 +16,10 @@ void
 HistoryBuffer::insert(std::uint64_t row_key, Cycle now)
 {
     expire(now);
+    if (slots.empty()) {
+        slots.resize(numEntries);
+        spareNodes.reserve(numEntries);
+    }
     if (numValid == slots.size()) {
         // tFAW bounds the activation rate, so a correctly-sized buffer can
         // never overflow; reaching this is a configuration/sizing bug.
@@ -26,9 +30,20 @@ HistoryBuffer::insert(std::uint64_t row_key, Cycle now)
     if (++tail == slots.size())
         tail = 0;
     ++numValid;
-    Member &m = members[row_key];
-    ++m.count;
-    m.last = now;
+    auto it = members.find(row_key);
+    if (it == members.end()) {
+        if (spareNodes.empty()) {
+            it = members.emplace(row_key, Member{}).first;
+        } else {
+            Members::node_type node = std::move(spareNodes.back());
+            spareNodes.pop_back();
+            node.key() = row_key;
+            node.mapped() = Member{};
+            it = members.insert(std::move(node)).position;
+        }
+    }
+    ++it->second.count;
+    it->second.last = now;
 }
 
 void
@@ -40,7 +55,7 @@ HistoryBuffer::expire(Cycle now)
             break;
         auto it = members.find(oldest.key);
         if (it != members.end() && --it->second.count == 0)
-            members.erase(it);
+            spareNodes.push_back(members.extract(it));
         if (++head == slots.size())
             head = 0;
         --numValid;

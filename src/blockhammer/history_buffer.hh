@@ -60,7 +60,7 @@ class HistoryBuffer
         return it == members.end() ? -1 : it->second.last;
     }
 
-    unsigned capacity() const { return static_cast<unsigned>(slots.size()); }
+    unsigned capacity() const { return numEntries; }
     unsigned validCount() const { return numValid; }
     Cycle delayWindow() const { return tDelay; }
 
@@ -76,7 +76,8 @@ class HistoryBuffer
         Cycle timestamp = 0;
     };
 
-    std::vector<Slot> slots;
+    std::vector<Slot> slots;        ///< sized at the first insert
+    unsigned numEntries = 0;
     Cycle tDelay = 0;
     unsigned head = 0;      ///< oldest entry
     unsigned tail = 0;      ///< next insertion point
@@ -94,7 +95,11 @@ class HistoryBuffer
      * entries in parallel; the map reproduces that single-cycle lookup in
      * O(1) instead of a linear scan.
      */
-    std::unordered_map<std::uint64_t, Member> members;
+    using Members = std::unordered_map<std::uint64_t, Member>;
+    Members members;
+    /// Index nodes of keys that aged out, reused by the next new keys so
+    /// that a steady stream of activations allocates nothing.
+    std::vector<Members::node_type> spareNodes;
 };
 
 } // namespace bh

@@ -16,7 +16,8 @@ MemController::MemController(DramDevice &device, const ControllerConfig &config,
       verdictChains(mitigation.verdictStamps() != nullptr),
       hammer(hammer_obs), energy(energy_model),
       scheduler(device.numBanks()),
-      readQ(device.numBanks()), writeQ(device.numBanks()),
+      readQ(device.numBanks(), mitigation.verdictStamps()),
+      writeQ(device.numBanks(), mitigation.verdictStamps()),
       victimQ(device.numBanks()),
       nextRefreshAt(device.timings().tREFI),
       hitStreak(device.numBanks(), 0),
@@ -127,9 +128,13 @@ MemController::execute(Cycle now)
 
     // A tick at a housekeeping boundary is never idle: an epoch swap can
     // lift a throttler quota, and the cores, which ticked earlier in this
-    // cycle, retry against it only on their next tick.
-    if (now >= mitig.nextHousekeepingAt(now))
+    // cycle, retry against it only on their next tick. It may move every
+    // verdict stamp, so the chains' totals hold no longer.
+    if (now >= mitig.nextHousekeepingAt(now)) {
         ++numActions;
+        readQ.dropChains();
+        writeQ.dropChains();
+    }
     mitig.tick(now);
 
     if (!refreshPending && now >= nextRefreshAt)
@@ -155,17 +160,32 @@ MemController::execute(Cycle now)
         return;
     if (stampAfterLastTick == stampBeforeLastTick) {
         idleUntil = eventBound(now);
-    } else if (issued_demand && !queriesObservable && pendingVictims == 0) {
+    } else if (issued_demand && pendingVictims == 0 &&
+               (!queriesObservable || verdictChains)) {
         // No confirmation tick. A demand command means no refresh drain,
         // and with no victim op pending the next tick could only issue
-        // another demand command. Its picks would take every ACT as safe
-        // and record the queues' timing bounds, read here off the event
-        // tables.
+        // another demand command.
         StreakCapped capped{hitStreak.data(), cfg.rowHitCap};
-        readBound = DemandBound{
-            scheduler.demandEventAt(readQ, ReqType::kRead, dram, capped)};
-        writeBound = DemandBound{
-            scheduler.demandEventAt(writeQ, ReqType::kWrite, dram, capped)};
+        if (!queriesObservable) {
+            // Its picks would take every ACT as safe and record the
+            // queues' timing bounds, read here off the event tables.
+            readBound = DemandBound{scheduler.demandEventAt(
+                readQ, ReqType::kRead, dram, capped)};
+            writeBound = DemandBound{scheduler.demandEventAt(
+                writeQ, ReqType::kWrite, dram, capped)};
+        } else {
+            // Only where the tables and the chains settle both queues'
+            // picks: then they would ask nothing, and each replayed tick
+            // counts every cached refusal of both queues, not the ones
+            // this tick counted before it issued.
+            std::uint64_t refusals = 0;
+            if (!scheduler.settledRowPrep(readQ, ReqType::kRead, dram, now,
+                                          capped, readBound, refusals) ||
+                !scheduler.settledRowPrep(writeQ, ReqType::kWrite, dram,
+                                          now, capped, writeBound, refusals))
+                return;
+            lastTickBlockedEvals = refusals;
+        }
         demandBoundsAt = now;
         idleUntil = eventBound(now);
     }
@@ -340,20 +360,17 @@ MemController::tryDemand(Cycle now)
             ++numActBlocked;
         return safe;
     };
-    // Where queries have no effect, the pick asks none. With verdict
-    // stamps, the refusals a pick replays from its chains count as the
-    // queries they stand for.
+    // Where queries have no effect, the pick asks none. The refusals a
+    // pick replays from its verdict chains count as the queries they
+    // stand for.
     auto pick_prep = [&](SchedQueue &queue, ReqType type,
                          DemandBound &bound) {
         if (!queriesObservable)
             return scheduler.pickRowPrepAllSafe(queue, type, dram, now,
                                                 capped, bound);
-        if (!verdictChains)
-            return scheduler.pickRowPrep(queue, type, dram, now, act_filter,
-                                         capped, bound);
         VerdictReplay replay{mitig};
         auto h = scheduler.pickRowPrep(queue, type, dram, now, act_filter,
-                                       capped, bound, &replay);
+                                       capped, bound, replay);
         if (replay.replayed > 0) {
             numActBlocked += replay.replayed;
             numRefusalsReplayed += replay.replayed;
@@ -555,6 +572,13 @@ MemController::eventBound(Cycle now)
               "at the last executed tick (%lld)", static_cast<long long>(now),
               static_cast<long long>(lastTickAt));
     Cycle verdict = mitig.nextVerdictChangeAt(now);
+    // With verdict stamps the chains hold every verdict the last tick's
+    // picks used, and none flips before the chains' earliest lapse: a
+    // safe verdict holds until a stamp moves.
+    const SchedQueue::ChainTotals *read_chains = readQ.chainTotals();
+    const SchedQueue::ChainTotals *write_chains = writeQ.chainTotals();
+    if (read_chains && write_chains)
+        verdict = std::min(read_chains->lapse, write_chains->lapse);
     // Any unsafe verdict in the last tick makes the per-tick blocked
     // counters verdict-dependent: even if no command can issue earlier, a
     // verdict flip changes what the skipped ticks would have counted.
@@ -571,17 +595,24 @@ MemController::noteSkippedTicks(std::uint64_t n)
     // A replayed tick is idle, so the controller is idle since it, also
     // when its window began at a tick that acted or saw an arrival.
     stampBeforeLastTick = stampAfterLastTick = numActions;
+    std::uint64_t refusals = 0;
     if (lastTickReachedDemand) {
         // That tick or an arrival may have moved writeQ.size() across a
         // watermark since the hysteresis last ran. Each skipped tick
         // would have re-evaluated the same mitigation safety queries
         // and flipped the drain fairness toggle once.
         updateDrainState();
-        numActBlocked += lastTickBlockedEvals * n;
+        refusals = lastTickBlockedEvals * n;
+        numActBlocked += refusals;
         if (n & 1)
             drainToggle = !drainToggle;
     }
-    mitig.noteSkippedTicks(n);
+    // With verdict stamps the controller counts the skipped ticks'
+    // refusals itself: each would have replayed them from the chains.
+    if (!verdictChains)
+        mitig.noteSkippedTicks(n);
+    else if (refusals > 0)
+        mitig.noteRepeatedRefusals(refusals);
 }
 
 namespace
@@ -618,54 +649,174 @@ walkColumnReady(SchedQueue &queue, DramCommand col, const DramDevice &dram,
     return best;
 }
 
+/** What walkRowPrep found. */
+struct WalkedPrep
+{
+    SchedQueue::Handle pick = SchedQueue::kNone;
+    DemandBound bound;
+    std::uint64_t replayed = 0;     ///< cached refusals, with no pick
+    int askedBank = -1;             ///< a bank whose verdict is not held
+};
+
+/**
+ * The row-prep pick as a walk over the queue's banks, independent of the
+ * event table and the chain totals, for a tick that asks no query: the
+ * oldest legal PRE of an open bank that no live hit keeps open, or the
+ * oldest legal ACT of a closed bank's known-safe request, and the bound
+ * pickRowPrep records. Without `chained`, every request is safe. With
+ * it, a closed bank's verdicts are its chain's, which must hold at `now`
+ * and end at a known verdict: else the bank is `askedBank`, the tick
+ * would ask its next verdict live. Reads the chains; changes none.
+ */
+WalkedPrep
+walkRowPrep(SchedQueue &queue, DramCommand col, const DramDevice &dram,
+            Cycle now, StreakCapped capped, bool chained)
+{
+    WalkedPrep out;
+    Cycle col_gate = dram.columnEarliest(col);
+    std::uint64_t best_seq = ~0ull;
+    auto consider = [&](SchedQueue::Handle h) {
+        std::uint64_t seq = queue.seqOf(h);
+        if (seq < best_seq) {
+            out.pick = h;
+            best_seq = seq;
+        }
+    };
+    for (unsigned fb : queue.activeBanks()) {
+        const Bank &bank = dram.bank(fb);
+        if (bank.isOpen()) {
+            // Row hits are the column path's (a capped streak serves none
+            // while a conflict waits); a bank with a pending row hit keeps
+            // its row open unless its hit streak is capped.
+            const auto &hits = queue.hitStats(fb, bank);
+            bool conflict = hits.oldestMiss != SchedQueue::kNone;
+            bool cap = capped(fb);
+            if (hits.hitCount > 0 && !(cap && conflict))
+                out.bound.timing = std::min(
+                    out.bound.timing, std::max(bank.earliest(col), col_gate));
+            if (!conflict || (hits.hitCount > 0 && !cap))
+                continue;
+            Cycle pre = bank.earliest(DramCommand::kPre);
+            out.bound.timing = std::min(out.bound.timing, pre);
+            if (pre <= now)
+                consider(hits.oldestMiss);
+            continue;
+        }
+        // If nothing is picked, an ACT already legal now was refused by
+        // the mitigation: only a verdict flip can release it.
+        Cycle act = dram.earliest(DramCommand::kAct, fb);
+        bool legal = act <= now;
+        if (legal)
+            out.bound.verdictBound = true;
+        else
+            out.bound.timing = std::min(out.bound.timing, act);
+        SchedQueue::Handle safe = queue.bankOldest(fb);
+        if (chained) {
+            const SchedQueue::VerdictChain &chain = queue.chain(fb);
+            if (!queue.chainHolds(fb, now) || !chain.complete()) {
+                out.askedBank = static_cast<int>(fb);
+                continue;
+            }
+            out.replayed += chain.refused;
+            safe = chain.nextSafe ? chain.next : SchedQueue::kNone;
+        }
+        if (legal && safe != SchedQueue::kNone)
+            consider(safe);
+    }
+    return out;
+}
+
 } // namespace
 
 void
 MemController::checkReplayedTicks(Cycle from, std::uint64_t n, Cycle step)
 {
     StreakCapped capped{hitStreak.data(), cfg.rowHitCap};
-    FrFcfsScheduler::ActFilter safe = [](const Request &) { return true; };
-    for (ReqType type : {ReqType::kRead, ReqType::kWrite}) {
-        bool read = type == ReqType::kRead;
-        SchedQueue &queue = read ? readQ : writeQ;
-        DramCommand col = read ? DramCommand::kRd : DramCommand::kWr;
-        const char *name = read ? "read" : "write";
-        // A table entry that no touch marked stale must still be current.
-        if (int fb = queue.firstWrongEvent(dram, col, capped); fb >= 0)
+    const ReqType types[] = {ReqType::kRead, ReqType::kWrite};
+    auto queue_of = [&](ReqType type) -> SchedQueue & {
+        return type == ReqType::kRead ? readQ : writeQ;
+    };
+    auto col_of = [](ReqType type) {
+        return type == ReqType::kRead ? DramCommand::kRd : DramCommand::kWr;
+    };
+    auto name_of = [](ReqType type) {
+        return type == ReqType::kRead ? "read" : "write";
+    };
+    // A table entry that no touch marked stale must still be current.
+    for (ReqType type : types)
+        if (int fb = queue_of(type).firstWrongEvent(dram, col_of(type),
+                                                    capped);
+            fb >= 0)
             panic("event-skip verify: channel %u's %s queue holds an "
                   "outdated event for bank %d at cycle %lld",
-                  replayChannel, name, fb, static_cast<long long>(from));
-        // Only windows of mechanisms whose queries have no effect can be
-        // checked by running the picks: a query of another one may
-        // record.
-        if (queriesObservable || !lastTickReachedDemand)
-            continue;
-        for (std::uint64_t i = 0; i < n; ++i) {
-            Cycle now = from + static_cast<Cycle>(i) * step;
-            DemandBound walked, table;
+                  replayChannel, name_of(type), fb,
+                  static_cast<long long>(from));
+    // Only windows whose ticks ask nothing can be checked by running the
+    // picks: where queries have no effect, or where verdict chains hold
+    // every verdict (a query of another mechanism may record).
+    if (!lastTickReachedDemand || (queriesObservable && !verdictChains))
+        return;
+    for (std::uint64_t i = 0; i < n; ++i) {
+        Cycle now = from + static_cast<Cycle>(i) * step;
+        std::uint64_t replayed = 0;
+        for (ReqType type : types) {
+            SchedQueue &queue = queue_of(type);
+            DramCommand col = col_of(type);
+            const char *name = name_of(type);
+            WalkedPrep walked =
+                walkRowPrep(queue, col, dram, now, capped, verdictChains);
             if (walkColumnReady(queue, col, dram, now, capped) !=
                     SchedQueue::kNone ||
-                scheduler.pickRowPrep(queue, type, dram, now, safe, capped,
-                                      walked) != SchedQueue::kNone)
+                walked.pick != SchedQueue::kNone)
                 panic("event-skip verify: channel %u would issue from its "
                       "%s queue at cycle %lld, inside a window claimed "
                       "idle until %lld",
                       replayChannel, name, static_cast<long long>(now),
                       static_cast<long long>(idleUntil));
-            // The walks picked nothing, so no ACT was legal and their
-            // bound is the table's demand event bound.
-            if (scheduler.pickColumnReady(queue, type, dram, now, capped) !=
-                    SchedQueue::kNone ||
-                scheduler.pickRowPrepAllSafe(queue, type, dram, now, capped,
-                                             table) != SchedQueue::kNone ||
-                table.timing != walked.timing ||
-                table.verdictBound != walked.verdictBound ||
-                scheduler.demandEventAt(queue, type, dram, capped) !=
-                    walked.timing)
+            if (walked.askedBank >= 0)
+                panic("event-skip verify: channel %u would ask bank %d's "
+                      "verdict live from its %s queue at cycle %lld, "
+                      "inside a window claimed idle until %lld",
+                      replayChannel, walked.askedBank, name,
+                      static_cast<long long>(now),
+                      static_cast<long long>(idleUntil));
+            replayed += walked.replayed;
+            // The walks picked nothing, so the table's column pick must
+            // not either. A chained tick would record the window's bound
+            // (an arrival lowers only the bound of a window whose
+            // queries have no effect). With every ACT safe, no ACT was
+            // legal, so the walk's bound is also the table's demand
+            // event bound.
+            const DemandBound &recorded =
+                type == ReqType::kRead ? readBound : writeBound;
+            DemandBound table;
+            bool agree =
+                scheduler.pickColumnReady(queue, type, dram, now, capped) ==
+                    SchedQueue::kNone &&
+                (queriesObservable
+                     ? walked.bound.timing == recorded.timing &&
+                         walked.bound.verdictBound == recorded.verdictBound
+                     : scheduler.pickRowPrepAllSafe(queue, type, dram, now,
+                                                    capped, table) ==
+                             SchedQueue::kNone &&
+                         table.timing == walked.bound.timing &&
+                         table.verdictBound == walked.bound.verdictBound &&
+                         scheduler.demandEventAt(queue, type, dram,
+                                                 capped) ==
+                             walked.bound.timing);
+            if (!agree)
                 panic("event-skip verify: channel %u's %s queue event "
                       "table disagrees with the walks at cycle %lld",
                       replayChannel, name, static_cast<long long>(now));
         }
+        // Each replayed tick counts what the walks would have replayed.
+        if (replayed != lastTickBlockedEvals)
+            panic("event-skip verify: channel %u replays %llu refusals "
+                  "per tick, but its walks would count %llu at cycle %lld",
+                  replayChannel,
+                  static_cast<unsigned long long>(lastTickBlockedEvals),
+                  static_cast<unsigned long long>(replayed),
+                  static_cast<long long>(now));
     }
 }
 

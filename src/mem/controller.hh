@@ -240,11 +240,13 @@ class MemController
     /**
      * --skip verify: at every run of ticks a window replays, check each
      * event-table entry not marked stale against a fresh computation.
-     * Where the mitigation's queries have no effect, also run the
-     * column and row-prep walks (without side effects) at every
-     * replayed tick, and the table's picks and bounds against them.
-     * Panic, naming `channel`, the cycle and the queue, if a walk would
-     * issue or the table disagrees.
+     * Where the mitigation's queries have no effect, or its verdict
+     * chains answer them, also run the column and row-prep walks
+     * (without side effects) at every replayed tick, and the table's
+     * picks and bounds against them. Panic, naming `channel`, the cycle
+     * and the queue, if a walk would issue, would ask a verdict that no
+     * chain holds, would replay another refusal count, or the table
+     * disagrees.
      */
     void
     verifyReplays(unsigned channel)
@@ -304,7 +306,8 @@ class MemController
     /**
      * Replay the externally invisible side effects of `n` skipped idle
      * ticks: blocked-activation counters (exactly `n` times the last idle
-     * tick's safety-query evaluations), the write-drain hysteresis and
+     * tick's safety-query evaluations, counted by the mitigation too
+     * where it has verdict stamps), the write-drain hysteresis and
      * fairness toggle, and the mitigation's own per-tick accounting.
      */
     void noteSkippedTicks(std::uint64_t n);
@@ -337,7 +340,8 @@ class MemController
     Mitigation &mitig;
     /// mitig.actQueriesObservable(): false enables derived windows.
     bool queriesObservable = true;
-    /// mitig.verdictStamps() is not null: picks replay verdict chains.
+    /// mitig.verdictStamps() is not null: picks replay verdict chains,
+    /// and a tick after an issue is derived where they settle.
     bool verdictChains = false;
     HammerObserver *hammer;
     SecurityOracle *secOracle = nullptr;
@@ -386,9 +390,11 @@ class MemController
     /**
      * The idle window: every tick before idleUntil (0: none) is idle
      * while numActions == windowStamp. An executed tick that did nothing
-     * opens one at its event bound; where queries have no effect, so
-     * does one that issued a demand command with no victim op pending
-     * (a derived window), and an arrival lowers it rather than voiding.
+     * opens one at its event bound; where queries have no effect, or
+     * verdict chains settle both queues, so does one that issued a
+     * demand command with no victim op pending (a derived window).
+     * Where queries have no effect an arrival lowers it rather than
+     * voiding.
      */
     Cycle idleUntil = 0;
     std::uint64_t windowStamp = 0;

@@ -62,14 +62,19 @@ class Mitigation
      * Verdict stamps, one per flat bank, or nullptr (the default). A
      * mechanism that returns an array promises that an isActSafe()
      * verdict on (bank, row) is a function of time and of state that
-     * only moves with the bank's stamp (its activations, its epoch
-     * swaps); that a "safe" answer records nothing and holds until the
-     * stamp moves; and that a refusal holds until the stamp moves or
+     * only moves with the bank's stamp; that a stamp moves only at a
+     * demand activation of its bank (onActivate) and at a housekeeping
+     * tick (nextHousekeepingAt: an epoch swap may move every stamp);
+     * that a "safe" answer records nothing and holds until the stamp
+     * moves; and that a refusal holds until the stamp moves or
      * refusalLapsesAt() passes, and repeats only its count. The
      * controller may then replay such verdicts from a cache instead of
-     * asking again (DESIGN.md "Verdict chains"). The array must stay
-     * where it is for the mechanism's lifetime. The default keeps every
-     * query live, so a wrapper that does not forward this stays exact.
+     * asking again (DESIGN.md "Verdict chains"), and it counts the
+     * refusals of the ticks it skips itself, through
+     * noteRepeatedRefusals() in place of noteSkippedTicks(). The array
+     * must stay where it is for the mechanism's lifetime. The default
+     * keeps every query live, so a wrapper that does not forward this
+     * stays exact.
      */
     virtual const std::uint64_t *verdictStamps() const { return nullptr; }
 
@@ -87,7 +92,8 @@ class Mitigation
 
     /**
      * The controller replayed `n` cached refusals in place of asking
-     * again: count them as the queries would have (verdictStamps()).
+     * again, in a pick or over skipped ticks: count them as the queries
+     * would have (verdictStamps()).
      */
     virtual void noteRepeatedRefusals(std::uint64_t n) { (void)n; }
 
@@ -138,7 +144,9 @@ class Mitigation
      * The event-skipping driver eliminated `n` idle controller ticks that
      * would each have re-run the same safety queries as the last executed
      * tick. Mechanisms that keep per-query counters replay them here so
-     * skipping stays bit-compatible with cycle-by-cycle simulation.
+     * skipping stays bit-compatible with cycle-by-cycle simulation. Not
+     * called for a mechanism with verdict stamps, whose skipped refusals
+     * the controller counts (verdictStamps()).
      */
     virtual void noteSkippedTicks(std::uint64_t n) { (void)n; }
 

@@ -8,8 +8,10 @@
 namespace bh
 {
 
-SchedQueue::SchedQueue(unsigned num_banks)
-    : banks(num_banks), table(num_banks), chains(num_banks)
+SchedQueue::SchedQueue(unsigned num_banks,
+                       const std::uint64_t *verdict_stamps)
+    : banks(num_banks), table(num_banks), chains(num_banks),
+      stamps(verdict_stamps)
 {
 }
 
@@ -158,10 +160,35 @@ SchedQueue::recomputeStale(const DramDevice &dram, DramCommand col,
         else if (e.kind != EventKind::kNone)
             mins[static_cast<std::size_t>(e.kind)] = std::min(
                 mins[static_cast<std::size_t>(e.kind)], e.at);
+        if (chainsHeld)
+            retallyChain(fb, old.kind, e.kind);
         table[fb] = e;
     }
     staleBanks.clear();
     return n;
+}
+
+void
+SchedQueue::retallyChain(unsigned fb, EventKind was, EventKind now_kind)
+{
+    // The totals hold what the chain held when it was last counted: every
+    // change to a counted chain since went through a walk, which keeps
+    // its totals, or through here.
+    VerdictChain &c = chains[fb];
+    if (was == EventKind::kActivate) {
+        totals.refused -= c.refused;
+        totals.incomplete -= c.complete() ? 0 : 1;
+    }
+    if (now_kind != EventKind::kActivate)
+        return;
+    // A bank that a PRE just closed, or whose requests changed, starts
+    // over unless its chain still holds. A lapse only lowers the
+    // earliest one (the totals' lapse is a lower bound).
+    if (!chainKeyHolds(c, fb))
+        c = freshChain(fb);
+    totals.refused += c.refused;
+    totals.incomplete += c.complete() ? 0 : 1;
+    totals.lapse = std::min(totals.lapse, c.validUntil);
 }
 
 void
@@ -204,6 +231,13 @@ DramCommand
 columnCommand(ReqType type)
 {
     return type == ReqType::kRead ? DramCommand::kRd : DramCommand::kWr;
+}
+
+/** Each kind's rank gate (a PRE has none), indexed by EventKind. */
+inline KindMins
+rankGates(const DramDevice &dram, DramCommand col)
+{
+    return {dram.columnEarliest(col), 0, dram.actEarliest(), 0};
 }
 
 /** The earliest of `mins` once the rank's column and ACT gates apply. */
@@ -289,9 +323,7 @@ FrFcfsScheduler::pickRowPrepAllSafe(SchedQueue &queue, ReqType type,
     };
     DramCommand col = columnCommand(type);
     counts.recomputed += queue.syncEvents(dram, col, capped);
-    // Each kind's rank gate (a PRE has none), indexed by EventKind.
-    const KindMins gates{dram.columnEarliest(col), 0, dram.actEarliest(),
-                         0};
+    const KindMins gates = rankGates(dram, col);
     // Known minima can show that no PRE or ACT is legal: then nothing is
     // picked, no ACT bounds through a verdict flip, and the bound is the
     // gated minima's.
@@ -306,8 +338,12 @@ FrFcfsScheduler::pickRowPrepAllSafe(SchedQueue &queue, ReqType type,
     bound = DemandBound{};
     SchedQueue::Handle best = SchedQueue::kNone;
     std::uint64_t best_seq = ~0ull;
+    // The scan reads every entry, so it rebuilds the minima on the way.
+    KindMins walked = kNoMins;
     for (unsigned fb : queue.activeBanks()) {
         const auto &e = queue.event(fb);
+        auto kind = static_cast<std::size_t>(e.kind);
+        walked[kind] = std::min(walked[kind], e.at);
         Cycle e_at = std::max(e.at, at(gates, e.kind));
         // pickRowPrep's rules: a column or PRE command bounds at its
         // time, an ACT already legal only through a verdict flip if
@@ -321,7 +357,31 @@ FrFcfsScheduler::pickRowPrepAllSafe(SchedQueue &queue, ReqType type,
             best_seq = e.seq;
         }
     }
+    queue.keepMins(walked);
     return best;
+}
+
+bool
+FrFcfsScheduler::settledRowPrep(SchedQueue &queue, ReqType type,
+                                const DramDevice &dram, Cycle now,
+                                StreakCapped capped, DemandBound &bound,
+                                std::uint64_t &replayed)
+{
+    using Kind = SchedQueue::EventKind;
+    DramCommand col = columnCommand(type);
+    counts.recomputed += queue.syncEvents(dram, col, capped);
+    const SchedQueue::ChainTotals *chains = queue.settledChains(now);
+    if (!chains)
+        return false;
+    // Rarely due: the walk that last settled the chains rebuilt them.
+    const KindMins &mins = queue.eventMins(counts.scanned);
+    if (mins[static_cast<std::size_t>(Kind::kPrecharge)] <= now ||
+        std::max(mins[static_cast<std::size_t>(Kind::kActivate)],
+                 dram.actEarliest()) <= now)
+        return false;
+    bound = DemandBound{gated(mins, dram, col)};
+    replayed += chains->refused;
+    return true;
 }
 
 SchedQueue::Handle
@@ -329,10 +389,13 @@ FrFcfsScheduler::pickRowPrep(SchedQueue &queue, ReqType type,
                              const DramDevice &dram, Cycle now,
                              const ActFilter &act_allowed,
                              StreakCapped capped, DemandBound &bound,
-                             VerdictReplay *replay)
+                             VerdictReplay &replay)
 {
-    DramCommand col = columnCommand(type);
-    Cycle col_gate = dram.columnEarliest(col);
+    using Kind = SchedQueue::EventKind;
+    if (settledRowPrep(queue, type, dram, now, capped, bound,
+                       replay.replayed))
+        return SchedQueue::kNone;
+    const KindMins gates = rankGates(dram, columnCommand(type));
     bound = DemandBound{};
     counts.scanned += queue.activeBanks().size();
 
@@ -341,8 +404,7 @@ FrFcfsScheduler::pickRowPrep(SchedQueue &queue, ReqType type,
     // only about requests older than it.
     SchedQueue::Handle best = SchedQueue::kNone;
     std::uint64_t best_seq = ~0ull;
-    auto known_pick = [&](SchedQueue::Handle h) {
-        std::uint64_t seq = queue.seqOf(h);
+    auto known_pick = [&](SchedQueue::Handle h, std::uint64_t seq) {
         if (seq < best_seq) {
             best = h;
             best_seq = seq;
@@ -352,56 +414,47 @@ FrFcfsScheduler::pickRowPrep(SchedQueue &queue, ReqType type,
     // Collect each active bank's frontier in ascending age. `activeBanks`
     // is in head-age order, so closed banks (frontier = head) append in
     // order; a chain's frontier, younger than its head, sifts left. The
-    // same pass records the earliest cycle each bank could next issue.
+    // same pass records the earliest cycle each bank could next issue,
+    // and the minima and chain totals it rebuilds.
     frontiers.clear();
     cached.clear();
-    const std::uint64_t *stamps =
-        replay ? replay->mitigation.verdictStamps() : nullptr;
+    KindMins mins = kNoMins;
+    SchedQueue::ChainTotals totals;
     for (unsigned fb : queue.activeBanks()) {
-        const Bank &bank = dram.bank(fb);
-        if (bank.isOpen()) {
-            // Row hits are the column path's (a capped streak serves none
-            // while a conflict waits); a bank with a pending row hit keeps
-            // its row open unless its hit streak is capped.
-            const auto &hits = queue.hitStats(fb, bank);
-            bool conflict = hits.oldestMiss != SchedQueue::kNone;
-            bool cap = capped(fb);
-            if (hits.hitCount > 0 && !(cap && conflict))
-                bound.timing = std::min(
-                    bound.timing, std::max(bank.earliest(col), col_gate));
-            if (!conflict || (hits.hitCount > 0 && !cap))
-                continue;
-            Cycle pre = bank.earliest(DramCommand::kPre);
-            bound.timing = std::min(bound.timing, pre);
-            if (pre <= now)
-                known_pick(hits.oldestMiss);
+        const auto &e = queue.event(fb);
+        auto kind = static_cast<std::size_t>(e.kind);
+        mins[kind] = std::min(mins[kind], e.at);
+        Cycle e_at = std::max(e.at, gates[kind]);
+        if (e.kind != Kind::kActivate) {
+            // An open bank: a live row hit's column command (the column
+            // path's) keeps the row open, else the conflict's PRE.
+            bound.timing = std::min(bound.timing, e_at);
+            if (e.kind == Kind::kPrecharge && e_at <= now)
+                known_pick(e.handle, e.seq);
             continue;
         }
         // If nothing is picked, an ACT already legal now was refused by
         // the mitigation: only a verdict flip can release it.
-        Cycle act = dram.earliest(DramCommand::kAct, fb);
         Frontier f;
-        f.legal = act <= now;
+        f.legal = e_at <= now;
         if (f.legal)
             bound.verdictBound = true;
         else
-            bound.timing = std::min(bound.timing, act);
-        if (replay) {
-            auto &chain = queue.verdictChain(fb, stamps[fb], now);
-            if (chain.refused > 0)
-                cached.push_back({fb, chain.refused, chain.lastRefusedSeq});
-            if (chain.next == SchedQueue::kNone)
-                continue;       // every request refused
-            if (chain.nextSafe) {
-                if (f.legal)
-                    known_pick(chain.next);
-                continue;       // a safe request settles the bank
-            }
-            f.handle = chain.next;
-            f.chain = &chain;
-        } else {
-            f.handle = queue.bankOldest(fb);
+            bound.timing = std::min(bound.timing, e_at);
+        auto &chain = queue.verdictChain(fb, now);
+        totals.refused += chain.refused;
+        totals.lapse = std::min(totals.lapse, chain.validUntil);
+        if (chain.refused > 0)
+            cached.push_back({fb, chain.refused, chain.lastRefusedSeq});
+        if (chain.next == SchedQueue::kNone)
+            continue;           // every request refused
+        if (chain.nextSafe) {
+            if (f.legal)
+                known_pick(chain.next, queue.seqOf(chain.next));
+            continue;           // a safe request settles the bank
         }
+        f.handle = chain.next;
+        f.chain = &chain;
         f.seq = queue.seqOf(f.handle);
         std::size_t pos = frontiers.size();
         frontiers.push_back(f);
@@ -414,16 +467,19 @@ FrFcfsScheduler::pickRowPrep(SchedQueue &queue, ReqType type,
     // (mitigation-blocked) request does not stop a younger safe request
     // to the same bank from being considered: its bank's frontier
     // advances and re-sorts.
+    bool stamps = queue.hasVerdictStamps();
     std::size_t i = 0;
+    bool picked_frontier = false;
     while (i < frontiers.size() && frontiers[i].seq < best_seq) {
         Frontier &f = frontiers[i];
         const Request &req = queue.at(f.handle);
+        SchedQueue::VerdictChain &chain = *f.chain;
         if (act_allowed(req)) {
-            if (f.chain)
-                f.chain->nextSafe = true;
+            chain.nextSafe = true;
             if (f.legal) {
                 best = f.handle;
                 best_seq = f.seq;
+                picked_frontier = true;
                 break;
             }
             ++i;    // safe but not yet legal: the bank is settled
@@ -431,15 +487,17 @@ FrFcfsScheduler::pickRowPrep(SchedQueue &queue, ReqType type,
         }
         Frontier next = f;
         next.handle = queue.bankNext(f.handle);
-        if (SchedQueue::VerdictChain *chain = f.chain) {
-            ++chain->refused;
-            chain->lastRefusedSeq = f.seq;
-            chain->validUntil = std::min(
-                chain->validUntil,
-                replay->mitigation.refusalLapsesAt(req.flatBank,
-                                                   req.coord.row, now));
-            chain->next = next.handle;
+        ++chain.refused;
+        ++totals.refused;
+        chain.lastRefusedSeq = f.seq;
+        if (stamps) {
+            chain.validUntil = std::min(
+                chain.validUntil,
+                replay.mitigation.refusalLapsesAt(req.flatBank,
+                                                  req.coord.row, now));
+            totals.lapse = std::min(totals.lapse, chain.validUntil);
         }
+        chain.next = next.handle;
         if (next.handle == SchedQueue::kNone) {
             ++i;
             continue;
@@ -451,18 +509,23 @@ FrFcfsScheduler::pickRowPrep(SchedQueue &queue, ReqType type,
             frontiers[pos] = frontiers[pos + 1];
         frontiers[pos] = next;
     }
+    // The frontiers left unasked end their chains at an unknown verdict.
+    totals.incomplete = static_cast<std::uint32_t>(
+        frontiers.size() - i - (picked_frontier ? 1 : 0));
+    queue.keepMins(mins);
+    queue.keepChains(totals);
 
     // The walk would have asked again about every cached refusal older
     // than the pick, and each would have been refused again.
     for (const CachedRefusals &c : cached) {
         if (c.lastSeq < best_seq) {
-            replay->replayed += c.count;
+            replay.replayed += c.count;
             continue;
         }
         SchedQueue::Handle h = queue.bankOldest(c.bank);
         for (std::uint32_t k = 0; k < c.count && queue.seqOf(h) < best_seq;
              ++k, h = queue.bankNext(h))
-            ++replay->replayed;
+            ++replay.replayed;
     }
     return best;
 }

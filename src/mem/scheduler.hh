@@ -17,8 +17,10 @@
  * preserving the exact pick — and the exact order of mitigation safety
  * queries — of the original full-walk implementation, and records the
  * queue's demand event bound on the way. Under a mitigation with verdict
- * stamps, each bank keeps the known prefix of its verdicts (its verdict
- * chain), and the walk asks only what no chain knows yet.
+ * stamps, each closed bank keeps the known prefix of its verdicts (its
+ * verdict chain), the walk asks only what no chain knows yet, and the
+ * queue keeps totals over the chains, so a pick that the table and the
+ * chains settle visits no bank at all.
  *
  * All per-bank state is sized from the device, so arbitrarily large
  * organizations (multi-rank DDR4 with > 64 flat banks) work; the old
@@ -71,7 +73,13 @@ class SchedQueue
     using Handle = std::uint32_t;
     static constexpr Handle kNone = 0xffffffffu;
 
-    explicit SchedQueue(unsigned num_banks);
+    /**
+     * `verdict_stamps`: the mitigation's per-bank verdict stamps
+     * (Mitigation::verdictStamps), or null, under which no verdict chain
+     * ever holds.
+     */
+    explicit SchedQueue(unsigned num_banks,
+                        const std::uint64_t *verdict_stamps = nullptr);
 
     /** Append a request (must have flatBank decoded); returns its handle. */
     Handle push(Request &&req);
@@ -185,7 +193,8 @@ class SchedQueue
      * The table's earliest entry of each kind, current after syncEvents.
      * Kept as entries change; only after an entry that may have held a
      * minimum moved away from it are they rebuilt, by a scan of the
-     * active banks' entries, whose count is added to `scanned`.
+     * active banks' entries, whose count is added to `scanned`, or by a
+     * row-prep pick's scan (keepMins).
      */
     const KindMins &
     eventMins(std::uint64_t &scanned)
@@ -222,24 +231,96 @@ class SchedQueue
         Cycle validUntil = kNoEventCycle;   ///< earliest refusal lapse
         std::uint64_t version = ~0ull;      ///< key: BankState::version
         std::uint64_t stamp = 0;            ///< key: the bank's stamp
+
+        /** Does the chain end at a known verdict? */
+        bool complete() const { return nextSafe || next == kNone; }
     };
 
     /**
      * Bank `fb`'s verdict chain, revalidated like hitStats: it holds
-     * while the bank's request set and verdict `stamp` are unchanged
-     * and `now` is before its earliest refusal lapse, and restarts
-     * empty at the bank's head otherwise.
+     * while the bank's request set and verdict stamp are unchanged and
+     * `now` is before its earliest refusal lapse, and restarts empty at
+     * the bank's head otherwise (always, without stamps).
      */
     VerdictChain &
-    verdictChain(unsigned fb, std::uint64_t stamp, Cycle now)
+    verdictChain(unsigned fb, Cycle now)
     {
         VerdictChain &c = chains[fb];
-        const BankState &b = banks[fb];
-        if (c.version != b.version || c.stamp != stamp ||
-            now >= c.validUntil)
-            c = VerdictChain{b.head, 0, false, 0, kNoEventCycle, b.version,
-                             stamp};
+        if (!chainKeyHolds(c, fb) || now >= c.validUntil)
+            c = freshChain(fb);
         return c;
+    }
+
+    /** Were verdict stamps given (else no chain ever holds)? */
+    bool hasVerdictStamps() const { return stamps != nullptr; }
+
+    /** Bank `fb`'s chain as it stands, and whether it holds at `now`. */
+    const VerdictChain &chain(unsigned fb) const { return chains[fb]; }
+    bool
+    chainHolds(unsigned fb, Cycle now) const
+    {
+        return chainKeyHolds(chains[fb], fb) && now < chains[fb].validUntil;
+    }
+
+    /**
+     * Totals over the chains of the banks whose table entry is an ACT
+     * (the closed banks). A chain that was reset counts as incomplete.
+     */
+    struct ChainTotals
+    {
+        std::uint32_t incomplete = 0;       ///< chains not complete()
+        std::uint64_t refused = 0;          ///< their cached refusals
+        Cycle lapse = kNoEventCycle;        ///< no chain lapses before
+    };
+
+    /**
+     * The chain totals if every closed bank's chain is complete and none
+     * has lapsed at `now`, else null. They hold from a pickRowPrep walk
+     * (keepChains) until dropChains; the touches, pushes and takes that
+     * mark entries stale move them at the next syncEvents. Current only
+     * after syncEvents.
+     */
+    const ChainTotals *
+    settledChains(Cycle now) const
+    {
+        return chainsHeld && totals.incomplete == 0 && now < totals.lapse
+            ? &totals : nullptr;
+    }
+
+    /** The chain totals while they hold, else null. */
+    const ChainTotals *
+    chainTotals() const
+    {
+        return chainsHeld ? &totals : nullptr;
+    }
+
+    /**
+     * Every verdict stamp may have moved (a housekeeping tick: an epoch
+     * swap): the totals no longer hold until the next walk.
+     */
+    void dropChains() { chainsHeld = false; }
+
+    /**
+     * A pick's scan of every active bank, with the table in sync, found
+     * the table's minima `walked`: keep them.
+     */
+    void
+    keepMins(const KindMins &walked)
+    {
+        mins = walked;
+        minsValid = true;
+    }
+
+    /**
+     * A pickRowPrep walk over every active bank, with the table in sync,
+     * left the chain totals `walked`: keep them (they hold only with
+     * verdict stamps).
+     */
+    void
+    keepChains(const ChainTotals &walked)
+    {
+        totals = walked;
+        chainsHeld = stamps != nullptr;
     }
 
   private:
@@ -291,6 +372,28 @@ class SchedQueue
     std::uint32_t recomputeStale(const DramDevice &dram, DramCommand col,
                                  StreakCapped capped);
 
+    /** Chain `c` of bank `fb` matches the bank's requests and stamp. */
+    bool
+    chainKeyHolds(const VerdictChain &c, unsigned fb) const
+    {
+        return stamps && c.version == banks[fb].version &&
+            c.stamp == stamps[fb];
+    }
+
+    /** An empty chain at bank `fb`'s head, keyed to its current state. */
+    VerdictChain
+    freshChain(unsigned fb) const
+    {
+        return VerdictChain{banks[fb].head, 0, false, 0, kNoEventCycle,
+                            banks[fb].version, stamps ? stamps[fb] : 0};
+    }
+
+    /**
+     * Move bank `fb`'s chain in the totals as its entry's kind goes from
+     * `was` to `now_kind` (recomputeStale, while the totals hold).
+     */
+    void retallyChain(unsigned fb, EventKind was, EventKind now_kind);
+
     /** eventMins' scan. */
     void rebuildMins(std::uint64_t &scanned);
 
@@ -307,8 +410,11 @@ class SchedQueue
     KindMins mins{kNoEventCycle, kNoEventCycle, kNoEventCycle,
                   kNoEventCycle};
     bool minsValid = true;                  ///< else rebuild before a read
-    /// Per bank; apart from `banks` too, read by chained picks only.
+    /// Per bank; apart from `banks` too, read by row-prep picks only.
     std::vector<VerdictChain> chains;
+    const std::uint64_t *stamps = nullptr;  ///< the mitigation's, or null
+    ChainTotals totals;
+    bool chainsHeld = false;                ///< else a walk rebuilds them
 };
 
 /**
@@ -338,9 +444,10 @@ struct DemandBound
 };
 
 /**
- * A row-prep pick that replays cached verdicts instead of asking again:
- * the mitigation, whose verdictStamps() must not be null, and the
- * cached refusals the picks passed over, which the caller counts.
+ * What a row-prep pick needs to replay cached verdicts instead of asking
+ * again: the mitigation, whose refusal lapses the chains learn when the
+ * queue has verdict stamps, and the cached refusals the picks passed
+ * over, which the caller counts.
  */
 struct VerdictReplay
 {
@@ -375,7 +482,8 @@ class FrFcfsScheduler
      * The row-prep pick of pickRowPrep with a filter that passes every
      * request, read off the event table: the oldest request whose PRE or
      * ACT is legal at `now`, with no filter call and no frontier sort.
-     * It records into `bound` the bound pickRowPrep records. The
+     * It records into `bound` the bound pickRowPrep records, and a scan
+     * rebuilds the table's minima on the way (SchedQueue::keepMins). The
      * controller takes it where the mitigation's safety queries have no
      * effect (Mitigation::actQueriesObservable).
      */
@@ -396,31 +504,47 @@ class FrFcfsScheduler
      * Only one request per bank can matter at a time, the bank's
      * frontier: a closed bank's oldest request not yet refused by the
      * mitigation, or an open bank's oldest conflicting request when its
-     * PRE is legal and no live (uncapped) hit keeps the row open. The
-     * frontiers are visited in ascending sequence number; an unsafe
-     * verdict advances that bank's frontier to its next request, and a
-     * safe one either returns the request (ACT legal) or retires the
-     * bank. That is the pick of the original oldest-first walk over the
-     * whole queue, with the mitigation filter called on the same requests
-     * in the same global age order, so safety-query side effects (delay
-     * accounting, blocked counters) are bit-compatible.
+     * PRE is legal and no live (uncapped) hit keeps the row open (the
+     * event table's PRE entry). The frontiers are visited in ascending
+     * sequence number; an unsafe verdict advances that bank's frontier to
+     * its next request, and a safe one either returns the request (ACT
+     * legal) or retires the bank. That is the pick of the original
+     * oldest-first walk over the whole queue, with the mitigation filter
+     * called on the same requests in the same global age order, so
+     * safety-query side effects (delay accounting, blocked counters) are
+     * bit-compatible.
      *
-     * The walk that collects the frontiers also records into `bound` the
-     * queue's demand event bound (`queue` holds requests of `type`), so
-     * an idle controller tick needs no second pass over its banks.
+     * A closed bank's frontier starts where its verdict chain ends, the
+     * chains learn every verdict the filter answers, and the cached
+     * refusals older than the pick, which the walk would have asked
+     * again, are added to `replay.replayed` instead. Without verdict
+     * stamps no chain holds, and every query is live.
      *
-     * With `replay`, a closed bank's frontier starts where its verdict
-     * chain ends, the chains learn every verdict the filter answers, and
-     * the cached refusals older than the pick, which the walk would have
-     * asked again, are added to `replay->replayed` instead. The pick and
-     * the bound are the walk's, and the filter is called on the walk's
-     * requests minus those whose verdicts a chain holds, in the walk's
-     * order.
+     * The walk that collects the frontiers reads each bank's event-table
+     * entry, records into `bound` the queue's demand event bound
+     * (`queue` holds requests of `type`), so an idle controller tick
+     * needs no second pass over its banks, and rebuilds the table's
+     * minima and the chain totals (SchedQueue::keepMins, keepChains).
+     * When those settle the pick (settledRowPrep), no bank is visited.
      */
     SchedQueue::Handle
     pickRowPrep(SchedQueue &queue, ReqType type, const DramDevice &dram,
                 Cycle now, const ActFilter &act_allowed, StreakCapped capped,
-                DemandBound &bound, VerdictReplay *replay = nullptr);
+                DemandBound &bound, VerdictReplay &replay);
+
+    /**
+     * pickRowPrep's answer at `now` with no bank walk, where the table
+     * and the chain totals settle it: every closed bank's chain is
+     * complete and holds, and the minima (rebuilt by a scan if they are
+     * not current) show no legal PRE or ACT. Then nothing is picked, no
+     * query is asked, `bound` is the gated minima (no ACT is legal, so
+     * none bounds through a verdict flip), the chains' cached refusals
+     * are added to `replayed`, and the answer is true.
+     */
+    bool settledRowPrep(SchedQueue &queue, ReqType type,
+                        const DramDevice &dram, Cycle now,
+                        StreakCapped capped, DemandBound &bound,
+                        std::uint64_t &replayed);
 
     /**
      * The queue's demand event bound with every ACT taken as safe: the
@@ -459,7 +583,7 @@ class FrFcfsScheduler
         std::uint64_t seq = 0;                  ///< age of `handle`
         SchedQueue::Handle handle = SchedQueue::kNone;
         bool legal = false;                     ///< the bank's ACT, now
-        SchedQueue::VerdictChain *chain = nullptr;  ///< with a replay
+        SchedQueue::VerdictChain *chain = nullptr;
     };
 
     /** A bank's cached refusals at the start of a chained pick. */
@@ -472,7 +596,7 @@ class FrFcfsScheduler
 
     /** pickRowPrep scratch, ascending `seq`; reused across calls. */
     std::vector<Frontier> frontiers;
-    /** Chained pickRowPrep scratch; reused across calls. */
+    /** pickRowPrep scratch; reused across calls. */
     std::vector<CachedRefusals> cached;
     Work counts;
 };

@@ -119,6 +119,25 @@ buildSystem(const ExperimentConfig &config, const MixSpec &mix,
     return system;
 }
 
+namespace
+{
+
+thread_local WorkCounts tlsWork;
+
+} // namespace
+
+WorkCounts
+workThisThread()
+{
+    return tlsWork;
+}
+
+void
+resetWorkThisThread()
+{
+    tlsWork = WorkCounts{};
+}
+
 RunResult
 runExperiment(const ExperimentConfig &config, const MixSpec &mix,
               const MitigationWrapper &wrap)
@@ -186,6 +205,12 @@ runExperiment(const ExperimentConfig &config, const MixSpec &mix,
             lane["mitigation"] = mitig;
         res.stats["ch" + std::to_string(ch)] = lane;
     }
+    tlsWork.ticksExecuted += res.ctrlTicksExecuted;
+    tlsWork.ticksActed += res.ctrlTicksActed;
+    tlsWork.actQueries += res.ctrlActQueries;
+    tlsWork.refusalsReplayed += res.ctrlRefusalsReplayed;
+    tlsWork.entriesScanned += res.ctrlEntriesScanned;
+    tlsWork.entriesRecomputed += res.ctrlEntriesRecomputed;
     return res;
 }
 
@@ -225,7 +250,9 @@ aloneIpc(const ExperimentConfig &config, const std::string &app)
     MixSpec mix;
     mix.name = "alone-" + app;
     mix.apps = {app};
+    WorkCounts cell_work = tlsWork;
     RunResult res = runExperiment(alone, mix);
+    tlsWork = cell_work;
     std::lock_guard<std::mutex> lock(cacheMutex);
     cache[key] = res.ipc[0];
     return res.ipc[0];

@@ -163,6 +163,27 @@ struct RunResult
 };
 
 /**
+ * The controller work counters of RunResult (ctrlTicksExecuted and the
+ * five after it), summed over the calling thread's runExperiment calls
+ * since its last reset. Bench workers reset, run a cell, and read them
+ * into the cell's BENCH_perf.json `work` object, as they read
+ * simCyclesThisThread(). The memoized alone runs behind aloneIpc are
+ * left out: whether a cell makes them depends on which cells ran before
+ * it on the same worker. Observation-only.
+ */
+struct WorkCounts
+{
+    std::uint64_t ticksExecuted = 0;
+    std::uint64_t ticksActed = 0;
+    std::uint64_t actQueries = 0;
+    std::uint64_t refusalsReplayed = 0;
+    std::uint64_t entriesScanned = 0;
+    std::uint64_t entriesRecomputed = 0;
+};
+WorkCounts workThisThread();
+void resetWorkThisThread();
+
+/**
  * Wraps one channel's mitigation instance as a system is built (a
  * decorator that forwards the hooks, as instrumentation and tests use).
  */

@@ -148,6 +148,48 @@ runAt(const char *name, double scale, unsigned jobs)
     return ctx.result;
 }
 
+TEST(Registry, CellWorkIsItsRunResults)
+{
+    // A one-cell run's BENCH_perf.json `work` object holds the controller
+    // counters of the cell's RunResult; the alone runs its metrics read
+    // are left out.
+    ExperimentConfig cfg;
+    cfg.mechanism = "BlockHammer";
+    cfg.threads = 2;
+    cfg.nRH = 512;
+    cfg.refwMs = 0.25;
+    cfg.warmupCycles = 10'000;
+    cfg.runCycles = 40'000;
+    MixSpec mix;
+    mix.name = "work";
+    mix.apps = {kAttackAppName, "429.mcf"};
+    Runner pool(1);
+    BenchContext ctx;
+    ctx.runner = &pool;
+    RunResult res;
+    ctx.runCells("work", 1, [&](std::size_t) {
+        res = runExperiment(cfg, mix);
+        metricsAgainstAlone(cfg, mix, res);
+        return Json(1.0);
+    });
+    ASSERT_EQ(ctx.cellPerf.count(0), 1u);
+    Json work = ctx.cellPerf.at(0).toJson()["work"];
+    auto count = [](std::uint64_t n) {
+        return Json(static_cast<std::int64_t>(n));
+    };
+    EXPECT_GT(res.ctrlActQueries, 0u);
+    EXPECT_EQ(work.dump(), [&] {
+        Json w = Json::object();
+        w["ticks_executed"] = count(res.ctrlTicksExecuted);
+        w["ticks_acted"] = count(res.ctrlTicksActed);
+        w["act_queries"] = count(res.ctrlActQueries);
+        w["refusals_replayed"] = count(res.ctrlRefusalsReplayed);
+        w["entries_scanned"] = count(res.ctrlEntriesScanned);
+        w["entries_recomputed"] = count(res.ctrlEntriesRecomputed);
+        return w;
+    }().dump());
+}
+
 TEST(Registry, Fig4JsonIsIdenticalAcrossWorkerCounts)
 {
     Json serial = runAt("fig4", 0.1, 1);

@@ -24,13 +24,19 @@
  * as the controller does, and every entry it did not touch must still
  * be current (SchedQueue::firstWrongEvent).
  *
- * The chained pick (pickRowPrep with a VerdictReplay) runs in the same
- * rounds against a scripted mitigation whose per-bank verdict stamps
- * move and whose refusals lapse at random between rounds. It must make
- * the walk's pick and record its bound; its live queries must be the
- * walk's minus the repeats of verdicts its chains still hold, in the
- * walk's order; its live plus replayed refusals must add up to the
- * walk's; and each row's first refusal must be the walk's.
+ * The row-prep pick runs twice in each round: on a mirror queue without
+ * verdict stamps, where no chain holds and every query is live, and on
+ * the stamped queue, whose chains replay verdicts against a scripted
+ * mitigation whose per-bank verdict stamps move (with a touch, as an
+ * ACT's do), whose every stamp moves now and then (an epoch swap, which
+ * drops the chain totals), and whose refusals lapse at random between
+ * rounds. The chained pick reads open banks off the event table and,
+ * where the minima and the chain totals settle it, answers without a
+ * bank walk; the rounds must take that shortcut. It must make the
+ * walk's pick and record its bound; its live queries must be the walk's
+ * minus the repeats of verdicts its chains still hold, in the walk's
+ * order; its live plus replayed refusals must add up to the walk's; and
+ * each row's first refusal must be the walk's.
  */
 
 #include <gtest/gtest.h>
@@ -211,42 +217,48 @@ referenceBankEventAt(const std::deque<Request> &queue, ReqType type,
     return bank.earliest(DramCommand::kPre);
 }
 
+/** Queues that hold the same requests and learn the same changes. */
+using Mirrors = std::vector<SchedQueue *>;
+
 /**
  * An all-bank REF, as the controller's refresh drain issues it: close
  * every open bank as soon as its PRE is legal, then refresh, which moves
- * every bank's ACT time (Bank::blockUntil). `q` learns each change.
+ * every bank's ACT time (Bank::blockUntil). `qs` learn each change.
  */
 void
-refreshDevice(DramDevice &dram, Cycle &now, SchedQueue &q)
+refreshDevice(DramDevice &dram, Cycle &now, const Mirrors &qs)
 {
     for (unsigned fb = 0; fb < dram.numBanks(); ++fb) {
         if (!dram.bank(fb).isOpen())
             continue;
         now = std::max(now, dram.earliest(DramCommand::kPre, fb));
         dram.issue(DramCommand::kPre, fb, 0, now);
-        q.touch(fb);
+        for (SchedQueue *q : qs)
+            q->touch(fb);
     }
     now = std::max(now, dram.earliestRefresh());
     dram.issueRefresh(now);
-    q.touchAll();
+    for (SchedQueue *q : qs)
+        q->touchAll();
 }
 
 /**
  * Drive a device through random legal commands to diversify its state,
- * and now and then an all-bank REF. `q` learns each change, as the
+ * and now and then an all-bank REF. `qs` learn each change, as the
  * controller's queues do.
  */
 void
 randomizeDevice(DramDevice &dram, Rng &rng, Cycle &now, unsigned steps,
-                SchedQueue &q)
+                const Mirrors &qs)
 {
     unsigned nbanks = dram.numBanks();
     if (rng.below(10) == 0)
-        refreshDevice(dram, now, q);
+        refreshDevice(dram, now, qs);
     auto issue = [&](DramCommand cmd, unsigned fb, RowId row) {
         if (dram.canIssue(cmd, fb, now)) {
             dram.issue(cmd, fb, row, now);
-            q.touch(fb);
+            for (SchedQueue *q : qs)
+                q->touch(fb);
         }
     };
     for (unsigned s = 0; s < steps; ++s) {
@@ -329,8 +341,16 @@ class ScriptedVerdicts : public Mitigation
         return table.at(key(bank, row)).lapse;
     }
 
-    /** Move bank `fb`'s stamp (an activation or an epoch swap). */
+    /** Move bank `fb`'s stamp (an activation). */
     void bump(unsigned fb) { ++stamps[fb]; }
+
+    /** Move every bank's stamp (an epoch swap). */
+    void
+    bumpAll()
+    {
+        for (auto &stamp : stamps)
+            ++stamp;
+    }
 
     static std::uint64_t
     key(unsigned bank, RowId row)
@@ -424,7 +444,8 @@ checkChainedPick(FrFcfsScheduler &sched, SchedQueue &q, ReqType type,
                  const RefusalLog &walked, RefusalLog &chained,
                  std::vector<KnownVerdicts> &known,
                  const std::vector<std::uint64_t> &bank_changes,
-                 std::uint64_t &omitted, unsigned iter)
+                 std::uint64_t &omitted, std::uint64_t &settled,
+                 unsigned iter)
 {
     const std::uint64_t *stamps = mitig.verdictStamps();
     for (unsigned fb = 0; fb < known.size(); ++fb) {
@@ -456,8 +477,14 @@ checkChainedPick(FrFcfsScheduler &sched, SchedQueue &q, ReqType type,
     };
     VerdictReplay replay{mitig};
     DemandBound bound;
+    std::uint64_t scanned = sched.work().scanned;
     auto pick = sched.pickRowPrep(q, type, dram, now, filter, capped, bound,
-                                  &replay);
+                                  replay);
+    // A pick that visits no bank of a non-empty queue took the shortcut.
+    if (!q.empty() && sched.work().scanned == scanned) {
+        ++settled;
+        EXPECT_TRUE(live.empty()) << "iter " << iter;
+    }
     chained.count += replay.replayed;
     chained.replayed += replay.replayed;
     omitted += walk_log.size() - live.size();
@@ -487,19 +514,23 @@ runDifferential(unsigned nbanks, std::uint64_t seed)
     Rng stamp_rng(seed ^ 0x57a3b);
     RefusalLog walked, chained;
     std::uint64_t omitted = 0;      ///< walk queries the chains answered
+    std::uint64_t settled = 0;      ///< chained picks that walked no bank
     std::vector<KnownVerdicts> known(nbanks);
     std::vector<std::uint64_t> bank_changes(nbanks, 0);
 
-    // One queue (and its reference copy) across all rounds; handles[i]
-    // holds ref_q[i].
+    // One stamped queue, its stampless mirror and their reference copy
+    // across all rounds; handles[i] and plain_handles[i] hold ref_q[i].
     constexpr std::size_t kQueueCap = 64;
     std::deque<Request> ref_q;
-    std::deque<SchedQueue::Handle> handles;
-    SchedQueue new_q(nbanks);
+    std::deque<SchedQueue::Handle> handles, plain_handles;
+    SchedQueue new_q(nbanks, mitig.verdictStamps());
+    SchedQueue plain_q(nbanks);
+    const Mirrors both{&new_q, &plain_q};
     std::uint64_t next_id = 0;
     auto push = [&](Request req) {
         ++bank_changes[req.flatBank];
         ref_q.push_back(req);
+        plain_handles.push_back(plain_q.push(Request(req)));
         handles.push_back(new_q.push(std::move(req)));
         ASSERT_EQ(new_q.size(), ref_q.size());
         ASSERT_TRUE(activeBanksInHeadOrder(new_q, nbanks));
@@ -510,8 +541,11 @@ runDifferential(unsigned nbanks, std::uint64_t seed)
         std::size_t i = static_cast<std::size_t>(it - handles.begin());
         ++bank_changes[ref_q[i].flatBank];
         EXPECT_EQ(new_q.take(h).addr, ref_q[i].addr);
+        EXPECT_EQ(plain_q.take(plain_handles[i]).addr, ref_q[i].addr);
         ref_q.erase(ref_q.begin() + static_cast<std::ptrdiff_t>(i));
         handles.erase(it);
+        plain_handles.erase(plain_handles.begin() +
+                            static_cast<std::ptrdiff_t>(i));
         ASSERT_EQ(new_q.size(), ref_q.size());
         ASSERT_TRUE(activeBanksInHeadOrder(new_q, nbanks));
     };
@@ -521,8 +555,10 @@ runDifferential(unsigned nbanks, std::uint64_t seed)
     std::vector<unsigned> streak(nbanks, 0);
     StreakCapped capped{streak.data(), kCap};
 
-    for (unsigned iter = 0; iter < 400; ++iter) {
-        randomizeDevice(dram, rng, now, 12, new_q);
+    // A round that changes the device, the requests, their type, the
+    // streaks and some verdict stamps.
+    auto randomizeRound = [&](unsigned iter, ReqType &type) {
+        randomizeDevice(dram, rng, now, 12, both);
 
         // Filling and draining phases swing the queue between empty and
         // full; random removals hit heads and non-heads alike, so banks
@@ -538,21 +574,47 @@ runDifferential(unsigned nbanks, std::uint64_t seed)
                 push(randomRequest(dram, rng, next_id++)));
 
         // A controller queue holds one request type.
-        ReqType type = rng.chance(0.5) ? ReqType::kRead : ReqType::kWrite;
+        type = rng.chance(0.5) ? ReqType::kRead : ReqType::kWrite;
         for (std::size_t i = 0; i < ref_q.size(); ++i) {
             ref_q[i].type = type;
             new_q.at(handles[i]).type = type;
+            plain_q.at(plain_handles[i]).type = type;
         }
 
         // Random per-bank row-hit streaks around the cap (so some banks
-        // are capped). Safety verdicts come from the scripted mitigation,
-        // and some banks' stamps move between rounds.
+        // are capped). Safety verdicts come from the scripted mitigation;
+        // some banks' stamps move between rounds, each with the touch of
+        // the ACT that moves it, and now and then every stamp moves at
+        // once, which drops the chain totals (a housekeeping tick).
         for (unsigned fb = 0; fb < nbanks; ++fb) {
             bool was_capped = capped(fb);
             streak[fb] = static_cast<unsigned>(rng.below(kCap + 2));
             if (capped(fb) != was_capped)
-                new_q.touch(fb);
+                for (SchedQueue *q : both)
+                    q->touch(fb);
         }
+        for (unsigned fb = 0; fb < nbanks; ++fb) {
+            if (stamp_rng.chance(0.1)) {
+                mitig.bump(fb);
+                new_q.touch(fb);
+            }
+        }
+        if (stamp_rng.chance(0.05)) {
+            mitig.bumpAll();
+            new_q.dropChains();
+        }
+    };
+
+    ReqType type = ReqType::kRead;
+    for (unsigned iter = 0; iter < 400; ++iter) {
+        // Some rounds are the controller's next tick: only time moves
+        // (and the last round's served requests are gone), so the
+        // chains from the last pick can settle this one.
+        bool next_tick = iter > 0 && rng.chance(0.3);
+        if (next_tick)
+            ++now;
+        else
+            ASSERT_NO_FATAL_FAILURE(randomizeRound(iter, type));
         // Every entry that no touch marked stale is current.
         EXPECT_EQ(new_q.firstWrongEvent(dram,
                                         type == ReqType::kRead
@@ -561,9 +623,6 @@ runDifferential(unsigned nbanks, std::uint64_t seed)
                                         capped),
                   -1)
             << "iter " << iter;
-        for (unsigned fb = 0; fb < nbanks; ++fb)
-            if (stamp_rng.chance(0.1))
-                mitig.bump(fb);
         auto verdict = [&](const Request &req) {
             return mitig.isActSafe(req.flatBank, req.coord.row, req.thread,
                                    now);
@@ -598,23 +657,29 @@ runDifferential(unsigned nbanks, std::uint64_t seed)
         auto ref_prep = ReferenceFrFcfs::pickRowPrep(ref_q, dram, now,
                                                      ref_filter, capped);
         DemandBound bound;
-        auto new_prep = sched.pickRowPrep(new_q, type, dram, now, new_filter,
-                                          capped, bound);
+        VerdictReplay no_replay{mitig};
+        auto plain_prep = sched.pickRowPrep(plain_q, type, dram, now,
+                                            new_filter, capped, bound,
+                                            no_replay);
+        EXPECT_EQ(no_replay.replayed, 0u) << "iter " << iter;
         if (ref_prep.has_value()) {
-            ASSERT_NE(new_prep, SchedQueue::kNone) << "iter " << iter;
-            EXPECT_EQ(ref_q[*ref_prep].addr, new_q.at(new_prep).addr)
+            ASSERT_NE(plain_prep, SchedQueue::kNone) << "iter " << iter;
+            EXPECT_EQ(ref_q[*ref_prep].addr, plain_q.at(plain_prep).addr)
                 << "iter " << iter;
         } else {
-            EXPECT_EQ(new_prep, SchedQueue::kNone) << "iter " << iter;
+            EXPECT_EQ(plain_prep, SchedQueue::kNone) << "iter " << iter;
         }
         EXPECT_EQ(ref_log, new_log) << "iter " << iter;
+        SchedQueue::Handle new_prep = SchedQueue::kNone;
+        if (ref_prep.has_value())
+            new_prep = handles[*ref_prep];
 
         // The chained pick: same pick and bound, the walk's queries
         // minus the verdicts the chains hold, and the same refusals.
         ASSERT_NO_FATAL_FAILURE(checkChainedPick(
             sched, new_q, type, dram, now, capped, mitig, ref_log,
             ref_prep ? ref_q[*ref_prep].addr : ~0ull, bound, walked,
-            chained, known, bank_changes, omitted, iter));
+            chained, known, bank_changes, omitted, settled, iter));
 
         // The bound the row-prep walk recorded is the separate walk's,
         // whether or not the mitigation's verdict can flip.
@@ -667,8 +732,9 @@ runDifferential(unsigned nbanks, std::uint64_t seed)
                                                 capped),
                           SchedQueue::kNone)
                     << "iter " << iter << " cycle " << c;
-                EXPECT_EQ(sched.pickRowPrep(new_q, type, dram, c, silent,
-                                            capped, later),
+                VerdictReplay replay{mitig};
+                EXPECT_EQ(sched.pickRowPrep(plain_q, type, dram, c, silent,
+                                            capped, later, replay),
                           SchedQueue::kNone)
                     << "iter " << iter << " cycle " << c;
             }
@@ -693,9 +759,10 @@ runDifferential(unsigned nbanks, std::uint64_t seed)
         }
     }
     // The rounds exercise the chains: cached verdicts stand in for
-    // queries, refusals among them.
+    // queries, refusals among them, and the totals settle some picks.
     EXPECT_GT(omitted, chained.replayed);
     EXPECT_GT(chained.replayed, 0u);
+    EXPECT_GT(settled, 0u);
 }
 
 TEST(SchedulerDemandBound, CappedHitYieldsToTheConflictsPrecharge)
@@ -719,12 +786,14 @@ TEST(SchedulerDemandBound, CappedHitYieldsToTheConflictsPrecharge)
     ASSERT_LT(now, t.tRAS);
     FrFcfsScheduler sched(dram.numBanks());
     auto never = [](const Request &) { return false; };
+    NullMitigation none;
     for (unsigned streak : {0u, 4u}) {
         StreakCapped capped{&streak, 4};
         q.touch(0);     // the bank's cap flips between the iterations
         DemandBound bound;
+        VerdictReplay replay{none};
         EXPECT_EQ(sched.pickRowPrep(q, ReqType::kRead, dram, now, never,
-                                    capped, bound),
+                                    capped, bound, replay),
                   SchedQueue::kNone);
         EXPECT_EQ(bound.at(kNoEventCycle), streak < 4 ? t.tRCD : t.tRAS)
             << "streak " << streak;

@@ -14,11 +14,16 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <cstdio>
 #include <functional>
+#include <sstream>
 #include <string>
 #include <tuple>
 
+#include "common/rng.hh"
 #include "experiment_helpers.hh"
+#include "workloads/attack_patterns.hh"
+#include "workloads/fuzz_patterns.hh"
 
 namespace bh
 {
@@ -203,11 +208,15 @@ TEST(QueryCapability, OnlyBlockHammerExposesVerdictStamps)
 
 /**
  * Under a mechanism with verdict stamps, the row-prep picks replay
- * repeated verdicts from per-bank chains instead of asking again. The
- * same mechanism wrapped so that it hides the stamps asks every query:
- * both runs must be equal in every field (refusal counts, first-refusal
- * delays and throttling included), the chained one with strictly fewer
- * live queries, and live queries plus replayed refusals add up.
+ * repeated verdicts from per-bank chains instead of asking again, picks
+ * that the chains and the event table settle walk no bank, and the tick
+ * after an issue is derived where they settle both queues. The same
+ * mechanism wrapped so that it hides the stamps asks every query and
+ * executes every such tick: both runs must be equal in every field
+ * (refusal counts, first-refusal delays and throttling included), the
+ * chained one with strictly fewer live queries, strictly fewer executed
+ * controller ticks, exactly as many that acted, and fewer bank entries
+ * scanned.
  */
 class VerdictChains
     : public ::testing::TestWithParam<std::tuple<std::string, unsigned>>
@@ -232,8 +241,10 @@ TEST_P(VerdictChains, ReplayTheQueriesTheyCache)
     EXPECT_EQ(walked.ctrlRefusalsReplayed, 0u);
     EXPECT_GT(chained.ctrlRefusalsReplayed, 0u);
     EXPECT_LT(chained.ctrlActQueries, walked.ctrlActQueries);
-    // Replays change no executed tick.
-    EXPECT_EQ(chained.ctrlTicksExecuted, walked.ctrlTicksExecuted);
+    EXPECT_LT(chained.ctrlTicksExecuted, walked.ctrlTicksExecuted);
+    // A tick that acts is never replayed.
+    EXPECT_EQ(chained.ctrlTicksActed, walked.ctrlTicksActed);
+    EXPECT_LT(chained.ctrlEntriesScanned, walked.ctrlEntriesScanned);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -248,6 +259,98 @@ INSTANTIATE_TEST_SUITE_P(
                 c = '_';
         return name + "_" + std::to_string(std::get<1>(info.param)) + "ch";
     });
+
+/**
+ * A seeded grid over the machinery that replays BlockHammer's verdicts:
+ * each seed draws a small system (BlockHammer, BreakHammer+BlockHammer
+ * or BlockHammer-Observe; 1, 2 or 4 channels; 1-8 threads; N_RH and
+ * tREFW short enough that every run crosses throttler epochs) and a mix
+ * of catalog apps with one attacker, a catalog pattern or a sampled
+ * `kFuzz` pattern. Event skipping and kVerify must reproduce the
+ * cycle-by-cycle RunResult exactly. A failing seed names its draw in
+ * one line (printed before its runs, since kVerify aborts on a wrong
+ * claim); a test calling checkGridSeed(seed) reproduces it.
+ */
+struct GridDraw
+{
+    ExperimentConfig cfg;
+    MixSpec mix;
+
+    std::string
+    describe(std::uint64_t seed) const
+    {
+        std::ostringstream out;
+        out << "skip grid seed " << seed << ": " << cfg.mechanism << ", "
+            << cfg.channels << " ch, " << cfg.threads << " threads, N_RH "
+            << cfg.nRH << ", tREFW " << cfg.refwMs << " ms, apps";
+        for (const auto &app : mix.apps)
+            out << ' ' << app;
+        return out.str();
+    }
+};
+
+GridDraw
+drawGrid(std::uint64_t seed)
+{
+    Rng rng(seed);
+    static const char *const kMechanisms[] = {
+        "BlockHammer", "BreakHammer+BlockHammer", "BlockHammer-Observe"};
+    static const unsigned kChannels[] = {1, 2, 4};
+    static const unsigned kNrh[] = {256, 512, 1024};
+    static const double kRefwMs[] = {0.02, 0.03, 0.04};
+    GridDraw d;
+    d.cfg = shortConfig(kMechanisms[rng.below(3)], kChannels[rng.below(3)]);
+    d.cfg.threads = 1 + static_cast<unsigned>(rng.below(8));
+    d.cfg.nRH = kNrh[rng.below(3)];
+    d.cfg.refwMs = kRefwMs[rng.below(3)];
+    d.cfg.warmupCycles = 40'000;
+    d.cfg.runCycles = 160'000;
+    d.cfg.securityOracle = true;
+    d.mix.name = "grid-" + std::to_string(seed);
+    if (rng.chance(0.5)) {
+        const auto &catalog = attackPatternCatalog();
+        d.mix.apps.push_back(
+            attackPatternApp(catalog[rng.below(catalog.size())].name));
+    } else {
+        d.mix.apps.push_back(
+            fuzzPatternApp(sampleFuzzPattern(defaultFuzzSpace(), rng)));
+    }
+    const auto &apps = appCatalog();
+    while (d.mix.apps.size() < d.cfg.threads)
+        d.mix.apps.push_back(apps[rng.below(apps.size())].params.name);
+    return d;
+}
+
+void
+checkGridSeed(std::uint64_t seed)
+{
+    GridDraw d = drawGrid(seed);
+    std::string line = d.describe(seed);
+    SCOPED_TRACE(line);
+    std::fprintf(stderr, "%s\n", line.c_str());
+    // Every run crosses at least two throttler epoch swaps.
+    ASSERT_GE(d.cfg.warmupCycles + d.cfg.runCycles,
+              d.cfg.timings().tREFW);
+    d.cfg.skip = SkipMode::kCycleByCycle;
+    RunResult ref = runExperiment(d.cfg, d.mix);
+    for (SkipMode mode : {SkipMode::kEventSkip, SkipMode::kVerify}) {
+        d.cfg.skip = mode;
+        expectEqualResults(ref, runExperiment(d.cfg, d.mix));
+    }
+}
+
+TEST(SkipGrid, SeededBlockHammerSystemsMatchCycleByCycle)
+{
+    // About 20 s in Release. Debug and sanitizer builds, whose runs are
+    // ~10x slower, draw fewer seeds.
+#ifdef NDEBUG
+    constexpr std::uint64_t kSeeds = 64;
+#else
+    constexpr std::uint64_t kSeeds = 6;
+#endif
+    for (std::uint64_t seed = 1; seed <= kSeeds; ++seed)
+        ASSERT_NO_FATAL_FAILURE(checkGridSeed(seed));
+}
 
 /**
  * Where queries have no effect, the controller derives its next event
