@@ -105,15 +105,17 @@ struct BenchContext
     /**
      * Self-profile of one executed cell: wall-clock spent in fn(),
      * simulated cycles covered (simCyclesThisThread delta) and the
-     * controller work of its runs (workThisThread). Filled by runCells
-     * in Run mode only, keyed by global cell index; the driver writes it
-     * as BENCH_perf.json — never into BENCH_<name>.json, whose bytes
-     * must not depend on host speed or on the path a run took.
+     * controller work of its runs (workThisThread), each without the
+     * memoized alone runs fn() made, which `alone` holds. Filled by
+     * runCells in Run mode only, keyed by global cell index; the driver
+     * writes it as BENCH_perf.json — never into BENCH_<name>.json, whose
+     * bytes must not depend on host speed or on the path a run took.
      */
     struct CellPerf
     {
         double wallS = 0.0;
         std::uint64_t simCycles = 0;
+        AloneCounts alone;
         WorkCounts work;
 
         /** The cell's BENCH_perf.json entry. */

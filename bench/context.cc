@@ -61,17 +61,22 @@ BenchContext::runCells(const std::string &label, std::size_t n,
         runner->forEach(owned.size(), [&](std::size_t k) {
             // Self-profile every executed cell: wall-clock around fn()
             // plus the simulated cycles the worker thread covers inside
-            // it (System::run accumulates a thread-local counter).
+            // it (System::run accumulates a thread-local counter), less
+            // the alone runs its metrics made, which are counted apart:
+            // whether a cell makes them depends on the cells before it.
             resetSimCyclesThisThread();
             resetWorkThisThread();
+            resetAloneThisThread();
             // bh-lint: allow(nondet) wall-clock self-profile sidecar; never feeds simulation state
             auto t0 = std::chrono::steady_clock::now();
             out[owned[k]] = fn(owned[k]);
             // bh-lint: allow(nondet) wall-clock self-profile sidecar; never feeds simulation state
             auto t1 = std::chrono::steady_clock::now();
             CellPerf perf;
-            perf.wallS = std::chrono::duration<double>(t1 - t0).count();
-            perf.simCycles = simCyclesThisThread();
+            perf.alone = aloneThisThread();
+            perf.wallS = std::chrono::duration<double>(t1 - t0).count() -
+                perf.alone.wallS;
+            perf.simCycles = simCyclesThisThread() - perf.alone.simCycles;
             perf.work = workThisThread();
             std::lock_guard<std::mutex> lock(perfMutex);
             cellPerf[first + owned[k]] = perf;
@@ -110,6 +115,8 @@ BenchContext::CellPerf::toJson() const
     Json c = Json::object();
     c["wall_ms"] = wallS * 1e3;
     c["sim_cycles"] = count(simCycles);
+    c["alone_wall_ms"] = alone.wallS * 1e3;
+    c["alone_sim_cycles"] = count(alone.simCycles);
     c["work"] = std::move(w);
     return c;
 }

@@ -15,6 +15,8 @@
  * fingerprint and per-cell digests.
  */
 
+#include <sys/resource.h>
+
 #include <chrono>
 #include <cstring>
 #include <filesystem>
@@ -75,8 +77,17 @@ usage(std::FILE *out)
         "  --help        this message\n"
         "\n"
         "Every run also writes a BENCH_perf.json self-profile (wall-clock\n"
-        "and simulated cycles per experiment/phase/cell) next to the\n"
-        "reports; see `bh_collect perfgate`.\n");
+        "and simulated cycles per experiment/phase/cell, the process's\n"
+        "peak RSS) next to the reports; see `bh_collect perfgate`.\n");
+}
+
+/** The process's peak resident set size, in MB (observation-only). */
+double
+peakRssMb()
+{
+    struct rusage ru = {};
+    getrusage(RUSAGE_SELF, &ru);
+    return static_cast<double>(ru.ru_maxrss) / 1024.0;   // KiB on Linux
 }
 
 } // namespace
@@ -256,21 +267,30 @@ main(int argc, char **argv)
 
         auto t0 = std::chrono::steady_clock::now();
         std::uint64_t sim0 = simCyclesTotal();
+        AloneCounts alone0 = aloneTotal();
         runBench(*info, ctx);
-        std::uint64_t sim_cycles = simCyclesTotal() - sim0;
+        AloneCounts alone = aloneTotal();
+        alone.simCycles -= alone0.simCycles;
+        alone.wallS -= alone0.wallS;
+        std::uint64_t sim_cycles =
+            simCyclesTotal() - sim0 - alone.simCycles;
         auto t1 = std::chrono::steady_clock::now();
         double secs = std::chrono::duration<double>(t1 - t0).count();
         total_s += secs;
+        double own_s = secs - alone.wallS;
 
         // Self-profile entry (BENCH_perf.json): wall-clock and simulated
-        // cycles per experiment, phase, and cell. Host-speed readings
-        // live only in this sidecar — BENCH_<name>.json must stay
-        // byte-identical across machines and job counts.
+        // cycles per experiment, phase, and cell, the memoized Baseline
+        // alone runs behind the metrics counted apart. Host-speed
+        // readings live only in this sidecar — BENCH_<name>.json must
+        // stay byte-identical across machines and job counts.
         Json pe = Json::object();
-        pe["wall_s"] = secs;
+        pe["wall_s"] = own_s;
         pe["sim_cycles"] = static_cast<std::int64_t>(sim_cycles);
+        pe["alone_wall_s"] = alone.wallS;
+        pe["alone_sim_cycles"] = static_cast<std::int64_t>(alone.simCycles);
         pe["cycles_per_sec"] =
-            secs > 0.0 ? static_cast<double>(sim_cycles) / secs : 0.0;
+            own_s > 0.0 ? static_cast<double>(sim_cycles) / own_s : 0.0;
         pe["cells_run"] = static_cast<std::int64_t>(ctx.cellsRun);
         pe["cell_total"] = static_cast<std::int64_t>(ctx.nextCell);
         Json pe_phases = Json::array();
@@ -343,6 +363,7 @@ main(int argc, char **argv)
         perf["finished_unix"] =
             static_cast<std::int64_t>(std::time(nullptr));
         perf["total_wall_s"] = total_s;
+        perf["peak_rss_mb"] = peakRssMb();
         perf["experiments"] = std::move(perf_experiments);
         atomicWriteFileOrDie(perf_path, perf.dump(2) + "\n");
     }

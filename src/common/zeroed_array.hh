@@ -12,17 +12,24 @@
  * table raises glibc's mmap threshold, the next calloc recycles heap
  * pages that are already resident, and the same run reads a different
  * peak RSS depending on what ran before it.
+ *
+ * residentBytes() reports how many of those pages the run has mapped
+ * (mincore), so tests can check that code leaves untouched rows alone.
  */
 
 #ifndef BH_COMMON_ZEROED_ARRAY_HH
 #define BH_COMMON_ZEROED_ARRAY_HH
 
 #include <sys/mman.h>
+#include <unistd.h>
 
+#include <cerrno>
 #include <cstddef>
 #include <limits>
 #include <new>
+#include <system_error>
 #include <utility>
+#include <vector>
 
 namespace bh
 {
@@ -60,6 +67,27 @@ class ZeroedArray
 
     /** Pointer to element `i` (for std::fill_n over a row range). */
     T *from(std::size_t i) { return data + i; }
+
+    /**
+     * Bytes of the array's pages that are mapped in this process, read
+     * by mincore: a page counts once any access faulted it in, a read
+     * that mapped the shared zero page included. Observation-only.
+     */
+    std::size_t
+    residentBytes() const
+    {
+        if (!data)
+            return 0;
+        auto page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+        std::vector<unsigned char> mapped((bytes + page - 1) / page);
+        if (mincore(data, bytes, mapped.data()) != 0)
+            throw std::system_error(errno, std::generic_category(),
+                                    "mincore");
+        std::size_t pages = 0;
+        for (unsigned char m : mapped)
+            pages += m & 1u;
+        return pages * page;
+    }
 
     /** Exchange the pages of two arrays (a table grown by rehash). */
     void

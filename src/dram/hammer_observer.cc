@@ -10,9 +10,10 @@ namespace bh
 HammerObserver::HammerObserver(const DramOrg &o, const HammerConfig &config)
     : org(o), cfg(config), rows(o.rowsPerBank), banks(o.banksPerChannel()),
       disturbance(static_cast<std::size_t>(banks) * rows),
-      actCount(static_cast<std::size_t>(banks) * rows)
+      actCount(static_cast<std::size_t>(banks) * rows),
+      written((static_cast<std::size_t>(banks) * rows + kGroupRows - 1) /
+              kGroupRows)
 {
-    flipped.assign(static_cast<std::size_t>(banks) * rows, false);
     impact.resize(cfg.blastRadius + 1, 0.0);
     for (unsigned k = 1; k <= cfg.blastRadius; ++k) {
         impact[k] = 1.0;
@@ -25,9 +26,11 @@ void
 HammerObserver::onActivate(unsigned bank, RowId row, Cycle now)
 {
     ++acts;
-    auto &count = actCount[index(bank, row)];
+    std::size_t ai = index(bank, row);
+    written[ai / kGroupRows] = 1;
+    auto &count = actCount[ai];
     ++count;
-    maxRowActs = std::max<std::uint64_t>(maxRowActs, count);
+    maxRowActs = std::max<std::uint64_t>(maxRowActs, count & ~kFlipped);
 
     for (unsigned k = 1; k <= cfg.blastRadius; ++k) {
         for (int dir : {-1, 1}) {
@@ -36,10 +39,12 @@ HammerObserver::onActivate(unsigned bank, RowId row, Cycle now)
             if (victim < 0 || victim >= static_cast<std::int64_t>(rows))
                 continue;
             std::size_t vi = index(bank, static_cast<RowId>(victim));
+            // A victim at a group edge lies in the neighbouring group.
+            written[vi / kGroupRows] = 1;
             disturbance[vi] += impact[k];
             maxDist = std::max(maxDist, disturbance[vi]);
-            if (!flipped[vi] && disturbance[vi] >= cfg.nRH) {
-                flipped[vi] = true;
+            if (disturbance[vi] >= cfg.nRH && !(actCount[vi] & kFlipped)) {
+                actCount[vi] |= kFlipped;
                 flips.push_back(
                     BitFlipEvent{bank, static_cast<RowId>(victim), now});
             }
@@ -48,12 +53,25 @@ HammerObserver::onActivate(unsigned bank, RowId row, Cycle now)
 }
 
 void
+HammerObserver::clearRows(std::size_t i, std::size_t len)
+{
+    // A group no ACT wrote still reads zero: skip it without touching
+    // (and so without faulting in) its pages.
+    std::size_t end = i + len;
+    while (i < end) {
+        std::size_t stop = std::min(end, (i / kGroupRows + 1) * kGroupRows);
+        if (written[i / kGroupRows]) {
+            std::fill_n(disturbance.from(i), stop - i, 0.0);
+            std::fill_n(actCount.from(i), stop - i, 0u);
+        }
+        i = stop;
+    }
+}
+
+void
 HammerObserver::onRowRefresh(unsigned bank, RowId row)
 {
-    std::size_t i = index(bank, row);
-    disturbance[i] = 0.0;
-    actCount[i] = 0;
-    flipped[i] = false;
+    clearRows(index(bank, row), 1);
 }
 
 void
@@ -64,14 +82,9 @@ HammerObserver::onAutoRefresh(RowId first_row, unsigned num_rows)
     std::size_t first = first_row % rows;
     std::size_t n = std::min<std::size_t>(num_rows, rows);
     std::size_t head = std::min(n, rows - first);
-    auto clear = [this](std::size_t i, std::size_t len) {
-        std::fill_n(disturbance.from(i), len, 0.0);
-        std::fill_n(actCount.from(i), len, 0u);
-        std::fill_n(flipped.begin() + i, len, false);
-    };
     for (unsigned b = 0; b < banks; ++b) {
-        clear(index(b, 0) + first, head);
-        clear(index(b, 0), n - head);
+        clearRows(index(b, 0) + first, head);
+        clearRows(index(b, 0), n - head);
     }
 }
 

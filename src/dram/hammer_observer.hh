@@ -9,6 +9,11 @@
  * own refreshes suffers a bit-flip. Refreshing a row (auto refresh or a
  * mitigation's victim refresh) resets its accumulator.
  *
+ * The per-row state (12 MiB per channel at the paper's geometry) starts
+ * as untouched zero pages, and a refresh writes zeros only inside the
+ * 512-row groups some activation wrote: a group no ACT reached still
+ * reads zero, so the auto-refresh sweep leaves its pages unmapped.
+ *
  * This is the ground-truth oracle the simulator uses to decide whether a
  * mitigation mechanism actually prevented all bit-flips.
  */
@@ -76,7 +81,7 @@ class HammerObserver
     std::uint32_t
     rowActivations(unsigned bank, RowId row) const
     {
-        return actCount[index(bank, row)];
+        return actCount[index(bank, row)] & ~kFlipped;
     }
 
     /** Disturbance a row has accumulated since its last refresh. */
@@ -88,20 +93,42 @@ class HammerObserver
 
     const HammerConfig &config() const { return cfg; }
 
+    /** Bytes of per-row state mapped in this process (observation-only). */
+    std::size_t
+    residentBytes() const
+    {
+        return disturbance.residentBytes() + actCount.residentBytes();
+    }
+
   private:
+    /** Rows per written-group byte: one 4 KB page of `disturbance`. */
+    static constexpr std::size_t kGroupRows = 512;
+
+    /**
+     * Count-word flag: the row's flip was already reported. A count
+     * stays far below it: a row takes at most tREFW / tRC activations
+     * between two of its own refreshes.
+     */
+    static constexpr std::uint32_t kFlipped = 1u << 31;
+
     std::size_t
     index(unsigned bank, RowId row) const
     {
         return static_cast<std::size_t>(bank) * rows + row;
     }
 
+    /** Zero flat rows [i, i + len), skipping groups no ACT wrote. */
+    void clearRows(std::size_t i, std::size_t len);
+
     DramOrg org;
     HammerConfig cfg;
     unsigned rows = 0;
     unsigned banks = 0;
     ZeroedArray<double> disturbance;    ///< per (bank,row)
-    ZeroedArray<std::uint32_t> actCount;///< acts since own refresh
-    std::vector<bool> flipped;          ///< flip already reported
+    /** Acts since own refresh, kFlipped in the top bit. */
+    ZeroedArray<std::uint32_t> actCount;
+    /** Per kGroupRows flat rows: an ACT wrote the group (never cleared). */
+    std::vector<std::uint8_t> written;
     std::vector<double> impact;         ///< c_k per distance
     std::vector<BitFlipEvent> flips;
     std::uint64_t acts = 0;

@@ -44,7 +44,9 @@ struct PerfGateResult
  *
  * An entry applies when the measurement was taken at the entry's scale;
  * non-matching entries are reported as skipped. Each applicable entry
- * requires measured cycles-per-second >= ref_cps * min_ratio (the
+ * requires measured cycles-per-second (the experiment's `sim_cycles`
+ * over its `wall_s`, both without the memoized alone runs, which
+ * BENCH_perf.json counts apart) >= ref_cps * min_ratio (the
  * override, when > 0, replaces every entry's min_ratio). The gate fails
  * if any applicable entry fails, if an applicable experiment is missing
  * from the measurement, or if no entry applied at all — a scale mismatch

@@ -1,6 +1,7 @@
 #include "sim/experiment.hh"
 
 #include <algorithm>
+#include <chrono>
 #include <map>
 #include <mutex>
 #include <tuple>
@@ -123,8 +124,34 @@ namespace
 {
 
 thread_local WorkCounts tlsWork;
+thread_local AloneCounts tlsAlone;
+
+/** Guards the process-wide alone-run totals below. */
+std::mutex aloneMutex;
+AloneCounts aloneAll;
+unsigned aloneInFlight = 0;
+std::chrono::steady_clock::time_point aloneSince;
 
 } // namespace
+
+AloneCounts
+aloneThisThread()
+{
+    return tlsAlone;
+}
+
+void
+resetAloneThisThread()
+{
+    tlsAlone = AloneCounts{};
+}
+
+AloneCounts
+aloneTotal()
+{
+    std::lock_guard<std::mutex> lock(aloneMutex);
+    return aloneAll;
+}
 
 WorkCounts
 workThisThread()
@@ -250,9 +277,29 @@ aloneIpc(const ExperimentConfig &config, const std::string &app)
     MixSpec mix;
     mix.name = "alone-" + app;
     mix.apps = {app};
+    // bh-lint: allow(nondet) wall-clock self-profile sidecar; never feeds simulation state
+    auto t0 = std::chrono::steady_clock::now();
+    {
+        std::lock_guard<std::mutex> lock(aloneMutex);
+        if (aloneInFlight++ == 0)
+            aloneSince = t0;
+    }
+    std::uint64_t cycles0 = simCyclesThisThread();
     WorkCounts cell_work = tlsWork;
     RunResult res = runExperiment(alone, mix);
     tlsWork = cell_work;
+    // bh-lint: allow(nondet) wall-clock self-profile sidecar; never feeds simulation state
+    auto t1 = std::chrono::steady_clock::now();
+    std::uint64_t cycles = simCyclesThisThread() - cycles0;
+    tlsAlone.simCycles += cycles;
+    tlsAlone.wallS += std::chrono::duration<double>(t1 - t0).count();
+    {
+        std::lock_guard<std::mutex> lock(aloneMutex);
+        aloneAll.simCycles += cycles;
+        if (--aloneInFlight == 0)
+            aloneAll.wallS +=
+                std::chrono::duration<double>(t1 - aloneSince).count();
+    }
     std::lock_guard<std::mutex> lock(cacheMutex);
     cache[key] = res.ipc[0];
     return res.ipc[0];

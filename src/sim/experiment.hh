@@ -184,6 +184,28 @@ WorkCounts workThisThread();
 void resetWorkThisThread();
 
 /**
+ * Simulated cycles and host seconds of the memoized alone runs behind
+ * aloneIpc. simCyclesThisThread() and a cell's wall-clock include them,
+ * so bench workers subtract them to report a cell's own work and report
+ * them on their own. Observation-only.
+ */
+struct AloneCounts
+{
+    std::uint64_t simCycles = 0;
+    double wallS = 0.0;
+};
+/** The calling thread's alone runs since its last reset. */
+AloneCounts aloneThisThread();
+void resetAloneThisThread();
+/**
+ * Every thread's alone runs: cycles summed, and the host seconds during
+ * which at least one alone run was in flight (alone runs overlap only
+ * each other: the bench warms them in their own phase, or a one-cell
+ * run makes them inside its cell).
+ */
+AloneCounts aloneTotal();
+
+/**
  * Wraps one channel's mitigation instance as a system is built (a
  * decorator that forwards the hooks, as instrumentation and tests use).
  */

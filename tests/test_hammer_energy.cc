@@ -5,11 +5,13 @@
  */
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <set>
 #include <utility>
 
 #include "common/rng.hh"
+#include "dram/device.hh"
 #include "dram/energy.hh"
 #include "dram/hammer_observer.hh"
 
@@ -187,6 +189,71 @@ TEST(HammerObserver, AutoRefreshSweepCoveringTheBankClearsEveryRow)
 {
     expectSweepMatchesRowByRow(100, 256);
     expectSweepMatchesRowByRow(100, 300);
+}
+
+TEST(HammerObserver, RefreshWindowOnPaperGeometryResetsOnlyWrittenGroups)
+{
+    // 16 banks x 65,536 rows: the written-group map has groups of 512
+    // rows, so hammering rows 511 and 1,024 of bank 3 reaches victims
+    // 512 and 1,023 across group edges (groups 0, 1 and 2 of the bank).
+    DramOrg org = DramOrg::paperConfig(1);
+    HammerObserver obs(org, smallConfig(64));
+    const unsigned bank = 3;
+    const std::set<RowId> aggressors{511, 1024};
+    const std::set<RowId> victims{510, 512, 1023, 1025};
+    Cycle now = 0;
+    auto hammer = [&] {
+        for (int i = 0; i < 64; ++i)
+            for (RowId row : aggressors)
+                obs.onActivate(bank, row, now++);
+    };
+    auto flippedVictims = [&](std::size_t from) {
+        std::set<RowId> out;
+        for (std::size_t i = from; i < obs.bitFlips().size(); ++i) {
+            EXPECT_EQ(obs.bitFlips()[i].bank, bank);
+            out.insert(obs.bitFlips()[i].victimRow);
+        }
+        return out;
+    };
+    hammer();
+    ASSERT_EQ(flippedVictims(0), victims);
+    for (RowId v : victims)
+        EXPECT_GE(obs.rowDisturbance(bank, v), 64.0);
+
+    // One tREFW of REFs (8 rows each at paper timings), starting mid
+    // bank so the last one wraps from row 65,535 to row 0.
+    unsigned per_ref = DramDevice(org, DramTimings::ddr4()).rowsPerRefresh();
+    ASSERT_EQ(org.rowsPerBank % per_ref, 0u);
+    RowId first = 1020;
+    for (unsigned r = 0; r < org.rowsPerBank / per_ref; ++r)
+        obs.onAutoRefresh((first + r * per_ref) % org.rowsPerBank, per_ref);
+
+    // The sweep left every page no ACT wrote unmapped (checked before
+    // the reads below map them): three written groups hold one page of
+    // disturbance and part of one page of counts each, where a sweep
+    // that touched every row would map all 12 MiB.
+    auto page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+    EXPECT_GT(obs.residentBytes(), 0u);
+    EXPECT_LE(obs.residentBytes(), 3 * 2 * page);
+    for (unsigned b = 0; b < org.banksPerChannel(); ++b) {
+        for (RowId r = 0; r < org.rowsPerBank; ++r) {
+            ASSERT_EQ(obs.rowActivations(b, r), 0u)
+                << "bank " << b << " row " << r;
+            ASSERT_EQ(obs.rowDisturbance(b, r), 0.0)
+                << "bank " << b << " row " << r;
+        }
+    }
+
+    // The refreshed victims flip again, and a flipped row's activation
+    // count is its own ACTs alone, without the flip-reported flag.
+    std::size_t before = obs.bitFlips().size();
+    hammer();
+    EXPECT_EQ(flippedVictims(before), victims);
+    for (RowId row : aggressors)
+        EXPECT_EQ(obs.rowActivations(bank, row), 64u);
+    obs.onActivate(bank, 512, now++);
+    EXPECT_EQ(obs.rowActivations(bank, 512), 1u);
+    EXPECT_EQ(obs.maxRowActivations(), 64u);
 }
 
 TEST(HammerObserver, MaxRowActivationsTracksPeak)

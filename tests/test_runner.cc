@@ -151,8 +151,9 @@ runAt(const char *name, double scale, unsigned jobs)
 TEST(Registry, CellWorkIsItsRunResults)
 {
     // A one-cell run's BENCH_perf.json `work` object holds the controller
-    // counters of the cell's RunResult; the alone runs its metrics read
-    // are left out.
+    // counters of the cell's RunResult, and its `sim_cycles` the mix's
+    // warmup and run; the alone run its metrics read (429.mcf; no other
+    // test here reads an alone run at tREFW 0.25 ms) is counted apart.
     ExperimentConfig cfg;
     cfg.mechanism = "BlockHammer";
     cfg.threads = 2;
@@ -173,10 +174,15 @@ TEST(Registry, CellWorkIsItsRunResults)
         return Json(1.0);
     });
     ASSERT_EQ(ctx.cellPerf.count(0), 1u);
-    Json work = ctx.cellPerf.at(0).toJson()["work"];
+    Json perf = ctx.cellPerf.at(0).toJson();
+    Json work = perf["work"];
     auto count = [](std::uint64_t n) {
         return Json(static_cast<std::int64_t>(n));
     };
+    EXPECT_EQ(perf["sim_cycles"].dump(),
+              count(cfg.warmupCycles + cfg.runCycles).dump());
+    EXPECT_EQ(perf["alone_sim_cycles"].dump(),
+              count(cfg.warmupCycles + cfg.runCycles).dump());
     EXPECT_GT(res.ctrlActQueries, 0u);
     EXPECT_EQ(work.dump(), [&] {
         Json w = Json::object();
