@@ -291,6 +291,7 @@ main(int argc, char **argv)
         pe["alone_sim_cycles"] = static_cast<std::int64_t>(alone.simCycles);
         pe["cycles_per_sec"] =
             own_s > 0.0 ? static_cast<double>(sim_cycles) / own_s : 0.0;
+        pe["channels"] = static_cast<std::int64_t>(channels);
         pe["cells_run"] = static_cast<std::int64_t>(ctx.cellsRun);
         pe["cell_total"] = static_cast<std::int64_t>(ctx.nextCell);
         Json pe_phases = Json::array();

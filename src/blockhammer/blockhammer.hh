@@ -62,7 +62,6 @@ class BlockHammer : public Mitigation
     double maxRhli(ThreadId thread) const { return throttler.maxRhli(thread); }
 
     const RowBlocker &rowBlocker() const { return blocker; }
-    const AttackThrottler &attackThrottler() const { return throttler; }
     const BlockHammerConfig &config() const { return cfg; }
 
     /** Activations issued to already-blacklisted rows. */
@@ -82,9 +81,6 @@ class BlockHammer : public Mitigation
 
     /** Distribution of per-activation delays (cycles). */
     const Histogram &delayHistogram() const { return delayHist; }
-
-    /** Distribution of delays of false-positive activations only. */
-    const Histogram &falsePositiveDelayHistogram() const { return fpHist; }
 
   private:
     std::uint64_t

@@ -62,7 +62,6 @@ class HistoryBuffer
 
     unsigned capacity() const { return numEntries; }
     unsigned validCount() const { return numValid; }
-    Cycle delayWindow() const { return tDelay; }
 
   private:
     /**

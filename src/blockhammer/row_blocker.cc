@@ -14,41 +14,12 @@ RowBlocker::RowBlocker(const BlockHammerConfig &config)
             cfg.cbf, cfg.tCBF, cfg.seed * 1315423911ull + b + 1));
     }
     nextBoundary = filters[0]->epochLength();
-    bcache.resize(cfg.banks);
 }
 
 bool
 RowBlocker::isSafe(unsigned bank, RowId row, Cycle now)
 {
-    // The blacklist verdict is a pure function of the bank filter's state,
-    // which only changes on insertions and epoch swaps — while a request
-    // sits blocked in the queue, the controller re-asks every tick. A tiny
-    // per-bank memo answers those repeats without re-hashing the CBF.
-    BlacklistCache &c = bcache[bank];
-    std::uint64_t inserts = filters[bank]->insertCount();
-    std::uint64_t epoch = filters[bank]->epochIndex();
-    if (c.inserts != inserts || c.epoch != epoch) {
-        c.inserts = inserts;
-        c.epoch = epoch;
-        c.used = 0;
-    }
-    bool blacklisted = false;
-    bool found = false;
-    for (unsigned i = 0; i < c.used; ++i) {
-        if (c.rows[i] == row) {
-            blacklisted = c.verdicts[i];
-            found = true;
-            break;
-        }
-    }
-    if (!found) {
-        blacklisted = filters[bank]->isBlacklisted(row, cfg.nBL);
-        unsigned slot = (c.used < BlacklistCache::kSlots)
-            ? c.used++ : (c.next++ % BlacklistCache::kSlots);
-        c.rows[slot] = row;
-        c.verdicts[slot] = blacklisted;
-    }
-    if (!blacklisted)
+    if (!filters[bank]->isBlacklisted(row, cfg.nBL))
         return true;
     // Blacklisted: safe only if the row has not been activated within the
     // last tDelay window.

@@ -75,29 +75,11 @@ class RowBlocker
         return (static_cast<std::uint64_t>(bank) << 32) | row;
     }
 
-    /**
-     * Per-bank memo of recent blacklist verdicts, invalidated whenever
-     * the bank's filter state changes (insertion or epoch swap). Sized
-     * for the handful of rows a bank's queued requests revisit; eviction
-     * merely costs a recompute.
-     */
-    struct BlacklistCache
-    {
-        static constexpr unsigned kSlots = 8;
-        std::uint64_t inserts = ~0ull;
-        std::uint64_t epoch = ~0ull;
-        RowId rows[kSlots] = {};
-        bool verdicts[kSlots] = {};
-        unsigned used = 0;
-        unsigned next = 0;      ///< round-robin eviction cursor
-    };
-
     BlockHammerConfig cfg;
     Cycle delay = 0;
     std::vector<std::unique_ptr<DualCbf>> filters;  ///< one per bank
     HistoryBuffer hb;                               ///< per rank
     Cycle nextBoundary = 0;     ///< shared epoch boundary of all filters
-    std::vector<BlacklistCache> bcache;             ///< one per bank
 };
 
 } // namespace bh

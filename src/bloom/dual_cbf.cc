@@ -19,7 +19,6 @@ DualCbf::insert(std::uint64_t key)
 {
     filters[0].insert(key);
     filters[1].insert(key);
-    ++inserts;
 }
 
 std::uint32_t

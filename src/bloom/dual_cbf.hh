@@ -35,9 +35,6 @@ class DualCbf
     /** Insert a key into both filters. */
     void insert(std::uint64_t key);
 
-    /** Number of insertions so far (cache-invalidation stamp). */
-    std::uint64_t insertCount() const { return inserts; }
-
     /** Query the active filter's count for the key. */
     std::uint32_t activeCount(std::uint64_t key) const;
 
@@ -64,15 +61,10 @@ class DualCbf
     {
         return filters[active];
     }
-    const CountingBloomFilter &passiveFilter() const
-    {
-        return filters[1 - active];
-    }
 
   private:
     Cycle epochLen = 0;
     std::uint64_t epoch = 0;
-    std::uint64_t inserts = 0;
     unsigned active = 0;
     Rng seeder;
     CountingBloomFilter filters[2];

@@ -42,7 +42,6 @@ HammerObserver::onActivate(unsigned bank, RowId row, Cycle now)
             // A victim at a group edge lies in the neighbouring group.
             written[vi / kGroupRows] = 1;
             disturbance[vi] += impact[k];
-            maxDist = std::max(maxDist, disturbance[vi]);
             if (disturbance[vi] >= cfg.nRH && !(actCount[vi] & kFlipped)) {
                 actCount[vi] |= kFlipped;
                 flips.push_back(

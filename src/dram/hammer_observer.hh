@@ -68,9 +68,6 @@ class HammerObserver
     /** Total activations observed. */
     std::uint64_t activationCount() const { return acts; }
 
-    /** Maximum disturbance any row has ever accumulated. */
-    double maxDisturbance() const { return maxDist; }
-
     /**
      * Maximum activation count any single row has received between its own
      * refreshes (the quantity BlockHammer's proof bounds).
@@ -133,7 +130,6 @@ class HammerObserver
     std::vector<BitFlipEvent> flips;
     std::uint64_t acts = 0;
     std::uint64_t maxRowActs = 0;
-    double maxDist = 0.0;
 };
 
 } // namespace bh

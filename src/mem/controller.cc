@@ -624,8 +624,8 @@ namespace
  * `now`, skipping capped banks while a conflict waits.
  */
 SchedQueue::Handle
-walkColumnReady(SchedQueue &queue, DramCommand col, const DramDevice &dram,
-                Cycle now, StreakCapped capped)
+walkColumnReady(const SchedQueue &queue, DramCommand col,
+                const DramDevice &dram, Cycle now, StreakCapped capped)
 {
     if (dram.columnEarliest(col) > now)
         return SchedQueue::kNone;
@@ -635,7 +635,7 @@ walkColumnReady(SchedQueue &queue, DramCommand col, const DramDevice &dram,
         const Bank &bank = dram.bank(fb);
         if (!bank.isOpen())
             continue;
-        const auto &hits = queue.hitStats(fb, bank);
+        auto hits = queue.hitStats(fb, bank);
         if (hits.hitCount == 0 ||
             (queue.bankCount(fb) > hits.hitCount && capped(fb)) ||
             bank.earliest(col) > now)
@@ -669,8 +669,9 @@ struct WalkedPrep
  * would ask its next verdict live. Reads the chains; changes none.
  */
 WalkedPrep
-walkRowPrep(SchedQueue &queue, DramCommand col, const DramDevice &dram,
-            Cycle now, StreakCapped capped, bool chained)
+walkRowPrep(const SchedQueue &queue, DramCommand col,
+            const DramDevice &dram, Cycle now, StreakCapped capped,
+            bool chained)
 {
     WalkedPrep out;
     Cycle col_gate = dram.columnEarliest(col);
@@ -688,7 +689,7 @@ walkRowPrep(SchedQueue &queue, DramCommand col, const DramDevice &dram,
             // Row hits are the column path's (a capped streak serves none
             // while a conflict waits); a bank with a pending row hit keeps
             // its row open unless its hit streak is capped.
-            const auto &hits = queue.hitStats(fb, bank);
+            auto hits = queue.hitStats(fb, bank);
             bool conflict = hits.oldestMiss != SchedQueue::kNone;
             bool cap = capped(fb);
             if (hits.hitCount > 0 && !(cap && conflict))

@@ -112,10 +112,6 @@ class MemSystem
     {
         return lanes[ch].oracle.get();
     }
-    DramEnergyModel *energyModel(unsigned ch)
-    {
-        return lanes[ch].energy.get();
-    }
 
     /**
      * Single-channel convenience accessors: existing single-channel

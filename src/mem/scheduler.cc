@@ -90,27 +90,23 @@ SchedQueue::take(Handle h)
     return out;
 }
 
-const SchedQueue::BankHits &
-SchedQueue::recountHits(BankState &b, const Bank &bank)
+SchedQueue::BankHits
+SchedQueue::hitStats(unsigned fb, const Bank &bank) const
 {
-    bool open = bank.isOpen();
-    RowId row = open ? bank.openRow() : 0;
-    b.hits = BankHits{};
-    if (open) {
-        for (Handle h = b.head; h != kNone; h = nodes[h].bankNext) {
-            if (nodes[h].req.coord.row == row) {
-                if (b.hits.oldestHit == kNone)
-                    b.hits.oldestHit = h;
-                ++b.hits.hitCount;
-            } else if (b.hits.oldestMiss == kNone) {
-                b.hits.oldestMiss = h;
-            }
+    BankHits hits;
+    if (!bank.isOpen())
+        return hits;
+    RowId row = bank.openRow();
+    for (Handle h = banks[fb].head; h != kNone; h = nodes[h].bankNext) {
+        if (nodes[h].req.coord.row == row) {
+            if (hits.oldestHit == kNone)
+                hits.oldestHit = h;
+            ++hits.hitCount;
+        } else if (hits.oldestMiss == kNone) {
+            hits.oldestMiss = h;
         }
     }
-    b.cachedVersion = b.version;
-    b.cachedOpen = open;
-    b.cachedRow = row;
-    return b.hits;
+    return hits;
 }
 
 void
@@ -135,7 +131,7 @@ SchedQueue::computeEvent(unsigned fb, const Bank &bank, DramCommand col,
                     b.head);
     // A live row hit (not capped while a conflict waits) keeps the row
     // open for its column command; otherwise a conflict waits for the PRE.
-    const BankHits &hits = hitStats(fb, bank);
+    BankHits hits = hitStats(fb, bank);
     bool conflict = hits.oldestMiss != kNone;
     if (hits.hitCount > 0 && !(capped && conflict))
         return make(EventKind::kColumn, bank.earliest(col), hits.oldestHit);

@@ -114,20 +114,10 @@ class SchedQueue
     };
 
     /**
-     * Hit statistics of bank `fb` against `bank`'s open-row state,
-     * recomputed only when the bank's row state or request set changed
-     * since the cached value. Only meaningful for open banks.
+     * Hit statistics of bank `fb` against `bank`'s open row, from a walk
+     * over the bank's requests. Only meaningful for open banks.
      */
-    const BankHits &
-    hitStats(unsigned fb, const Bank &bank)
-    {
-        BankState &b = banks[fb];
-        bool open = bank.isOpen();
-        if (b.cachedVersion == b.version && b.cachedOpen == open &&
-            (!open || b.cachedRow == bank.openRow()))
-            return b.hits;
-        return recountHits(b, bank);
-    }
+    BankHits hitStats(unsigned fb, const Bank &bank) const;
 
     /** The demand command a bank's requests in one queue wait for. */
     enum class EventKind : std::uint8_t
@@ -237,7 +227,7 @@ class SchedQueue
     };
 
     /**
-     * Bank `fb`'s verdict chain, revalidated like hitStats: it holds
+     * Bank `fb`'s verdict chain, revalidated at each read: it holds
      * while the bank's request set and verdict stamp are unchanged and
      * `now` is before its earliest refusal lapse, and restarts empty at
      * the bank's head otherwise (always, without stamps).
@@ -333,21 +323,13 @@ class SchedQueue
         unsigned bank = 0;
     };
 
-    /** Per-bank bucket plus the lazily revalidated hit cache. */
+    /** Per-bank bucket. */
     struct BankState
     {
         Handle head = kNone, tail = kNone;
         std::uint32_t count = 0;
         std::uint64_t version = 0;      ///< bumped on push/take for the bank
-        // Cache key: queue version + open-row state when computed.
-        std::uint64_t cachedVersion = ~0ull;
-        bool cachedOpen = false;
-        RowId cachedRow = 0;
-        BankHits hits;
     };
-
-    /** Recompute and re-key `b`'s hit cache (hitStats cache miss). */
-    const BankHits &recountHits(BankState &b, const Bank &bank);
 
     /** Queue bank `fb`'s entry for recomputation. */
     void

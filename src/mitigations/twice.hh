@@ -50,7 +50,6 @@ class Twice : public Mitigation
     std::size_t peakTableEntries() const { return peakEntries; }
 
     std::uint32_t refreshThreshold() const { return thRH; }
-    double pruneThreshold() const { return thPRU; }
 
   private:
     struct Entry

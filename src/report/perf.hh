@@ -51,6 +51,14 @@ struct PerfGateResult
  * if any applicable entry fails, if an applicable experiment is missing
  * from the measurement, or if no entry applied at all — a scale mismatch
  * must not produce a vacuous pass.
+ *
+ * An entry may also gate work counts exactly: with `"work": {...}`,
+ * `"cells": [139]` (or "all") and `"channels": 1` (the default), an
+ * experiment that ran exactly those cells at that channel count (its
+ * own, else the file's) must sum each `work` field over its cells to
+ * the golden's value, and a cell without `work` fails. Another run is
+ * reported as skipped, and the gate fails when no applicable entry's
+ * work was checked.
  */
 PerfGateResult perfGate(const Json &golden, const Json &measured,
                         double minRatioOverride = 0.0);

@@ -214,12 +214,10 @@ runExperiment(const ExperimentConfig &config, const MixSpec &mix,
         res.rowHits += mc.rowHits();
         res.rowMisses += mc.rowMisses();
         res.rowConflicts += mc.rowConflicts();
-        res.ctrlTicksExecuted += mc.ticksExecuted();
-        res.ctrlTicksActed += mc.ticksActed();
-        res.ctrlActQueries += mc.actQueries();
-        res.ctrlRefusalsReplayed += mc.refusalsReplayed();
-        res.ctrlEntriesScanned += mc.schedWork().scanned;
-        res.ctrlEntriesRecomputed += mc.schedWork().recomputed;
+        res.work += WorkCounts{mc.ticksExecuted(), mc.ticksActed(),
+                               mc.actQueries(), mc.refusalsReplayed(),
+                               mc.schedWork().scanned,
+                               mc.schedWork().recomputed};
 
         // Per-lane StatSet snapshot. Everything in it is event-driven
         // or skip-replayed, so the export is identical for any
@@ -232,12 +230,7 @@ runExperiment(const ExperimentConfig &config, const MixSpec &mix,
             lane["mitigation"] = mitig;
         res.stats["ch" + std::to_string(ch)] = lane;
     }
-    tlsWork.ticksExecuted += res.ctrlTicksExecuted;
-    tlsWork.ticksActed += res.ctrlTicksActed;
-    tlsWork.actQueries += res.ctrlActQueries;
-    tlsWork.refusalsReplayed += res.ctrlRefusalsReplayed;
-    tlsWork.entriesScanned += res.ctrlEntriesScanned;
-    tlsWork.entriesRecomputed += res.ctrlEntriesRecomputed;
+    tlsWork += res.work;
     return res;
 }
 

@@ -81,6 +81,32 @@ struct ExperimentConfig
     MitigationSettings mitigationSettings(unsigned channel = 0) const;
 };
 
+/**
+ * Controller work counters, observation-only: MemController's
+ * ticksExecuted/ticksActed, actQueries/refusalsReplayed and schedWork.
+ */
+struct WorkCounts
+{
+    std::uint64_t ticksExecuted = 0;
+    std::uint64_t ticksActed = 0;
+    std::uint64_t actQueries = 0;
+    std::uint64_t refusalsReplayed = 0;
+    std::uint64_t entriesScanned = 0;
+    std::uint64_t entriesRecomputed = 0;
+
+    WorkCounts &
+    operator+=(const WorkCounts &o)
+    {
+        ticksExecuted += o.ticksExecuted;
+        ticksActed += o.ticksActed;
+        actQueries += o.actQueries;
+        refusalsReplayed += o.refusalsReplayed;
+        entriesScanned += o.entriesScanned;
+        entriesRecomputed += o.entriesRecomputed;
+        return *this;
+    }
+};
+
 /** Collected results of one run. */
 struct RunResult
 {
@@ -125,29 +151,11 @@ struct RunResult
     std::vector<CoreCounts> cores;
 
     /**
-     * Controller ticks executed over the whole run, all lanes, and those
-     * that acted (MemController::ticksExecuted/ticksActed). Diagnostics
-     * of the skip machinery: they differ across skip modes, so no
+     * The controller work of the whole run, all lanes. Diagnostics of
+     * the skip machinery: the counts differ across skip modes, so no
      * report prints them and the skip-equivalence tests leave them out.
      */
-    std::uint64_t ctrlTicksExecuted = 0;
-    std::uint64_t ctrlTicksActed = 0;
-
-    /**
-     * Safety queries asked and refusals replayed from verdict chains,
-     * all lanes (MemController::actQueries/refusalsReplayed). Like the
-     * tick counts, they depend on the path taken and are in no report.
-     */
-    std::uint64_t ctrlActQueries = 0;
-    std::uint64_t ctrlRefusalsReplayed = 0;
-
-    /**
-     * Scheduler work, all lanes (MemController::schedWork): bank entries
-     * that picks and bounds scanned, and event-table entries
-     * recomputed. Observation-only, like the counts above.
-     */
-    std::uint64_t ctrlEntriesScanned = 0;
-    std::uint64_t ctrlEntriesRecomputed = 0;
+    WorkCounts work;
 
     /**
      * Per-lane StatSet snapshots: {"ch0": {mc..., mitig...}, ...}.
@@ -163,23 +171,13 @@ struct RunResult
 };
 
 /**
- * The controller work counters of RunResult (ctrlTicksExecuted and the
- * five after it), summed over the calling thread's runExperiment calls
- * since its last reset. Bench workers reset, run a cell, and read them
+ * RunResult::work summed over the calling thread's runExperiment calls
+ * since its last reset. Bench workers reset, run a cell, and read it
  * into the cell's BENCH_perf.json `work` object, as they read
  * simCyclesThisThread(). The memoized alone runs behind aloneIpc are
  * left out: whether a cell makes them depends on which cells ran before
  * it on the same worker. Observation-only.
  */
-struct WorkCounts
-{
-    std::uint64_t ticksExecuted = 0;
-    std::uint64_t ticksActed = 0;
-    std::uint64_t actQueries = 0;
-    std::uint64_t refusalsReplayed = 0;
-    std::uint64_t entriesScanned = 0;
-    std::uint64_t entriesRecomputed = 0;
-};
 WorkCounts workThisThread();
 void resetWorkThisThread();
 

@@ -407,5 +407,129 @@ TEST(PerfGate, MinRatioOverrideReplacesEveryEntrysRatio)
     EXPECT_FALSE(perfGate(golden, measured, 0.3).pass);
 }
 
+/** A cell's `work` object with two of the six counts. */
+Json
+workCounts(std::int64_t ticks, std::int64_t queries)
+{
+    Json w = Json::object();
+    w["ticks_executed"] = ticks;
+    w["act_queries"] = queries;
+    return w;
+}
+
+/**
+ * A golden whose one fig5 entry at scale 4 gates the work counts summed
+ * over `cells` (default: cells 1 and 2) at one channel: 30 ticks, 7
+ * queries.
+ */
+Json
+workGolden(Json cells = Json())
+{
+    if (cells.isNull()) {
+        cells = Json::array();
+        cells.push(1);
+        cells.push(2);
+    }
+    Json e = Json::object();
+    e["experiment"] = "fig5";
+    e["scale"] = 4.0;
+    e["ref_cps"] = 1000.0;
+    e["cells"] = std::move(cells);
+    e["channels"] = 1;
+    e["work"] = workCounts(30, 7);
+    Json golden = Json::object();
+    golden["entries"] = Json::array();
+    golden["entries"].push(std::move(e));
+    return golden;
+}
+
+/** perfMeasured's fig5 with cells 1 and 2 of a 3-cell grid run. */
+Json
+workMeasured(const Json &cell1, const Json &cell2)
+{
+    Json measured = perfMeasured(4.0, "fig5", 1e9);
+    measured["channels"] = 1;
+    Json &m = measured["experiments"]["fig5"];
+    m["cells_run"] = 2;
+    m["cell_total"] = 3;
+    m["cells"] = Json::object();
+    auto add = [&](const char *cell, const Json &work) {
+        Json c = Json::object();
+        c["sim_cycles"] = 100;
+        if (!work.isNull())
+            c["work"] = work;
+        m["cells"][cell] = std::move(c);
+    };
+    add("1", cell1);
+    add("2", cell2);
+    return measured;
+}
+
+TEST(PerfGate, WorkCountsThatEqualTheGoldenPass)
+{
+    PerfGateResult res = perfGate(
+        workGolden(), workMeasured(workCounts(10, 3), workCounts(20, 4)));
+    EXPECT_TRUE(res.pass);
+    ASSERT_EQ(res.lines.size(), 2u);
+    EXPECT_EQ(res.lines[1], "fig5: work ok (2 counts equal)");
+}
+
+TEST(PerfGate, OneWorkCountOffFailsNamingTheField)
+{
+    PerfGateResult res = perfGate(
+        workGolden(), workMeasured(workCounts(10, 3), workCounts(20, 5)));
+    EXPECT_FALSE(res.pass);
+    ASSERT_EQ(res.lines.size(), 2u);
+    EXPECT_EQ(res.lines[1], "fig5: work FAIL (act_queries 8, golden 7)");
+}
+
+TEST(PerfGate, MeasuredCellWithoutWorkFails)
+{
+    PerfGateResult res =
+        perfGate(workGolden(), workMeasured(workCounts(30, 7), Json()));
+    EXPECT_FALSE(res.pass);
+    ASSERT_EQ(res.lines.size(), 2u);
+    EXPECT_EQ(res.lines[1], "fig5: work FAIL (cell 2 has no \"work\")");
+}
+
+TEST(PerfGate, WorkOfOtherCellsOrChannelsIsSkippedNeverPassed)
+{
+    // Another channel count, then another cell set (cell 2 alone): the
+    // counts are not compared, and with no work check left the gate
+    // refuses to pass.
+    Json measured = workMeasured(workCounts(10, 3), workCounts(20, 4));
+    measured["channels"] = 4;
+    PerfGateResult res = perfGate(workGolden(), measured);
+    EXPECT_FALSE(res.pass);
+    ASSERT_EQ(res.lines.size(), 3u);
+    EXPECT_EQ(res.lines[1], "fig5: work skipped (golden cells [1,2] at 1 "
+                            "channel(s); measured 2 of 3 cells at 4)");
+    EXPECT_EQ(res.lines[2], "no golden work counts apply to the measured "
+                            "cells and channels");
+    // An experiment's own channel count (merged invocations) wins.
+    measured["experiments"]["fig5"]["channels"] = 1;
+    EXPECT_TRUE(perfGate(workGolden(), measured).pass);
+    measured["channels"] = 1;
+    measured["experiments"]["fig5"]["channels"] = 4;
+    EXPECT_FALSE(perfGate(workGolden(), measured).pass);
+
+    measured = workMeasured(workCounts(10, 3), workCounts(20, 4));
+    Json cells = Json::object();
+    cells["2"] = measured["experiments"]["fig5"]["cells"]["2"];
+    measured["experiments"]["fig5"]["cells"] = std::move(cells);
+    res = perfGate(workGolden(), measured);
+    EXPECT_FALSE(res.pass);
+    ASSERT_EQ(res.lines.size(), 3u);
+    EXPECT_EQ(res.lines[1].rfind("fig5: work skipped", 0), 0u)
+        << res.lines[1];
+
+    // The whole grid, when the golden asks for "all".
+    Json golden = workGolden("all");
+    measured = workMeasured(workCounts(10, 3), workCounts(20, 4));
+    EXPECT_FALSE(perfGate(golden, measured).pass);
+    measured["experiments"]["fig5"]["cell_total"] = 2;
+    EXPECT_TRUE(perfGate(golden, measured).pass);
+}
+
 } // namespace
 } // namespace bh

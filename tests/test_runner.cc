@@ -183,15 +183,15 @@ TEST(Registry, CellWorkIsItsRunResults)
               count(cfg.warmupCycles + cfg.runCycles).dump());
     EXPECT_EQ(perf["alone_sim_cycles"].dump(),
               count(cfg.warmupCycles + cfg.runCycles).dump());
-    EXPECT_GT(res.ctrlActQueries, 0u);
+    EXPECT_GT(res.work.actQueries, 0u);
     EXPECT_EQ(work.dump(), [&] {
         Json w = Json::object();
-        w["ticks_executed"] = count(res.ctrlTicksExecuted);
-        w["ticks_acted"] = count(res.ctrlTicksActed);
-        w["act_queries"] = count(res.ctrlActQueries);
-        w["refusals_replayed"] = count(res.ctrlRefusalsReplayed);
-        w["entries_scanned"] = count(res.ctrlEntriesScanned);
-        w["entries_recomputed"] = count(res.ctrlEntriesRecomputed);
+        w["ticks_executed"] = count(res.work.ticksExecuted);
+        w["ticks_acted"] = count(res.work.ticksActed);
+        w["act_queries"] = count(res.work.actQueries);
+        w["refusals_replayed"] = count(res.work.refusalsReplayed);
+        w["entries_scanned"] = count(res.work.entriesScanned);
+        w["entries_recomputed"] = count(res.work.entriesRecomputed);
         return w;
     }().dump());
 }

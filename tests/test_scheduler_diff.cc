@@ -160,7 +160,7 @@ referenceNextDemandEventAt(SchedQueue &queue, ReqType type,
     for (unsigned fb : queue.activeBanks()) {
         const Bank &bank = dram.bank(fb);
         if (bank.isOpen()) {
-            const auto &hits = queue.hitStats(fb, bank);
+            auto hits = queue.hitStats(fb, bank);
             bool cap = capped && capped(fb);
             bool conflict = queue.bankCount(fb) > hits.hitCount;
             if (hits.hitCount > 0 && !(cap && conflict))

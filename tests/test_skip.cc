@@ -238,13 +238,13 @@ TEST_P(VerdictChains, ReplayTheQueriesTheyCache)
         });
     expectEqualResults(walked, chained);
     EXPECT_GT(walked.blockedActs, 0u);
-    EXPECT_EQ(walked.ctrlRefusalsReplayed, 0u);
-    EXPECT_GT(chained.ctrlRefusalsReplayed, 0u);
-    EXPECT_LT(chained.ctrlActQueries, walked.ctrlActQueries);
-    EXPECT_LT(chained.ctrlTicksExecuted, walked.ctrlTicksExecuted);
+    EXPECT_EQ(walked.work.refusalsReplayed, 0u);
+    EXPECT_GT(chained.work.refusalsReplayed, 0u);
+    EXPECT_LT(chained.work.actQueries, walked.work.actQueries);
+    EXPECT_LT(chained.work.ticksExecuted, walked.work.ticksExecuted);
     // A tick that acts is never replayed.
-    EXPECT_EQ(chained.ctrlTicksActed, walked.ctrlTicksActed);
-    EXPECT_LT(chained.ctrlEntriesScanned, walked.ctrlEntriesScanned);
+    EXPECT_EQ(chained.work.ticksActed, walked.work.ticksActed);
+    EXPECT_LT(chained.work.entriesScanned, walked.work.entriesScanned);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -381,12 +381,12 @@ TEST_P(DerivedWindows, MatchTheExecutedTicksTheyReplace)
             return std::make_unique<Forwarding>(std::move(m));
         });
     expectEqualResults(executed, derived);
-    EXPECT_LT(derived.ctrlTicksExecuted, executed.ctrlTicksExecuted);
+    EXPECT_LT(derived.work.ticksExecuted, executed.work.ticksExecuted);
     // A tick that acts is never replayed.
-    EXPECT_EQ(derived.ctrlTicksActed, executed.ctrlTicksActed);
-    EXPECT_EQ(derived.ctrlActQueries, 0u);
-    EXPECT_GT(executed.ctrlActQueries, 0u);
-    EXPECT_LT(derived.ctrlEntriesScanned, executed.ctrlEntriesScanned);
+    EXPECT_EQ(derived.work.ticksActed, executed.work.ticksActed);
+    EXPECT_EQ(derived.work.actQueries, 0u);
+    EXPECT_GT(executed.work.actQueries, 0u);
+    EXPECT_LT(derived.work.entriesScanned, executed.work.entriesScanned);
 }
 
 INSTANTIATE_TEST_SUITE_P(
