@@ -291,6 +291,7 @@ main(int argc, char **argv)
         pe["alone_sim_cycles"] = static_cast<std::int64_t>(alone.simCycles);
         pe["cycles_per_sec"] =
             own_s > 0.0 ? static_cast<double>(sim_cycles) / own_s : 0.0;
+        pe["scale"] = scale;
         pe["channels"] = static_cast<std::int64_t>(channels);
         pe["cells_run"] = static_cast<std::int64_t>(ctx.cellsRun);
         pe["cell_total"] = static_cast<std::int64_t>(ctx.nextCell);
@@ -334,7 +335,9 @@ main(int argc, char **argv)
     // Write the BENCH_perf.json self-profile sidecar. Merge-on-write:
     // a later invocation into the same --out directory (e.g. running
     // experiments one at a time) updates its own
-    // experiments' entries and keeps the rest.
+    // experiments' entries and keeps the rest. Each entry records its
+    // own scale and channels; the top-level ones are the last
+    // invocation's.
     {
         std::string perf_path = out_dir + "/BENCH_perf.json";
         Json perf = Json::object();

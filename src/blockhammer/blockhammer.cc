@@ -147,6 +147,14 @@ BlockHammer::refusalLapsesAt(unsigned bank, RowId row, Cycle) const
     return blocker.refusalLapsesAt(bank, row);
 }
 
+bool
+BlockHammer::knownSafe(unsigned bank, RowId row, Cycle now) const
+{
+    // A safe RowBlocker verdict counts nothing and refuses nothing, in
+    // observe-only mode too.
+    return blocker.knownSafe(bank, row, now);
+}
+
 int
 BlockHammer::quota(ThreadId thread, unsigned bank) const
 {

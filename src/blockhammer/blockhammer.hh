@@ -10,9 +10,9 @@
  *
  * A verdict depends only on the bank's D-CBF, the row's history-buffer
  * entries and time, so BlockHammer (not its observe-only mode, whose
- * "safe" answers still count refusals) exposes per-bank verdict stamps
- * and refusal lapse times, and the controller replays repeated verdicts
- * instead of asking again (Mitigation::verdictStamps).
+ * "safe" answers still count refusals) exposes per-bank verdict stamps,
+ * refusal lapse times and known-safe answers, and the controller replays
+ * repeated verdicts instead of asking again (Mitigation::verdictStamps).
  */
 
 #ifndef BH_BLOCKHAMMER_BLOCKHAMMER_HH
@@ -49,6 +49,7 @@ class BlockHammer : public Mitigation
     Cycle refusalLapsesAt(unsigned bank, RowId row,
                           Cycle now) const override;
     void noteRepeatedRefusals(std::uint64_t n) override { numUnsafe += n; }
+    bool knownSafe(unsigned bank, RowId row, Cycle now) const override;
     int quota(ThreadId thread, unsigned bank) const override;
     void syncStats() override;
 

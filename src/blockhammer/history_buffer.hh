@@ -51,7 +51,8 @@ class HistoryBuffer
 
     /**
      * Cycle of `row_key`'s latest entry still in the buffer, or -1 when
-     * it has none. Entries age out only in expire(), so ask after it.
+     * it has none. Entries age out only in expire(), so an entry older
+     * than tDelay may still be there until the next expire().
      */
     Cycle
     lastActivation(std::uint64_t row_key) const

@@ -54,6 +54,20 @@ class RowBlocker
                         nextBoundary);
     }
 
+    /**
+     * isSafe()'s answer at `now`, without aging the history buffer: an
+     * entry older than tDelay that expire() has not yet dropped counts
+     * as aged out.
+     */
+    bool
+    knownSafe(unsigned bank, RowId row, Cycle now) const
+    {
+        if (!isBlacklisted(bank, row))
+            return true;
+        Cycle last = hb.lastActivation(rankRowKey(bank, row));
+        return last < 0 || now - last >= delay;
+    }
+
     /** Cycle of the next epoch boundary (event-skipping bound). */
     Cycle nextBoundaryAt() const;
 

@@ -67,18 +67,26 @@ MemController::enqueue(Request req)
     // An arrival inside an idle window changes only its own bank's next
     // command and its queue's size (whose watermarks the replay applies),
     // so where queries have no effect it lowers the window's end to that
-    // bank's bound instead of voiding the window.
-    bool keep_window = !queriesObservable && idleUntil > 0 &&
-        windowStamp == numActions;
+    // bank's bound instead of voiding the window. Under verdict stamps an
+    // arrival to a closed bank whose chain holds and ends at a known-safe
+    // request keeps the window as it is: the bank's entry is still its
+    // head's ACT, that request settles the bank, and the younger arrival
+    // is never asked. Every other arrival voids the window.
+    bool in_window = idleUntil > 0 && windowStamp == numActions;
+    bool lower_window = in_window && !queriesObservable;
+    bool keep_window = in_window && verdictChains &&
+        !dram.bank(fb).isOpen() && queue.chainHolds(fb, arrival) &&
+        queue.chain(fb).nextSafe;
     ++numActions;
-    if (keep_window) {
+    if (lower_window) {
         StreakCapped capped{hitStreak.data(), cfg.rowHitCap};
         Cycle at = scheduler.bankEventAt(queue, type, dram, capped, fb);
         DemandBound &bound = type == ReqType::kRead ? readBound : writeBound;
         bound.timing = std::min(bound.timing, at);
         idleUntil = std::min(idleUntil, at);
-        windowStamp = numActions;
     }
+    if (lower_window || keep_window)
+        windowStamp = numActions;
     if (TraceSink::on()) {
         TraceSink::counter("queue", "depth", tmeta, arrival,
                            {{"read",
@@ -175,11 +183,18 @@ MemController::execute(Cycle now)
                 writeQ, ReqType::kWrite, dram, capped)};
         } else {
             // Only where the tables and the chains settle both queues'
-            // picks: then they would ask nothing, and each replayed tick
-            // counts every cached refusal of both queues, not the ones
-            // this tick counted before it issued.
+            // picks, once the mechanism's known-safe answers complete the
+            // chains the issue left incomplete (no stamp moves before
+            // the next executed tick, so they hold): then the picks
+            // would ask nothing, and each replayed tick counts every
+            // cached refusal of both queues, not the ones this tick
+            // counted before it issued.
             std::uint64_t refusals = 0;
-            if (!scheduler.settledRowPrep(readQ, ReqType::kRead, dram, now,
+            if (!scheduler.completeChains(readQ, ReqType::kRead, dram, now,
+                                          capped, mitig) ||
+                !scheduler.completeChains(writeQ, ReqType::kWrite, dram,
+                                          now, capped, mitig) ||
+                !scheduler.settledRowPrep(readQ, ReqType::kRead, dram, now,
                                           capped, readBound, refusals) ||
                 !scheduler.settledRowPrep(writeQ, ReqType::kWrite, dram,
                                           now, capped, writeBound, refusals))
@@ -472,6 +487,15 @@ MemController::issuePrep(SchedQueue &queue, SchedQueue::Handle h, Cycle now)
         ++numPreDemand;
         return true;
     }
+    // Under verdict stamps the pick may rest on a cached or known-safe
+    // verdict. A "safe" answer records nothing, so --skip verify asks
+    // again before every ACT: only a wrong verdict shows, as a refusal.
+    if (replayCheck && verdictChains &&
+        !mitig.isActSafe(fb, req.coord.row, req.thread, now))
+        panic("event-skip verify: channel %u would activate bank %u row %u "
+              "at cycle %lld, which its mechanism refuses",
+              replayChannel, fb, static_cast<unsigned>(req.coord.row),
+              static_cast<long long>(now));
     issueCommand(DramCommand::kAct, fb, req.coord.row, now);
     ++numActions;
     if (TraceSink::on()) {

@@ -246,7 +246,8 @@ class MemController
      * picks and bounds against them. Panic, naming `channel`, the cycle
      * and the queue, if a walk would issue, would ask a verdict that no
      * chain holds, would replay another refusal count, or the table
-     * disagrees.
+     * disagrees. Under verdict stamps, also ask the mitigation again
+     * before every demand ACT, and panic if it refuses.
      */
     void
     verifyReplays(unsigned channel)
@@ -394,7 +395,8 @@ class MemController
      * verdict chains settle both queues, so does one that issued a
      * demand command with no victim op pending (a derived window).
      * Where queries have no effect an arrival lowers it rather than
-     * voiding.
+     * voiding it; under verdict stamps an arrival behind a closed
+     * bank's known-safe request keeps it.
      */
     Cycle idleUntil = 0;
     std::uint64_t windowStamp = 0;

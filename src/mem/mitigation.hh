@@ -97,6 +97,23 @@ class Mitigation
      */
     virtual void noteRepeatedRefusals(std::uint64_t n) { (void)n; }
 
+    /**
+     * Is (bank, row) known safe at `now`? True promises that
+     * isActSafe(bank, row, ., now) would answer "safe" and record
+     * nothing; false promises nothing (the default). Answering records
+     * nothing either. Only asked where verdictStamps() is not null, so
+     * a true answer holds, as a live "safe" would, until the bank's
+     * stamp moves. The controller uses it to complete verdict chains
+     * right after an issue (DESIGN.md "Verdict chains"); a wrapper that
+     * does not forward it keeps those ticks executing and asking live.
+     */
+    virtual bool
+    knownSafe(unsigned bank, RowId row, Cycle now) const
+    {
+        (void)bank; (void)row; (void)now;
+        return false;
+    }
+
     /** A demand activation was issued. */
     virtual void
     onActivate(unsigned bank, RowId row, ThreadId thread, Cycle now)

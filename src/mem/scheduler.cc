@@ -46,7 +46,16 @@ SchedQueue::push(Request &&req)
     // A newly active bank's head is the youngest request: append.
     if (b.count++ == 0)
         active.push_back(n.bank);
-    ++b.version;
+    // An append leaves every verdict the bank's chain knows standing, so
+    // the chain's key (the version) does not move; a chain that refused
+    // every request now ends at this one, whose verdict is unknown, and
+    // a counted one leaves the totals as incomplete (retallyChain).
+    VerdictChain &c = chains[n.bank];
+    if (c.next == kNone) {
+        c.next = h;
+        if (chainsHeld && table[n.bank].kind == EventKind::kActivate)
+            ++totals.incomplete;
+    }
     markStale(n.bank);
     ++count;
     return h;
@@ -185,6 +194,32 @@ SchedQueue::retallyChain(unsigned fb, EventKind was, EventKind now_kind)
     totals.refused += c.refused;
     totals.incomplete += c.complete() ? 0 : 1;
     totals.lapse = std::min(totals.lapse, c.validUntil);
+}
+
+bool
+SchedQueue::completeChains(const Mitigation &mitigation, Cycle now,
+                           std::uint64_t &scanned)
+{
+    if (!chainsHeld || now >= totals.lapse)
+        return false;
+    if (totals.incomplete == 0)
+        return true;
+    // After syncEvents every counted chain's key holds (a take or a
+    // stamp move marked its bank stale, and its recomputation restarted
+    // it), so its `next` is a request of the bank.
+    for (unsigned fb : active) {
+        ++scanned;
+        VerdictChain &c = chains[fb];
+        if (table[fb].kind != EventKind::kActivate || c.complete())
+            continue;
+        if (!mitigation.knownSafe(fb, nodes[c.next].req.coord.row, now))
+            return false;
+        c.nextSafe = true;
+        if (--totals.incomplete == 0)
+            return true;
+    }
+    panic("SchedQueue: %u incomplete chains not found among the closed "
+          "banks", totals.incomplete);
 }
 
 void
@@ -378,6 +413,16 @@ FrFcfsScheduler::settledRowPrep(SchedQueue &queue, ReqType type,
     bound = DemandBound{gated(mins, dram, col)};
     replayed += chains->refused;
     return true;
+}
+
+bool
+FrFcfsScheduler::completeChains(SchedQueue &queue, ReqType type,
+                                const DramDevice &dram, Cycle now,
+                                StreakCapped capped,
+                                const Mitigation &mitigation)
+{
+    counts.recomputed += queue.syncEvents(dram, columnCommand(type), capped);
+    return queue.completeChains(mitigation, now, counts.scanned);
 }
 
 SchedQueue::Handle

@@ -210,7 +210,10 @@ class SchedQueue
      * request first, under a mitigation with verdict stamps
      * (Mitigation::verdictStamps): `refused` refusals from the bank's
      * head, then `next`, whose verdict is safe if `nextSafe` and not
-     * yet known otherwise (kNone: every request was refused).
+     * yet known otherwise (kNone: every request was refused). A push
+     * appends behind every request it knows, so only a take or a stamp
+     * move restarts it; a push to a chain that refused every request
+     * becomes its `next`.
      */
     struct VerdictChain
     {
@@ -228,9 +231,10 @@ class SchedQueue
 
     /**
      * Bank `fb`'s verdict chain, revalidated at each read: it holds
-     * while the bank's request set and verdict stamp are unchanged and
-     * `now` is before its earliest refusal lapse, and restarts empty at
-     * the bank's head otherwise (always, without stamps).
+     * while no request was taken from the bank, its verdict stamp is
+     * unchanged and `now` is before its earliest refusal lapse, and
+     * restarts empty at the bank's head otherwise (always, without
+     * stamps).
      */
     VerdictChain &
     verdictChain(unsigned fb, Cycle now)
@@ -291,6 +295,17 @@ class SchedQueue
     void dropChains() { chainsHeld = false; }
 
     /**
+     * Complete the closed banks' chains that end at an unknown verdict
+     * with the mitigation's known-safe answers at `now`
+     * (Mitigation::knownSafe), while the totals hold and none has
+     * lapsed; stop at the first answer that is not "safe". True when
+     * the totals then settle (settledChains). The entries it reads are
+     * added to `scanned`. Call with the table in sync (syncEvents).
+     */
+    bool completeChains(const Mitigation &mitigation, Cycle now,
+                        std::uint64_t &scanned);
+
+    /**
      * A pick's scan of every active bank, with the table in sync, found
      * the table's minima `walked`: keep them.
      */
@@ -328,7 +343,7 @@ class SchedQueue
     {
         Handle head = kNone, tail = kNone;
         std::uint32_t count = 0;
-        std::uint64_t version = 0;      ///< bumped on push/take for the bank
+        std::uint64_t version = 0;      ///< bumped on a take from the bank
     };
 
     /** Queue bank `fb`'s entry for recomputation. */
@@ -527,6 +542,18 @@ class FrFcfsScheduler
                         const DramDevice &dram, Cycle now,
                         StreakCapped capped, DemandBound &bound,
                         std::uint64_t &replayed);
+
+    /**
+     * Bring the table up to date and complete the closed banks' chains
+     * that end at an unknown verdict with `mitigation`'s known-safe
+     * answers at `now` (SchedQueue::completeChains). True when every
+     * closed bank's chain is then complete and holds, as
+     * settledRowPrep requires. The controller's derive step asks it
+     * right after an issue; a pick asks live instead.
+     */
+    bool completeChains(SchedQueue &queue, ReqType type,
+                        const DramDevice &dram, Cycle now,
+                        StreakCapped capped, const Mitigation &mitigation);
 
     /**
      * The queue's demand event bound with every ACT taken as safe: the

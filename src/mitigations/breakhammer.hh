@@ -75,6 +75,10 @@ class BreakHammer : public Mitigation
     {
         base->noteRepeatedRefusals(n);
     }
+    bool knownSafe(unsigned bank, RowId row, Cycle now) const override
+    {
+        return base->knownSafe(bank, row, now);
+    }
 
     void onActivate(unsigned bank, RowId row, ThreadId thread,
                     Cycle now) override;

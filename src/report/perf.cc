@@ -112,18 +112,23 @@ perfGate(const Json &golden, const Json &measured, double minRatioOverride)
             res.lines.push_back(strfmt("entry %zu: no \"experiment\"", i));
             continue;
         }
+        // Each experiment entry records the scale it ran at, since the
+        // file merges invocations; older files record only the last
+        // invocation's, at the top level.
+        const Json *m = experiments->find(name->asString());
         double want_scale = numField(e, "scale", 1.0);
-        if (std::fabs(want_scale - measured_scale) > 1e-9) {
+        double ran_scale = m ? numField(*m, "scale", measured_scale)
+                             : measured_scale;
+        if (std::fabs(want_scale - ran_scale) > 1e-9) {
             res.lines.push_back(strfmt(
                 "%s: skipped (golden scale %s, measured %s)",
                 name->asString().c_str(),
                 Json::formatDouble(want_scale).c_str(),
-                Json::formatDouble(measured_scale).c_str()));
+                Json::formatDouble(ran_scale).c_str()));
             continue;
         }
         ++applied;
 
-        const Json *m = experiments->find(name->asString());
         if (!m) {
             res.pass = false;
             res.lines.push_back(strfmt("%s: FAIL (not in measurement)",

@@ -42,9 +42,11 @@ struct PerfGateResult
  *   { "experiment": "fig4", "scale": 4, "ref_cps": 2.0e8,
  *     "min_ratio": 0.2 }
  *
- * An entry applies when the measurement was taken at the entry's scale;
- * non-matching entries are reported as skipped. Each applicable entry
- * requires measured cycles-per-second (the experiment's `sim_cycles`
+ * An entry applies when its experiment ran at the entry's scale (the
+ * experiment's own `scale`, else the file's: a BENCH_perf.json merges
+ * invocations at different scales); non-matching entries are reported
+ * as skipped. Each applicable entry requires measured
+ * cycles-per-second (the experiment's `sim_cycles`
  * over its `wall_s`, both without the memoized alone runs, which
  * BENCH_perf.json counts apart) >= ref_cps * min_ratio (the
  * override, when > 0, replaces every entry's min_ratio). The gate fails

@@ -2,8 +2,9 @@
  * @file
  * Tests for BlockHammer: configuration math (Equations 1 and 3, Table 1,
  * Table 7), the history buffer, RowBlocker, AttackThrottler, the
- * integrated mechanism, its verdict stamps and refusal lapses, and the
- * flat shadow table against a hash-map reference.
+ * integrated mechanism, its verdict stamps, refusal lapses and
+ * known-safe answers, and the flat shadow table against a hash-map
+ * reference.
  */
 
 #include <gtest/gtest.h>
@@ -473,6 +474,88 @@ TEST(BlockHammerMech, RefusalLapsesAtTheDelayEdge)
     bh.onActivate(0, 5, 0, late);
     ASSERT_FALSE(bh.isActSafe(0, 5, 0, late + 1));
     EXPECT_EQ(bh.refusalLapsesAt(0, 5, late + 1), boundary);
+}
+
+TEST(BlockHammerMech, KnownSafeIsTheLiveVerdictAndRecordsNothing)
+{
+    // Two instances see the same seeded ACT stream and the same epoch
+    // ticks; at each probe one is asked live (isActSafe) and the other
+    // knownSafe, and the answers must be equal. Each round hammers one
+    // row past N_BL among random rows, then probes it at the tDelay edge
+    // of its last ACT (lapse - 1 refused, lapse safe); the stream
+    // crosses three epoch swaps. Only ACTs and the swaps age the
+    // history out, so knownSafe also meets entries older than tDelay
+    // that expire() has not yet dropped.
+    BlockHammerConfig cfg = tinyConfig();
+    BlockHammer asked(cfg), known(cfg);
+    const Cycle delay = asked.rowBlocker().tDelay();
+    constexpr unsigned kHotBank = 1;
+    constexpr RowId kHotRow = 5;
+    Rng rng(0x6b0f5afe);
+    Cycle now = 0, last_hot = -1;
+    Cycle boundary = asked.rowBlocker().nextBoundaryAt();
+    unsigned swaps = 0, safe = 0, refused = 0, edges = 0;
+    auto advance = [&](Cycle to) {
+        now = to;
+        // The controller ticks the mechanism at every epoch boundary.
+        if (now >= boundary) {
+            asked.tick(now);
+            known.tick(now);
+            boundary = asked.rowBlocker().nextBoundaryAt();
+            ++swaps;
+        }
+    };
+    auto probe = [&](unsigned bank, RowId row) {
+        bool live = asked.isActSafe(bank, row, 0, now);
+        std::uint64_t unsafe_before = known.unsafeVerdicts();
+        EXPECT_EQ(known.knownSafe(bank, row, now), live)
+            << "bank " << bank << " row " << row << " at " << now;
+        EXPECT_EQ(known.unsafeVerdicts(), unsafe_before);
+        ++(live ? safe : refused);
+        return live;
+    };
+    auto activate = [&](unsigned bank, RowId row) {
+        asked.onActivate(bank, row, 0, now);
+        known.onActivate(bank, row, 0, now);
+        if (bank == kHotBank && row == kHotRow)
+            last_hot = now;
+    };
+    while (swaps < 3) {
+        for (int i = 0; i < 200; ++i) {
+            advance(now + 100 + static_cast<Cycle>(rng.below(100)));
+            auto bank = static_cast<unsigned>(rng.below(cfg.banks));
+            auto row = static_cast<RowId>(rng.below(32));
+            probe(bank, row);
+            probe(kHotBank, kHotRow);
+            if (rng.chance(0.8))
+                activate(kHotBank, kHotRow);
+            else
+                activate(bank, row);
+        }
+        for (int i = 0; i < 8; ++i) {
+            // Other rows' ACTs inside the hot row's tDelay window.
+            for (Cycle at = now + 100; at < last_hot + delay - 1; at += 150) {
+                advance(at);
+                activate(static_cast<unsigned>(rng.below(cfg.banks)),
+                         static_cast<RowId>(32 + rng.below(32)));
+            }
+            advance(last_hot + delay - 1);
+            bool before_edge = probe(kHotBank, kHotRow);
+            advance(last_hot + delay);
+            if (!before_edge && probe(kHotBank, kHotRow))
+                ++edges;
+            activate(kHotBank, kHotRow);
+        }
+    }
+    EXPECT_GT(safe, 0u);
+    EXPECT_GT(refused, 0u);
+    EXPECT_GT(edges, 8u);
+    // The live instance counted its refusals and closed delay episodes;
+    // knownSafe stored no first refusal for an ACT to close.
+    EXPECT_EQ(asked.unsafeVerdicts(), refused);
+    EXPECT_GT(asked.delayedActivations(), 0u);
+    EXPECT_EQ(known.unsafeVerdicts(), 0u);
+    EXPECT_EQ(known.delayedActivations(), 0u);
 }
 
 TEST(BlockHammerMech, VerdictStampsMoveWithActivationsAndEpochSwaps)

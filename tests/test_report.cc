@@ -13,8 +13,9 @@
  *  - the structural diff honors absolute/relative tolerance and
  *    ignored subtrees;
  *  - the perf gate passes at and above its floor, fails below it, skips
- *    entries at another scale, refuses a vacuous pass, fails on a
- *    missing experiment and honors the min-ratio override;
+ *    entries at another scale (each experiment's own, in a file that
+ *    merges invocations), refuses a vacuous pass, fails on a missing
+ *    experiment and honors the min-ratio override;
  *  - bh_collect's numeric flags exit 2 on any malformed value.
  */
 
@@ -529,6 +530,67 @@ TEST(PerfGate, WorkOfOtherCellsOrChannelsIsSkippedNeverPassed)
     EXPECT_FALSE(perfGate(golden, measured).pass);
     measured["experiments"]["fig5"]["cell_total"] = 2;
     EXPECT_TRUE(perfGate(golden, measured).pass);
+}
+
+/**
+ * `measured` with `name` merged in from another invocation, at `scale`
+ * (each experiment entry records its own), as one 2-second experiment.
+ */
+void
+mergeExperiment(Json &measured, const char *name, double scale,
+                double sim_cycles)
+{
+    Json m = Json::object();
+    m["wall_s"] = 2.0;
+    m["sim_cycles"] = sim_cycles;
+    m["scale"] = scale;
+    measured["experiments"][name] = std::move(m);
+}
+
+TEST(PerfGate, MergedRunsAreGatedAtEachExperimentsOwnScale)
+{
+    // fig5 at scale 4, then secsweep at scale 1 into one --out directory:
+    // the file's scale is the last invocation's (1), and each experiment
+    // entry its own, so both entries apply, fig5's work included.
+    Json golden = workGolden();
+    golden["entries"].push(
+        perfGolden({{"secsweep", 1.0, 1000.0}})["entries"].at(0));
+    Json measured = workMeasured(workCounts(10, 3), workCounts(20, 4));
+    measured["experiments"]["fig5"]["scale"] = 4.0;
+    measured["scale"] = 1.0;
+    mergeExperiment(measured, "secsweep", 1.0, 1e9);
+    PerfGateResult res = perfGate(golden, measured);
+    EXPECT_TRUE(res.pass);
+    ASSERT_EQ(res.lines.size(), 3u);
+    EXPECT_EQ(res.lines[0].rfind("fig5: ok", 0), 0u) << res.lines[0];
+    EXPECT_EQ(res.lines[1], "fig5: work ok (2 counts equal)");
+    EXPECT_EQ(res.lines[2].rfind("secsweep: ok", 0), 0u) << res.lines[2];
+
+    // So a merged fig5 whose work moved fails, as it would alone.
+    measured["experiments"]["fig5"]["cells"]["2"]["work"] =
+        workCounts(20, 5);
+    res = perfGate(golden, measured);
+    EXPECT_FALSE(res.pass);
+    EXPECT_EQ(res.lines[1], "fig5: work FAIL (act_queries 8, golden 7)");
+}
+
+TEST(PerfGate, AnExperimentRunAtAnotherScaleIsStillSkipped)
+{
+    // fig4 at scale 4 (the file's), fig5 merged in from a scale-1 run.
+    Json golden = perfGolden({{"fig4", 4.0, 1000.0}, {"fig5", 4.0, 1000.0}});
+    Json measured = perfMeasured(4.0, "fig4", 1000.0);
+    mergeExperiment(measured, "fig5", 1.0, 1e9);
+    PerfGateResult res = perfGate(golden, measured);
+    EXPECT_TRUE(res.pass);
+    ASSERT_EQ(res.lines.size(), 2u);
+    EXPECT_EQ(res.lines[0].rfind("fig4: ok", 0), 0u) << res.lines[0];
+    EXPECT_EQ(res.lines[1], "fig5: skipped (golden scale 4, measured 1)");
+
+    // With no entry at its own scale, a merged file refuses to pass.
+    measured["experiments"]["fig4"]["scale"] = 1.0;
+    res = perfGate(golden, measured);
+    EXPECT_FALSE(res.pass);
+    EXPECT_EQ(res.lines[0], "fig4: skipped (golden scale 4, measured 1)");
 }
 
 } // namespace

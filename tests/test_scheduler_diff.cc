@@ -390,12 +390,13 @@ struct RefusalLog
 
 /**
  * What a bank's verdict chain should hold: the requests whose verdicts
- * the chained pick learned since the bank's request set or stamp last
- * changed, or one of those refusals last lapsed.
+ * the chained pick learned since a request was last taken from the bank,
+ * its stamp last moved, or one of those refusals last lapsed. A push
+ * appends behind every known request, so it forgets nothing.
  */
 struct KnownVerdicts
 {
-    std::uint64_t changes = 0;      ///< the bank's pushes and takes
+    std::uint64_t takes = 0;        ///< the bank's takes
     std::uint64_t stamp = 0;
     Cycle validUntil = kNoEventCycle;
     std::set<std::uint64_t> ids;
@@ -443,16 +444,16 @@ checkChainedPick(FrFcfsScheduler &sched, SchedQueue &q, ReqType type,
                  std::uint64_t walk_pick, const DemandBound &walk_bound,
                  const RefusalLog &walked, RefusalLog &chained,
                  std::vector<KnownVerdicts> &known,
-                 const std::vector<std::uint64_t> &bank_changes,
+                 const std::vector<std::uint64_t> &bank_takes,
                  std::uint64_t &omitted, std::uint64_t &settled,
                  unsigned iter)
 {
     const std::uint64_t *stamps = mitig.verdictStamps();
     for (unsigned fb = 0; fb < known.size(); ++fb) {
         KnownVerdicts &k = known[fb];
-        if (k.changes != bank_changes[fb] || k.stamp != stamps[fb] ||
+        if (k.takes != bank_takes[fb] || k.stamp != stamps[fb] ||
             now >= k.validUntil)
-            k = KnownVerdicts{bank_changes[fb], stamps[fb], kNoEventCycle,
+            k = KnownVerdicts{bank_takes[fb], stamps[fb], kNoEventCycle,
                               {}};
     }
     EvalLog expected;
@@ -516,7 +517,7 @@ runDifferential(unsigned nbanks, std::uint64_t seed)
     std::uint64_t omitted = 0;      ///< walk queries the chains answered
     std::uint64_t settled = 0;      ///< chained picks that walked no bank
     std::vector<KnownVerdicts> known(nbanks);
-    std::vector<std::uint64_t> bank_changes(nbanks, 0);
+    std::vector<std::uint64_t> bank_takes(nbanks, 0);
 
     // One stamped queue, its stampless mirror and their reference copy
     // across all rounds; handles[i] and plain_handles[i] hold ref_q[i].
@@ -528,7 +529,6 @@ runDifferential(unsigned nbanks, std::uint64_t seed)
     const Mirrors both{&new_q, &plain_q};
     std::uint64_t next_id = 0;
     auto push = [&](Request req) {
-        ++bank_changes[req.flatBank];
         ref_q.push_back(req);
         plain_handles.push_back(plain_q.push(Request(req)));
         handles.push_back(new_q.push(std::move(req)));
@@ -539,7 +539,7 @@ runDifferential(unsigned nbanks, std::uint64_t seed)
         auto it = std::find(handles.begin(), handles.end(), h);
         ASSERT_NE(it, handles.end());
         std::size_t i = static_cast<std::size_t>(it - handles.begin());
-        ++bank_changes[ref_q[i].flatBank];
+        ++bank_takes[ref_q[i].flatBank];
         EXPECT_EQ(new_q.take(h).addr, ref_q[i].addr);
         EXPECT_EQ(plain_q.take(plain_handles[i]).addr, ref_q[i].addr);
         ref_q.erase(ref_q.begin() + static_cast<std::ptrdiff_t>(i));
@@ -679,7 +679,7 @@ runDifferential(unsigned nbanks, std::uint64_t seed)
         ASSERT_NO_FATAL_FAILURE(checkChainedPick(
             sched, new_q, type, dram, now, capped, mitig, ref_log,
             ref_prep ? ref_q[*ref_prep].addr : ~0ull, bound, walked,
-            chained, known, bank_changes, omitted, settled, iter));
+            chained, known, bank_takes, omitted, settled, iter));
 
         // The bound the row-prep walk recorded is the separate walk's,
         // whether or not the mitigation's verdict can flip.

@@ -161,8 +161,38 @@ class Forwarding : public Mitigation
         stats = inner->stats;
     }
 
-  private:
+  protected:
     std::unique_ptr<Mitigation> inner;
+};
+
+/**
+ * Forwarding that also forwards the verdict stamps and the hooks that
+ * come with them, but not knownSafe: the controller replays verdict
+ * chains and derives windows where they settle, but completes no chain
+ * after an issue, so the tick after it executes and asks live.
+ */
+class StampForwarding : public Forwarding
+{
+  public:
+    using Forwarding::Forwarding;
+
+    const std::uint64_t *
+    verdictStamps() const override
+    {
+        return inner->verdictStamps();
+    }
+
+    Cycle
+    refusalLapsesAt(unsigned bank, RowId row, Cycle now) const override
+    {
+        return inner->refusalLapsesAt(bank, row, now);
+    }
+
+    void
+    noteRepeatedRefusals(std::uint64_t n) override
+    {
+        inner->noteRepeatedRefusals(n);
+    }
 };
 
 /** Registered mechanisms whose safety queries cannot have an effect. */
@@ -206,17 +236,33 @@ TEST(QueryCapability, OnlyBlockHammerExposesVerdictStamps)
               nullptr);
 }
 
+TEST(QueryCapability, BreakHammerForwardsKnownSafe)
+{
+    // A fresh BlockHammer has no blacklisted row, so it knows every
+    // verdict safe; a mechanism that keeps the default knows none.
+    MitigationSettings settings = ExperimentConfig{}.mitigationSettings();
+    EXPECT_TRUE(makeMitigation("BlockHammer", settings)->knownSafe(0, 5, 0));
+    EXPECT_TRUE(makeMitigation("BreakHammer+BlockHammer", settings)
+                    ->knownSafe(0, 5, 0));
+    EXPECT_FALSE(makeMitigation("BreakHammer+Graphene", settings)
+                     ->knownSafe(0, 5, 0));
+}
+
 /**
  * Under a mechanism with verdict stamps, the row-prep picks replay
  * repeated verdicts from per-bank chains instead of asking again, picks
  * that the chains and the event table settle walk no bank, and the tick
- * after an issue is derived where they settle both queues. The same
- * mechanism wrapped so that it hides the stamps asks every query and
- * executes every such tick: both runs must be equal in every field
- * (refusal counts, first-refusal delays and throttling included), the
- * chained one with strictly fewer live queries, strictly fewer executed
- * controller ticks, exactly as many that acted, and fewer bank entries
- * scanned.
+ * after an issue is derived where they settle both queues, once the
+ * mechanism's known-safe answers (Mitigation::knownSafe) complete the
+ * chains the issue left incomplete. The same mechanism wrapped so that
+ * it hides the stamps asks every query and executes every such tick;
+ * wrapped so that it forwards the stamps but not knownSafe, it replays
+ * the chains but executes the tick after an issue wherever one is
+ * incomplete. All three runs must be equal in every field (refusal
+ * counts, first-refusal delays and throttling included), the chained
+ * one with strictly fewer live queries and strictly fewer executed
+ * controller ticks than either wrapped one, exactly as many that acted,
+ * and fewer bank entries scanned than the stampless one.
  */
 class VerdictChains
     : public ::testing::TestWithParam<std::tuple<std::string, unsigned>>
@@ -236,14 +282,22 @@ TEST_P(VerdictChains, ReplayTheQueriesTheyCache)
         cfg, attackMix(), [](std::unique_ptr<Mitigation> m) {
             return std::make_unique<Forwarding>(std::move(m));
         });
+    RunResult asked = runExperiment(
+        cfg, attackMix(), [](std::unique_ptr<Mitigation> m) {
+            return std::make_unique<StampForwarding>(std::move(m));
+        });
     expectEqualResults(walked, chained);
+    expectEqualResults(walked, asked);
     EXPECT_GT(walked.blockedActs, 0u);
     EXPECT_EQ(walked.work.refusalsReplayed, 0u);
     EXPECT_GT(chained.work.refusalsReplayed, 0u);
-    EXPECT_LT(chained.work.actQueries, walked.work.actQueries);
-    EXPECT_LT(chained.work.ticksExecuted, walked.work.ticksExecuted);
-    // A tick that acts is never replayed.
-    EXPECT_EQ(chained.work.ticksActed, walked.work.ticksActed);
+    EXPECT_GT(asked.work.refusalsReplayed, 0u);
+    for (const RunResult *wrapped : {&walked, &asked}) {
+        EXPECT_LT(chained.work.actQueries, wrapped->work.actQueries);
+        EXPECT_LT(chained.work.ticksExecuted, wrapped->work.ticksExecuted);
+        // A tick that acts is never replayed.
+        EXPECT_EQ(chained.work.ticksActed, wrapped->work.ticksActed);
+    }
     EXPECT_LT(chained.work.entriesScanned, walked.work.entriesScanned);
 }
 
@@ -259,6 +313,37 @@ INSTANTIATE_TEST_SUITE_P(
                 c = '_';
         return name + "_" + std::to_string(std::get<1>(info.param)) + "ch";
     });
+
+/** StampForwarding whose knownSafe answers "safe" for every row. */
+class AlwaysKnownSafe : public StampForwarding
+{
+  public:
+    using StampForwarding::StampForwarding;
+
+    bool
+    knownSafe(unsigned, RowId, Cycle) const override
+    {
+        return true;
+    }
+};
+
+TEST(VerdictChainsDeathTest, VerifyPanicsOnAWrongKnownSafeAnswer)
+{
+    // The derive step completes chains with verdicts BlockHammer would
+    // refuse, so a refused row's ACT goes through at a later executed
+    // tick; kVerify asks again before every ACT and panics there.
+    ExperimentConfig cfg = shortConfig("BlockHammer", 1);
+    cfg.nRH = 256;
+    cfg.refwMs = 0.04;
+    cfg.skip = SkipMode::kVerify;
+    EXPECT_DEATH(runExperiment(cfg, attackMix(),
+                               [](std::unique_ptr<Mitigation> m) {
+                                   return std::make_unique<AlwaysKnownSafe>(
+                                       std::move(m));
+                               }),
+                 "would activate bank [0-9]+ row [0-9]+ at cycle [0-9]+, "
+                 "which its mechanism refuses");
+}
 
 /**
  * A seeded grid over the machinery that replays BlockHammer's verdicts:
