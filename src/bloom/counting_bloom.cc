@@ -16,6 +16,9 @@ CountingBloomFilter::CountingBloomFilter(const CbfConfig &config,
         fatal("CBF size must be a power of two (got %u)", cfg.numCounters);
     if (cfg.numHashes == 0)
         fatal("CBF needs at least one hash function");
+    if (cfg.counterMax > 0xffff)
+        fatal("CBF counter saturation %u exceeds the 16-bit counters",
+              cfg.counterMax);
     counters.assign(cfg.numCounters, 0);
     unsigned bits = ceilLog2(cfg.numCounters);
     for (unsigned h = 0; h < cfg.numHashes; ++h)
@@ -26,7 +29,7 @@ void
 CountingBloomFilter::insert(std::uint64_t key)
 {
     for (const auto &h : hashes) {
-        std::uint32_t &c = counters[h.hash(key)];
+        std::uint16_t &c = counters[h.hash(key)];
         if (c < cfg.counterMax)
             ++c;
     }
@@ -38,7 +41,8 @@ CountingBloomFilter::count(std::uint64_t key) const
 {
     std::uint32_t min_count = cfg.counterMax;
     for (const auto &h : hashes)
-        min_count = std::min(min_count, counters[h.hash(key)]);
+        min_count = std::min<std::uint32_t>(min_count,
+                                            counters[h.hash(key)]);
     return min_count;
 }
 

@@ -8,6 +8,10 @@
  * false negatives impossible). This no-false-negative property is what
  * lets BlockHammer guarantee that a RowHammer attack can never evade
  * blacklisting (Section 3.1.1).
+ *
+ * Counters are 16 bits wide. The hardware counter needs
+ * ceil(log2 N_BL) + 1 bits (Table 4's cost model), 14 at N_RH 32K, and
+ * saturates at N_BL; a saturation value above 65,535 is a fatal error.
  */
 
 #ifndef BH_BLOOM_COUNTING_BLOOM_HH
@@ -26,7 +30,7 @@ struct CbfConfig
 {
     unsigned numCounters = 1024;    ///< must be a power of two
     unsigned numHashes = 4;
-    std::uint32_t counterMax = 8192;///< saturation value (>= N_BL)
+    std::uint32_t counterMax = 8192;///< saturation value (>= N_BL, <= 65535)
 };
 
 /** One counting Bloom filter. */
@@ -61,7 +65,7 @@ class CountingBloomFilter
 
   private:
     CbfConfig cfg;
-    std::vector<std::uint32_t> counters;
+    std::vector<std::uint16_t> counters;
     std::vector<H3Hash> hashes;
     std::uint64_t numInsertions = 0;
 };

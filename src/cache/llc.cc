@@ -11,24 +11,33 @@ namespace bh
 Llc::Llc(const LlcConfig &config, MemSystem &mem_system)
     : cfg(config), mem(mem_system)
 {
-    numSets = cfg.capacityBytes / (static_cast<std::uint64_t>(cfg.ways) *
-                                   kLineBytes);
-    if (numSets == 0)
+    // An 8-bit rank orders at most 255 ways.
+    if (cfg.ways == 0 || cfg.ways > 255)
+        fatal("LLC ways must be 1-255 (got %u)", cfg.ways);
+    std::uint64_t sets = cfg.capacityBytes /
+        (static_cast<std::uint64_t>(cfg.ways) * kLineBytes);
+    if (sets == 0)
         fatal("LLC capacity too small");
-    lines.assign(numSets * cfg.ways, Line{});
+    if (!isPow2(sets))
+        fatal("LLC set count must be a power of two (got %llu)",
+              static_cast<unsigned long long>(sets));
+    setMask = sets - 1;
+    setBits = ceilLog2(sets);
+    tags.assign(sets * cfg.ways, 0);
+    ranks.assign(sets * cfg.ways, 0);
+    dirtyBits.assign(sets * cfg.ways, false);
+    validWays.assign(sets, 0);
     mshrFile.resize(cfg.mshrs);
 }
 
-Llc::Line *
-Llc::findLine(Addr line)
+void
+Llc::touch(std::size_t base, unsigned valid, unsigned way)
 {
-    std::size_t base = setIndex(line) * cfg.ways;
-    for (unsigned w = 0; w < cfg.ways; ++w) {
-        Line &l = lines[base + w];
-        if (l.valid && l.tag == line)
-            return &l;
-    }
-    return nullptr;
+    std::uint8_t rank = ranks[base + way];
+    for (unsigned w = 0; w < valid; ++w)
+        if (ranks[base + w] < rank)
+            ++ranks[base + w];
+    ranks[base + way] = 0;
 }
 
 LlcResult
@@ -43,12 +52,21 @@ Llc::access(Addr addr, bool is_write, ThreadId thread, Cycle now,
     }
 
     Addr line = lineAddr(addr);
+    if ((line >> setBits) > 0xffffffffu)
+        panic("LLC access to 0x%llx: its tag needs more than 32 bits",
+              static_cast<unsigned long long>(addr));
     auto &tstats = threadStatsMutable(thread);
 
-    if (Line *l = findLine(line)) {
-        l->lastUse = ++useCounter;
+    std::size_t set = setIndex(line);
+    std::size_t base = set * cfg.ways;
+    unsigned valid = validWays[set];
+    std::uint32_t tag = tagOf(line);
+    for (unsigned w = 0; w < valid; ++w) {
+        if (tags[base + w] != tag)
+            continue;
+        touch(base, valid, w);
         if (is_write)
-            l->dirty = true;
+            dirtyBits[base + w] = true;
         ++numHits;
         ++tstats.accesses;
         if (on_done)
@@ -110,25 +128,28 @@ Llc::complete(std::uint32_t slot, Cycle done)
 void
 Llc::installLine(Addr line, bool dirty, Cycle now)
 {
-    std::size_t base = setIndex(line) * cfg.ways;
-    Line *victim = &lines[base];
-    for (unsigned w = 0; w < cfg.ways; ++w) {
-        Line &l = lines[base + w];
-        if (!l.valid) {
-            victim = &l;
-            break;
+    // The victim of a full set is its least recently used way, the one
+    // ranked last; a set with room fills its first invalid way.
+    std::size_t set = setIndex(line);
+    std::size_t base = set * cfg.ways;
+    unsigned valid = validWays[set];
+    unsigned way = 0;
+    if (valid < cfg.ways) {
+        way = valid;
+        ranks[base + way] = static_cast<std::uint8_t>(valid);
+        validWays[set] = static_cast<std::uint8_t>(++valid);
+    } else {
+        while (ranks[base + way] != valid - 1)
+            ++way;
+        if (dirtyBits[base + way]) {
+            Addr victim = Addr{tags[base + way]} << setBits | set;
+            if (!issueWriteback(victim, now))
+                wbRetry.push_back(victim);
         }
-        if (l.lastUse < victim->lastUse)
-            victim = &l;
     }
-    if (victim->valid && victim->dirty) {
-        if (!issueWriteback(victim->tag, now))
-            wbRetry.push_back(victim->tag);
-    }
-    victim->tag = line;
-    victim->valid = true;
-    victim->dirty = dirty;
-    victim->lastUse = ++useCounter;
+    tags[base + way] = tagOf(line);
+    dirtyBits[base + way] = dirty;
+    touch(base, valid, way);
 }
 
 bool

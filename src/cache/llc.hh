@@ -5,6 +5,12 @@
  * (Table 5 of the paper). The MSHRs are a fixed file of `mshrs`
  * entries; a fill's request carries its entry as a completion token,
  * and the entry's waiters are the tokens of the accesses it serves.
+ *
+ * The tag store is kept at the width the hardware has: a 32-bit tag
+ * (the line address above the set index) and an 8-bit LRU rank per
+ * way, a dirty bit per way, and a count of valid ways per set. A fill
+ * takes the first invalid way and no line is ever invalidated, so the
+ * valid ways are a prefix of the set.
  */
 
 #ifndef BH_CACHE_LLC_HH
@@ -101,14 +107,6 @@ class Llc final : public CompletionTarget
     std::size_t mshrsInUse() const { return mshrsBusy; }
 
   private:
-    struct Line
-    {
-        Addr tag = 0;
-        bool valid = false;
-        bool dirty = false;
-        std::uint64_t lastUse = 0;
-    };
-
     /** Line address of a free MSHR (no line address reaches it). */
     static constexpr Addr kNoLine = ~Addr{0};
 
@@ -121,16 +119,31 @@ class Llc final : public CompletionTarget
     };
 
     Addr lineAddr(Addr addr) const { return addr / kLineBytes; }
-    std::size_t setIndex(Addr line) const { return line % numSets; }
-    Line *findLine(Addr line);
+    std::size_t setIndex(Addr line) const { return line & setMask; }
+    std::uint32_t
+    tagOf(Addr line) const
+    {
+        return static_cast<std::uint32_t>(line >> setBits);
+    }
+
+    /**
+     * Make way `way` of the set at `base`, whose first `valid` ways are
+     * valid, the most recently used: every way ranked before it moves
+     * one rank back.
+     */
+    void touch(std::size_t base, unsigned valid, unsigned way);
+
     void installLine(Addr line, bool dirty, Cycle now);
     bool issueWriteback(Addr line, Cycle now);
 
     LlcConfig cfg;
     MemSystem &mem;
-    std::size_t numSets = 0;
-    std::vector<Line> lines;            ///< numSets * ways
-    std::uint64_t useCounter = 0;
+    Addr setMask = 0;                   ///< sets - 1 (a power of two)
+    unsigned setBits = 0;               ///< log2(sets)
+    std::vector<std::uint32_t> tags;    ///< sets * ways: line >> setBits
+    std::vector<std::uint8_t> ranks;    ///< per way: 0 most recent
+    std::vector<bool> dirtyBits;        ///< per way
+    std::vector<std::uint8_t> validWays;///< per set: its valid prefix
     std::vector<Mshr> mshrFile;         ///< cfg.mshrs entries
     std::size_t mshrsBusy = 0;          ///< entries with a fill in flight
     std::deque<Addr> wbRetry;

@@ -9,6 +9,8 @@
 
 #include <map>
 
+#include "analysis/hwcost.hh"
+#include "blockhammer/config.hh"
 #include "bloom/counting_bloom.hh"
 #include "bloom/dual_cbf.hh"
 #include "common/rng.hh"
@@ -144,6 +146,46 @@ TEST(CountingBloom, InsertionsCounted)
     EXPECT_EQ(cbf.insertions(), 33u);
 }
 
+TEST(CountingBloom, SaturatesAtTheWidestCounter)
+{
+    CountingBloomFilter cbf(smallCbf(256, 65535), 13);
+    for (int i = 0; i < 70000; ++i)
+        cbf.insert(21);
+    EXPECT_EQ(cbf.count(21), 65535u);
+}
+
+TEST(CountingBloomDeathTest, CounterMaxAbove16BitsIsFatal)
+{
+    EXPECT_EXIT(CountingBloomFilter(smallCbf(256, 65536), 1),
+                ::testing::ExitedWithCode(1), "16-bit");
+}
+
+TEST(CountingBloom, ThresholdsInUseFitTheCounters)
+{
+    // forThreshold saturates the counters at N_BL. Every threshold the
+    // table4, table7 and fig6 experiments size BlockHammer for must
+    // build a filter and keep Table 4's counter width within 16 bits.
+    // fig6's compressed thresholds are scaled by the run's window
+    // multiplier, at most 32 (benchConfig).
+    std::vector<std::uint32_t> thresholds = {32768, 16384, 8192,
+                                             4096, 2048, 1024};
+    for (std::uint32_t nrh : {4096u, 2048u, 1024u, 512u, 256u})
+        for (std::uint32_t mult = 1; mult <= 32; mult *= 2)
+            thresholds.push_back(nrh * mult);
+    HwCostModel model;
+    for (std::uint32_t nrh : thresholds) {
+        auto cfg = BlockHammerConfig::forThreshold(nrh, DramTimings::ddr4());
+        EXPECT_EQ(cfg.cbf.counterMax, cfg.nBL) << "N_RH " << nrh;
+        EXPECT_LE(cfg.nBL, 65535u) << "N_RH " << nrh;
+        // Two filters per bank, 16 banks: the model's bits per counter.
+        double counter_bits = model.blockHammerDcbf(nrh).sramBits /
+            (2.0 * cfg.cbf.numCounters * 16);
+        EXPECT_LE(counter_bits, 16.0) << "N_RH " << nrh;
+        CountingBloomFilter cbf(cfg.cbf, 1);
+        EXPECT_EQ(cbf.count(7), 0u);
+    }
+}
+
 /** Parameterized no-false-negative sweep across filter geometries. */
 class CbfPropertyTest
     : public ::testing::TestWithParam<std::tuple<unsigned, unsigned>>
@@ -156,7 +198,7 @@ TEST_P(CbfPropertyTest, NoFalseNegativesUnderLoad)
     CbfConfig cfg;
     cfg.numCounters = counters;
     cfg.numHashes = 4;
-    cfg.counterMax = 1 << 20;
+    cfg.counterMax = 65535;     // no stream of 20,000 inserts reaches it
     CountingBloomFilter cbf(cfg, counters * 7 + distinct_keys);
     Rng rng(counters);
     std::map<std::uint64_t, std::uint32_t> truth;

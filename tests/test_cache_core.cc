@@ -1,12 +1,16 @@
 /**
  * @file
- * Tests for the shared LLC (hits, LRU, writebacks, the MSHR file) and the
+ * Tests for the shared LLC (hits, LRU, writebacks, the MSHR file, the
+ * tag store against a reference of its replacement policy) and the
  * trace-driven core model (issue/retire discipline, window limits, the
  * window ring's completion tokens).
  */
 
 #include <gtest/gtest.h>
 
+#include <tuple>
+
+#include "common/rng.hh"
 #include "core/core.hh"
 #include "recording_target.hh"
 #include "sim/system.hh"
@@ -203,6 +207,171 @@ TEST_F(CacheTest, MshrLimitRejects)
         EXPECT_EQ(rec.done[rec.order.back()], fillReady(filled));
     }
     EXPECT_EQ(small.mshrsInUse(), 0u);
+}
+
+/**
+ * The LLC's replacement policy as a line array: 64-bit line tags, one
+ * global use counter, and a victim that is the first invalid way or
+ * else the way with the smallest `lastUse`.
+ */
+class ReferenceLlc
+{
+  public:
+    ReferenceLlc(std::size_t sets, unsigned ways)
+        : numSets(sets), numWays(ways), lines(sets * ways)
+    {
+    }
+
+    /** Look `line` up; a hit is marked used, and dirty on a write. */
+    bool
+    access(Addr line, bool is_write)
+    {
+        std::size_t base = (line % numSets) * numWays;
+        for (unsigned w = 0; w < numWays; ++w) {
+            Line &l = lines[base + w];
+            if (l.valid && l.tag == line) {
+                l.lastUse = ++useCounter;
+                l.dirty |= is_write;
+                ++hits;
+                return true;
+            }
+        }
+        ++misses;
+        return false;
+    }
+
+    /** A fill of `line`: evict the victim, writing it back if dirty. */
+    void
+    install(Addr line, bool dirty)
+    {
+        std::size_t base = (line % numSets) * numWays;
+        Line *victim = &lines[base];
+        for (unsigned w = 0; w < numWays; ++w) {
+            Line &l = lines[base + w];
+            if (!l.valid) {
+                victim = &l;
+                break;
+            }
+            if (l.lastUse < victim->lastUse)
+                victim = &l;
+        }
+        if (victim->valid && victim->dirty)
+            ++writebacks;
+        *victim = Line{line, true, dirty, ++useCounter};
+    }
+
+    std::uint64_t hits = 0;
+    std::uint64_t misses = 0;
+    std::uint64_t writebacks = 0;
+
+  private:
+    struct Line
+    {
+        Addr tag = 0;
+        bool valid = false;
+        bool dirty = false;
+        std::uint64_t lastUse = 0;
+    };
+
+    std::size_t numSets;
+    unsigned numWays;
+    std::vector<Line> lines;
+    std::uint64_t useCounter = 0;
+};
+
+/** (sets, ways, seed) of one differential run. */
+class LlcReferenceTest
+    : public ::testing::TestWithParam<
+          std::tuple<std::size_t, unsigned, std::uint64_t>>
+{
+};
+
+TEST_P(LlcReferenceTest, TagStoreMatchesLastUsePolicy)
+{
+    // A seeded stream of reads and writes over distinct lines scattered
+    // below 1 GiB, three times the cache's capacity: half of the
+    // accesses pick any line of the footprint, half one of the last 16
+    // lines accessed, so hits land on every LRU rank. Each miss's fill
+    // lands before the next access, so the two caches see the same
+    // sequence of lookups and fills.
+    auto [sets, ways, seed] = GetParam();
+    MemSystem mem(smallMemConfig(), std::make_unique<NullMitigation>());
+    LlcConfig cfg;
+    cfg.capacityBytes = sets * ways * kLineBytes;
+    cfg.ways = ways;
+    Llc llc(cfg, mem);
+    ReferenceLlc ref(sets, ways);
+
+    Rng rng(seed);
+    std::vector<Addr> footprint;
+    for (std::size_t i = 0; i < 3 * sets * ways; ++i)
+        footprint.push_back(rng.below(Addr{1} << 24));
+    std::vector<Addr> recent;
+    Cycle now = 0;
+    for (std::size_t n = 0; n < 12 * sets * ways + 200; ++n) {
+        Addr line = !recent.empty() && rng.chance(0.5)
+            ? recent[rng.below(recent.size())]
+            : footprint[rng.below(footprint.size())];
+        if (recent.size() < 16)
+            recent.push_back(line);
+        else
+            recent[n % 16] = line;
+        bool is_write = rng.chance(0.3);
+        bool hit = ref.access(line, is_write);
+        Addr addr = line * kLineBytes + rng.below(kLineBytes);
+        ASSERT_EQ(llc.access(addr, is_write, 0, now),
+                  hit ? LlcResult::kHit : LlcResult::kMiss)
+            << "access " << n << " line " << line;
+        if (!hit) {
+            std::uint64_t fills = llc.fills();
+            for (Cycle end = now + 100000;
+                 llc.fills() == fills && now < end; ++now) {
+                llc.tick(now);
+                mem.tick(now);
+            }
+            ASSERT_NE(llc.fills(), fills) << "access " << n;
+            ref.install(line, is_write);
+        }
+        ASSERT_TRUE(llc.quiet()) << "access " << n;
+        ASSERT_EQ(llc.hits(), ref.hits) << "access " << n;
+        ASSERT_EQ(llc.misses(), ref.misses) << "access " << n;
+        ASSERT_EQ(llc.writebacks(), ref.writebacks) << "access " << n;
+    }
+    EXPECT_GT(ref.hits, 0u);
+    EXPECT_GT(ref.writebacks, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Geometries, LlcReferenceTest,
+    ::testing::Values(std::make_tuple(std::size_t{1}, 1u, 1ull),
+                      std::make_tuple(std::size_t{4}, 4u, 2ull),
+                      std::make_tuple(std::size_t{128}, 8u, 3ull)));
+
+TEST(LlcDeathTest, GeometryOutsideTheTagStoreIsFatal)
+{
+    MemSystem mem(smallMemConfig(), std::make_unique<NullMitigation>());
+    LlcConfig three_sets;
+    three_sets.capacityBytes = 3 * 8 * kLineBytes;
+    EXPECT_EXIT(Llc(three_sets, mem), ::testing::ExitedWithCode(1),
+                "power of two");
+    LlcConfig wide;
+    wide.ways = 256;
+    wide.capacityBytes = 256 * kLineBytes;
+    EXPECT_EXIT(Llc(wide, mem), ::testing::ExitedWithCode(1), "ways");
+}
+
+TEST(LlcDeathTest, TagWiderThan32BitsPanics)
+{
+    // One set: the tag is the whole line address, which fits 32 bits
+    // up to 2^38 B.
+    MemSystem mem(smallMemConfig(), std::make_unique<NullMitigation>());
+    LlcConfig cfg;
+    cfg.capacityBytes = kLineBytes;
+    cfg.ways = 1;
+    Llc llc(cfg, mem);
+    EXPECT_EQ(llc.access((Addr{1} << 38) - kLineBytes, false, 0, 0),
+              LlcResult::kMiss);
+    EXPECT_DEATH(llc.access(Addr{1} << 38, false, 0, 0), "32 bits");
 }
 
 /** Scripted trace source for core tests. */
