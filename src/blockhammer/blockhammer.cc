@@ -1,7 +1,5 @@
 #include "blockhammer/blockhammer.hh"
 
-#include <algorithm>
-
 namespace bh
 {
 
@@ -13,26 +11,22 @@ BlockHammer::BlockHammer(const BlockHammerConfig &config)
 bool
 BlockHammer::isActSafe(unsigned bank, RowId row, ThreadId thread, Cycle now)
 {
-    (void)thread;
-    bool safe = blocker.isSafe(bank, row, now);
-    if (!safe) {
-        ++numUnsafe;
-        // Trace only the first refusal of a delay episode: the
-        // controller re-queries every tick, and the episode (not the
-        // per-tick verdict) is the interesting observable.
-        bool first =
-            firstBlocked.try_emplace(key(bank, row), now).second;
-        if (first && TraceSink::on()) {
-            TraceSink::instant(
-                "mitig", "blacklist_block", tmeta, now,
-                {{"bank", static_cast<std::int64_t>(bank)},
-                 {"row", static_cast<std::int64_t>(row)},
-                 {"thread", static_cast<std::int64_t>(thread)}});
-        }
+    // Observe-only mode never interferes (Section 3.2.1).
+    if (cfg.observeOnly || blocker.isSafe(bank, row, now))
+        return true;
+    ++numUnsafe;
+    // Trace only the first refusal of a delay episode: the controller
+    // re-queries every tick, and the episode (not the per-tick verdict)
+    // is the interesting observable.
+    bool first = firstBlocked.try_emplace(key(bank, row), now).second;
+    if (first && TraceSink::on()) {
+        TraceSink::instant(
+            "mitig", "blacklist_block", tmeta, now,
+            {{"bank", static_cast<std::int64_t>(bank)},
+             {"row", static_cast<std::int64_t>(row)},
+             {"thread", static_cast<std::int64_t>(thread)}});
     }
-    // Observe-only mode computes everything but never interferes
-    // (Section 3.2.1).
-    return cfg.observeOnly ? true : safe;
+    return false;
 }
 
 void
@@ -81,63 +75,24 @@ BlockHammer::onActivate(unsigned bank, RowId row, ThreadId thread, Cycle now)
 void
 BlockHammer::tick(Cycle now)
 {
-    unsafeAtTickStart = numUnsafe;
-    unsafeDeltaLatched = false;
     if (blocker.clockTick(now)) {
         throttler.onEpochBoundary();
         shadow.onEpochBoundary();
         for (auto &stamp : stamps)
             ++stamp;
     }
-    // Queries and inserts age the history out themselves; doing it here
-    // too keeps nextVerdictChangeAt() current when no query runs.
-    blocker.expireHistory(now);
 }
 
 Cycle
-BlockHammer::nextHousekeepingAt(Cycle now) const
+BlockHammer::nextHousekeepingAt(Cycle) const
 {
-    // Observe-only refusals never reach the controller (every verdict it
-    // sees is safe), so it cannot end a replay of them at a verdict flip.
-    // While the last executed tick counted one, the flip is a boundary.
-    if (cfg.observeOnly && numUnsafe != unsafeAtTickStart)
-        return nextVerdictChangeAt(now);
     return blocker.nextBoundaryAt();
-}
-
-Cycle
-BlockHammer::nextVerdictChangeAt(Cycle) const
-{
-    // A refused row can only become safe again when its history entry
-    // ages out or the epoch clear empties the blacklist. The buffer's
-    // earliest expiry is a conservative lower bound for any entry's.
-    return std::min(blocker.nextBoundaryAt(),
-                    blocker.historyBuffer().nextExpiryAt());
-}
-
-void
-BlockHammer::noteSkippedTicks(std::uint64_t n)
-{
-    // Each eliminated idle tick would have re-issued the same safety
-    // queries as the last executed tick and gotten the same verdicts
-    // (delay bookkeeping is first-refusal-only, so only the counter
-    // needs replaying). The per-tick delta is latched at the first
-    // replay so repeated replays of one executed tick stay linear.
-    // Reached only without stamps (observe-only, or behind a wrapper
-    // that hides them): otherwise the controller counts the refusals
-    // itself (noteRepeatedRefusals).
-    if (!unsafeDeltaLatched) {
-        unsafeTickDelta = numUnsafe - unsafeAtTickStart;
-        unsafeDeltaLatched = true;
-    }
-    numUnsafe += unsafeTickDelta * n;
 }
 
 const std::uint64_t *
 BlockHammer::verdictStamps() const
 {
-    // Observe-only answers "safe" to a query that counts a refusal: a
-    // repeated safe answer records something, so nothing is cached.
+    // Observe-only queries have no effect, so there is nothing to cache.
     return cfg.observeOnly ? nullptr : stamps.data();
 }
 
@@ -150,8 +105,7 @@ BlockHammer::refusalLapsesAt(unsigned bank, RowId row, Cycle) const
 bool
 BlockHammer::knownSafe(unsigned bank, RowId row, Cycle now) const
 {
-    // A safe RowBlocker verdict counts nothing and refuses nothing, in
-    // observe-only mode too.
+    // A safe RowBlocker verdict counts nothing and refuses nothing.
     return blocker.knownSafe(bank, row, now);
 }
 

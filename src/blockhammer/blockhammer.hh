@@ -9,10 +9,11 @@
  * never needs it; see exact_shadow.hh).
  *
  * A verdict depends only on the bank's D-CBF, the row's history-buffer
- * entries and time, so BlockHammer (not its observe-only mode, whose
- * "safe" answers still count refusals) exposes per-bank verdict stamps,
+ * entries and time, so BlockHammer exposes per-bank verdict stamps,
  * refusal lapse times and known-safe answers, and the controller replays
  * repeated verdicts instead of asking again (Mitigation::verdictStamps).
+ * The observe-only mode answers every query "safe" and records nothing
+ * (Mitigation::actQueriesObservable): it measures RHLI from activations.
  */
 
 #ifndef BH_BLOCKHAMMER_BLOCKHAMMER_HH
@@ -39,12 +40,11 @@ class BlockHammer : public Mitigation
 
     bool isActSafe(unsigned bank, RowId row, ThreadId thread,
                    Cycle now) override;
+    bool actQueriesObservable() const override { return !cfg.observeOnly; }
     void onActivate(unsigned bank, RowId row, ThreadId thread,
                     Cycle now) override;
     void tick(Cycle now) override;
     Cycle nextHousekeepingAt(Cycle now) const override;
-    Cycle nextVerdictChangeAt(Cycle now) const override;
-    void noteSkippedTicks(std::uint64_t n) override;
     const std::uint64_t *verdictStamps() const override;
     Cycle refusalLapsesAt(unsigned bank, RowId row,
                           Cycle now) const override;
@@ -105,9 +105,6 @@ class BlockHammer : public Mitigation
     std::uint64_t numDelayedActs = 0;
     std::uint64_t numFalsePos = 0;
     std::uint64_t numUnsafe = 0;
-    std::uint64_t unsafeAtTickStart = 0;    ///< snapshot for skip replay
-    std::uint64_t unsafeTickDelta = 0;      ///< latched per-tick query count
-    bool unsafeDeltaLatched = false;
     Histogram delayHist;
     Histogram fpHist;
 };

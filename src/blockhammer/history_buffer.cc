@@ -62,14 +62,6 @@ HistoryBuffer::expire(Cycle now)
     }
 }
 
-Cycle
-HistoryBuffer::nextExpiryAt() const
-{
-    if (numValid == 0)
-        return kNoEventCycle;
-    return slots[head].timestamp + tDelay;
-}
-
 bool
 HistoryBuffer::recentlyActivated(std::uint64_t row_key, Cycle now)
 {

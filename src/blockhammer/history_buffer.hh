@@ -36,15 +36,8 @@ class HistoryBuffer
     /** Record an activation of `row_key` at `now`. */
     void insert(std::uint64_t row_key, Cycle now);
 
-    /** Expire entries older than tDelay. Called before queries. */
+    /** Expire entries older than tDelay. Queries and inserts call it. */
     void expire(Cycle now);
-
-    /**
-     * Cycle at which the oldest live entry ages out of the window (the
-     * earliest future point any recentlyActivated() answer can flip to
-     * false), or kNoEventCycle when the buffer is empty.
-     */
-    Cycle nextExpiryAt() const;
 
     /** Was `row_key` activated within the last tDelay window? */
     bool recentlyActivated(std::uint64_t row_key, Cycle now);

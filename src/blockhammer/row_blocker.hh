@@ -38,9 +38,6 @@ class RowBlocker
     /** Epoch clock; returns true when an epoch boundary was crossed. */
     bool clockTick(Cycle now);
 
-    /** Age the history buffer's entries out up to `now`. */
-    void expireHistory(Cycle now) { hb.expire(now); }
-
     /**
      * First cycle at which a refusal of (bank, row) answered at the
      * current cycle can lapse with no activation of the bank: the row's
@@ -79,7 +76,6 @@ class RowBlocker
 
     const BlockHammerConfig &config() const { return cfg; }
     Cycle tDelay() const { return delay; }
-    const HistoryBuffer &historyBuffer() const { return hb; }
     const DualCbf &bankFilter(unsigned bank) const { return *filters[bank]; }
 
   private:

@@ -595,10 +595,11 @@ MemController::eventBound(Cycle now)
         panic("MemController::eventBound(%lld): no demand bound recorded "
               "at the last executed tick (%lld)", static_cast<long long>(now),
               static_cast<long long>(lastTickAt));
-    Cycle verdict = mitig.nextVerdictChangeAt(now);
     // With verdict stamps the chains hold every verdict the last tick's
     // picks used, and none flips before the chains' earliest lapse: a
-    // safe verdict holds until a stamp moves.
+    // safe verdict holds until a stamp moves. Without them any verdict
+    // may flip at the next tick, which must ask again.
+    Cycle verdict = now;
     const SchedQueue::ChainTotals *read_chains = readQ.chainTotals();
     const SchedQueue::ChainTotals *write_chains = writeQ.chainTotals();
     if (read_chains && write_chains)
@@ -631,11 +632,9 @@ MemController::noteSkippedTicks(std::uint64_t n)
         if (n & 1)
             drainToggle = !drainToggle;
     }
-    // With verdict stamps the controller counts the skipped ticks'
-    // refusals itself: each would have replayed them from the chains.
-    if (!verdictChains)
-        mitig.noteSkippedTicks(n);
-    else if (refusals > 0)
+    // Only verdict chains keep a window across a refusal: each skipped
+    // tick would have replayed it from them.
+    if (refusals > 0)
         mitig.noteRepeatedRefusals(refusals);
 }
 

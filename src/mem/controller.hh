@@ -306,10 +306,11 @@ class MemController
 
     /**
      * Replay the externally invisible side effects of `n` skipped idle
-     * ticks: blocked-activation counters (exactly `n` times the last idle
-     * tick's safety-query evaluations, counted by the mitigation too
-     * where it has verdict stamps), the write-drain hysteresis and
-     * fairness toggle, and the mitigation's own per-tick accounting.
+     * ticks: blocked-activation counters (exactly `n` times the last
+     * idle tick's refusals, which each skipped tick would have replayed
+     * from verdict chains, and which the mitigation counts too; without
+     * chains a refusal ends the window), and the write-drain hysteresis
+     * and fairness toggle.
      */
     void noteSkippedTicks(std::uint64_t n);
 

@@ -69,12 +69,11 @@ class Mitigation
      * moves; and that a refusal holds until the stamp moves or
      * refusalLapsesAt() passes, and repeats only its count. The
      * controller may then replay such verdicts from a cache instead of
-     * asking again (DESIGN.md "Verdict chains"), and it counts the
-     * refusals of the ticks it skips itself, through
-     * noteRepeatedRefusals() in place of noteSkippedTicks(). The array
-     * must stay where it is for the mechanism's lifetime. The default
-     * keeps every query live, so a wrapper that does not forward this
-     * stays exact.
+     * asking again (DESIGN.md "Verdict chains"), counting them through
+     * noteRepeatedRefusals(). The array must stay where it is for the
+     * mechanism's lifetime. The default keeps every query live, and a
+     * refusal then ends the controller's idle window, so a wrapper that
+     * does not forward this stays exact.
      */
     virtual const std::uint64_t *verdictStamps() const { return nullptr; }
 
@@ -146,9 +145,10 @@ class Mitigation
     }
 
     /**
-     * Earliest cycle at which an isActSafe() verdict could flip without
-     * any new activation being issued (history entries aging out, epoch
-     * clears). Mechanisms that never refuse activations keep the default.
+     * No longer called: a refusal without verdict stamps ends the idle
+     * window, and the chains bound one with them (verdictStamps()).
+     * Kept, with noteSkippedTicks(), only while perfbench's frozen
+     * TimedMitigation overrides both (ROADMAP item 8).
      */
     virtual Cycle
     nextVerdictChangeAt(Cycle now) const
@@ -157,14 +157,7 @@ class Mitigation
         return kNoEventCycle;
     }
 
-    /**
-     * The event-skipping driver eliminated `n` idle controller ticks that
-     * would each have re-run the same safety queries as the last executed
-     * tick. Mechanisms that keep per-query counters replay them here so
-     * skipping stays bit-compatible with cycle-by-cycle simulation. Not
-     * called for a mechanism with verdict stamps, whose skipped refusals
-     * the controller counts (verdictStamps()).
-     */
+    /** No longer called; see nextVerdictChangeAt(). */
     virtual void noteSkippedTicks(std::uint64_t n) { (void)n; }
 
     /**

@@ -4,7 +4,6 @@
 
 #include "common/bitutils.hh"
 #include "common/log.hh"
-#include "mem/controller.hh"
 
 namespace bh
 {
@@ -54,20 +53,8 @@ Abacus::refreshNeighborsAllBanks(RowId row, Cycle now)
     // The shared counter cannot attribute the activations to one bank,
     // so every bank's neighbors are refreshed (the counter's saving is
     // paid back in refresh fan-out, cheap because triggers are rare).
-    for (unsigned bank = 0; bank < cfg.banks; ++bank) {
-        for (unsigned k = 1; k <= cfg.blastRadius; ++k) {
-            for (int dir : {-1, 1}) {
-                std::int64_t victim = static_cast<std::int64_t>(row) +
-                    dir * static_cast<int>(k);
-                if (victim < 0 ||
-                    victim >= static_cast<std::int64_t>(cfg.rowsPerBank))
-                    continue;
-                controller->scheduleVictimRefresh(
-                    bank, static_cast<RowId>(victim));
-                ++numRefreshes;
-            }
-        }
-    }
+    for (unsigned bank = 0; bank < cfg.banks; ++bank)
+        numRefreshes += scheduleNeighborRefreshes(*controller, cfg, bank, row);
 }
 
 void

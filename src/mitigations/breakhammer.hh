@@ -90,14 +90,6 @@ class BreakHammer : public Mitigation
 
     void tick(Cycle now) override;
     Cycle nextHousekeepingAt(Cycle now) const override;
-    Cycle nextVerdictChangeAt(Cycle now) const override
-    {
-        return base->nextVerdictChangeAt(now);
-    }
-    void noteSkippedTicks(std::uint64_t n) override
-    {
-        base->noteSkippedTicks(n);
-    }
 
     int quota(ThreadId thread, unsigned bank) const override
     {

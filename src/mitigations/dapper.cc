@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/bitutils.hh"
-#include "mem/controller.hh"
 
 namespace bh
 {
@@ -26,23 +25,6 @@ Dapper::Dapper(const MitigationSettings &settings)
     drainEvery = std::max<Cycle>(1, cfg.timings.tREFI);
     batch = std::max(1u, cfg.banks / 4);
     nextDrainAt = drainEvery;
-}
-
-void
-Dapper::refreshNeighbors(unsigned bank, RowId row)
-{
-    for (unsigned k = 1; k <= cfg.blastRadius; ++k) {
-        for (int dir : {-1, 1}) {
-            std::int64_t victim = static_cast<std::int64_t>(row) +
-                dir * static_cast<int>(k);
-            if (victim < 0 ||
-                victim >= static_cast<std::int64_t>(cfg.rowsPerBank))
-                continue;
-            controller->scheduleVictimRefresh(bank,
-                                              static_cast<RowId>(victim));
-            ++numRefreshes;
-        }
-    }
 }
 
 void
@@ -96,7 +78,8 @@ Dapper::tick(Cycle now)
         for (unsigned i = 0; i < batch && !pending.empty(); ++i) {
             Trigger t = pending.front();
             pending.pop_front();
-            refreshNeighbors(t.bank, t.row);
+            numRefreshes +=
+                scheduleNeighborRefreshes(*controller, cfg, t.bank, t.row);
         }
         nextDrainAt += drainEvery;
     }

@@ -66,7 +66,6 @@ class Dapper : public Mitigation
     };
 
     void noteTrigger(unsigned bank, RowId row, Cycle now);
-    void refreshNeighbors(unsigned bank, RowId row);
 
     MitigationSettings cfg;
     std::uint32_t thT = 0;          ///< Misra-Gries trigger threshold

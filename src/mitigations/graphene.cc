@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/bitutils.hh"
-#include "mem/controller.hh"
 
 namespace bh
 {
@@ -30,18 +29,7 @@ Graphene::refreshNeighbors(unsigned bank, RowId row, Cycle now)
                            {{"bank", static_cast<std::int64_t>(bank)},
                             {"row", static_cast<std::int64_t>(row)}});
     }
-    for (unsigned k = 1; k <= cfg.blastRadius; ++k) {
-        for (int dir : {-1, 1}) {
-            std::int64_t victim = static_cast<std::int64_t>(row) +
-                dir * static_cast<int>(k);
-            if (victim < 0 ||
-                victim >= static_cast<std::int64_t>(cfg.rowsPerBank))
-                continue;
-            controller->scheduleVictimRefresh(bank,
-                                              static_cast<RowId>(victim));
-            ++numRefreshes;
-        }
-    }
+    numRefreshes += scheduleNeighborRefreshes(*controller, cfg, bank, row);
 }
 
 void

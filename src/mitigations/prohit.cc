@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "mem/controller.hh"
-
 namespace bh
 {
 
@@ -71,18 +69,8 @@ Prohit::onAutoRefresh(RowId, unsigned, Cycle now)
                 {{"bank", static_cast<std::int64_t>(b)},
                  {"row", static_cast<std::int64_t>(aggressor)}});
         }
-        for (unsigned k = 1; k <= cfg.blastRadius; ++k) {
-            for (int dir : {-1, 1}) {
-                std::int64_t victim = static_cast<std::int64_t>(aggressor) +
-                    dir * static_cast<int>(k);
-                if (victim < 0 ||
-                    victim >= static_cast<std::int64_t>(cfg.rowsPerBank))
-                    continue;
-                controller->scheduleVictimRefresh(
-                    b, static_cast<RowId>(victim));
-                ++numRefreshes;
-            }
-        }
+        numRefreshes +=
+            scheduleNeighborRefreshes(*controller, cfg, b, aggressor);
     }
 }
 

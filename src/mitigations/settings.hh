@@ -13,10 +13,13 @@
 
 #include <cstdint>
 
+#include "common/types.hh"
 #include "dram/timing.hh"
 
 namespace bh
 {
+
+class MemController;
 
 /** Parameters common to all mitigation mechanisms. */
 struct MitigationSettings
@@ -32,6 +35,15 @@ struct MitigationSettings
     /** Effective per-aggressor budget under double-sided attacks. */
     std::uint32_t effectiveNRH() const { return nRH / 2; }
 };
+
+/**
+ * Schedule victim refreshes of the rows up to `settings.blastRadius`
+ * away from `row` in `bank` that lie inside the bank, nearest first and
+ * the lower row before the upper one. Returns how many it scheduled.
+ */
+unsigned scheduleNeighborRefreshes(MemController &mc,
+                                   const MitigationSettings &settings,
+                                   unsigned bank, RowId row);
 
 } // namespace bh
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/ordered.hh"
-#include "mem/controller.hh"
 
 namespace bh
 {
@@ -35,18 +34,8 @@ Twice::onActivate(unsigned bank, RowId row, ThreadId, Cycle now)
                                 {"row",
                                  static_cast<std::int64_t>(row)}});
         }
-        for (unsigned k = 1; k <= cfg.blastRadius; ++k) {
-            for (int dir : {-1, 1}) {
-                std::int64_t victim = static_cast<std::int64_t>(row) +
-                    dir * static_cast<int>(k);
-                if (victim < 0 ||
-                    victim >= static_cast<std::int64_t>(cfg.rowsPerBank))
-                    continue;
-                controller->scheduleVictimRefresh(
-                    bank, static_cast<RowId>(victim));
-                ++numRefreshes;
-            }
-        }
+        numRefreshes +=
+            scheduleNeighborRefreshes(*controller, cfg, bank, row);
         table.erase(row);
     }
     peakEntries = std::max(peakEntries, tableEntries());

@@ -49,7 +49,6 @@ System::System(const SystemConfig &config, const MitigationFactory &factory)
 {
     memSys = std::make_unique<MemSystem>(
         cfg.mem, buildPerChannel(cfg, factory));
-    mcDivider = std::max<Cycle>(1, cfg.mcClockDivider);
     // --skip off is the end-to-end reference: no fast paths anywhere.
     // --skip verify keeps them, and checks every replayed window.
     for (unsigned ch = 0; ch < memSys->channels(); ++ch) {
@@ -166,12 +165,12 @@ System::advanceQuiet(Cycle target, bool lanes_idle)
     Cycle first_mc = mcEdge(start);
     unsigned channels = memSys->channels();
     auto mc_ticks =
-        static_cast<std::uint64_t>((mcEdge(target) - first_mc) / mcDivider);
+        static_cast<std::uint64_t>((mcEdge(target) - first_mc) / kMcDivider);
     if (mc_ticks > 0) {
         // Each controller executes or replays its own ticks, so the
         // result is bit-identical to ticking every cycle.
         for (unsigned ch = 0; ch < channels; ++ch)
-            memSys->controller(ch).advance(first_mc, target, mcDivider);
+            memSys->controller(ch).advance(first_mc, target, kMcDivider);
     }
     // Cores skip their ticks; a stalled core accrues the stall cycles of
     // the retries it skipped at its next tick (Core::accrueStalls).
@@ -235,7 +234,7 @@ System::run(Cycle cycles)
         }
         if (llcPtr)
             llcPtr->tick(currentCycle);
-        if (currentCycle % mcDivider == 0)
+        if (currentCycle % kMcDivider == 0)
             memSys->tick(currentCycle);
         Cycle ticked = currentCycle;
         ++currentCycle;

@@ -74,8 +74,6 @@ struct SystemConfig
     LlcConfig llc;
     MemSystemConfig mem;
     bool useLlc = true;
-    /** Memory controller clock divider relative to the CPU clock. */
-    unsigned mcClockDivider = 2;
     /** Time-advance strategy (see SkipMode). */
     SkipMode skip = SkipMode::kEventSkip;
     /// Not read; goes with the next benchmark change (ROADMAP).
@@ -154,6 +152,9 @@ class System
     }
 
   private:
+    /** CPU cycles per memory controller tick. */
+    static constexpr Cycle kMcDivider = 2;
+
     /**
      * Progress stamp of the memory system and the LLC: a cycle changed
      * nothing when it stays put and no core tick moved.
@@ -164,7 +165,7 @@ class System
     Cycle
     mcEdge(Cycle c) const
     {
-        return (c + mcDivider - 1) / mcDivider * mcDivider;
+        return (c + kMcDivider - 1) / kMcDivider * kMcDivider;
     }
 
     /**
@@ -187,7 +188,6 @@ class System
     std::unique_ptr<Llc> llcPtr;
     std::vector<std::unique_ptr<TraceSource>> traces;
     std::vector<std::unique_ptr<Core>> cores;
-    Cycle mcDivider = 1;            ///< CPU cycles per controller tick
     Cycle currentCycle = 0;
     Cycle measureStart = 0;
     double energyAtMeasureStart = 0.0;

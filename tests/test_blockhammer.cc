@@ -184,20 +184,6 @@ TEST(HistoryBuffer, TimestampDeltasNearWindowEdge)
     EXPECT_EQ(hb.validCount(), 0u);
 }
 
-TEST(HistoryBuffer, NextExpiryTracksOldestLiveEntry)
-{
-    HistoryBuffer hb(8, 100);
-    EXPECT_EQ(hb.nextExpiryAt(), kNoEventCycle);
-    hb.insert(1, 1000);
-    hb.insert(2, 1040);
-    EXPECT_EQ(hb.nextExpiryAt(), 1100);
-    hb.expire(1100);    // drops the first entry only
-    EXPECT_EQ(hb.validCount(), 1u);
-    EXPECT_EQ(hb.nextExpiryAt(), 1140);
-    hb.expire(1140);
-    EXPECT_EQ(hb.nextExpiryAt(), kNoEventCycle);
-}
-
 TEST(HistoryBuffer, LastActivationIsTheLatestLiveEntry)
 {
     HistoryBuffer hb(8, 100);
@@ -379,10 +365,16 @@ TEST(BlockHammerMech, ObserveOnlyNeverBlocks)
         bh.onActivate(0, 5, 0, now);
         now += 200;
     }
+    // Its queries answer "safe" and record nothing, so the controller
+    // need not ask them.
+    EXPECT_FALSE(bh.actQueriesObservable());
+    ASSERT_FALSE(bh.rowBlocker().knownSafe(0, 5, now));
     EXPECT_TRUE(bh.isActSafe(0, 5, 0, now));
+    EXPECT_EQ(bh.unsafeVerdicts(), 0u);
     EXPECT_EQ(bh.quota(0, 0), -1);
     // But it still measures.
     EXPECT_GT(bh.blacklistedActivations(), 0u);
+    EXPECT_GT(bh.rhli(0, 0), 0.0);
 }
 
 TEST(BlockHammerMech, DelayHistogramRecordsPenalties)
@@ -483,7 +475,7 @@ TEST(BlockHammerMech, KnownSafeIsTheLiveVerdictAndRecordsNothing)
     // knownSafe, and the answers must be equal. Each round hammers one
     // row past N_BL among random rows, then probes it at the tDelay edge
     // of its last ACT (lapse - 1 refused, lapse safe); the stream
-    // crosses three epoch swaps. Only ACTs and the swaps age the
+    // crosses three epoch swaps. Only ACTs age the second instance's
     // history out, so knownSafe also meets entries older than tDelay
     // that expire() has not yet dropped.
     BlockHammerConfig cfg = tinyConfig();
@@ -581,23 +573,9 @@ TEST(BlockHammerMech, VerdictStampsMoveWithActivationsAndEpochSwaps)
     for (unsigned b = 0; b < cfg.banks; ++b)
         EXPECT_NE(stamps[b], before[b]) << "bank " << b;
 
-    // Observe-only keeps every query live.
+    // Observe-only queries have no effect: nothing to cache.
     cfg.observeOnly = true;
     EXPECT_EQ(BlockHammer(cfg).verdictStamps(), nullptr);
-}
-
-TEST(BlockHammerMech, TickAgesTheHistoryOut)
-{
-    // With no query to age the history out, the next verdict change
-    // must not name an entry that already left the window.
-    BlockHammerConfig cfg = tinyConfig();
-    BlockHammer bh(cfg);
-    bh.onActivate(0, 5, 0, 100);
-    Cycle expiry = 100 + bh.rowBlocker().tDelay();
-    EXPECT_EQ(bh.nextVerdictChangeAt(0), expiry);
-    bh.tick(expiry);
-    EXPECT_EQ(bh.nextVerdictChangeAt(expiry),
-              bh.rowBlocker().nextBoundaryAt());
 }
 
 /** The node-based two-epoch shadow the flat table replaced. */

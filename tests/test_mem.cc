@@ -49,15 +49,6 @@ class ScriptedMitigation : public Mitigation
         return it == quotas.end() ? -1 : it->second;
     }
 
-    Cycle
-    nextVerdictChangeAt(Cycle now) const override
-    {
-        // Tests mutate blockedRows from outside the simulation, so a
-        // verdict may flip at any cycle: the controller must not cache
-        // idle-tick analyses across even a single cycle.
-        return now + 1;
-    }
-
     void
     blockRow(unsigned bank, RowId row)
     {
@@ -224,6 +215,34 @@ TEST_F(MemTest, BlockedActIsDeferredUntilUnblocked)
     mitig->blockedRows.clear();
     runFor(300);
     EXPECT_GE(*done, 0);
+}
+
+TEST_F(MemTest, RefusalWithoutVerdictStampsEndsTheIdleWindow)
+{
+    // The scripted mechanism has no verdict stamps, and the test flips
+    // its verdicts from outside the simulation: after a refusal the
+    // controller must execute the next tick and ask again, never replay
+    // it.
+    mitig->blockRow(0, 100);
+    read(0, 100);
+    const MemController &mc = mem->controller();
+    for (Cycle limit = now + 200; mc.blockedActQueries() == 0; ) {
+        ASSERT_LT(now, limit) << "the ACT was never asked about";
+        runFor(1);
+    }
+    std::uint64_t executed = mc.ticksExecuted();
+    std::uint64_t blocked = mc.blockedActQueries();
+    for (std::uint64_t tick = 1; tick <= 64; ++tick) {
+        runFor(1);
+        ASSERT_EQ(mc.ticksExecuted(), executed + tick) << "cycle " << now;
+        ASSERT_EQ(mc.blockedActQueries(), blocked + tick) << "cycle " << now;
+    }
+    EXPECT_EQ(mc.demandActivations(), 0u);
+    mitig->blockedRows.clear();
+    runFor(1);
+    EXPECT_EQ(mc.demandActivations(), 1u);
+    ASSERT_EQ(mitig->activations.size(), 1u);
+    EXPECT_EQ(mitig->activations[0].second, 100u);
 }
 
 TEST_F(MemTest, BlockedRowDoesNotStallOtherRequests)

@@ -24,6 +24,7 @@
 #include "mitigations/mrloc.hh"
 #include "mitigations/para.hh"
 #include "mitigations/prohit.hh"
+#include "mitigations/settings.hh"
 #include "mitigations/twice.hh"
 #include "sim/experiment.hh"
 
@@ -324,6 +325,19 @@ TEST(Graphene, WindowResetClearsCounts)
         g.onActivate(0, 500, 0, i);
     // 200 + 200 < 2T after reset: no new trigger from stale counts.
     EXPECT_EQ(g.refreshesIssued(), before);
+}
+
+TEST(NeighborRefreshes, StayInsideTheBank)
+{
+    RecordingController rc;
+    MitigationSettings s = tinySettings();
+    s.blastRadius = 2;
+    // Row 1 has one neighbour below it and two above.
+    EXPECT_EQ(scheduleNeighborRefreshes(rc.ctrl, s, 3, 1), 3u);
+    EXPECT_EQ(scheduleNeighborRefreshes(rc.ctrl, s, 3, s.rowsPerBank - 1),
+              2u);
+    EXPECT_EQ(scheduleNeighborRefreshes(rc.ctrl, s, 3, 500), 4u);
+    EXPECT_EQ(rc.ctrl.victimRefreshesScheduled(), 9u);
 }
 
 // ---- the shared Misra-Gries table against the code it replaced -------

@@ -124,17 +124,6 @@ class Forwarding : public Mitigation
         return inner->nextHousekeepingAt(now);
     }
 
-    Cycle
-    nextVerdictChangeAt(Cycle now) const override
-    {
-        return inner->nextVerdictChangeAt(now);
-    }
-
-    void noteSkippedTicks(std::uint64_t n) override
-    {
-        inner->noteSkippedTicks(n);
-    }
-
     int
     quota(ThreadId thread, unsigned bank) const override
     {
@@ -209,20 +198,21 @@ unobservableMechanisms()
 
 TEST(QueryCapability, OnlyBlockHammersQueriesHaveAnEffect)
 {
-    // BlockHammer counts unsafe verdicts and first refusals, and the
-    // observe-only mode counts them without refusing; every other
-    // mechanism keeps the default isActSafe (BreakHammer forwards it).
+    // BlockHammer counts unsafe verdicts and first refusals; the
+    // observe-only mode answers "safe" and records nothing, and every
+    // other mechanism keeps the default isActSafe (BreakHammer forwards
+    // it).
     std::vector<std::string> expected;
     for (const auto &name : mitigationNames())
-        if (name != "BlockHammer" && name != "BlockHammer-Observe")
+        if (name != "BlockHammer")
             expected.push_back(name);
     EXPECT_EQ(unobservableMechanisms(), expected);
 }
 
 TEST(QueryCapability, OnlyBlockHammerExposesVerdictStamps)
 {
-    // BlockHammer-Observe answers "safe" to queries that count a
-    // refusal, so its repeated answers cannot be replayed from a cache.
+    // BlockHammer-Observe's queries have no effect, so the controller
+    // asks none and has nothing to cache.
     std::vector<std::string> stamped;
     for (const auto &name : mitigationNames())
         if (makeMitigation(name, ExperimentConfig{}.mitigationSettings())
@@ -347,25 +337,29 @@ TEST(VerdictChainsDeathTest, VerifyPanicsOnAWrongKnownSafeAnswer)
 
 /**
  * A seeded grid over the machinery that replays BlockHammer's verdicts:
- * each seed draws a small system (BlockHammer, BreakHammer+BlockHammer
- * or BlockHammer-Observe; 1, 2 or 4 channels; 1-8 threads; N_RH and
- * tREFW short enough that every run crosses throttler epochs) and a mix
- * of catalog apps with one attacker, a catalog pattern or a sampled
- * `kFuzz` pattern. Event skipping and kVerify must reproduce the
- * cycle-by-cycle RunResult exactly. A failing seed names its draw in
- * one line (printed before its runs, since kVerify aborts on a wrong
- * claim); a test calling checkGridSeed(seed) reproduces it.
+ * each seed draws a small system (BlockHammer, BreakHammer+BlockHammer,
+ * BlockHammer-Observe, whose queries have no effect, or BlockHammer
+ * behind Forwarding, which hides the stamps so that every query is
+ * asked live and a refusal ends the window; 1, 2 or 4 channels; 1-8
+ * threads; N_RH and tREFW short enough that every run crosses throttler
+ * epochs) and a mix of catalog apps with one attacker, a catalog
+ * pattern or a sampled `kFuzz` pattern. Event skipping and kVerify must
+ * reproduce the cycle-by-cycle RunResult exactly. A failing seed names
+ * its draw in one line (printed before its runs, since kVerify aborts on
+ * a wrong claim); a test calling checkGridSeed(seed) reproduces it.
  */
 struct GridDraw
 {
     ExperimentConfig cfg;
     MixSpec mix;
+    bool forwarded = false;     ///< the mechanism behind Forwarding
 
     std::string
     describe(std::uint64_t seed) const
     {
         std::ostringstream out;
-        out << "skip grid seed " << seed << ": " << cfg.mechanism << ", "
+        out << "skip grid seed " << seed << ": " << cfg.mechanism
+            << (forwarded ? " behind Forwarding" : "") << ", "
             << cfg.channels << " ch, " << cfg.threads << " threads, N_RH "
             << cfg.nRH << ", tREFW " << cfg.refwMs << " ms, apps";
         for (const auto &app : mix.apps)
@@ -379,12 +373,15 @@ drawGrid(std::uint64_t seed)
 {
     Rng rng(seed);
     static const char *const kMechanisms[] = {
-        "BlockHammer", "BreakHammer+BlockHammer", "BlockHammer-Observe"};
+        "BlockHammer", "BreakHammer+BlockHammer", "BlockHammer-Observe",
+        "BlockHammer"};
     static const unsigned kChannels[] = {1, 2, 4};
     static const unsigned kNrh[] = {256, 512, 1024};
     static const double kRefwMs[] = {0.02, 0.03, 0.04};
     GridDraw d;
-    d.cfg = shortConfig(kMechanisms[rng.below(3)], kChannels[rng.below(3)]);
+    auto mechanism = rng.below(4);
+    d.forwarded = mechanism == 3;
+    d.cfg = shortConfig(kMechanisms[mechanism], kChannels[rng.below(3)]);
     d.cfg.threads = 1 + static_cast<unsigned>(rng.below(8));
     d.cfg.nRH = kNrh[rng.below(3)];
     d.cfg.refwMs = kRefwMs[rng.below(3)];
@@ -416,11 +413,17 @@ checkGridSeed(std::uint64_t seed)
     // Every run crosses at least two throttler epoch swaps.
     ASSERT_GE(d.cfg.warmupCycles + d.cfg.runCycles,
               d.cfg.timings().tREFW);
+    MitigationWrapper wrap;
+    if (d.forwarded) {
+        wrap = [](std::unique_ptr<Mitigation> m) {
+            return std::make_unique<Forwarding>(std::move(m));
+        };
+    }
     d.cfg.skip = SkipMode::kCycleByCycle;
-    RunResult ref = runExperiment(d.cfg, d.mix);
+    RunResult ref = runExperiment(d.cfg, d.mix, wrap);
     for (SkipMode mode : {SkipMode::kEventSkip, SkipMode::kVerify}) {
         d.cfg.skip = mode;
-        expectEqualResults(ref, runExperiment(d.cfg, d.mix));
+        expectEqualResults(ref, runExperiment(d.cfg, d.mix, wrap));
     }
 }
 
